@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
-from .fock import GradedVector, QContext
+from .fock import GradedVector, QContext, as_one_particle, basis_vector
+from .qcombinatorics import PAIRING_CAP
 from .scales import NormScale, WeightedSpace, default_hplus_weights, f_dual_norm, g_norm, graded_tensor
 from .series import wick_exp, wick_inverse
 from .suites import SUITE_NAMES, Report, RunConfig, run_suite
@@ -21,8 +23,8 @@ from .wick import moment
 COMPUTE_COMMANDS = ("moments", "wick-mul", "wick-inv", "wick-exp", "norm")
 
 
-def _json_out(data: dict | list, path: str | None) -> None:
-    text = json.dumps(data, indent=2, sort_keys=True)
+def _json_out(data: dict | list, path: str | None, allow_nan: bool = False) -> None:
+    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=allow_nan)
     if path:
         with open(path, "w") as handle:
             handle.write(text + "\n")
@@ -87,7 +89,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     payload = [r.to_json_dict() for r in reports]
-    _json_out(payload[0] if len(payload) == 1 else payload, args.out)
+    # a failing suite may record inf, so verify reports keep JSON's extension
+    _json_out(payload[0] if len(payload) == 1 else payload, args.out, allow_nan=True)
     if args.csv:
         if len(reports) != 1:
             print("csv export needs a single suite", file=sys.stderr)
@@ -97,14 +100,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
-    dim = args.dim
+    if not 0 <= args.order <= PAIRING_CAP + 1:
+        raise ValueError(f"--order must be in 0..{PAIRING_CAP + 1}, got {args.order}")
+    dim, phi = args.dim, None
     if args.phi:
-        phi = np.asarray(_load_json(args.phi), dtype=float)
+        phi = np.asarray(_load_json(args.phi), dtype=float).reshape(-1)
         dim = phi.size
-    else:
-        phi = np.zeros(dim)
-        phi[0] = 1.0
     ctx = QContext(args.q, dim, max(1, (args.order + 1) // 2))
+    phi = basis_vector(dim, 0) if phi is None else as_one_particle(phi, dim)
     rows = []
     print("k  value  oracle  residual")
     for k in range(args.order + 1):
@@ -148,6 +151,8 @@ def _cmd_norm(args: argparse.Namespace) -> int:
     weights = default_hplus_weights(vec.ctx.dim) if args.weights == "default" else None
     space = WeightedSpace(vec.ctx, scale, weights)
     value = g_norm(vec, space) if args.side == "test" else f_dual_norm(vec, space)
+    if not math.isfinite(value):
+        raise ValueError(f"norm is not finite: {value!r}")
     print(repr(value))
     if args.out:
         _json_out(

@@ -9,6 +9,10 @@ component that would land at degree N + 1.
 The twisted scalar product on degree n is (P f, g) where P is the
 inversion-weighted sum of permutation actions on tensor factors.  One-particle
 vectors are plain length-d arrays.
+
+Creation, annihilation and P are each written once, as kernels on the last
+axis of an array whose leading axes are a batch; every dense operator matrix
+is derived by applying a kernel to identity columns.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ from .qcombinatorics import (
 )
 
 EIGENSOLVER_CAP = 4096  # largest d**n for dense spectral probes
-MATRIX_CACHE_CAP = 4096  # largest d**n for which the dense P matrix is memoized
+# largest d**n for which apply_pq memoizes the dense P: below it a cached
+# matvec beats the kernel, above it the kernel wins and skips the matrix
+MATRIX_CACHE_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -65,11 +71,20 @@ def basis_vector(dim: int, i: int) -> np.ndarray:
     return e
 
 
+def tensor_product(a, b) -> np.ndarray:
+    """Row-major a (x) b over the last axis; leading axes are a batch and
+    broadcast.  For flat inputs this is the entrywise product of all pairs."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = a[..., :, None] * b[..., None, :]
+    return out.reshape(out.shape[:-2] + (-1,))
+
+
 def elementary_tensor(vectors) -> np.ndarray:
     """f_1 (x) ... (x) f_n as a flat row-major array; the empty product is (1,)."""
     out = np.ones(1)
     for v in vectors:
-        out = np.kron(out, np.asarray(v, dtype=float))
+        out = tensor_product(out, v)
     return out
 
 
@@ -93,6 +108,8 @@ class GradedVector:
                 raise ValueError(
                     f"degree-{n} component must have length {self.ctx.dim ** n}"
                 )
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"degree-{n} component entries must be finite")
             arr.flags.writeable = False
             clean[n] = arr
         object.__setattr__(self, "components", clean)
@@ -195,7 +212,9 @@ def _perm_actions(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 @functools.lru_cache(maxsize=None)
 def pq_matrix(n: int, dim: int, q: float) -> np.ndarray:
-    """Dense matrix of the degree-n symmetrizer; memoized per (n, dim, q).
+    """Dense matrix of the degree-n symmetrizer by enumerating all n!
+    permutations; memoized per (n, dim, q).  An independent oracle for the
+    factorized kernel, capped at degree 8.
 
     The cache is filled idempotently and entries are read-only, so concurrent
     use is safe.
@@ -204,8 +223,8 @@ def pq_matrix(n: int, dim: int, q: float) -> np.ndarray:
     if n > PERMUTATION_CAP:
         raise ValueError(f"symmetrizer capped at degree {PERMUTATION_CAP}, got {n}")
     size = dim**n
-    if size > MATRIX_CACHE_CAP:
-        raise ValueError(f"dense symmetrizer capped at dimension {MATRIX_CACHE_CAP}")
+    if size > EIGENSOLVER_CAP:
+        raise ValueError(f"dense symmetrizer capped at dimension {EIGENSOLVER_CAP}")
     if n <= 1 or dim == 1:
         mat = np.eye(size) * (q_factorial(n, q) if dim == 1 else 1.0)
         mat.flags.writeable = False
@@ -225,27 +244,48 @@ def pq_matrix(n: int, dim: int, q: float) -> np.ndarray:
     return mat
 
 
+def symmetrize(t, n: int, dim: int, q: float) -> np.ndarray:
+    """The degree-n symmetrizer on the last axis of t (leading axes are a batch).
+
+    Uses the factorization P_n = (1 (x) P_(n-1)) R_n with R_n the sum over k of
+    q^k times moving slot k to the front, so the cost is O(n^2 d^n) and there is
+    no degree cap.  At level m the untouched leading slots join the batch.
+    """
+    t = np.asarray(t, dtype=float)
+    lead = t.shape[:-1]
+    if n <= 1:
+        return t.copy()
+    for m in range(n, 1, -1):
+        cube = t.reshape((-1,) + (dim,) * m)
+        acc = cube
+        for k in range(1, m):
+            acc = acc + q**k * np.moveaxis(cube, k + 1, 1)
+        t = acc
+    return t.reshape(lead + (-1,))
+
+
+@functools.lru_cache(maxsize=None)
+def _pq_cached(n: int, dim: int, q: float) -> np.ndarray:
+    """The kernel on identity columns: row j is P e_j, so t @ mat is P t."""
+    mat = symmetrize(np.eye(dim**n), n, dim, q)
+    mat.flags.writeable = False
+    return mat
+
+
 def apply_pq(n: int, t, ctx: QContext) -> np.ndarray:
     """Apply the degree-n symmetrizer: sum over permutations of q^inversions
-    times the corresponding rearrangement of tensor factors."""
+    times the corresponding rearrangement of tensor factors.
+
+    Small degrees multiply by the memoized matrix derived from the kernel,
+    larger ones run the factorized kernel directly; neither has a degree cap.
+    """
     t = np.asarray(t, dtype=float).reshape(-1)
     size = ctx.dim**n
     if t.shape != (size,):
         raise ValueError(f"degree-{n} tensor must have length {size}")
-    if n > PERMUTATION_CAP:
-        raise ValueError(f"symmetrizer capped at degree {PERMUTATION_CAP}, got {n}")
-    if n <= 1:
-        return t.copy()
-    if ctx.dim == 1:
-        return t * q_factorial(n, ctx.q)
     if size <= MATRIX_CACHE_CAP:
-        return pq_matrix(n, ctx.dim, ctx.q) @ t
-    # too large to memoize densely: direct summation over slot permutations
-    cube = t.reshape((ctx.dim,) * n)
-    out = np.zeros_like(cube)
-    for p, inv in _perm_actions(n):
-        out += (ctx.q**inv) * cube.transpose(p)
-    return out.reshape(-1)
+        return t @ _pq_cached(n, ctx.dim, ctx.q)
+    return symmetrize(t, n, ctx.dim, ctx.q)
 
 
 def q_inner(f: GradedVector, g: GradedVector) -> float:
@@ -266,6 +306,20 @@ def fock_norm(f: GradedVector) -> float:
 # ---------------------------------------------------------------------------
 
 
+def contract(phi, t, n: int, q: float) -> np.ndarray:
+    """Annihilation kernel on the last axis of t (leading axes are a batch):
+    slot i of the degree-n tensor is contracted against phi with weight q^i.
+    Creation needs no kernel of its own: it is tensor_product(phi, t)."""
+    t = np.asarray(t, dtype=float)
+    cube = t.reshape(t.shape[:-1] + (phi.size,) * n)
+    out = np.zeros(t.shape[:-1] + (phi.size,) * (n - 1))
+    weight = 1.0
+    for i in range(n):
+        out += weight * np.tensordot(phi, cube, axes=(0, cube.ndim - n + i))
+        weight *= q
+    return out.reshape(t.shape[:-1] + (-1,))
+
+
 def create(phi, f: GradedVector, strict: bool = False) -> GradedVector:
     """Left tensor multiplication by phi; the top component falls off the
     truncation (raise instead when strict and it is nonzero)."""
@@ -276,7 +330,7 @@ def create(phi, f: GradedVector, strict: bool = False) -> GradedVector:
             f"creation overflow: nonzero degree-{top} component would exceed the truncation"
         )
     comps = {
-        n + 1: np.kron(phi, arr) for n, arr in f.components.items() if n + 1 <= top
+        n + 1: tensor_product(phi, arr) for n, arr in f.components.items() if n + 1 <= top
     }
     return GradedVector(f.ctx, comps)
 
@@ -285,18 +339,9 @@ def annihilate(phi, f: GradedVector) -> GradedVector:
     """q-weighted contraction: slot i is contracted against phi with weight
     q^(i-1); degree 0 maps to zero."""
     phi = as_one_particle(phi, f.ctx.dim)
-    d, q = f.ctx.dim, f.ctx.q
-    comps: dict[int, np.ndarray] = {}
-    for n, arr in f.components.items():
-        if n == 0:
-            continue
-        cube = arr.reshape((d,) * n)
-        out = np.zeros(d ** (n - 1))
-        weight = 1.0
-        for i in range(n):
-            out += weight * np.tensordot(phi, cube, axes=(0, i)).reshape(-1)
-            weight *= q
-        comps[n - 1] = comps.get(n - 1, 0.0) + out
+    comps = {
+        n - 1: contract(phi, arr, n, f.ctx.q) for n, arr in f.components.items() if n > 0
+    }
     return GradedVector(f.ctx, comps)
 
 
@@ -324,58 +369,32 @@ def vector_to_flat(f: GradedVector) -> np.ndarray:
     return flat
 
 
-def flat_to_vector(flat: np.ndarray, ctx: QContext) -> GradedVector:
+def _operator_matrix(ctx: QContext, max_total_dim: int, shift: int, kernel) -> np.ndarray:
+    """Dense matrix of an operator that maps degree n to n + shift, from
+    kernel(n, columns) applied to the identity columns of every degree."""
     offsets = degree_offsets(ctx)
-    comps = {
-        n: np.array(flat[offsets[n] : offsets[n + 1]])
-        for n in range(ctx.max_degree + 1)
-    }
-    return GradedVector(ctx, comps)
-
-
-def _creation_block(phi: np.ndarray, n: int, dim: int) -> np.ndarray:
-    """Matrix of degree n-1 -> n left tensoring by phi."""
-    return np.kron(phi.reshape(dim, 1), np.eye(dim ** (n - 1)))
-
-
-def _annihilation_block(phi: np.ndarray, n: int, dim: int, q: float) -> np.ndarray:
-    """Matrix of degree n -> n-1 q-weighted contraction against phi."""
-    out = np.zeros((dim ** (n - 1), dim**n))
-    weight = 1.0
-    for i in range(n):
-        out += weight * np.kron(
-            np.kron(np.eye(dim**i), phi.reshape(1, dim)), np.eye(dim ** (n - 1 - i))
-        )
-        weight *= q
-    return out
+    size = offsets[-1]
+    if size > max_total_dim:
+        raise ValueError(f"truncated space dimension {size} exceeds cap {max_total_dim}")
+    mat = np.zeros((size, size))
+    for n in range(ctx.max_degree + 1):
+        m = n + shift
+        if 0 <= m <= ctx.max_degree:
+            block = kernel(n, np.eye(ctx.dim**n))
+            mat[offsets[m] : offsets[m + 1], offsets[n] : offsets[n + 1]] = block.T
+    return mat
 
 
 def creation_matrix(phi, ctx: QContext, max_total_dim: int = EIGENSOLVER_CAP) -> np.ndarray:
     phi = as_one_particle(phi, ctx.dim)
-    offsets = degree_offsets(ctx)
-    size = offsets[-1]
-    if size > max_total_dim:
-        raise ValueError(f"truncated space dimension {size} exceeds cap {max_total_dim}")
-    mat = np.zeros((size, size))
-    for n in range(1, ctx.max_degree + 1):
-        mat[offsets[n] : offsets[n + 1], offsets[n - 1] : offsets[n]] = _creation_block(
-            phi, n, ctx.dim
-        )
-    return mat
+    return _operator_matrix(ctx, max_total_dim, 1, lambda n, cols: tensor_product(phi, cols))
 
 
 def annihilation_matrix(phi, ctx: QContext, max_total_dim: int = EIGENSOLVER_CAP) -> np.ndarray:
     phi = as_one_particle(phi, ctx.dim)
-    offsets = degree_offsets(ctx)
-    size = offsets[-1]
-    if size > max_total_dim:
-        raise ValueError(f"truncated space dimension {size} exceeds cap {max_total_dim}")
-    mat = np.zeros((size, size))
-    for n in range(1, ctx.max_degree + 1):
-        mat[offsets[n - 1] : offsets[n], offsets[n] : offsets[n + 1]] = (
-            _annihilation_block(phi, n, ctx.dim, ctx.q)
-        )
-    return mat
+    return _operator_matrix(
+        ctx, max_total_dim, -1, lambda n, cols: contract(phi, cols, n, ctx.q)
+    )
 
 
 def field_matrix(phi, ctx: QContext, max_total_dim: int = EIGENSOLVER_CAP) -> np.ndarray:
@@ -391,16 +410,9 @@ def field_matrix(phi, ctx: QContext, max_total_dim: int = EIGENSOLVER_CAP) -> np
 
 def gram_matrix(ctx: QContext, max_total_dim: int = EIGENSOLVER_CAP) -> np.ndarray:
     """Block-diagonal matrix of the twisted scalar product on degrees 0..N."""
-    offsets = degree_offsets(ctx)
-    size = offsets[-1]
-    if size > max_total_dim:
-        raise ValueError(f"truncated space dimension {size} exceeds cap {max_total_dim}")
-    mat = np.zeros((size, size))
-    for n in range(ctx.max_degree + 1):
-        mat[offsets[n] : offsets[n + 1], offsets[n] : offsets[n + 1]] = pq_matrix(
-            n, ctx.dim, ctx.q
-        )
-    return mat
+    return _operator_matrix(
+        ctx, max_total_dim, 0, lambda n, cols: symmetrize(cols, n, ctx.dim, ctx.q)
+    )
 
 
 def commutation_residual(phi, psi, ctx: QContext, swap_arguments: bool = True) -> float:
@@ -417,21 +429,21 @@ def commutation_residual(phi, psi, ctx: QContext, swap_arguments: bool = True) -
         raise ValueError("commutation probe needs max_degree >= 1")
     phi = as_one_particle(phi, ctx.dim)
     psi = as_one_particle(psi, ctx.dim)
-    d, q = ctx.dim, ctx.q
+    q = ctx.q
     if swap_arguments:
         plus_vec, minus_vec = psi, phi
     else:
         plus_vec, minus_vec = phi, psi
     pairing = float(phi @ psi)
     worst = 0.0
-    # the products are block diagonal per degree, so probe degree by degree
+    # the products are block diagonal per degree, so probe degree by degree;
+    # row j of each block is the operator applied to the basis tensor e_j
     for n in range(ctx.max_degree):
-        down = _annihilation_block(phi, n + 1, d, q) @ _creation_block(psi, n + 1, d)
-        if n == 0:
-            up = np.zeros((1, 1))
-        else:
-            up = _creation_block(plus_vec, n, d) @ _annihilation_block(minus_vec, n, d, q)
-        block = down - q * up - pairing * np.eye(d**n)
+        cols = np.eye(ctx.dim**n)
+        block = contract(phi, tensor_product(psi, cols), n + 1, q)
+        if n > 0:
+            block = block - q * tensor_product(plus_vec, contract(minus_vec, cols, n, q))
+        block = block - pairing * cols
         worst = max(worst, float(np.linalg.norm(block, 2)))
     return worst
 
@@ -441,5 +453,5 @@ def pq_spectrum(n: int, ctx: QContext, cap: int = EIGENSOLVER_CAP) -> tuple[floa
     size = ctx.dim**n
     if size > cap:
         raise ValueError(f"eigensolver capped at dimension {cap}, got {size}")
-    eigs = np.linalg.eigvalsh(np.asarray(pq_matrix(n, ctx.dim, ctx.q)))
+    eigs = np.linalg.eigvalsh(symmetrize(np.eye(size), n, ctx.dim, ctx.q).T)
     return float(eigs[0]), float(eigs[-1])

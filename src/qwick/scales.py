@@ -21,11 +21,12 @@ from .fock import (
     QContext,
     apply_pq,
     fock_norm,
-    pq_matrix,
     q_inner,
     require_same_context,
+    symmetrize,
+    tensor_product,
 )
-from .qcombinatorics import PERMUTATION_CAP, q_binomial, q_factorial
+from .qcombinatorics import q_binomial, q_factorial
 
 TEST_SIDE = "test"
 DUAL_SIDE = "dual"
@@ -92,7 +93,7 @@ class WeightedSpace:
 def _weight_power(weights: tuple[float, ...], n: int) -> np.ndarray:
     out = np.ones(1)
     for _ in range(n):
-        out = np.kron(np.asarray(weights), out)
+        out = tensor_product(weights, out)
     out.flags.writeable = False
     return out
 
@@ -164,7 +165,7 @@ def graded_tensor(f: GradedVector, g: GradedVector) -> GradedVector:
             n = i + j
             if n > f.ctx.max_degree:
                 continue
-            block = np.kron(fi, gj)
+            block = tensor_product(fi, gj)
             comps[n] = comps[n] + block if n in comps else block
     return GradedVector(f.ctx, comps)
 
@@ -264,9 +265,7 @@ def lemma53_residual(f, g, ctx: QContext, m: int | None = None, n: int | None = 
         n = _infer_degree(g, ctx.dim, "g")
     if f.size != ctx.dim**m or g.size != ctx.dim**n:
         raise ValueError("tensor lengths do not match the declared degrees")
-    if m + n > PERMUTATION_CAP:
-        raise ValueError(f"product degree capped at {PERMUTATION_CAP}")
-    lhs = float(np.linalg.norm(apply_pq(m + n, np.kron(f, g), ctx)))
+    lhs = float(np.linalg.norm(apply_pq(m + n, tensor_product(f, g), ctx)))
     rhs = (
         q_binomial(m + n, m, abs(ctx.q))
         * float(np.linalg.norm(apply_pq(m, f, ctx)))
@@ -333,7 +332,8 @@ def saturating_dual_partner(
 ) -> GradedVector:
     """The dual vector that turns the duality bound into an equality for the
     given test vector: degree by degree, scale-weight the one-particle-weighted
-    tensor and pull it back through the symmetrizer."""
+    tensor and pull it back through the symmetrizer (a dense solve against the
+    kernel applied to identity columns)."""
     if hplus_weights is None:
         hplus_weights = default_hplus_weights(ctx.dim)
     aq = abs(ctx.q)
@@ -341,5 +341,6 @@ def saturating_dual_partner(
     for n, comp in f_test.components.items():
         weighted = comp * _weight_power(tuple(hplus_weights), n)
         scale = r**n * q_factorial(n, aq) ** alpha
-        comps[n] = scale * np.linalg.solve(np.asarray(pq_matrix(n, ctx.dim, ctx.q)), weighted)
+        pq = symmetrize(np.eye(ctx.dim**n), n, ctx.dim, ctx.q).T
+        comps[n] = scale * np.linalg.solve(pq, weighted)
     return GradedVector(ctx, comps)

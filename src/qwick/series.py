@@ -174,6 +174,8 @@ def wick_exp(
 ) -> GradedVector:
     """sum f^(x n) / n! to the tail tolerance; any finite radius certifies the
     exponential, so take norm_s + 1."""
+    if s < 1.0:
+        raise ValueError("requires s >= 1")
     tol = f.ctx.tol if tol is None else tol
     norm_s = f_dual_norm(f, make_dual_space(f.ctx, s, 2.0, hplus_weights))
     radius = norm_s + 1.0

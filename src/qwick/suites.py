@@ -2,21 +2,19 @@
 
 Every suite draws its randomness from a per-trial generator derived from
 (seed, suite name, trial index), so results are independent of execution
-order and worker count; aggregation is a max/append over the trial-indexed
-result list.  The QWICK_THREADS environment variable caps the worker pool.
+order; aggregation is a max/append over the trial-indexed result list.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fock import (
+    EIGENSOLVER_CAP,
     GradedVector,
     QContext,
     annihilate,
@@ -25,8 +23,10 @@ from .fock import (
     create,
     elementary_tensor,
     fock_norm,
+    pq_matrix,
     pq_spectrum,
     q_inner,
+    symmetrize,
 )
 from .qcombinatorics import (
     PERMUTATION_CAP,
@@ -78,6 +78,8 @@ SUITE_NAMES = (
 )
 
 DEFAULT_SCALES = ((2.0, 1.0, 2.0), (4.0, 1.0, 2.0), (1.5, 1.2, 2.0))
+# largest degree at which positivity checks the kernel against the n!-term sum
+ORACLE_DEGREE = 6
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,10 @@ class RunConfig:
     def __post_init__(self):
         if not -1.0 < self.q < 1.0:
             raise ValueError("config requires |q| < 1")
+        if self.dim < 1:
+            raise ValueError("config requires dim >= 1")
+        if self.max_degree < 0:
+            raise ValueError("config requires max_degree >= 0")
         if self.trials < 1:
             raise ValueError("config requires trials >= 1")
         for r, s, alpha in self.scales:
@@ -139,22 +145,6 @@ class Report:
                 handle.write(f"{i},{value!r}\n")
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("QWICK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_trials(fn, count: int) -> list:
-    workers = _worker_count()
-    if workers == 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def _trial_rng(seed: int, suite: str, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(suite.encode()), trial])
 
@@ -176,6 +166,17 @@ def _split_trials(total: int, parts: int) -> list[int]:
     return counts
 
 
+def _params(cfg: RunConfig, tolerance: float, **extra) -> dict:
+    """The report params every sampling suite shares, plus its own."""
+    return {
+        "q": cfg.q,
+        "dim": cfg.dim,
+        "max_degree": cfg.max_degree,
+        "tolerance": tolerance,
+        **extra,
+    }
+
+
 def _collect(
     suite: str,
     params: dict,
@@ -183,10 +184,14 @@ def _collect(
     tolerance: float,
     max_ratio: float | None = None,
     bound: float | None = None,
+    side_checks: tuple[tuple[float, float], ...] = (),
 ) -> Report:
+    """Aggregate per-trial values; each failing (value, limit) side check
+    outside the trials is recorded as trial -1."""
     violations = [
         {"trial": i, "value": v} for i, v in enumerate(values) if not v <= tolerance
     ]
+    violations += [{"trial": -1, "value": v} for v, limit in side_checks if not v <= limit]
     return Report(
         suite=suite,
         params=params,
@@ -218,31 +223,28 @@ def suite_commutation(cfg: RunConfig) -> Report:
         literal = commutation_residual(phi, psi, ctx, swap_arguments=False)
         return exchange, literal
 
-    results = _map_trials(trial, cfg.trials)
+    results = [trial(i) for i in range(cfg.trials)]
     values = [a for a, _ in results]
-    params = {
-        "q": cfg.q,
-        "dim": cfg.dim,
-        "max_degree": cfg.max_degree,
-        "tolerance": tolerance,
-        "normalization": "unit test vectors",
-        "rule": "exchange form: the weighted term swaps operators, keeps arguments",
-        "argument_swapped_variant_max_residual": max(b for _, b in results),
-    }
+    params = _params(
+        cfg,
+        tolerance,
+        normalization="unit test vectors",
+        rule="exchange form: the weighted term swaps operators, keeps arguments",
+        argument_swapped_variant_max_residual=max(b for _, b in results),
+    )
     return _collect("commutation", params, values, tolerance)
 
 
 def suite_positivity(cfg: RunConfig) -> Report:
-    """The symmetrizer is strictly positive; its norm is the |q|-factorial."""
+    """The symmetrizer is strictly positive; its norm is the |q|-factorial.
+    Up to ORACLE_DEGREE the factorized kernel must also match the sum over
+    all permutations, entry by entry relative to that norm."""
     ctx = cfg.context()
     tolerance = 1e-10
-    degrees = [
-        n
-        for n in range(ctx.max_degree + 1)
-        if ctx.dim**n <= 4096 and n <= PERMUTATION_CAP
-    ]
+    degrees = [n for n in range(ctx.max_degree + 1) if ctx.dim**n <= EIGENSOLVER_CAP]
     values = []
     plain_weight_exceeded = []
+    oracle_gap = 0.0
     for n in degrees:
         lo, hi = pq_spectrum(n, ctx)
         value = 0.0 if lo > 0.0 else math.inf  # strict positivity
@@ -250,14 +252,19 @@ def suite_positivity(cfg: RunConfig) -> Report:
         values.append(max(0.0, value))
         if hi > q_factorial(n, ctx.q) + tolerance:
             plain_weight_exceeded.append(n)
+        if n <= ORACLE_DEGREE:
+            kernel = symmetrize(np.eye(ctx.dim**n), n, ctx.dim, ctx.q)
+            gap = np.max(np.abs(kernel.T - pq_matrix(n, ctx.dim, ctx.q)))
+            oracle_gap = max(oracle_gap, float(gap) / q_factorial(n, abs(ctx.q)))
     params = {
         "q": cfg.q,
         "dim": cfg.dim,
         "degrees": degrees,
         "tolerance": tolerance,
         "max_eig_exceeds_plain_q_factorial_at": plain_weight_exceeded,
+        "permutation_sum_max_deviation": oracle_gap,
     }
-    return _collect("positivity", params, values, tolerance)
+    return _collect("positivity", params, values, tolerance, side_checks=((oracle_gap, tolerance),))
 
 
 def suite_adjointness(cfg: RunConfig) -> Report:
@@ -274,13 +281,8 @@ def suite_adjointness(cfg: RunConfig) -> Report:
         rhs = q_inner(f, annihilate(phi, g))
         return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
-    values = _map_trials(trial, cfg.trials)
-    params = {
-        "q": cfg.q,
-        "dim": cfg.dim,
-        "max_degree": cfg.max_degree,
-        "tolerance": tolerance,
-    }
+    values = [trial(i) for i in range(cfg.trials)]
+    params = _params(cfg, tolerance)
     return _collect("adjointness", params, values, tolerance)
 
 
@@ -314,14 +316,8 @@ def suite_moments(cfg: RunConfig) -> Report:
                 worst = max(worst, abs(report.value) / scale**k)
         return worst
 
-    values = _map_trials(trial, cfg.trials)
-    params = {
-        "q": cfg.q,
-        "dim": cfg.dim,
-        "max_degree": ctx.max_degree,
-        "orders": k_max,
-        "tolerance": tolerance,
-    }
+    values = [trial(i) for i in range(cfg.trials)]
+    params = _params(cfg, tolerance, max_degree=ctx.max_degree, orders=k_max)
     return _collect("moments", params, values, tolerance)
 
 
@@ -364,13 +360,8 @@ def suite_wick_correspondence(cfg: RunConfig) -> Report:
         worst = max(worst, product.max_coeff_diff(joint) / coeff_scale)
         return worst
 
-    values = _map_trials(trial, cfg.trials)
-    params = {
-        "q": cfg.q,
-        "dim": cfg.dim,
-        "max_degree": ctx.max_degree,
-        "tolerance": tolerance,
-    }
+    values = [trial(i) for i in range(cfg.trials)]
+    params = _params(cfg, tolerance, max_degree=ctx.max_degree)
     return _collect("wick-correspondence", params, values, tolerance)
 
 
@@ -441,11 +432,7 @@ def suite_hermite(cfg: RunConfig) -> Report:
         "classical_limit_max_relative_error": classical_worst,
         "classical_limit_tolerance": 1e-4,
     }
-    report = _collect("hermite", params, values, tolerance)
-    if classical_worst > 1e-4:
-        report.violations.append({"trial": -1, "value": classical_worst})
-        report.passed = False
-    return report
+    return _collect("hermite", params, values, tolerance, side_checks=((classical_worst, 1e-4),))
 
 
 def suite_embedding(cfg: RunConfig) -> Report:
@@ -459,16 +446,8 @@ def suite_embedding(cfg: RunConfig) -> Report:
         f = GradedVector.random(ctx, rng)
         return embedding_residual(f, space) / max(1.0, fock_norm(f))
 
-    values = _map_trials(trial, cfg.trials)
-    params = {
-        "q": cfg.q,
-        "dim": cfg.dim,
-        "max_degree": cfg.max_degree,
-        "alpha": 2.0,
-        "r": 1.0,
-        "weight_base": "abs_q",
-        "tolerance": tolerance,
-    }
+    values = [trial(i) for i in range(cfg.trials)]
+    params = _params(cfg, tolerance, alpha=2.0, r=1.0, weight_base="abs_q")
     if ctx.q < 0.0 and cfg.dim >= 2 and ctx.max_degree >= 2:
         # documented finding: with plain-q weights the same bound fails on
         # antisymmetric tensors even under the scale precondition
@@ -501,7 +480,7 @@ def suite_lemma53(cfg: RunConfig) -> Report:
         )
         return lemma53_residual(f, g, ctx, m, n) / rhs_scale
 
-    values = _map_trials(trial, cfg.trials)
+    values = [trial(i) for i in range(cfg.trials)]
     params = {"q": cfg.q, "dim": cfg.dim, "degrees": "1..3", "tolerance": tolerance}
     return _collect("lemma53", params, values, tolerance)
 
@@ -533,20 +512,14 @@ def suite_theorem43(cfg: RunConfig) -> Report:
             denom = g_norm(f, _space_s) * g_norm(g, _space_s)
             return g_norm(graded_tensor(f, g), _space_r) / denom
 
-        ratios = _map_trials(trial, count)
+        ratios = [trial(i) for i in range(count)]
         trial_base += count
         values.extend(max(0.0, ratio - c1) for ratio in ratios)
         top = max(ratios, default=0.0)
         per_scale.append({"r": r, "s": s, "alpha": alpha, "c1": c1, "max_ratio": top})
         if top - c1 > worst_margin:
             worst_margin, worst_ratio, worst_bound = top - c1, top, c1
-    params = {
-        "q": cfg.q,
-        "dim": cfg.dim,
-        "max_degree": cfg.max_degree,
-        "per_scale": per_scale,
-        "tolerance": tolerance,
-    }
+    params = _params(cfg, tolerance, per_scale=per_scale)
     return _collect("theorem43", params, values, tolerance, worst_ratio, worst_bound)
 
 
@@ -569,20 +542,14 @@ def suite_vage(cfg: RunConfig) -> Report:
             ratio, _ = vage_ratio(f, g, _r, _s, ctx, check=False)
             return ratio
 
-        ratios = _map_trials(trial, count)
+        ratios = [trial(i) for i in range(count)]
         trial_base += count
         values.extend(max(0.0, ratio - bound) for ratio in ratios)
         top = max(ratios, default=0.0)
         per_scale.append({"r": r, "s": s, "bound": bound, "max_ratio": top})
         if top - bound > worst_margin:
             worst_margin, worst_ratio, worst_bound = top - bound, top, bound
-    params = {
-        "q": cfg.q,
-        "dim": cfg.dim,
-        "max_degree": cfg.max_degree,
-        "per_scale": per_scale,
-        "tolerance": tolerance,
-    }
+    params = _params(cfg, tolerance, per_scale=per_scale)
     return _collect("vage", params, values, tolerance, worst_ratio, worst_bound)
 
 
@@ -602,27 +569,15 @@ def suite_duality(cfg: RunConfig) -> Report:
         product = g_norm(f, test) * f_dual_norm(g, dual)
         return duality_residual(f, g, r, alpha, ctx) / max(1.0, product)
 
-    values = _map_trials(trial, cfg.trials)
+    values = [trial(i) for i in range(cfg.trials)]
     # one saturating pair: the bound is attained, not merely respected
     f = GradedVector.random(ctx, _trial_rng(cfg.seed, "duality:saturate", 0))
     partner = saturating_dual_partner(f, r, alpha, ctx)
     pairing = abs(q_inner(f, partner))
     product = g_norm(f, test) * f_dual_norm(partner, dual)
     saturation_gap = abs(pairing - product) / product
-    params = {
-        "q": cfg.q,
-        "dim": cfg.dim,
-        "max_degree": cfg.max_degree,
-        "r": r,
-        "alpha": alpha,
-        "tolerance": tolerance,
-        "saturation_gap": saturation_gap,
-    }
-    report = _collect("duality", params, values, tolerance)
-    if saturation_gap > 1e-9:
-        report.violations.append({"trial": -1, "value": saturation_gap})
-        report.passed = False
-    return report
+    params = _params(cfg, tolerance, r=r, alpha=alpha, saturation_gap=saturation_gap)
+    return _collect("duality", params, values, tolerance, side_checks=((saturation_gap, 1e-9),))
 
 
 def _random_dyadic_vector(ctx: QContext, rng: np.random.Generator) -> GradedVector:
@@ -655,14 +610,8 @@ def suite_inverse(cfg: RunConfig) -> Report:
         float_defect = (graded_tensor(g, wick_inverse(g)) - omega).max_abs()
         return max(value, float_defect / max(1.0, g.max_abs()) ** ctx.max_degree)
 
-    values = _map_trials(trial, cfg.trials)
-    params = {
-        "q": cfg.q,
-        "dim": cfg.dim,
-        "max_degree": cfg.max_degree,
-        "tolerance": tolerance,
-        "exact_family": "dyadic entries, power-of-two vacuum part",
-    }
+    values = [trial(i) for i in range(cfg.trials)]
+    params = _params(cfg, tolerance, exact_family="dyadic entries, power-of-two vacuum part")
     return _collect("inverse", params, values, tolerance)
 
 
@@ -692,15 +641,8 @@ def suite_series(cfg: RunConfig) -> Report:
             return math.inf
         return max(0.0, worst)
 
-    values = _map_trials(trial, cfg.trials)
-    params = {
-        "q": cfg.q,
-        "dim": cfg.dim,
-        "max_degree": cfg.max_degree,
-        "radius": 1.0,
-        "target_norm": 0.5,
-        "tolerance": tolerance,
-    }
+    values = [trial(i) for i in range(cfg.trials)]
+    params = _params(cfg, tolerance, radius=1.0, target_norm=0.5)
     return _collect("series", params, values, tolerance)
 
 

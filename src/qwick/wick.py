@@ -25,11 +25,11 @@ from .fock import (
     GradedVector,
     QContext,
     annihilate,
-    create,
-    creation_matrix,
-    annihilation_matrix,
     as_one_particle,
+    contract,
+    create,
     q_inner,
+    tensor_product,
 )
 from .qcombinatorics import crossing_polynomial
 
@@ -311,10 +311,12 @@ class MomentReport:
 def moment(phi, k: int, ctx: QContext) -> MomentReport:
     """k-th vacuum moment of the field operator of phi, two independent ways.
 
-    value: (0,0) entry of the k-th power of the dense field matrix.
+    value: walk the vacuum k steps under creation + annihilation by phi on
+    per-degree arrays and read off the degree-0 entry; a component that can
+    no longer return to degree 0 in the steps left is dropped.
     oracle: ||phi||^k times the crossing-number generating polynomial of pair
     partitions evaluated at q (zero for odd k).  A closed 0 -> 0 walk of k
-    steps climbs at most floor(k/2) levels, so the matrix route is exact once
+    steps climbs at most floor(k/2) levels, so the walk is exact once
     max_degree covers that.
     """
     if k < 0:
@@ -331,12 +333,18 @@ def moment(phi, k: int, ctx: QContext) -> MomentReport:
         oracle = norm_sq**pairs * sum(c * ctx.q**j for j, c in enumerate(coeffs))
     else:
         oracle = 0.0
-    mat = creation_matrix(phi, ctx) + annihilation_matrix(phi, ctx)
-    vec = np.zeros(mat.shape[0])
-    vec[0] = 1.0
-    for _ in range(k):
-        vec = mat @ vec
-    return MomentReport(k, float(vec[0]), float(oracle))
+    walk = {0: np.ones(1)}  # degree -> component of the vacuum walked so far
+    for step in range(1, k + 1):
+        reach = min(ctx.max_degree, k - step)  # higher degrees cannot return to 0
+        nxt: dict[int, np.ndarray] = {}
+        for n, arr in walk.items():
+            if n < reach:
+                nxt[n + 1] = tensor_product(phi, arr) + nxt.get(n + 1, 0.0)
+            if 0 < n <= reach + 1:
+                nxt[n - 1] = contract(phi, arr, n, ctx.q) + nxt.get(n - 1, 0.0)
+        walk = nxt
+    value = float(walk[0][0]) if 0 in walk else 0.0
+    return MomentReport(k, value, float(oracle))
 
 
 def l2_inner_routes(p1: WickPolynomial, p2: WickPolynomial, ctx: QContext) -> tuple[float, float]:

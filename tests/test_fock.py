@@ -5,10 +5,13 @@ from qwick.fock import (
     GradedVector,
     QContext,
     annihilate,
+    annihilation_matrix,
     apply_pq,
     basis_vector,
     commutation_residual,
     create,
+    creation_matrix,
+    degree_offsets,
     elementary_tensor,
     field_matrix,
     fock_norm,
@@ -76,19 +79,26 @@ def test_apply_pq_free_case_is_identity():
 
 
 def test_apply_pq_matches_matrix():
-    ctx = ctx_of(q=-0.7, dim=2, max_degree=5)
+    # against the n!-term enumeration; entries grow like [n]_|q|!, and at
+    # (2, 8) near |q| = 1 the enumeration is the less accurate side
     rng = np.random.default_rng(1)
-    for n in range(5):
-        t = rng.standard_normal(2**n)
-        assert np.allclose(
-            apply_pq(n, t, ctx), np.asarray(pq_matrix(n, 2, -0.7)) @ t, atol=1e-13
-        )
+    for dim, n in ((1, 6), (2, 8), (3, 4), (4, 4)):
+        for q in Q_GRID:
+            t = rng.standard_normal(dim**n)
+            got = apply_pq(n, t, QContext(q, dim, n))
+            want = np.asarray(pq_matrix(n, dim, q)) @ t
+            assert np.max(np.abs(got - want)) <= 1e-12 * q_factorial(n, abs(q)), (dim, n, q)
 
 
-def test_apply_pq_cap():
-    ctx = QContext(0.5, 1, 9)
-    with pytest.raises(ValueError):
-        apply_pq(9, np.ones(1), ctx)
+def test_apply_pq_past_degree_eight():
+    # no degree cap: e (x) ... (x) e stays an eigenvector at degrees 9 and 10
+    e = basis_vector(2, 0)
+    for n in (9, 10):
+        t = elementary_tensor([e] * n)
+        for q in Q_GRID:
+            out = apply_pq(n, t, QContext(q, 2, n))
+            gap = np.max(np.abs(out - q_factorial(n, q) * t))
+            assert gap <= 1e-12 * q_factorial(n, abs(q)), (n, q)
 
 
 def test_q_inner_examples():
@@ -161,6 +171,37 @@ def test_creation_annihilation_adjoint(q):
         rhs = q_inner(f, annihilate(phi, g))
         scale = max(1.0, abs(lhs), abs(rhs))
         assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+def _creation_block(phi, n, dim):
+    """Kronecker-product oracle: degree n-1 -> n left tensoring by phi."""
+    return np.kron(np.reshape(phi, (dim, 1)), np.eye(dim ** (n - 1)))
+
+
+def _annihilation_block(phi, n, dim, q):
+    """Kronecker-product oracle: degree n -> n-1 q-weighted contraction."""
+    out = np.zeros((dim ** (n - 1), dim**n))
+    for i in range(n):
+        out += q**i * np.kron(
+            np.kron(np.eye(dim**i), np.reshape(phi, (1, dim))), np.eye(dim ** (n - 1 - i))
+        )
+    return out
+
+
+@pytest.mark.parametrize("q", Q_GRID)
+@pytest.mark.parametrize("dim,top", ((1, 4), (2, 4), (3, 3)))
+def test_operator_matrices_match_kron_blocks(dim, top, q):
+    ctx = QContext(q, dim, top)
+    phi = np.random.default_rng(17).standard_normal(dim)
+    offsets = degree_offsets(ctx)
+    plus, minus = creation_matrix(phi, ctx), annihilation_matrix(phi, ctx)
+    want_plus, want_minus = np.zeros_like(plus), np.zeros_like(minus)
+    for n in range(1, top + 1):
+        lo, mid, hi = offsets[n - 1], offsets[n], offsets[n + 1]
+        want_plus[mid:hi, lo:mid] = _creation_block(phi, n, dim)
+        want_minus[lo:mid, mid:hi] = _annihilation_block(phi, n, dim, q)
+    assert np.array_equal(plus, want_plus)
+    assert np.allclose(minus, want_minus, rtol=0, atol=1e-14)
 
 
 def test_field_matrix_single_mode():

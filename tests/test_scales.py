@@ -251,8 +251,11 @@ def test_lemma53_degree_inference():
         lemma53_residual(np.ones(3), np.ones(2), ctx)
     with pytest.raises(ValueError):
         lemma53_residual(np.ones(1), np.ones(1), QContext(0.5, 1, 4))  # needs degrees
-    with pytest.raises(ValueError):
-        lemma53_residual(np.ones(2**5), np.ones(2**4), ctx, 5, 4)  # cap
+    # past the old degree-8 cap the residual is computed and respects the bound
+    rng = np.random.default_rng(14)
+    f, g = rng.standard_normal(2**5), rng.standard_normal(2**4)
+    scale = q_binomial(9, 5, 0.5) * np.linalg.norm(f) * np.linalg.norm(g)
+    assert 0.0 <= lemma53_residual(f, g, ctx, 5, 4) <= 1e-9 * scale
 
 
 def test_vage_bound_values():

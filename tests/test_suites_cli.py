@@ -80,16 +80,6 @@ def test_reports_are_deterministic():
     assert c.max_ratio != a.max_ratio  # the seed genuinely matters
 
 
-def test_reports_independent_of_worker_count(monkeypatch):
-    monkeypatch.setenv("QWICK_THREADS", "1")
-    a = run_suite("adjointness", RunConfig(trials=24, seed=9))
-    monkeypatch.setenv("QWICK_THREADS", "4")
-    b = run_suite("adjointness", RunConfig(trials=24, seed=9))
-    assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
-        b.to_json_dict(), sort_keys=True
-    )
-
-
 def test_commutation_reports_argument_swapped_variant():
     report = run_suite("commutation", RunConfig(trials=10, dim=2))
     assert report.params["argument_swapped_variant_max_residual"] > 1e-3
@@ -271,6 +261,49 @@ def test_cli_bad_input_file_is_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["compute", "wick-inv", str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        (["verify", "--suite", "macmahon", "--dim", "0"], "dim >= 1"),
+        (["verify", "--suite", "hermite", "--max-degree", "-3"], "max_degree >= 0"),
+        (["compute", "moments", "--order", "14"], "--order"),
+        (["compute", "moments", "--order", "-1"], "--order"),
+    ),
+)
+def test_cli_precondition_fails_before_output(argv, message, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_cli_wick_exp_names_its_scale_parameter(tmp_path, capsys):
+    from qwick.fock import GradedVector, QContext
+
+    zpath = tmp_path / "z.json"
+    zpath.write_text(GradedVector(QContext(0.3, 1, 3), {1: [0.5]}).to_json())
+    assert cli.main(["compute", "wick-exp", str(zpath), "--s", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "s >= 1" in captured.err
+
+
+@pytest.mark.parametrize("operation", (["wick-inv"], ["norm", "--side", "dual"]))
+def test_cli_rejects_non_finite_vector(operation, tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"q": 0.5, "dim": 1, "max_degree": 2, "components": {"0": [1.0], "1": [NaN]}}')
+    assert cli.main(["compute", operation[0], str(path), *operation[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+def test_cli_verify_past_degree_eight(capsys):
+    code = cli.main(["verify", "--suite", "adjointness", "--max-degree", "9", "--trials", "5"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
 def test_console_script_runs():
