@@ -109,7 +109,6 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     ctx = QContext(args.q, dim, max(1, (args.order + 1) // 2))
     phi = basis_vector(dim, 0) if phi is None else as_one_particle(phi, dim)
     rows = []
-    print("k  value  oracle  residual")
     for k in range(args.order + 1):
         report = moment(phi, k, ctx)
         rows.append(
@@ -120,7 +119,11 @@ def _cmd_moments(args: argparse.Namespace) -> int:
                 "residual": report.residual,
             }
         )
-        print(f"{k}  {report.value!r}  {report.oracle_value!r}  {report.residual!r}")
+    if not all(math.isfinite(v) for row in rows for v in row.values()):
+        raise ValueError("moments are not finite; scale --phi down")
+    print("k  value  oracle  residual")
+    for row in rows:
+        print(f"{row['k']}  {row['value']!r}  {row['oracle']!r}  {row['residual']!r}")
     if args.out:
         _json_out({"q": args.q, "phi": phi.tolist(), "moments": rows}, args.out)
     return 0

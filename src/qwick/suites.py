@@ -1,8 +1,13 @@
 """Seeded randomized verification suites with machine-readable reports.
 
-Every suite draws its randomness from a per-trial generator derived from
-(seed, suite name, trial index), so results are independent of execution
-order; aggregation is a max/append over the trial-indexed result list.
+The suites form one table, `SUITES`, run by one runner, `run_suite`.  A table
+entry holds only the suite's own maths: what one trial computes, its
+tolerance, its truncation degree, and its extra params and findings.  The
+runner does the rest for every suite: it draws trial i's generator from
+(seed, stream key, i), so results do not depend on execution order, loops over
+the trials, splits them evenly over the configured scale pairs, builds the
+shared params and records the violations.  Adding a suite means adding one
+entry to the table.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -60,23 +66,6 @@ from .wick import (
     wick_mul_poly,
 )
 
-SUITE_NAMES = (
-    "commutation",
-    "positivity",
-    "adjointness",
-    "macmahon",
-    "moments",
-    "wick-correspondence",
-    "hermite",
-    "embedding",
-    "lemma53",
-    "theorem43",
-    "vage",
-    "duality",
-    "inverse",
-    "series",
-)
-
 DEFAULT_SCALES = ((2.0, 1.0, 2.0), (4.0, 1.0, 2.0), (1.5, 1.2, 2.0))
 # largest degree at which positivity checks the kernel against the n!-term sum
 ORACLE_DEGREE = 6
@@ -90,8 +79,6 @@ class RunConfig:
     trials: int = 500
     seed: int = 1
     scales: tuple[tuple[float, float, float], ...] = DEFAULT_SCALES
-    suites: tuple[str, ...] = SUITE_NAMES
-    output: str | None = None
 
     def __post_init__(self):
         if not -1.0 < self.q < 1.0:
@@ -105,7 +92,7 @@ class RunConfig:
         for r, s, alpha in self.scales:
             if not (r > s >= 1.0):
                 raise ValueError(f"scale pair must satisfy r > s >= 1, got ({r}, {s})")
-            if alpha < 1.0:
+            if not alpha >= 1.0:
                 raise ValueError("scale exponent alpha must be >= 1")
 
     def context(self, max_degree: int | None = None) -> QContext:
@@ -145,8 +132,8 @@ class Report:
                 handle.write(f"{i},{value!r}\n")
 
 
-def _trial_rng(seed: int, suite: str, trial: int) -> np.random.Generator:
-    return np.random.default_rng([seed, zlib.crc32(suite.encode()), trial])
+def _trial_rng(seed: int, key: str, index: int) -> np.random.Generator:
+    return np.random.default_rng([seed, zlib.crc32(key.encode()), index])
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -158,42 +145,87 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-def _split_trials(total: int, parts: int) -> list[int]:
-    base = total // parts
-    counts = [base] * parts
-    for i in range(total - base * parts):
-        counts[i] += 1
-    return counts
+@dataclass(frozen=True)
+class Suite:
+    """One row of the suite table.
+
+    A sampling suite gives `trial(ctx, rng)`, the value of one trial.  A scale
+    suite gives `pair(ctx, r, s, alpha)`, called once per configured scale
+    pair, which returns the pair's stream key, its `per_scale` record, its
+    bound and a trial computing a ratio; the trial's value is how far the
+    ratio exceeds the bound.  A fixed suite gives `fixed(ctx, tolerance)`,
+    which draws no randomness and returns its whole value list, its extra
+    params and its side checks.  `findings(ctx, draw)` returns a sampling
+    suite's computed params and side checks; `draw(key)` is the generator of
+    side stream `{suite}:{key}`, index 0.  A side check is a (value, limit)
+    pair, recorded as trial -1 when the value is not within its limit.
+
+    `params` holds constant extra params, `shared` the shared params the
+    report keeps, and `degree` maps the configured truncation degree to the
+    suite's.  With `aside` set, a trial returns (value, aside) and the
+    report's `aside` param is the largest aside.
+    """
+
+    tolerance: float
+    trial: Callable[[QContext, np.random.Generator], float] | None = None
+    pair: Callable[[QContext, float, float, float], tuple[str, dict, float, Callable]] | None = None
+    fixed: Callable[[QContext, float], tuple[list[float], dict, tuple]] | None = None
+    findings: Callable[[QContext, Callable], tuple[dict, tuple]] = lambda ctx, draw: ({}, ())
+    params: dict = field(default_factory=dict)
+    shared: tuple[str, ...] = ("q", "dim", "max_degree")
+    degree: Callable[[int], int] = lambda n: n
+    aside: str = ""
 
 
-def _params(cfg: RunConfig, tolerance: float, **extra) -> dict:
-    """The report params every sampling suite shares, plus its own."""
-    return {
-        "q": cfg.q,
-        "dim": cfg.dim,
-        "max_degree": cfg.max_degree,
-        "tolerance": tolerance,
-        **extra,
-    }
-
-
-def _collect(
-    suite: str,
-    params: dict,
-    values: list[float],
-    tolerance: float,
-    max_ratio: float | None = None,
-    bound: float | None = None,
-    side_checks: tuple[tuple[float, float], ...] = (),
-) -> Report:
-    """Aggregate per-trial values; each failing (value, limit) side check
-    outside the trials is recorded as trial -1."""
+def run_suite(name: str, cfg: RunConfig) -> Report:
+    """Run the suite `name` of the table at `cfg`.  Trial indices continue
+    across the streams of a scale suite, and on a tie of margins the first
+    scale pair supplies the report's max_ratio and bound."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    suite = SUITES[name]
+    ctx = cfg.context(suite.degree(cfg.max_degree))
+    shared = {"q": cfg.q, "dim": cfg.dim, "max_degree": ctx.max_degree}
+    params = {key: shared[key] for key in suite.shared}
+    params.update(tolerance=suite.tolerance, **suite.params)
+    max_ratio = bound = None
+    if suite.fixed:
+        values, extra, side_checks = suite.fixed(ctx, suite.tolerance)
+    else:
+        extra, side_checks = suite.findings(
+            ctx, lambda key: _trial_rng(cfg.seed, f"{name}:{key}", 0)
+        )
+        if suite.pair:
+            streams = [suite.pair(ctx, *scale) for scale in cfg.scales]
+        else:
+            streams = [(name, {}, None, suite.trial)]
+        base, rest = divmod(cfg.trials, len(streams))
+        values, per_scale, start = [], [], 0
+        worst_margin = -math.inf
+        for k, (key, record, limit, trial) in enumerate(streams):
+            stop = start + base + (k < rest)
+            outputs = [trial(ctx, _trial_rng(cfg.seed, key, i)) for i in range(start, stop)]
+            start = stop
+            if limit is None:
+                values += outputs
+                continue
+            values += [max(0.0, ratio - limit) for ratio in outputs]
+            top = max(outputs, default=0.0)
+            per_scale.append({**record, "max_ratio": top})
+            if top - limit > worst_margin:
+                worst_margin, max_ratio, bound = top - limit, top, limit
+        if suite.pair:
+            extra["per_scale"] = per_scale
+        if suite.aside:
+            extra[suite.aside] = max(b for _, b in values)
+            values = [a for a, _ in values]
+    params.update(extra)
     violations = [
-        {"trial": i, "value": v} for i, v in enumerate(values) if not v <= tolerance
+        {"trial": i, "value": v} for i, v in enumerate(values) if not v <= suite.tolerance
     ]
     violations += [{"trial": -1, "value": v} for v, limit in side_checks if not v <= limit]
     return Report(
-        suite=suite,
+        suite=name,
         params=params,
         trials=len(values),
         max_residual=max(values, default=0.0),
@@ -210,37 +242,20 @@ def _collect(
 # ---------------------------------------------------------------------------
 
 
-def suite_commutation(cfg: RunConfig) -> Report:
-    """a^- a^+ = q a^+ a^- + pairing, on degrees below the truncation edge."""
-    ctx = cfg.context()
-    tolerance = 1e-12
-
-    def trial(i: int):
-        rng = _trial_rng(cfg.seed, "commutation", i)
-        phi = _unit(rng.standard_normal(cfg.dim))
-        psi = _unit(rng.standard_normal(cfg.dim))
-        exchange = commutation_residual(phi, psi, ctx, swap_arguments=True)
-        literal = commutation_residual(phi, psi, ctx, swap_arguments=False)
-        return exchange, literal
-
-    results = [trial(i) for i in range(cfg.trials)]
-    values = [a for a, _ in results]
-    params = _params(
-        cfg,
-        tolerance,
-        normalization="unit test vectors",
-        rule="exchange form: the weighted term swaps operators, keeps arguments",
-        argument_swapped_variant_max_residual=max(b for _, b in results),
-    )
-    return _collect("commutation", params, values, tolerance)
+def _commutation(ctx: QContext, rng: np.random.Generator) -> tuple[float, float]:
+    """a^- a^+ = q a^+ a^- + pairing, on degrees below the truncation edge;
+    the aside is the residual of the argument-swapped variant."""
+    phi = _unit(rng.standard_normal(ctx.dim))
+    psi = _unit(rng.standard_normal(ctx.dim))
+    exchange = commutation_residual(phi, psi, ctx, swap_arguments=True)
+    literal = commutation_residual(phi, psi, ctx, swap_arguments=False)
+    return exchange, literal
 
 
-def suite_positivity(cfg: RunConfig) -> Report:
+def _positivity(ctx: QContext, tolerance: float) -> tuple[list[float], dict, tuple]:
     """The symmetrizer is strictly positive; its norm is the |q|-factorial.
     Up to ORACLE_DEGREE the factorized kernel must also match the sum over
     all permutations, entry by entry relative to that norm."""
-    ctx = cfg.context()
-    tolerance = 1e-10
     degrees = [n for n in range(ctx.max_degree + 1) if ctx.dim**n <= EIGENSOLVER_CAP]
     values = []
     plain_weight_exceeded = []
@@ -256,69 +271,50 @@ def suite_positivity(cfg: RunConfig) -> Report:
             kernel = symmetrize(np.eye(ctx.dim**n), n, ctx.dim, ctx.q)
             gap = np.max(np.abs(kernel.T - pq_matrix(n, ctx.dim, ctx.q)))
             oracle_gap = max(oracle_gap, float(gap) / q_factorial(n, abs(ctx.q)))
-    params = {
-        "q": cfg.q,
-        "dim": cfg.dim,
+    extra = {
         "degrees": degrees,
-        "tolerance": tolerance,
         "max_eig_exceeds_plain_q_factorial_at": plain_weight_exceeded,
         "permutation_sum_max_deviation": oracle_gap,
     }
-    return _collect("positivity", params, values, tolerance, side_checks=((oracle_gap, tolerance),))
+    return values, extra, ((oracle_gap, tolerance),)
 
 
-def suite_adjointness(cfg: RunConfig) -> Report:
+def _adjointness(ctx: QContext, rng: np.random.Generator) -> float:
     """Creation and annihilation are mutually adjoint in the twisted pairing."""
-    ctx = cfg.context()
-    tolerance = 1e-12
-
-    def trial(i: int) -> float:
-        rng = _trial_rng(cfg.seed, "adjointness", i)
-        phi = _unit(rng.standard_normal(cfg.dim))
-        f = GradedVector.random(ctx, rng)
-        g = GradedVector.random(ctx, rng)
-        lhs = q_inner(create(phi, f), g)
-        rhs = q_inner(f, annihilate(phi, g))
-        return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-
-    values = [trial(i) for i in range(cfg.trials)]
-    params = _params(cfg, tolerance)
-    return _collect("adjointness", params, values, tolerance)
+    phi = _unit(rng.standard_normal(ctx.dim))
+    f = GradedVector.random(ctx, rng)
+    g = GradedVector.random(ctx, rng)
+    lhs = q_inner(create(phi, f), g)
+    rhs = q_inner(f, annihilate(phi, g))
+    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
-def suite_macmahon(cfg: RunConfig) -> Report:
+def _macmahon(ctx: QContext, tolerance: float) -> tuple[list[float], dict, tuple]:
     """Shuffle inversion statistic sums to the Gaussian binomial."""
-    tolerance = 1e-12
-    values = []
-    for m in range(0, PERMUTATION_CAP + 1):
-        for n in range(0, PERMUTATION_CAP + 1 - m):
-            values.append(macmahon_residual(m, n, cfg.q))
-    params = {"q": cfg.q, "cap": PERMUTATION_CAP, "tolerance": tolerance}
-    return _collect("macmahon", params, values, tolerance)
+    values = [
+        macmahon_residual(m, n, ctx.q)
+        for m in range(0, PERMUTATION_CAP + 1)
+        for n in range(0, PERMUTATION_CAP + 1 - m)
+    ]
+    return values, {"cap": PERMUTATION_CAP}, ()
 
 
-def suite_moments(cfg: RunConfig) -> Report:
+def _moment_orders(ctx: QContext) -> int:
+    return min(10, 2 * ctx.max_degree)
+
+
+def _moments(ctx: QContext, rng: np.random.Generator) -> float:
     """Field-operator vacuum moments against the pair-partition oracle."""
-    k_max = min(10, 2 * max(cfg.max_degree, 1))
-    ctx = cfg.context(max_degree=max(cfg.max_degree, (k_max + 1) // 2))
-    tolerance = 1e-9
-
-    def trial(i: int) -> float:
-        rng = _trial_rng(cfg.seed, "moments", i)
-        phi = rng.standard_normal(cfg.dim)
-        scale = max(1.0, float(np.linalg.norm(phi)))
-        worst = 0.0
-        for k in range(k_max + 1):
-            report = moment(phi, k, ctx)
-            if k % 2 == 0:
-                worst = max(worst, report.residual / abs(report.oracle_value))
-            else:
-                worst = max(worst, abs(report.value) / scale**k)
-        return worst
-
-    values = [trial(i) for i in range(cfg.trials)]
-    params = _params(cfg, tolerance, max_degree=ctx.max_degree, orders=k_max)
-    return _collect("moments", params, values, tolerance)
+    phi = rng.standard_normal(ctx.dim)
+    scale = max(1.0, float(np.linalg.norm(phi)))
+    worst = 0.0
+    for k in range(_moment_orders(ctx) + 1):
+        report = moment(phi, k, ctx)
+        if k % 2 == 0:
+            worst = max(worst, report.residual / abs(report.oracle_value))
+        else:
+            worst = max(worst, abs(report.value) / scale**k)
+    return worst
 
 
 def _random_polynomial(rng: np.random.Generator, dim: int, max_terms: int = 3) -> WickPolynomial:
@@ -332,37 +328,28 @@ def _random_polynomial(rng: np.random.Generator, dim: int, max_terms: int = 3) -
     return WickPolynomial(terms)
 
 
-def suite_wick_correspondence(cfg: RunConfig) -> Report:
+def _wick_correspondence(ctx: QContext, rng: np.random.Generator) -> float:
     """The vacuum map turns the Wick product into the graded tensor product,
     and orthogonal monomials land on their kernels."""
-    ctx = cfg.context(max_degree=max(cfg.max_degree, 4))
-    tolerance = 1e-10
+    p1 = _random_polynomial(rng, ctx.dim)
+    p2 = _random_polynomial(rng, ctx.dim)
+    left = vacuum_vector(wick_mul_poly(p1, p2, ctx.q), ctx)
+    right = graded_tensor(vacuum_vector(p1, ctx), vacuum_vector(p2, ctx))
+    worst = (left - right).euclidean_norm() / max(1.0, right.euclidean_norm())
 
-    def trial(i: int) -> float:
-        rng = _trial_rng(cfg.seed, "wick-correspondence", i)
-        p1 = _random_polynomial(rng, cfg.dim)
-        p2 = _random_polynomial(rng, cfg.dim)
-        left = vacuum_vector(wick_mul_poly(p1, p2, ctx.q), ctx)
-        right = graded_tensor(vacuum_vector(p1, ctx), vacuum_vector(p2, ctx))
-        worst = (left - right).euclidean_norm() / max(1.0, right.euclidean_norm())
+    n = int(rng.integers(1, min(4, ctx.max_degree) + 1))
+    vectors = [rng.standard_normal(ctx.dim) for _ in range(n)]
+    target = GradedVector(ctx, {n: elementary_tensor(vectors)})
+    mono_gap = vacuum_vector(wick_monomial(vectors, ctx.q), ctx) - target
+    worst = max(worst, mono_gap.euclidean_norm() / max(1.0, target.euclidean_norm()))
 
-        n = int(rng.integers(1, min(4, ctx.max_degree) + 1))
-        vectors = [rng.standard_normal(cfg.dim) for _ in range(n)]
-        target = GradedVector(ctx, {n: elementary_tensor(vectors)})
-        mono_gap = vacuum_vector(wick_monomial(vectors, ctx.q), ctx) - target
-        worst = max(worst, mono_gap.euclidean_norm() / max(1.0, target.euclidean_norm()))
-
-        fs = [rng.standard_normal(cfg.dim) for _ in range(int(rng.integers(1, 3)))]
-        gs = [rng.standard_normal(cfg.dim) for _ in range(int(rng.integers(1, 3)))]
-        product = wick_mul_poly(wick_monomial(fs, ctx.q), wick_monomial(gs, ctx.q), ctx.q)
-        joint = wick_monomial(fs + gs, ctx.q)
-        coeff_scale = max(1.0, max(abs(c) for c in joint.terms.values()))
-        worst = max(worst, product.max_coeff_diff(joint) / coeff_scale)
-        return worst
-
-    values = [trial(i) for i in range(cfg.trials)]
-    params = _params(cfg, tolerance, max_degree=ctx.max_degree)
-    return _collect("wick-correspondence", params, values, tolerance)
+    fs = [rng.standard_normal(ctx.dim) for _ in range(int(rng.integers(1, 3)))]
+    gs = [rng.standard_normal(ctx.dim) for _ in range(int(rng.integers(1, 3)))]
+    product = wick_mul_poly(wick_monomial(fs, ctx.q), wick_monomial(gs, ctx.q), ctx.q)
+    joint = wick_monomial(fs + gs, ctx.q)
+    coeff_scale = max(1.0, max(abs(c) for c in joint.terms.values()))
+    worst = max(worst, product.max_coeff_diff(joint) / coeff_scale)
+    return worst
 
 
 def _x_power_polynomial(k: int, q: float) -> WickPolynomial:
@@ -400,19 +387,18 @@ def hermite_coefficients(n: int) -> list[int]:
     return polys[n]
 
 
-def suite_hermite(cfg: RunConfig) -> Report:
+def _hermite(ctx: QContext, tolerance: float) -> tuple[list[float], dict, tuple]:
     """Single-mode reduction: the monomial recursion is the deformed Hermite
     three-term recurrence, and its q -> 1 limit is the classical one."""
-    tolerance = 1e-12
     e = basis_vector(1, 0)
     recurrence = [WickPolynomial.identity(), WickPolynomial.field(e)]
     for n in range(1, 7):
         recurrence.append(
-            field_mul(e, recurrence[n], cfg.q)
-            - recurrence[n - 1].scale(q_integer(n, cfg.q))
+            field_mul(e, recurrence[n], ctx.q)
+            - recurrence[n - 1].scale(q_integer(n, ctx.q))
         )
     values = [
-        wick_monomial([e] * n, cfg.q).max_coeff_diff(recurrence[n]) for n in range(7)
+        wick_monomial([e] * n, ctx.q).max_coeff_diff(recurrence[n]) for n in range(7)
     ]
 
     q_near_one = 1.0 - 1e-6
@@ -425,159 +411,110 @@ def suite_hermite(cfg: RunConfig) -> Report:
             classical_worst = max(
                 classical_worst, abs(coeffs[k] - target) / max(1.0, abs(target))
             )
-    params = {
-        "q": cfg.q,
-        "tolerance": tolerance,
+    extra = {
         "classical_limit_q": q_near_one,
         "classical_limit_max_relative_error": classical_worst,
         "classical_limit_tolerance": 1e-4,
     }
-    return _collect("hermite", params, values, tolerance, side_checks=((classical_worst, 1e-4),))
+    return values, extra, ((classical_worst, 1e-4),)
 
 
-def suite_embedding(cfg: RunConfig) -> Report:
+def _embedding(ctx: QContext, rng: np.random.Generator) -> float:
     """The |q|-weighted test scale dominates the center norm."""
-    ctx = cfg.context()
-    tolerance = 1e-12
-    space = make_test_space(ctx, 1.0, 2.0, "abs_q", default_hplus_weights(cfg.dim))
-
-    def trial(i: int) -> float:
-        rng = _trial_rng(cfg.seed, "embedding", i)
-        f = GradedVector.random(ctx, rng)
-        return embedding_residual(f, space) / max(1.0, fock_norm(f))
-
-    values = [trial(i) for i in range(cfg.trials)]
-    params = _params(cfg, tolerance, alpha=2.0, r=1.0, weight_base="abs_q")
-    if ctx.q < 0.0 and cfg.dim >= 2 and ctx.max_degree >= 2:
-        # documented finding: with plain-q weights the same bound fails on
-        # antisymmetric tensors even under the scale precondition
-        anti = np.zeros(cfg.dim**2)
-        anti[1] = 1.0
-        anti[cfg.dim] = -1.0
-        plain = make_test_space(ctx, max(1.0, 1.0 / (1.0 + ctx.q)), 2.0, "q", None)
-        params["plain_q_weight_failure_residual"] = embedding_residual(
-            GradedVector(ctx, {2: anti}), plain
-        )
-    return _collect("embedding", params, values, tolerance)
+    space = make_test_space(ctx, 1.0, 2.0, "abs_q", default_hplus_weights(ctx.dim))
+    f = GradedVector.random(ctx, rng)
+    return embedding_residual(f, space) / max(1.0, fock_norm(f))
 
 
-def suite_lemma53(cfg: RunConfig) -> Report:
+def _embedding_findings(ctx: QContext, draw) -> tuple[dict, tuple]:
+    """Documented finding: with plain-q weights the same bound fails on
+    antisymmetric tensors even under the scale precondition."""
+    if not (ctx.q < 0.0 and ctx.dim >= 2 and ctx.max_degree >= 2):
+        return {}, ()
+    anti = np.zeros(ctx.dim**2)
+    anti[1] = 1.0
+    anti[ctx.dim] = -1.0
+    plain = make_test_space(ctx, max(1.0, 1.0 / (1.0 + ctx.q)), 2.0, "q", None)
+    residual = embedding_residual(GradedVector(ctx, {2: anti}), plain)
+    return {"plain_q_weight_failure_residual": residual}, ()
+
+
+def _lemma53(ctx: QContext, rng: np.random.Generator) -> float:
     """Symmetrized tensor products obey the |q|-binomial bound."""
-    ctx = cfg.context()
-    tolerance = 1e-9
-
-    def trial(i: int) -> float:
-        rng = _trial_rng(cfg.seed, "lemma53", i)
-        m = int(rng.integers(1, 4))
-        n = int(rng.integers(1, 4))
-        f = rng.standard_normal(cfg.dim**m)
-        g = rng.standard_normal(cfg.dim**n)
-        rhs_scale = max(
-            1.0,
-            q_binomial(m + n, m, abs(ctx.q))
-            * float(np.linalg.norm(f))
-            * float(np.linalg.norm(g)),
-        )
-        return lemma53_residual(f, g, ctx, m, n) / rhs_scale
-
-    values = [trial(i) for i in range(cfg.trials)]
-    params = {"q": cfg.q, "dim": cfg.dim, "degrees": "1..3", "tolerance": tolerance}
-    return _collect("lemma53", params, values, tolerance)
+    m = int(rng.integers(1, 4))
+    n = int(rng.integers(1, 4))
+    f = rng.standard_normal(ctx.dim**m)
+    g = rng.standard_normal(ctx.dim**n)
+    rhs_scale = max(
+        1.0,
+        q_binomial(m + n, m, abs(ctx.q))
+        * float(np.linalg.norm(f))
+        * float(np.linalg.norm(g)),
+    )
+    return lemma53_residual(f, g, ctx, m, n) / rhs_scale
 
 
-def suite_theorem43(cfg: RunConfig) -> Report:
-    """Test-side product bound with the explicitly computed constant."""
-    ctx = cfg.context()
-    tolerance = 1e-9
-    weights = default_hplus_weights(cfg.dim)
-    # this bound runs from a larger scale down to a smaller one, so each
-    # configured (r, s) pair is used swapped
-    scale_sets = [
-        (small, big, alpha, estimate_c1(small, big, alpha, ctx))
-        for big, small, alpha in cfg.scales
-    ]
-    counts = _split_trials(cfg.trials, len(scale_sets))
-    values: list[float] = []
-    per_scale = []
-    worst_ratio, worst_bound, worst_margin = None, None, -math.inf
-    trial_base = 0
-    for (r, s, alpha, c1), count in zip(scale_sets, counts):
-        space_r = make_test_space(ctx, r, alpha, "abs_q", weights)
-        space_s = make_test_space(ctx, s, alpha, "abs_q", weights)
+def _theorem43_pair(ctx: QContext, big: float, small: float, alpha: float):
+    """Test-side product bound with the explicitly computed constant.  The
+    bound runs from a larger scale down to a smaller one, so each configured
+    (r, s) pair is used swapped."""
+    r, s = small, big
+    c1 = estimate_c1(r, s, alpha, ctx)
+    weights = default_hplus_weights(ctx.dim)
+    space_r = make_test_space(ctx, r, alpha, "abs_q", weights)
+    space_s = make_test_space(ctx, s, alpha, "abs_q", weights)
 
-        def trial(i: int, _r=r, _space_r=space_r, _space_s=space_s, _base=trial_base) -> float:
-            rng = _trial_rng(cfg.seed, f"theorem43:{_r}", _base + i)
-            f = GradedVector.random(ctx, rng)
-            g = GradedVector.random(ctx, rng)
-            denom = g_norm(f, _space_s) * g_norm(g, _space_s)
-            return g_norm(graded_tensor(f, g), _space_r) / denom
-
-        ratios = [trial(i) for i in range(count)]
-        trial_base += count
-        values.extend(max(0.0, ratio - c1) for ratio in ratios)
-        top = max(ratios, default=0.0)
-        per_scale.append({"r": r, "s": s, "alpha": alpha, "c1": c1, "max_ratio": top})
-        if top - c1 > worst_margin:
-            worst_margin, worst_ratio, worst_bound = top - c1, top, c1
-    params = _params(cfg, tolerance, per_scale=per_scale)
-    return _collect("theorem43", params, values, tolerance, worst_ratio, worst_bound)
-
-
-def suite_vage(cfg: RunConfig) -> Report:
-    """Asymmetric submultiplicativity on the dual scale at exponent -2."""
-    ctx = cfg.context()
-    tolerance = 1e-9
-    counts = _split_trials(cfg.trials, len(cfg.scales))
-    values: list[float] = []
-    per_scale = []
-    worst_ratio, worst_bound, worst_margin = None, None, -math.inf
-    trial_base = 0
-    for (r, s, _alpha), count in zip(cfg.scales, counts):
-        bound = math.sqrt(r / (r - s))
-
-        def trial(i: int, _r=r, _s=s, _base=trial_base) -> float:
-            rng = _trial_rng(cfg.seed, f"vage:{_r}:{_s}", _base + i)
-            f = GradedVector.random(ctx, rng)
-            g = GradedVector.random(ctx, rng)
-            ratio, _ = vage_ratio(f, g, _r, _s, ctx, check=False)
-            return ratio
-
-        ratios = [trial(i) for i in range(count)]
-        trial_base += count
-        values.extend(max(0.0, ratio - bound) for ratio in ratios)
-        top = max(ratios, default=0.0)
-        per_scale.append({"r": r, "s": s, "bound": bound, "max_ratio": top})
-        if top - bound > worst_margin:
-            worst_margin, worst_ratio, worst_bound = top - bound, top, bound
-    params = _params(cfg, tolerance, per_scale=per_scale)
-    return _collect("vage", params, values, tolerance, worst_ratio, worst_bound)
-
-
-def suite_duality(cfg: RunConfig) -> Report:
-    """The dual-scale norm is the exact operator dual of the test norm."""
-    ctx = cfg.context()
-    tolerance = 1e-10
-    r, alpha = 2.0, 2.0
-    weights = default_hplus_weights(cfg.dim)
-    test = make_test_space(ctx, r, alpha, "abs_q", weights)
-    dual = make_dual_space(ctx, r, alpha, weights)
-
-    def trial(i: int) -> float:
-        rng = _trial_rng(cfg.seed, "duality", i)
+    def trial(ctx: QContext, rng: np.random.Generator) -> float:
         f = GradedVector.random(ctx, rng)
         g = GradedVector.random(ctx, rng)
-        product = g_norm(f, test) * f_dual_norm(g, dual)
-        return duality_residual(f, g, r, alpha, ctx) / max(1.0, product)
+        denom = g_norm(f, space_s) * g_norm(g, space_s)
+        return g_norm(graded_tensor(f, g), space_r) / denom
 
-    values = [trial(i) for i in range(cfg.trials)]
-    # one saturating pair: the bound is attained, not merely respected
-    f = GradedVector.random(ctx, _trial_rng(cfg.seed, "duality:saturate", 0))
-    partner = saturating_dual_partner(f, r, alpha, ctx)
+    return f"theorem43:{r}", {"r": r, "s": s, "alpha": alpha, "c1": c1}, c1, trial
+
+
+def _vage_pair(ctx: QContext, r: float, s: float, alpha: float):
+    """Asymmetric submultiplicativity on the dual scale at exponent -2."""
+    bound = math.sqrt(r / (r - s))
+
+    def trial(ctx: QContext, rng: np.random.Generator) -> float:
+        f = GradedVector.random(ctx, rng)
+        g = GradedVector.random(ctx, rng)
+        ratio, _ = vage_ratio(f, g, r, s, ctx, check=False)
+        return ratio
+
+    return f"vage:{r}:{s}", {"r": r, "s": s, "bound": bound}, bound, trial
+
+
+DUALITY_R, DUALITY_ALPHA = 2.0, 2.0
+
+
+def _duality_spaces(ctx: QContext):
+    weights = default_hplus_weights(ctx.dim)
+    return (
+        make_test_space(ctx, DUALITY_R, DUALITY_ALPHA, "abs_q", weights),
+        make_dual_space(ctx, DUALITY_R, DUALITY_ALPHA, weights),
+    )
+
+
+def _duality(ctx: QContext, rng: np.random.Generator) -> float:
+    """The dual-scale norm is the exact operator dual of the test norm."""
+    test, dual = _duality_spaces(ctx)
+    f = GradedVector.random(ctx, rng)
+    g = GradedVector.random(ctx, rng)
+    product = g_norm(f, test) * f_dual_norm(g, dual)
+    return duality_residual(f, g, DUALITY_R, DUALITY_ALPHA, ctx) / max(1.0, product)
+
+
+def _duality_findings(ctx: QContext, draw) -> tuple[dict, tuple]:
+    """One saturating pair: the bound is attained, not merely respected."""
+    test, dual = _duality_spaces(ctx)
+    f = GradedVector.random(ctx, draw("saturate"))
+    partner = saturating_dual_partner(f, DUALITY_R, DUALITY_ALPHA, ctx)
     pairing = abs(q_inner(f, partner))
     product = g_norm(f, test) * f_dual_norm(partner, dual)
     saturation_gap = abs(pairing - product) / product
-    params = _params(cfg, tolerance, r=r, alpha=alpha, saturation_gap=saturation_gap)
-    return _collect("duality", params, values, tolerance, side_checks=((saturation_gap, 1e-9),))
+    return {"saturation_gap": saturation_gap}, ((saturation_gap, 1e-9),)
 
 
 def _random_dyadic_vector(ctx: QContext, rng: np.random.Generator) -> GradedVector:
@@ -592,79 +529,83 @@ def _random_dyadic_vector(ctx: QContext, rng: np.random.Generator) -> GradedVect
     return GradedVector(ctx, comps)
 
 
-def suite_inverse(cfg: RunConfig) -> Report:
+def _inverse(ctx: QContext, rng: np.random.Generator) -> float:
     """The tensor inverse is exact on the truncation."""
-    ctx = cfg.context()
-    tolerance = 1e-12
     omega = GradedVector.vacuum(ctx)
-
-    def trial(i: int) -> float:
-        rng = _trial_rng(cfg.seed, "inverse", i)
-        f = _random_dyadic_vector(ctx, rng)
-        defect = (graded_tensor(f, wick_inverse(f)) - omega).max_abs()
-        value = 0.0 if defect == 0.0 else math.inf  # exact family must cancel exactly
-        g_comps = {n: rng.standard_normal(ctx.dim**n) for n in range(1, ctx.max_degree + 1)}
-        z = float(rng.standard_normal())
-        g_comps[0] = np.array([math.copysign(1.0 + abs(z), z)])  # well away from zero
-        g = GradedVector(ctx, g_comps)
-        float_defect = (graded_tensor(g, wick_inverse(g)) - omega).max_abs()
-        return max(value, float_defect / max(1.0, g.max_abs()) ** ctx.max_degree)
-
-    values = [trial(i) for i in range(cfg.trials)]
-    params = _params(cfg, tolerance, exact_family="dyadic entries, power-of-two vacuum part")
-    return _collect("inverse", params, values, tolerance)
+    f = _random_dyadic_vector(ctx, rng)
+    defect = (graded_tensor(f, wick_inverse(f)) - omega).max_abs()
+    value = 0.0 if defect == 0.0 else math.inf  # exact family must cancel exactly
+    g_comps = {n: rng.standard_normal(ctx.dim**n) for n in range(1, ctx.max_degree + 1)}
+    z = float(rng.standard_normal())
+    g_comps[0] = np.array([math.copysign(1.0 + abs(z), z)])  # well away from zero
+    g = GradedVector(ctx, g_comps)
+    float_defect = (graded_tensor(g, wick_inverse(g)) - omega).max_abs()
+    return max(value, float_defect / max(1.0, g.max_abs()) ** ctx.max_degree)
 
 
-def suite_series(cfg: RunConfig) -> Report:
+GEOMETRIC_SERIES = SeriesSpec((1.0,) * 40, 1.0)
+
+
+def _series(ctx: QContext, rng: np.random.Generator) -> float:
     """Radius certification and geometric decay of certified power series."""
-    ctx = cfg.context()
-    tolerance = 1e-9
-    geometric = SeriesSpec((1.0,) * 40, 1.0)
-
-    def trial(i: int) -> float:
-        rng = _trial_rng(cfg.seed, "series", i)
-        f = GradedVector.random(ctx, rng)
-        norm = f_dual_norm(f, make_dual_space(ctx, 1.0, 2.0))
-        f = f.scale(0.5 / norm)  # s-scale norm 0.5 against radius 1
-        cert = certify_radius(f, geometric, 1.0)
-        if not (cert.contraction < 1.0 and cert.r > cert.s / (1.0 - (cert.norm_s / 1.0) ** 2)):
-            return math.inf
-        space_r = make_dual_space(ctx, cert.r, 2.0)
-        worst = 0.0
-        power = GradedVector.vacuum(ctx)
-        for n in range(1, 9):
-            power = graded_tensor(power, f)
-            worst = max(worst, f_dual_norm(power, space_r) / cert.contraction**n - 1.0)
-        # the identity series must reproduce its argument exactly
-        identity = wick_series(f, SeriesSpec((0.0, 1.0), 1.0), cert)
-        if (identity - f).max_abs() != 0.0:
-            return math.inf
-        return max(0.0, worst)
-
-    values = [trial(i) for i in range(cfg.trials)]
-    params = _params(cfg, tolerance, radius=1.0, target_norm=0.5)
-    return _collect("series", params, values, tolerance)
+    f = GradedVector.random(ctx, rng)
+    norm = f_dual_norm(f, make_dual_space(ctx, 1.0, 2.0))
+    f = f.scale(0.5 / norm)  # s-scale norm 0.5 against radius 1
+    cert = certify_radius(f, GEOMETRIC_SERIES, 1.0)
+    if not (cert.contraction < 1.0 and cert.r > cert.s / (1.0 - (cert.norm_s / 1.0) ** 2)):
+        return math.inf
+    space_r = make_dual_space(ctx, cert.r, 2.0)
+    worst = 0.0
+    power = GradedVector.vacuum(ctx)
+    for n in range(1, 9):
+        power = graded_tensor(power, f)
+        worst = max(worst, f_dual_norm(power, space_r) / cert.contraction**n - 1.0)
+    # the identity series must reproduce its argument exactly
+    identity = wick_series(f, SeriesSpec((0.0, 1.0), 1.0), cert)
+    if (identity - f).max_abs() != 0.0:
+        return math.inf
+    return max(0.0, worst)
 
 
 SUITES = {
-    "commutation": suite_commutation,
-    "positivity": suite_positivity,
-    "adjointness": suite_adjointness,
-    "macmahon": suite_macmahon,
-    "moments": suite_moments,
-    "wick-correspondence": suite_wick_correspondence,
-    "hermite": suite_hermite,
-    "embedding": suite_embedding,
-    "lemma53": suite_lemma53,
-    "theorem43": suite_theorem43,
-    "vage": suite_vage,
-    "duality": suite_duality,
-    "inverse": suite_inverse,
-    "series": suite_series,
+    "commutation": Suite(
+        1e-12,
+        _commutation,
+        params={
+            "normalization": "unit test vectors",
+            "rule": "exchange form: the weighted term swaps operators, keeps arguments",
+        },
+        aside="argument_swapped_variant_max_residual",
+    ),
+    "positivity": Suite(1e-10, fixed=_positivity, shared=("q", "dim")),
+    "adjointness": Suite(1e-12, _adjointness),
+    "macmahon": Suite(1e-12, fixed=_macmahon, shared=("q",)),
+    "moments": Suite(
+        1e-9,
+        _moments,
+        findings=lambda ctx, draw: ({"orders": _moment_orders(ctx)}, ()),
+        degree=lambda n: max(n, 1),
+    ),
+    "wick-correspondence": Suite(1e-10, _wick_correspondence, degree=lambda n: max(n, 4)),
+    "hermite": Suite(1e-12, fixed=_hermite, shared=("q",)),
+    "embedding": Suite(
+        1e-12,
+        _embedding,
+        findings=_embedding_findings,
+        params={"alpha": 2.0, "r": 1.0, "weight_base": "abs_q"},
+    ),
+    "lemma53": Suite(1e-9, _lemma53, params={"degrees": "1..3"}, shared=("q", "dim")),
+    "theorem43": Suite(1e-9, pair=_theorem43_pair),
+    "vage": Suite(1e-9, pair=_vage_pair),
+    "duality": Suite(
+        1e-10,
+        _duality,
+        findings=_duality_findings,
+        params={"r": DUALITY_R, "alpha": DUALITY_ALPHA},
+    ),
+    "inverse": Suite(
+        1e-12, _inverse, params={"exact_family": "dyadic entries, power-of-two vacuum part"}
+    ),
+    "series": Suite(1e-9, _series, params={"radius": 1.0, "target_norm": 0.5}),
 }
-
-
-def run_suite(name: str, cfg: RunConfig) -> Report:
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    return SUITES[name](cfg)
+SUITE_NAMES = tuple(SUITES)

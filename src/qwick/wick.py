@@ -16,6 +16,7 @@ which costs a factor q and a scalar contraction term.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -72,12 +73,15 @@ IDENTITY_WORD = NormalWord()
 
 @dataclass(frozen=True, eq=False)
 class WickPolynomial:
-    """Finite real combination of normal words; zero coefficients are dropped."""
+    """Finite real combination of normal words; zero coefficients are dropped,
+    and a coefficient that is not finite is rejected."""
 
     terms: dict[NormalWord, float]
 
     def __post_init__(self):
         clean = {w: float(c) for w, c in self.terms.items() if c != 0.0}
+        if not all(map(math.isfinite, clean.values())):
+            raise ValueError("polynomial coefficients must be finite")
         object.__setattr__(self, "terms", clean)
 
     @classmethod

@@ -18,16 +18,7 @@ from qwick.fock import (
 from qwick.qcombinatorics import macmahon_residual, q_factorial
 from qwick.scales import graded_tensor, make_dual_space, f_dual_norm
 from qwick.series import SeriesSpec, certify_radius, wick_inverse
-from qwick.suites import (
-    RunConfig,
-    suite_duality,
-    suite_embedding,
-    suite_hermite,
-    suite_lemma53,
-    suite_theorem43,
-    suite_vage,
-    suite_wick_correspondence,
-)
+from qwick.suites import RunConfig, run_suite
 from qwick.wick import moment
 
 Q_GRID = (-0.9, -0.5, 0.0, 0.3, 0.5, 0.9)
@@ -140,7 +131,7 @@ def test_criterion_5_wick_correspondence():
     worst = 0.0
     trials = 0
     for q in Q_GRID:
-        report = suite_wick_correspondence(RunConfig(q=q, trials=34, max_degree=6))
+        report = run_suite("wick-correspondence", RunConfig(q=q, trials=34, max_degree=6))
         worst = max(worst, report.max_residual)
         trials += report.trials
         if not report.passed:
@@ -158,12 +149,12 @@ def test_criterion_5_wick_correspondence():
 def test_criterion_6_hermite():
     exact_ok = True
     for q in (-0.5, 0.0, 0.25, 0.5):  # dyadic: float arithmetic is exact
-        report = suite_hermite(RunConfig(q=q, trials=1))
+        report = run_suite("hermite", RunConfig(q=q, trials=1))
         exact_ok &= report.max_residual == 0.0
     grid_worst = 0.0
     classical_worst = 0.0
     for q in Q_GRID:
-        report = suite_hermite(RunConfig(q=q, trials=1))
+        report = run_suite("hermite", RunConfig(q=q, trials=1))
         grid_worst = max(grid_worst, report.max_residual)
         classical_worst = max(
             classical_worst, report.params["classical_limit_max_relative_error"]
@@ -181,21 +172,15 @@ def test_criterion_6_hermite():
 
 def test_criterion_7_inequalities():
     per_q = 167  # 6 grid points x 167 >= 1000 trials per statement
-    statements = {
-        "lemma53": suite_lemma53,
-        "theorem43": suite_theorem43,
-        "embedding": suite_embedding,
-        "duality": suite_duality,
-        "vage": suite_vage,
-    }
+    statements = ("lemma53", "theorem43", "embedding", "duality", "vage")
     all_ok = True
     details = []
-    for name, fn in statements.items():
+    for name in statements:
         violations = 0
         trials = 0
         max_ratio, bound = None, None
         for q in Q_GRID:
-            report = fn(RunConfig(q=q, trials=per_q, max_degree=5))
+            report = run_suite(name, RunConfig(q=q, trials=per_q, max_degree=5))
             violations += len(report.violations)
             trials += report.trials
             if report.max_ratio is not None and (

@@ -1,17 +1,24 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qwick
 import qwick.cli as cli
+from qwick.fock import GradedVector
+from qwick.scales import vage_ratio
 from qwick.suites import (
     DEFAULT_SCALES,
     SUITE_NAMES,
+    SUITES,
     Report,
     RunConfig,
+    _trial_rng,
     run_suite,
 )
 
@@ -25,6 +32,8 @@ def test_run_config_validation():
         RunConfig(trials=0)
     with pytest.raises(ValueError):
         RunConfig(scales=((1.0, 2.0, 2.0),))
+    with pytest.raises(ValueError):
+        RunConfig(scales=((2.0, 1.0, math.nan),))
     cfg = RunConfig()
     assert cfg.q == 0.5 and cfg.dim == 2 and cfg.max_degree == 6
     assert cfg.trials == 500 and cfg.seed == 1
@@ -104,6 +113,29 @@ def test_vage_report_per_scale_bounds():
     assert report.bound == pytest.approx(math.sqrt(2.0))
     assert report.max_ratio <= report.bound + 1e-9
     assert report.params["per_scale"][0]["r"] == 2.0
+
+
+def test_trial_replays_from_suite_key_and_index():
+    cfg = RunConfig(trials=6, seed=11)
+    report = run_suite("adjointness", cfg)
+    replay = SUITES["adjointness"].trial(cfg.context(), _trial_rng(11, "adjointness", 3))
+    assert replay == report.trial_values[3]
+
+
+def test_scale_trial_indices_continue_across_pairs():
+    cfg = RunConfig(trials=7, seed=4)  # split 3/2/2 over DEFAULT_SCALES
+    assert cfg.scales == DEFAULT_SCALES
+    report = run_suite("vage", cfg)
+    ctx = cfg.context()
+    ratios = []
+    for i in (3, 4):
+        rng = _trial_rng(4, "vage:4.0:1.0", i)
+        f = GradedVector.random(ctx, rng)
+        g = GradedVector.random(ctx, rng)
+        ratios.append(vage_ratio(f, g, 4.0, 1.0, ctx, check=False)[0])
+    assert max(ratios) == report.params["per_scale"][1]["max_ratio"]
+    bound = math.sqrt(4.0 / 3.0)
+    assert report.trial_values[3:5] == [max(0.0, ratio - bound) for ratio in ratios]
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +311,21 @@ def test_cli_precondition_fails_before_output(argv, message, capsys):
     assert message in captured.err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("out", (False, True))
+def test_cli_moments_not_finite_fails_before_output(out, tmp_path, capsys):
+    phi = tmp_path / "phi.json"
+    phi.write_text("[1e200, 0]")
+    argv = ["compute", "moments", "--phi", str(phi), "--order", "4"]
+    if out:
+        argv += ["--out", str(tmp_path / "moments.json")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err
+    assert not (tmp_path / "moments.json").exists()
+
+
 def test_cli_wick_exp_names_its_scale_parameter(tmp_path, capsys):
     from qwick.fock import GradedVector, QContext
 
@@ -307,10 +354,15 @@ def test_cli_verify_past_degree_eight(capsys):
 
 
 def test_console_script_runs():
+    # the child finds the same qwick as this process, installed or not
+    src = str(Path(qwick.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     result = subprocess.run(
         [sys.executable, "-m", "qwick.cli", "verify", "--suite", "hermite", "--trials", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["pass"] is True

@@ -383,6 +383,15 @@ def test_wick_polynomial_json_roundtrip():
     assert WickPolynomial.from_json(again.to_json()).to_json() == again.to_json()
 
 
+@pytest.mark.parametrize("coeff", ("NaN", "Infinity", "-Infinity"))
+def test_wick_polynomial_rejects_non_finite_coefficient(coeff):
+    text = '{"terms": [{"coeff": %s, "creators": [[1.0]], "annihilators": []}]}' % coeff
+    with pytest.raises(ValueError, match="finite"):
+        WickPolynomial.from_json(text)
+    with pytest.raises(ValueError, match="finite"):
+        WickPolynomial({IDENTITY_WORD: float(coeff)})
+
+
 def test_moment_report_residual():
     report = MomentReport(4, 2.5, 2.0)
     assert report.residual == 0.5
