@@ -64,6 +64,7 @@ from .wick import (
     l2_inner,
     l2_inner_routes,
     moment,
+    moments,
     vacuum_expectation,
     wick_monomial,
     wick_mul,

@@ -13,12 +13,11 @@ import sys
 
 import numpy as np
 
-from .fock import GradedVector, QContext, as_one_particle, basis_vector
-from .qcombinatorics import PAIRING_CAP
+from .fock import EIGENSOLVER_CAP, GradedVector, QContext, as_one_particle, basis_vector
 from .scales import NormScale, WeightedSpace, default_hplus_weights, f_dual_norm, g_norm, graded_tensor
 from .series import wick_exp, wick_inverse
 from .suites import SUITE_NAMES, Report, RunConfig, run_suite
-from .wick import moment
+from .wick import MAX_MOMENT_ORDER, moments
 
 COMPUTE_COMMANDS = ("moments", "wick-mul", "wick-inv", "wick-exp", "norm")
 
@@ -37,29 +36,49 @@ def _load_json(path: str) -> dict:
         return json.load(handle)
 
 
+def _scale_pair(parts) -> tuple[float, float, float]:
+    """(R, S) or (R, S, ALPHA) as floats; ALPHA defaults to 2."""
+    if len(parts) not in (2, 3):
+        raise ValueError(f"bad scale spec {parts!r}; expected R:S or R:S:ALPHA")
+    r, s, *alpha = map(float, parts)
+    return r, s, alpha[0] if alpha else 2.0
+
+
 def _parse_scales(text: str) -> tuple[tuple[float, float, float], ...]:
-    scales = []
-    for chunk in text.split(","):
-        parts = chunk.split(":")
-        if len(parts) == 2:
-            r, s, alpha = float(parts[0]), float(parts[1]), 2.0
-        elif len(parts) == 3:
-            r, s, alpha = (float(p) for p in parts)
-        else:
-            raise ValueError(f"bad scale spec {chunk!r}; expected R:S or R:S:ALPHA")
-        scales.append((r, s, alpha))
-    return tuple(scales)
+    return tuple(_scale_pair(chunk.split(":")) for chunk in text.split(","))
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _config_file(path: str) -> dict:
+    """The settings of a JSON config file, with the types the flags give."""
+    data = _load_json(path)
+    if not isinstance(data, dict):
+        raise ValueError("config file must hold a JSON object")
+    settings: dict = {}
+    for key in ("dim", "max_degree", "trials", "seed"):
+        if key in data:
+            if not (_is_real(data[key]) and isinstance(data[key], int)):
+                raise ValueError(f"config {key} must be an integer, got {data[key]!r}")
+            settings[key] = data[key]
+    if "q" in data:
+        if not _is_real(data["q"]):
+            raise ValueError(f"config q must be a number, got {data['q']!r}")
+        settings["q"] = float(data["q"])
+    if "scales" in data:
+        scales = data["scales"]
+        if not isinstance(scales, list) or not all(
+            isinstance(pair, list) and all(map(_is_real, pair)) for pair in scales
+        ):
+            raise ValueError(f"config scales must be a list of number lists, got {scales!r}")
+        settings["scales"] = tuple(map(_scale_pair, scales))
+    return settings
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    settings: dict = {}
-    if args.config:
-        file_cfg = _load_json(args.config)
-        for key in ("q", "dim", "max_degree", "trials", "seed"):
-            if key in file_cfg:
-                settings[key] = file_cfg[key]
-        if "scales" in file_cfg:
-            settings["scales"] = tuple(tuple(map(float, s)) for s in file_cfg["scales"])
+    settings = _config_file(args.config) if args.config else {}
     for key, value in (
         ("q", args.q),
         ("dim", args.dim),
@@ -100,25 +119,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
-    if not 0 <= args.order <= PAIRING_CAP + 1:
-        raise ValueError(f"--order must be in 0..{PAIRING_CAP + 1}, got {args.order}")
+    if not 0 <= args.order <= MAX_MOMENT_ORDER:
+        raise ValueError(f"--order must be in 0..{MAX_MOMENT_ORDER}, got {args.order}")
     dim, phi = args.dim, None
     if args.phi:
         phi = np.asarray(_load_json(args.phi), dtype=float).reshape(-1)
         dim = phi.size
     ctx = QContext(args.q, dim, max(1, (args.order + 1) // 2))
-    phi = basis_vector(dim, 0) if phi is None else as_one_particle(phi, dim)
-    rows = []
-    for k in range(args.order + 1):
-        report = moment(phi, k, ctx)
-        rows.append(
-            {
-                "k": k,
-                "value": report.value,
-                "oracle": report.oracle_value,
-                "residual": report.residual,
-            }
+    if dim ** (args.order // 2) > EIGENSOLVER_CAP:
+        raise ValueError(
+            f"--order {args.order} at dim {dim} walks tensors of {dim}**{args.order // 2} "
+            f"entries, more than {EIGENSOLVER_CAP}"
         )
+    phi = basis_vector(dim, 0) if phi is None else as_one_particle(phi, dim)
+    rows = [
+        {
+            "k": report.order,
+            "value": report.value,
+            "oracle": report.oracle_value,
+            "residual": report.residual,
+        }
+        for report in moments(phi, args.order, ctx)
+    ]
     if not all(math.isfinite(v) for row in rows for v in row.values()):
         raise ValueError("moments are not finite; scale --phi down")
     print("k  value  oracle  residual")

@@ -60,7 +60,7 @@ from .wick import (
     NormalWord,
     WickPolynomial,
     field_mul,
-    moment,
+    moments,
     vacuum_vector,
     wick_monomial,
     wick_mul_poly,
@@ -304,12 +304,12 @@ def _moment_orders(ctx: QContext) -> int:
 
 
 def _moments(ctx: QContext, rng: np.random.Generator) -> float:
-    """Field-operator vacuum moments against the pair-partition oracle."""
+    """Field-operator vacuum moments of one walk against the crossing-polynomial
+    oracle."""
     phi = rng.standard_normal(ctx.dim)
     scale = max(1.0, float(np.linalg.norm(phi)))
     worst = 0.0
-    for k in range(_moment_orders(ctx) + 1):
-        report = moment(phi, k, ctx)
+    for k, report in enumerate(moments(phi, _moment_orders(ctx), ctx)):
         if k % 2 == 0:
             worst = max(worst, report.residual / abs(report.oracle_value))
         else:

@@ -301,6 +301,11 @@ def vacuum_expectation(p: WickPolynomial, ctx: QContext) -> float:
     return float(vacuum_vector(p, ctx).component(0)[0])
 
 
+# Highest order `compute moments` accepts: the Jacobi-matrix test certifies
+# the oracle's exact evaluation up to here.
+MAX_MOMENT_ORDER = 40
+
+
 @dataclass(frozen=True)
 class MomentReport:
     order: int
@@ -312,34 +317,35 @@ class MomentReport:
         return abs(self.value - self.oracle_value)
 
 
-def moment(phi, k: int, ctx: QContext) -> MomentReport:
-    """k-th vacuum moment of the field operator of phi, two independent ways.
+def moments(phi, top: int, ctx: QContext) -> list[MomentReport]:
+    """Vacuum moments of orders 0..top of the field operator of phi, each
+    computed two independent ways.
 
-    value: walk the vacuum k steps under creation + annihilation by phi on
-    per-degree arrays and read off the degree-0 entry; a component that can
-    no longer return to degree 0 in the steps left is dropped.
-    oracle: ||phi||^k times the crossing-number generating polynomial of pair
-    partitions evaluated at q (zero for odd k).  A closed 0 -> 0 walk of k
-    steps climbs at most floor(k/2) levels, so the walk is exact once
-    max_degree covers that.
+    value (the fast route): one walk of the vacuum, top steps under creation
+    plus annihilation by phi on per-degree arrays; the moment of order k is
+    the degree-0 entry after step k.  A component that can no longer return
+    to degree 0 by step top is dropped, which leaves every earlier readout
+    bit for bit as a walk of its own length would give it.  A closed 0 -> 0
+    walk of k steps climbs at most floor(k/2) levels, so the walk is exact
+    once max_degree covers that.
+    oracle: ||phi||^k times the crossing polynomial of pair partitions of k
+    points evaluated at q, zero for odd k.  The integer polynomial is
+    evaluated exactly at the rational value of the double q and rounded
+    once, since the float sum cancels for q < 0 at high order.
     """
-    if k < 0:
+    if top < 0:
         raise ValueError("moment order must be nonnegative")
+    if ctx.max_degree < top // 2:
+        raise ValueError(
+            f"moment of order {top} needs max_degree >= {top // 2}, got {ctx.max_degree}"
+        )
     phi = as_one_particle(phi, ctx.dim)
-    if k % 2 == 0:
-        pairs = k // 2
-        if ctx.max_degree < pairs:
-            raise ValueError(
-                f"moment of order {k} needs max_degree >= {pairs}, got {ctx.max_degree}"
-            )
-        coeffs = crossing_polynomial(pairs)  # validates the pairing cap
-        norm_sq = float(phi @ phi)
-        oracle = norm_sq**pairs * sum(c * ctx.q**j for j, c in enumerate(coeffs))
-    else:
-        oracle = 0.0
+    norm_sq = float(phi @ phi)
+    num, den = float(ctx.q).as_integer_ratio()
+    reports = [MomentReport(0, 1.0, 1.0)]
     walk = {0: np.ones(1)}  # degree -> component of the vacuum walked so far
-    for step in range(1, k + 1):
-        reach = min(ctx.max_degree, k - step)  # higher degrees cannot return to 0
+    for step in range(1, top + 1):
+        reach = min(ctx.max_degree, top - step)  # higher degrees cannot return to 0
         nxt: dict[int, np.ndarray] = {}
         for n, arr in walk.items():
             if n < reach:
@@ -347,8 +353,24 @@ def moment(phi, k: int, ctx: QContext) -> MomentReport:
             if 0 < n <= reach + 1:
                 nxt[n - 1] = contract(phi, arr, n, ctx.q) + nxt.get(n - 1, 0.0)
         walk = nxt
-    value = float(walk[0][0]) if 0 in walk else 0.0
-    return MomentReport(k, value, float(oracle))
+        value = float(walk[0][0]) if 0 in walk else 0.0
+        oracle = 0.0
+        if step % 2 == 0:
+            coeffs = crossing_polynomial(step // 2)
+            top_power = len(coeffs) - 1
+            exact = sum(c * num**j * den ** (top_power - j) for j, c in enumerate(coeffs))
+            # numpy's power gives inf where a float's raises OverflowError
+            oracle = float(np.float64(norm_sq) ** (step // 2) * (exact / den**top_power))
+        reports.append(MomentReport(step, value, oracle))
+    return reports
+
+
+def moment(phi, k: int, ctx: QContext) -> MomentReport:
+    """k-th vacuum moment of the field operator of phi, two independent ways:
+    the last row of `moments(phi, k, ctx)`, whose vacuum walk is the fast
+    route and whose crossing polynomial is the oracle.  To read several
+    orders of one phi, call `moments` once: it walks the vacuum once."""
+    return moments(phi, k, ctx)[k]
 
 
 def l2_inner_routes(p1: WickPolynomial, p2: WickPolynomial, ctx: QContext) -> tuple[float, float]:

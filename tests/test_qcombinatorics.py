@@ -171,7 +171,7 @@ def _crossings_by_interleaving(blocks):
     return crossings
 
 
-@pytest.mark.parametrize("n", range(0, 5))
+@pytest.mark.parametrize("n", range(0, 21))
 def test_crossing_polynomial_against_independent_enumeration(n):
     if n <= 3:  # permutation-based oracle is factorial-cost
         oracle_counts = {}
@@ -184,14 +184,27 @@ def test_crossing_polynomial_against_independent_enumeration(n):
     counts = crossing_polynomial(n)
     assert sum(counts) == double_factorial_odd(n)
     assert counts[0] == catalan_number(n)
+    assert len(counts) - 1 == math.comb(n, 2)
+    assert counts[-1] == 1
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_crossing_polynomial_matches_pair_partition_enumeration(n):
+    counts = [0] * (math.comb(n, 2) + 1)
+    for partition in enumerate_pair_partitions(n):
+        counts[partition.crossings] += 1
+    assert crossing_polynomial(n) == counts
 
 
 def test_crossing_polynomial_frozen_values():
     assert crossing_polynomial(1) == [1]
     assert crossing_polynomial(2) == [2, 1]
     assert crossing_polynomial(3) == [5, 6, 3, 1]
+    assert crossing_polynomial(4) == [14, 28, 28, 20, 10, 4, 1]
     with pytest.raises(ValueError):
-        crossing_polynomial(7)
+        crossing_polynomial(-1)
+    with pytest.raises(ValueError):  # the enumeration oracle keeps its cap
+        next(enumerate_pair_partitions(7))
 
 
 def test_pair_partition_invariants():

@@ -220,11 +220,12 @@ def test_cli_verify_byte_identical_reports(tmp_path):
 
 
 def test_cli_compute_moments_free_case(capsys):
-    code = cli.main(["compute", "moments", "--q", "0", "--order", "8"])
+    code = cli.main(["compute", "moments", "--q", "0", "--order", "14"])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     values = [float(line.split()[1]) for line in lines[1:]]
-    assert values == [1.0, 0.0, 1.0, 0.0, 2.0, 0.0, 5.0, 0.0, 14.0]
+    catalan = [1.0, 1.0, 2.0, 5.0, 14.0, 42.0, 132.0, 429.0]
+    assert values == [c for n in catalan for c in (n, 0.0)][:15]
 
 
 def test_cli_compute_wick_mul_neutral(tmp_path, capsys):
@@ -300,8 +301,9 @@ def test_cli_bad_input_file_is_config_error(tmp_path, capsys):
     (
         (["verify", "--suite", "macmahon", "--dim", "0"], "dim >= 1"),
         (["verify", "--suite", "hermite", "--max-degree", "-3"], "max_degree >= 0"),
-        (["compute", "moments", "--order", "14"], "--order"),
+        (["compute", "moments", "--order", "41"], "--order"),
         (["compute", "moments", "--order", "-1"], "--order"),
+        (["compute", "moments", "--dim", "3", "--order", "18"], "--order 18 at dim 3"),
     ),
 )
 def test_cli_precondition_fails_before_output(argv, message, capsys):
@@ -324,6 +326,17 @@ def test_cli_moments_not_finite_fails_before_output(out, tmp_path, capsys):
     assert captured.out == ""
     assert "not finite" in captured.err
     assert not (tmp_path / "moments.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_cli_moments_oracle_overflow_fails_before_output(tmp_path, capsys):
+    # |phi|^2 = 1e200 is finite, but its square overflows in the order-4 oracle
+    phi = tmp_path / "phi.json"
+    phi.write_text("[1e100, 0]")
+    assert cli.main(["compute", "moments", "--phi", str(phi), "--order", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err
 
 
 def test_cli_wick_exp_names_its_scale_parameter(tmp_path, capsys):

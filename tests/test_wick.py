@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from qwick.fock import GradedVector, QContext, basis_vector, elementary_tensor
 from qwick.qcombinatorics import q_integer
 from qwick.wick import (
     IDENTITY_WORD,
+    MAX_MOMENT_ORDER,
     MomentReport,
     NormalWord,
     WickPolynomial,
@@ -14,6 +17,7 @@ from qwick.wick import (
     l2_inner,
     l2_inner_routes,
     moment,
+    moments,
     vacuum_expectation,
     vacuum_vector,
     wick_monomial,
@@ -300,7 +304,50 @@ def test_moment_preconditions():
     with pytest.raises(ValueError):
         moment(basis_vector(2, 0), 6, ctx)  # needs max_degree >= 3
     with pytest.raises(ValueError):
-        moment(basis_vector(2, 0), 14, QContext(0.5, 2, 7))  # pairing cap
+        moment(basis_vector(2, 0), -1, ctx)
+    # past the 12 points the pair-partition enumeration stops at
+    report = moment(basis_vector(2, 0), 14, QContext(0.5, 2, 7))
+    assert report.residual <= 1e-13 * report.oracle_value
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3))
+@pytest.mark.parametrize("q", (-0.7, 0.0, 0.5, 0.9))
+def test_moments_rows_equal_single_order_walks(dim, q):
+    ctx = QContext(q, dim, 4)
+    phi = np.random.default_rng(14 + dim).standard_normal(dim)
+    reports = moments(phi, 8, ctx)
+    assert [r.order for r in reports] == list(range(9))
+    for k, report in enumerate(reports):
+        single = moment(phi, k, ctx)
+        assert np.float64(report.value).tobytes() == np.float64(single.value).tobytes()
+        assert report.oracle_value == single.oracle_value
+
+
+def _jacobi_moment(norm: float, k: int, q: float) -> float:
+    """Vacuum moment of a single-mode field: the (0, 0) entry of the k-th power
+    of the Jacobi matrix with off-diagonal sqrt([j]_q) * norm."""
+    size = k // 2 + 1
+    jacobi = np.zeros((size, size))
+    for j in range(1, size):
+        jacobi[j - 1, j] = jacobi[j, j - 1] = math.sqrt(q_integer(j, q)) * norm
+    vec = np.zeros(size)
+    vec[0] = 1.0
+    for _ in range(k):
+        vec = jacobi @ vec
+    return float(vec[0])
+
+
+@pytest.mark.parametrize("q", (-0.99, -0.9, -0.5, 0.0, 0.5, 0.9))
+def test_moment_oracle_matches_jacobi_matrix_to_order_40(q):
+    # the float sum of the crossing polynomial's terms is off by 3.7 relative
+    # at q = -0.9, order 40; the oracle rounds once
+    phi = np.array([-1.3])
+    for report in moments(phi, MAX_MOMENT_ORDER, QContext(q, 1, MAX_MOMENT_ORDER // 2)):
+        if report.order % 2:
+            continue
+        want = _jacobi_moment(1.3, report.order, q)
+        assert abs(report.oracle_value - want) <= 1e-13 * want
+        assert abs(report.value - want) <= 1e-13 * want
 
 
 def test_l2_inner_examples():

@@ -1,5 +1,6 @@
-"""Property tests for the JSON wire formats: round-trips are bit-exact, and a
-malformed vector file makes `compute` exit 2 before writing anything."""
+"""Property tests for the JSON wire formats: round-trips are bit-exact, a
+malformed vector file makes `compute` exit 2 before writing anything, and a
+`verify --config` file gives the report of the same flags or exits 2."""
 
 import contextlib
 import io
@@ -8,7 +9,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qwick.cli as cli
@@ -113,3 +115,98 @@ def test_compute_rejects_malformed_vector_before_output(f, fault, bad_entry, ope
     assert code == 2
     assert out.getvalue() == ""
     assert err.getvalue().startswith("error:")
+
+
+# -- verify --config: a file says what the flags say --------------------------
+
+SCALE = st.floats(min_value=1.0, max_value=4.0)
+
+
+@st.composite
+def scale_pairs(draw) -> list:
+    s = draw(st.one_of(SCALE, st.integers(1, 4)))
+    r = s + draw(st.one_of(st.floats(min_value=0.01, max_value=3.0), st.integers(1, 3)))
+    alpha = draw(st.lists(st.one_of(st.floats(min_value=1.0, max_value=3.0), st.just(2)), max_size=1))
+    return [r, s, *alpha]
+
+
+@st.composite
+def configs(draw) -> dict:
+    """A valid config file: trials (the default 500 is slow) and any subset of
+    the other keys, ints where ints belong."""
+    values = {
+        "q": draw(st.one_of(Q, st.just(0))),
+        "dim": draw(st.integers(1, 2)),
+        "max_degree": draw(st.integers(1, 3)),
+        "seed": draw(st.integers(0, 2**32)),
+        "scales": draw(st.lists(scale_pairs(), min_size=1, max_size=2)),
+    }
+    keys = draw(st.sets(st.sampled_from(sorted(values))))
+    return {"trials": draw(st.integers(1, 3)), **{key: values[key] for key in keys}}
+
+
+def _flags(cfg: dict) -> list[str]:
+    argv = []
+    for key, value in cfg.items():
+        if key == "scales":
+            value = ",".join(":".join(repr(x) for x in pair) for pair in value)
+        argv.append(f"--{key.replace('_', '-')}={value}")  # = keeps "-1e-48" a value
+    return argv
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _verify_with_config(data, suite: str) -> tuple[int, str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(data))
+        return _run(["verify", "--suite", suite, "--config", str(path)])
+
+
+@FEW
+@given(configs(), st.sampled_from(["theorem43", "moments"]))
+def test_config_file_gives_the_report_of_its_flags(cfg, suite):
+    from_file = _verify_with_config(cfg, suite)
+    from_flags = _run(["verify", "--suite", suite, *_flags(cfg)])
+    assert from_file[0] == 0
+    assert from_file == from_flags
+
+
+# each key with values of the wrong type or out of range
+BAD_VALUES = {
+    "q": ["0.5", True, None, [0.5], 1.5],
+    "dim": [2.5, "2", True, None, 2.0, 0],
+    "max_degree": [1.5, "3", False, [3], -1],
+    "trials": [2.5, "2", True, None, 0],
+    "seed": [1.5, "1", True, None],
+    "scales": [3, "2:1", [2, 1], [[2]], [["2", 1]], [[3, 2, 1, 1]], [[2, True]], [[1, 2]]],
+}
+
+
+@FEW
+@given(
+    configs(),
+    st.sampled_from(sorted(BAD_VALUES)).flatmap(
+        lambda key: st.tuples(st.just(key), st.sampled_from(BAD_VALUES[key]))
+    ),
+)
+@example({}, ("trials", 2.5))
+@example({}, ("dim", "2"))
+def test_malformed_config_file_exits_2_before_output(cfg, fault):
+    key, bad = fault
+    code, out, err = _verify_with_config({**cfg, key: bad}, "theorem43")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("data", ([], 1, "trials"))
+def test_config_file_must_hold_an_object(data):
+    code, out, err = _verify_with_config(data, "theorem43")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
