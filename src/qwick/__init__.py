@@ -30,10 +30,7 @@ from .qcombinatorics import (
     q_integer,
 )
 from .scales import (
-    NormScale,
-    WeightedSpace,
     default_hplus_weights,
-    make_dual_space,
     duality_residual,
     embedding_residual,
     estimate_c1,
@@ -41,7 +38,6 @@ from .scales import (
     g_norm,
     graded_tensor,
     lemma53_residual,
-    make_test_space,
     vage_ratio,
 )
 from .series import (

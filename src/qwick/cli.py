@@ -13,13 +13,21 @@ import sys
 
 import numpy as np
 
-from .fock import EIGENSOLVER_CAP, GradedVector, QContext, as_one_particle, basis_vector
-from .scales import NormScale, WeightedSpace, default_hplus_weights, f_dual_norm, g_norm, graded_tensor
+from .fock import (
+    EIGENSOLVER_CAP,
+    GradedVector,
+    QContext,
+    as_one_particle,
+    basis_vector,
+    json_value,
+)
+from .scales import default_hplus_weights, f_dual_norm, g_norm, graded_tensor
 from .series import wick_exp, wick_inverse
 from .suites import SUITE_NAMES, Report, RunConfig, run_suite
 from .wick import MAX_MOMENT_ORDER, moments
 
 COMPUTE_COMMANDS = ("moments", "wick-mul", "wick-inv", "wick-exp", "norm")
+CONFIG_KEYS = ("q", "dim", "max_degree", "trials", "seed", "scales")
 
 
 def _json_out(data: dict | list, path: str | None, allow_nan: bool = False) -> None:
@@ -48,32 +56,26 @@ def _parse_scales(text: str) -> tuple[tuple[float, float, float], ...]:
     return tuple(_scale_pair(chunk.split(":")) for chunk in text.split(","))
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _numbers(value, what: str) -> list:
+    """A flat JSON list of numbers."""
+    return [json_value(x, float, f"{what} entry") for x in json_value(value, list, what)]
 
 
 def _config_file(path: str) -> dict:
     """The settings of a JSON config file, with the types the flags give."""
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
+    data = json_value(_load_json(path), dict, "config file")
+    unknown = sorted(set(data) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r}; known: {', '.join(CONFIG_KEYS)}")
     settings: dict = {}
     for key in ("dim", "max_degree", "trials", "seed"):
         if key in data:
-            if not (_is_real(data[key]) and isinstance(data[key], int)):
-                raise ValueError(f"config {key} must be an integer, got {data[key]!r}")
-            settings[key] = data[key]
+            settings[key] = json_value(data[key], int, f"config {key}")
     if "q" in data:
-        if not _is_real(data["q"]):
-            raise ValueError(f"config q must be a number, got {data['q']!r}")
-        settings["q"] = float(data["q"])
+        settings["q"] = float(json_value(data["q"], float, "config q"))
     if "scales" in data:
-        scales = data["scales"]
-        if not isinstance(scales, list) or not all(
-            isinstance(pair, list) and all(map(_is_real, pair)) for pair in scales
-        ):
-            raise ValueError(f"config scales must be a list of number lists, got {scales!r}")
-        settings["scales"] = tuple(map(_scale_pair, scales))
+        pairs = json_value(data["scales"], list, "config scales")
+        settings["scales"] = tuple(_scale_pair(_numbers(p, "config scale pair")) for p in pairs)
     return settings
 
 
@@ -123,7 +125,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
         raise ValueError(f"--order must be in 0..{MAX_MOMENT_ORDER}, got {args.order}")
     dim, phi = args.dim, None
     if args.phi:
-        phi = np.asarray(_load_json(args.phi), dtype=float).reshape(-1)
+        phi = np.asarray(_numbers(_load_json(args.phi), "--phi"), dtype=float)
         dim = phi.size
     ctx = QContext(args.q, dim, max(1, (args.order + 1) // 2))
     if dim ** (args.order // 2) > EIGENSOLVER_CAP:
@@ -172,10 +174,13 @@ def _cmd_wick_exp(args: argparse.Namespace) -> int:
 
 def _cmd_norm(args: argparse.Namespace) -> int:
     vec = GradedVector.from_json_dict(_load_json(args.input))
-    scale = NormScale(args.r, args.alpha, args.weight_base, args.side)
     weights = default_hplus_weights(vec.ctx.dim) if args.weights == "default" else None
-    space = WeightedSpace(vec.ctx, scale, weights)
-    value = g_norm(vec, space) if args.side == "test" else f_dual_norm(vec, space)
+    if args.side == "test":
+        value = g_norm(vec, args.r, args.alpha, weights, args.weight_base)
+    elif args.weight_base != "abs_q":
+        raise ValueError("the dual side uses the abs_q weight base")
+    else:
+        value = f_dual_norm(vec, args.r, args.alpha, weights)
     if not math.isfinite(value):
         raise ValueError(f"norm is not finite: {value!r}")
     print(repr(value))

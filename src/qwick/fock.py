@@ -39,12 +39,11 @@ MATRIX_CACHE_CAP = 512
 
 @dataclass(frozen=True)
 class QContext:
-    """Deformation parameter, one-particle dimension, truncation degree, tolerance."""
+    """Deformation parameter, one-particle dimension, truncation degree."""
 
     q: float
     dim: int
     max_degree: int
-    tol: float = 1e-12
 
     def __post_init__(self):
         check_deformation(self.q)
@@ -52,8 +51,23 @@ class QContext:
             raise ValueError("dim must be at least 1")
         if self.max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+
+
+_JSON_TYPES = {
+    int: ("an integer", int),
+    float: ("a number", (int, float)),
+    list: ("a list", list),
+    dict: ("an object", dict),
+}
+
+
+def json_value(value, kind: type, what: str):
+    """value when it has the JSON type kind (int, float for any number, list
+    or dict; a bool is not a number), else a ValueError naming what."""
+    name, types = _JSON_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{what} must be {name}, got {type(value).__name__}")
+    return value
 
 
 def as_one_particle(phi, dim: int) -> np.ndarray:
@@ -123,12 +137,9 @@ class GradedVector:
         return cls(ctx, {})
 
     @classmethod
-    def random(cls, ctx: QContext, rng: np.random.Generator, degrees=None) -> "GradedVector":
+    def random(cls, ctx: QContext, rng: np.random.Generator) -> "GradedVector":
         """Independent standard-normal entries in every degree up to the cutoff."""
-        if degrees is None:
-            degrees = range(ctx.max_degree + 1)
-        comps = {n: rng.standard_normal(ctx.dim**n) for n in degrees}
-        return cls(ctx, comps)
+        return cls(ctx, {n: rng.standard_normal(ctx.dim**n) for n in range(ctx.max_degree + 1)})
 
     def component(self, n: int) -> np.ndarray:
         if n in self.components:
@@ -182,14 +193,19 @@ class GradedVector:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
-    def from_json_dict(cls, data: dict, tol: float = 1e-12) -> "GradedVector":
-        ctx = QContext(data["q"], int(data["dim"]), int(data["max_degree"]), tol)
-        comps = {int(n): np.asarray(arr, dtype=float) for n, arr in data["components"].items()}
-        return cls(ctx, comps)
+    def from_json_dict(cls, data: dict) -> "GradedVector":
+        data = json_value(data, dict, "vector file")
+        ctx = QContext(
+            json_value(data["q"], float, "vector q"),
+            json_value(data["dim"], int, "vector dim"),
+            json_value(data["max_degree"], int, "vector max_degree"),
+        )
+        components = json_value(data["components"], dict, "vector components")
+        return cls(ctx, {int(n): np.asarray(arr, dtype=float) for n, arr in components.items()})
 
     @classmethod
-    def from_json(cls, text: str, tol: float = 1e-12) -> "GradedVector":
-        return cls.from_json_dict(json.loads(text), tol)
+    def from_json(cls, text: str) -> "GradedVector":
+        return cls.from_json_dict(json.loads(text))
 
 
 def require_same_context(f: GradedVector, g: GradedVector) -> None:
@@ -369,13 +385,13 @@ def vector_to_flat(f: GradedVector) -> np.ndarray:
     return flat
 
 
-def _operator_matrix(ctx: QContext, max_total_dim: int, shift: int, kernel) -> np.ndarray:
+def _operator_matrix(ctx: QContext, shift: int, kernel) -> np.ndarray:
     """Dense matrix of an operator that maps degree n to n + shift, from
     kernel(n, columns) applied to the identity columns of every degree."""
     offsets = degree_offsets(ctx)
     size = offsets[-1]
-    if size > max_total_dim:
-        raise ValueError(f"truncated space dimension {size} exceeds cap {max_total_dim}")
+    if size > EIGENSOLVER_CAP:
+        raise ValueError(f"truncated space dimension {size} exceeds cap {EIGENSOLVER_CAP}")
     mat = np.zeros((size, size))
     for n in range(ctx.max_degree + 1):
         m = n + shift
@@ -385,34 +401,28 @@ def _operator_matrix(ctx: QContext, max_total_dim: int, shift: int, kernel) -> n
     return mat
 
 
-def creation_matrix(phi, ctx: QContext, max_total_dim: int = EIGENSOLVER_CAP) -> np.ndarray:
+def creation_matrix(phi, ctx: QContext) -> np.ndarray:
     phi = as_one_particle(phi, ctx.dim)
-    return _operator_matrix(ctx, max_total_dim, 1, lambda n, cols: tensor_product(phi, cols))
+    return _operator_matrix(ctx, 1, lambda n, cols: tensor_product(phi, cols))
 
 
-def annihilation_matrix(phi, ctx: QContext, max_total_dim: int = EIGENSOLVER_CAP) -> np.ndarray:
+def annihilation_matrix(phi, ctx: QContext) -> np.ndarray:
     phi = as_one_particle(phi, ctx.dim)
-    return _operator_matrix(
-        ctx, max_total_dim, -1, lambda n, cols: contract(phi, cols, n, ctx.q)
-    )
+    return _operator_matrix(ctx, -1, lambda n, cols: contract(phi, cols, n, ctx.q))
 
 
-def field_matrix(phi, ctx: QContext, max_total_dim: int = EIGENSOLVER_CAP) -> np.ndarray:
+def field_matrix(phi, ctx: QContext) -> np.ndarray:
     """Matrix of creation + annihilation by phi in the monomial basis.
 
     Self-adjointness is with respect to the twisted scalar product, not the
     Euclidean one: G^T P = P G where P is the block-diagonal Gram matrix.
     """
-    return creation_matrix(phi, ctx, max_total_dim) + annihilation_matrix(
-        phi, ctx, max_total_dim
-    )
+    return creation_matrix(phi, ctx) + annihilation_matrix(phi, ctx)
 
 
-def gram_matrix(ctx: QContext, max_total_dim: int = EIGENSOLVER_CAP) -> np.ndarray:
+def gram_matrix(ctx: QContext) -> np.ndarray:
     """Block-diagonal matrix of the twisted scalar product on degrees 0..N."""
-    return _operator_matrix(
-        ctx, max_total_dim, 0, lambda n, cols: symmetrize(cols, n, ctx.dim, ctx.q)
-    )
+    return _operator_matrix(ctx, 0, lambda n, cols: symmetrize(cols, n, ctx.dim, ctx.q))
 
 
 def commutation_residual(phi, psi, ctx: QContext, swap_arguments: bool = True) -> float:
@@ -448,10 +458,10 @@ def commutation_residual(phi, psi, ctx: QContext, swap_arguments: bool = True) -
     return worst
 
 
-def pq_spectrum(n: int, ctx: QContext, cap: int = EIGENSOLVER_CAP) -> tuple[float, float]:
+def pq_spectrum(n: int, ctx: QContext) -> tuple[float, float]:
     """Extreme eigenvalues of the degree-n symmetrizer (a symmetric matrix)."""
     size = ctx.dim**n
-    if size > cap:
-        raise ValueError(f"eigensolver capped at dimension {cap}, got {size}")
+    if size > EIGENSOLVER_CAP:
+        raise ValueError(f"eigensolver capped at dimension {EIGENSOLVER_CAP}, got {size}")
     eigs = np.linalg.eigvalsh(symmetrize(np.eye(size), n, ctx.dim, ctx.q).T)
     return float(eigs[0]), float(eigs[-1])

@@ -97,12 +97,12 @@ def inversions(p: Permutation | Sequence[int]) -> int:
     return count
 
 
-def enumerate_permutations(n: int, cap: int = PERMUTATION_CAP) -> Iterator[Permutation]:
+def enumerate_permutations(n: int) -> Iterator[Permutation]:
     """All n! permutations of {1, ..., n}, lexicographic in the image tuple."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > cap:
-        raise ValueError(f"permutation enumeration capped at n <= {cap}, got {n}")
+    if n > PERMUTATION_CAP:
+        raise ValueError(f"permutation enumeration capped at n <= {PERMUTATION_CAP}, got {n}")
     return (Permutation(image) for image in itertools.permutations(range(1, n + 1)))
 
 
@@ -140,14 +140,12 @@ def shuffle_inversions(subset: ShuffleSubset) -> int:
     return sum(1 for j in comp for i in subset.positions if j < i)
 
 
-def enumerate_shuffles(
-    m: int, n: int, cap: int = PERMUTATION_CAP
-) -> Iterator[tuple[ShuffleSubset, int]]:
+def enumerate_shuffles(m: int, n: int) -> Iterator[tuple[ShuffleSubset, int]]:
     """All C(m+n, m) shuffle subsets with their inversion statistic."""
     if m < 0 or n < 0:
         raise ValueError("m and n must be nonnegative")
-    if m + n > cap:
-        raise ValueError(f"shuffle enumeration capped at m + n <= {cap}")
+    if m + n > PERMUTATION_CAP:
+        raise ValueError(f"shuffle enumeration capped at m + n <= {PERMUTATION_CAP}")
 
     def gen():
         for positions in itertools.combinations(range(1, m + n + 1), m):
@@ -157,7 +155,7 @@ def enumerate_shuffles(
     return gen()
 
 
-def macmahon_residual(m: int, n: int, q: float, cap: int = PERMUTATION_CAP) -> float:
+def macmahon_residual(m: int, n: int, q: float) -> float:
     """|sum over shuffles of |q|^inv  -  Gaussian binomial (m+n choose m) at |q||.
 
     The two sides agree identically; the residual measures only floating-point
@@ -165,7 +163,7 @@ def macmahon_residual(m: int, n: int, q: float, cap: int = PERMUTATION_CAP) -> f
     """
     aq = abs(check_deformation(q))
     total = 0.0
-    for _, inv in enumerate_shuffles(m, n, cap):
+    for _, inv in enumerate_shuffles(m, n):
         total += aq**inv
     return abs(total - q_binomial(m + n, m, aq))
 
@@ -187,13 +185,13 @@ def count_crossings(blocks: Sequence[tuple[int, int]]) -> int:
     return count
 
 
-def enumerate_pair_partitions(n: int, cap: int = PAIRING_CAP) -> Iterator[PairPartition]:
+def enumerate_pair_partitions(n: int) -> Iterator[PairPartition]:
     """All (2n-1)!! perfect matchings of {1, ..., 2n}, smallest-element first;
     the test oracle of `crossing_polynomial`."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if 2 * n > cap:
-        raise ValueError(f"pair-partition enumeration capped at 2n <= {cap}")
+    if 2 * n > PAIRING_CAP:
+        raise ValueError(f"pair-partition enumeration capped at 2n <= {PAIRING_CAP}")
 
     def rec(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
         if not points:

@@ -1,18 +1,23 @@
 """Weighted Hilbert scales around the truncated deformed Fock space.
 
-Test-side norms weight degree n by r^n ([n]_w!)^alpha on a weighted
-one-particle space (diagonal weights >= 1); dual-side norms measure the
-symmetrized tensor with reciprocal degree weights r^(-n) ([n]_|q|!)^(-alpha)
-and reciprocal one-particle weights.  The graded tensor product, the
-embedding/duality residuals, the tensor-bound constant, the shuffle-binomial
-bound, and the asymmetric submultiplicativity ratio live here.
+The scale of a norm is passed as plain arguments.  The test-side norm
+`g_norm(f, r, alpha, weights, weight_base)` weights degree n by
+r^n ([n]_w!)^alpha, with w = |q| (the default) or w = q, and measures each
+tensor with the diagonal one-particle weights (each >= 1; None is the plain
+Euclidean norm).  The dual-side norm `f_dual_norm(f, r, alpha, weights)`
+measures the symmetrized tensor with the reciprocal degree weights
+r^(-n) ([n]_|q|!)^(-alpha) and the reciprocal one-particle weights; its base
+is always |q|, since its factorial weights enter with a negative power and
+only the |q| family bounds the symmetrizer norm.  Both require r >= 1.  The
+graded tensor product, the embedding/duality residuals, the tensor-bound
+constant, the shuffle-binomial bound, and the asymmetric submultiplicativity
+ratio live here.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,65 +33,12 @@ from .fock import (
 )
 from .qcombinatorics import q_binomial, q_factorial
 
-TEST_SIDE = "test"
-DUAL_SIDE = "dual"
 WEIGHT_BASES = ("q", "abs_q")
-
-
-@dataclass(frozen=True)
-class NormScale:
-    """One member of the norm families: degree weights r^(+-n) ([n]_w!)^(+-alpha).
-
-    r is always stored >= 1; the dual side applies it reciprocally.  The dual
-    side always uses the |q| weight base (its factorial weights enter with a
-    negative power, and only the |q| family bounds the symmetrizer norm).
-    """
-
-    r: float
-    alpha: float
-    weight_base: str = "abs_q"
-    side: str = TEST_SIDE
-
-    def __post_init__(self):
-        if self.r < 1.0:
-            raise ValueError("scale parameter r must be >= 1")
-        if self.weight_base not in WEIGHT_BASES:
-            raise ValueError(f"weight_base must be one of {WEIGHT_BASES}")
-        if self.side not in (TEST_SIDE, DUAL_SIDE):
-            raise ValueError(f"side must be '{TEST_SIDE}' or '{DUAL_SIDE}'")
-        if self.side == DUAL_SIDE and self.weight_base != "abs_q":
-            raise ValueError("dual-side scales use the abs_q weight base")
-
-    def base_value(self, q: float) -> float:
-        return q if self.weight_base == "q" else abs(q)
 
 
 def default_hplus_weights(dim: int) -> np.ndarray:
     """The stock one-particle weight vector (1, 2, ..., d)."""
     return np.arange(1, dim + 1, dtype=float)
-
-
-@dataclass(frozen=True)
-class WeightedSpace:
-    """A norm scale together with optional diagonal one-particle weights.
-
-    Weights model the stronger one-particle norm on the test side; the dual
-    side uses their reciprocals.  None means the plain Euclidean norm.
-    """
-
-    ctx: QContext
-    scale: NormScale
-    hplus_weights: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.hplus_weights is not None:
-            w = np.asarray(self.hplus_weights, dtype=float).reshape(-1)
-            if w.shape != (self.ctx.dim,):
-                raise ValueError(f"weights must have length {self.ctx.dim}")
-            if not np.all(w >= 1.0):
-                raise ValueError("one-particle weights must be >= 1")
-            w.flags.writeable = False
-            object.__setattr__(self, "hplus_weights", w)
 
 
 @functools.lru_cache(maxsize=None)
@@ -98,56 +50,56 @@ def _weight_power(weights: tuple[float, ...], n: int) -> np.ndarray:
     return out
 
 
-def _weighted_norm_sq(t: np.ndarray, weights: np.ndarray | None, n: int, invert: bool) -> float:
+def _scale_args(f: GradedVector, r: float, weights, weight_base: str):
+    """Check the scale arguments both norms take; return the one-particle
+    weights as a tuple (None for the plain norm) and the factorial base."""
+    if not r >= 1.0:
+        raise ValueError(f"scale parameter r must be >= 1, got {r}")
+    if weight_base not in WEIGHT_BASES:
+        raise ValueError(f"weight_base must be one of {WEIGHT_BASES}")
+    base = f.ctx.q if weight_base == "q" else abs(f.ctx.q)
+    if weights is None:
+        return None, base
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    if w.shape != (f.ctx.dim,):
+        raise ValueError(f"weights must have length {f.ctx.dim}")
+    if not np.all(w >= 1.0):
+        raise ValueError("one-particle weights must be >= 1")
+    return tuple(w), base
+
+
+def _weighted_norm_sq(t: np.ndarray, weights: tuple | None, n: int, invert: bool) -> float:
     if weights is None:
         return float(t @ t)
-    w = _weight_power(tuple(weights), n)
+    w = _weight_power(weights, n)
     if invert:
         return float((t * t) @ (1.0 / w))
     return float((t * t) @ w)
 
 
-def g_norm(f: GradedVector, space: WeightedSpace) -> float:
+def g_norm(
+    f: GradedVector, r: float, alpha: float, weights=None, weight_base: str = "abs_q"
+) -> float:
     """Test-side norm: sqrt of sum over degrees of the weighted squared tensor
     norm times r^n ([n]_w!)^alpha."""
-    if space.scale.side != TEST_SIDE:
-        raise ValueError("g_norm needs a test-side scale")
-    if space.ctx != f.ctx:
-        raise ValueError("space and vector contexts differ")
-    ctx = f.ctx
-    base = space.scale.base_value(ctx.q)
+    weights, base = _scale_args(f, r, weights, weight_base)
     total = 0.0
     for n, comp in f.components.items():
-        weight = space.scale.r**n * q_factorial(n, base) ** space.scale.alpha
-        total += _weighted_norm_sq(comp, space.hplus_weights, n, invert=False) * weight
+        weight = r**n * q_factorial(n, base) ** alpha
+        total += _weighted_norm_sq(comp, weights, n, invert=False) * weight
     return float(math.sqrt(total))
 
 
-def f_dual_norm(f: GradedVector, space: WeightedSpace) -> float:
+def f_dual_norm(f: GradedVector, r: float, alpha: float, weights=None) -> float:
     """Dual-side norm: the symmetrized tensor measured with reciprocal
     one-particle weights, degree-weighted by r^(-n) ([n]_|q|!)^(-alpha)."""
-    if space.scale.side != DUAL_SIDE:
-        raise ValueError("f_dual_norm needs a dual-side scale")
-    if space.ctx != f.ctx:
-        raise ValueError("space and vector contexts differ")
-    ctx = f.ctx
-    aq = abs(ctx.q)
+    weights, aq = _scale_args(f, r, weights, "abs_q")
     total = 0.0
     for n, comp in f.components.items():
-        sym = apply_pq(n, comp, ctx)
-        weight = space.scale.r ** (-n) * q_factorial(n, aq) ** (-space.scale.alpha)
-        total += _weighted_norm_sq(sym, space.hplus_weights, n, invert=True) * weight
+        sym = apply_pq(n, comp, f.ctx)
+        weight = r ** (-n) * q_factorial(n, aq) ** (-alpha)
+        total += _weighted_norm_sq(sym, weights, n, invert=True) * weight
     return float(math.sqrt(total))
-
-
-def make_dual_space(ctx: QContext, r: float, alpha: float, hplus_weights=None) -> WeightedSpace:
-    return WeightedSpace(ctx, NormScale(r, alpha, "abs_q", DUAL_SIDE), hplus_weights)
-
-
-def make_test_space(
-    ctx: QContext, r: float, alpha: float, weight_base: str = "abs_q", hplus_weights=None
-) -> WeightedSpace:
-    return WeightedSpace(ctx, NormScale(r, alpha, weight_base, TEST_SIDE), hplus_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -175,27 +127,27 @@ def graded_tensor(f: GradedVector, g: GradedVector) -> GradedVector:
 # ---------------------------------------------------------------------------
 
 
-def embedding_residual(f: GradedVector, space: WeightedSpace) -> float:
+def embedding_residual(
+    f: GradedVector, r: float, alpha: float, weights=None, weight_base: str = "abs_q"
+) -> float:
     """max(0, plain twisted norm - test-side norm); zero whenever the scale
     dominates the center space.
 
-    Requires alpha >= 1 and r >= max(1, (1 + w)^(1 - alpha)) for the scale's
-    weight base w.  With the q base and q < 0 the embedding can genuinely
-    fail on antisymmetric tensors even under this precondition; callers probe
-    that as a finding, not a bug.
+    Requires alpha >= 1 and r >= max(1, (1 + w)^(1 - alpha)) for the weight
+    base w.  With the q base and q < 0 the embedding can genuinely fail on
+    antisymmetric tensors even under this precondition; callers probe that as
+    a finding, not a bug.
     """
-    if space.scale.side != TEST_SIDE:
-        raise ValueError("embedding check needs a test-side scale")
-    if space.scale.alpha < 1.0:
+    _, base = _scale_args(f, r, weights, weight_base)
+    if not alpha >= 1.0:
         raise ValueError("embedding check requires alpha >= 1")
-    base = space.scale.base_value(f.ctx.q)
-    r_min = max(1.0, (1.0 + base) ** (1.0 - space.scale.alpha))
-    if space.scale.r < r_min - 1e-15:
+    r_min = max(1.0, (1.0 + base) ** (1.0 - alpha))
+    if r < r_min - 1e-15:
         raise ValueError(
             f"embedding check requires r >= max(1, (1+w)^(1-alpha)) = {r_min:.6g}, "
-            f"got r = {space.scale.r}"
+            f"got r = {r}"
         )
-    return max(0.0, fock_norm(f) - g_norm(f, space))
+    return max(0.0, fock_norm(f) - g_norm(f, r, alpha, weights, weight_base))
 
 
 def estimate_c1(r: float, s: float, alpha: float, ctx: QContext) -> float:
@@ -212,7 +164,7 @@ def estimate_c1(r: float, s: float, alpha: float, ctx: QContext) -> float:
     """
     if not 1.0 <= r < s:
         raise ValueError("requires 1 <= r < s")
-    if alpha < 1.0:
+    if not alpha >= 1.0:
         raise ValueError("requires alpha >= 1")
     r1 = (r + s) / 2.0
     z = (r1 / s) ** (1.0 / alpha)
@@ -274,72 +226,47 @@ def lemma53_residual(f, g, ctx: QContext, m: int | None = None, n: int | None = 
     return max(0.0, lhs - rhs)
 
 
-def vage_ratio(
-    f: GradedVector,
-    g: GradedVector,
-    r: float,
-    s: float,
-    ctx: QContext,
-    hplus_weights=None,
-    check: bool = True,
-) -> tuple[float, float]:
+def vage_ratio(f: GradedVector, g: GradedVector, r: float, s: float) -> tuple[float, float]:
     """Asymmetric submultiplicativity on the dual scale at exponent -2:
 
         ||F (x) G||_r  <=  sqrt(r / (r - s)) ||F||_s ||G||_r,   r > s >= 1,
 
     where the subscript is the reciprocal degree-weight parameter.  Returns
-    (ratio, bound); with check=True a violated bound raises.
+    (ratio, bound); the caller compares them.
     """
     if not s >= 1.0 or not r > s:
         raise ValueError("requires r > s >= 1")
-    space_r = make_dual_space(ctx, r, 2.0, hplus_weights)
-    space_s = make_dual_space(ctx, s, 2.0, hplus_weights)
-    denom = f_dual_norm(f, space_s) * f_dual_norm(g, space_r)
+    denom = f_dual_norm(f, s, 2.0) * f_dual_norm(g, r, 2.0)
     if denom == 0.0:
         raise ValueError("zero denominator: both factors must be nonzero")
-    ratio = f_dual_norm(graded_tensor(f, g), space_r) / denom
-    bound = math.sqrt(r / (r - s))
-    if check and ratio > bound + 1e-9:
-        raise ValueError(
-            f"submultiplicativity bound violated: ratio {ratio} > bound {bound}"
-        )
-    return float(ratio), float(bound)
+    ratio = f_dual_norm(graded_tensor(f, g), r, 2.0) / denom
+    return float(ratio), float(math.sqrt(r / (r - s)))
 
 
-def duality_residual(
-    f_test: GradedVector,
-    g_dual: GradedVector,
-    r: float,
-    alpha: float,
-    ctx: QContext,
-    hplus_weights=None,
-) -> float:
+def duality_residual(f_test: GradedVector, g_dual: GradedVector, r: float, alpha: float) -> float:
     """max(0, |twisted pairing| - test norm * dual norm) for the matched pair
-    of scales (r, alpha) on the |q| base with reciprocal one-particle weights;
-    expected zero because the dual norm is exactly the operator dual."""
-    if alpha < 1.0 or r < 1.0:
-        raise ValueError("requires alpha >= 1 and r >= 1")
-    if hplus_weights is None:
-        hplus_weights = default_hplus_weights(ctx.dim)
-    test = make_test_space(ctx, r, alpha, "abs_q", hplus_weights)
-    dual = make_dual_space(ctx, r, alpha, hplus_weights)
-    pairing = abs(q_inner(f_test, g_dual))
-    return max(0.0, pairing - g_norm(f_test, test) * f_dual_norm(g_dual, dual))
+    of scales (r, alpha) on the |q| base with the default one-particle weights
+    and their reciprocals; expected zero because the dual norm is exactly the
+    operator dual."""
+    if not alpha >= 1.0:
+        raise ValueError("requires alpha >= 1")
+    weights = default_hplus_weights(f_test.ctx.dim)
+    product = g_norm(f_test, r, alpha, weights) * f_dual_norm(g_dual, r, alpha, weights)
+    return max(0.0, abs(q_inner(f_test, g_dual)) - product)
 
 
-def saturating_dual_partner(
-    f_test: GradedVector, r: float, alpha: float, ctx: QContext, hplus_weights=None
-) -> GradedVector:
+def saturating_dual_partner(f_test: GradedVector, r: float, alpha: float) -> GradedVector:
     """The dual vector that turns the duality bound into an equality for the
-    given test vector: degree by degree, scale-weight the one-particle-weighted
-    tensor and pull it back through the symmetrizer (a dense solve against the
-    kernel applied to identity columns)."""
-    if hplus_weights is None:
-        hplus_weights = default_hplus_weights(ctx.dim)
+    given test vector under the default one-particle weights: degree by
+    degree, scale-weight the one-particle-weighted tensor and pull it back
+    through the symmetrizer (a dense solve against the kernel applied to
+    identity columns)."""
+    ctx = f_test.ctx
+    weights = tuple(default_hplus_weights(ctx.dim))
     aq = abs(ctx.q)
     comps: dict[int, np.ndarray] = {}
     for n, comp in f_test.components.items():
-        weighted = comp * _weight_power(tuple(hplus_weights), n)
+        weighted = comp * _weight_power(weights, n)
         scale = r**n * q_factorial(n, aq) ** alpha
         pq = symmetrize(np.eye(ctx.dim**n), n, ctx.dim, ctx.q).T
         comps[n] = scale * np.linalg.solve(pq, weighted)

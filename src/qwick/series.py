@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 
 from .fock import GradedVector
-from .scales import f_dual_norm, graded_tensor, make_dual_space
+from .scales import f_dual_norm, graded_tensor
 
+TAIL_TOL = 1e-12  # a series stops once its certified tail bound drops below this
 R_GRID_FACTORS = (1.1, 1.25, 1.5, 2.0, 4.0, 8.0)
 CONTRACTION_MARGIN = 0.99
 SCALE_CAP = 2.0**20
@@ -89,12 +90,7 @@ def wick_power(f: GradedVector, n: int) -> GradedVector:
     return out
 
 
-def certify_radius(
-    f: GradedVector,
-    spec: SeriesSpec,
-    s: float = 1.0,
-    hplus_weights=None,
-) -> ConvergenceCertificate:
+def certify_radius(f: GradedVector, spec: SeriesSpec, s: float = 1.0) -> ConvergenceCertificate:
     """Find a scale pair under which the power series of f converges.
 
     Grows s geometrically until the s-scale norm drops inside the radius and
@@ -102,8 +98,8 @@ def certify_radius(
     margin; the vacuum component must already be inside the radius or no
     amount of smoothing helps.
     """
-    if s < 1.0:
-        raise ValueError("requires s >= 1")
+    if not s >= 1.0:
+        raise ValueError(f"requires s >= 1, got {s}")
     vacuum_part = abs(float(f.component(0)[0]))
     if not vacuum_part < spec.radius:
         raise ValueError(
@@ -111,7 +107,7 @@ def certify_radius(
             f"the convergence radius: |{vacuum_part}| >= {spec.radius}"
         )
     while s <= SCALE_CAP:
-        norm_s = f_dual_norm(f, make_dual_space(f.ctx, s, 2.0, hplus_weights))
+        norm_s = f_dual_norm(f, s, 2.0)
         if norm_s < spec.radius:
             for factor in R_GRID_FACTORS:
                 r = s * factor
@@ -137,58 +133,39 @@ def _tail_bound(spec: SeriesSpec, cert: ConvergenceCertificate, after: int) -> f
     return c * ratio ** (after + 1) / (1.0 - ratio)
 
 
-def wick_series(
-    f: GradedVector,
-    spec: SeriesSpec,
-    cert: ConvergenceCertificate,
-    tol: float | None = None,
-    max_terms: int | None = None,
-) -> GradedVector:
+def wick_series(f: GradedVector, spec: SeriesSpec, cert: ConvergenceCertificate) -> GradedVector:
     """Sum a_n f^(x n), stopping once the certified geometric tail bound
-    drops below tol (or the supplied coefficients are exhausted, which makes
-    the sum exact)."""
-    tol = f.ctx.tol if tol is None else tol
+    drops below TAIL_TOL (or the supplied coefficients are exhausted, which
+    makes the sum exact)."""
     result = GradedVector.zero(f.ctx)
     power = GradedVector.vacuum(f.ctx)
     for n, a in enumerate(spec.coefficients):
-        if max_terms is not None and n >= max_terms:
-            if _tail_bound(spec, cert, n - 1) >= tol:
-                raise ValueError(
-                    f"tail bound did not reach {tol} within {max_terms} terms"
-                )
-            break
         if n > 0:
             power = graded_tensor(power, f)
         if a != 0.0:
             result = result + power.scale(a)
-        if _tail_bound(spec, cert, n) < tol:
+        if _tail_bound(spec, cert, n) < TAIL_TOL:
             break
     return result
 
 
-def wick_exp(
-    f: GradedVector,
-    s: float = 1.0,
-    tol: float | None = None,
-    hplus_weights=None,
-) -> GradedVector:
+def wick_exp(f: GradedVector, s: float = 1.0) -> GradedVector:
     """sum f^(x n) / n! to the tail tolerance; any finite radius certifies the
     exponential, so take norm_s + 1."""
-    if s < 1.0:
-        raise ValueError("requires s >= 1")
-    tol = f.ctx.tol if tol is None else tol
-    norm_s = f_dual_norm(f, make_dual_space(f.ctx, s, 2.0, hplus_weights))
+    if not s >= 1.0:
+        raise ValueError(f"requires s >= 1, got {s}")
+    norm_s = f_dual_norm(f, s, 2.0)
     radius = norm_s + 1.0
     # enough factorial coefficients that the certified tail is already tiny:
     # sum_{n > M} b^n / n! <= b^(M+1)/(M+1)! * e^b for the contraction bound b
     b = radius  # the per-term bound never exceeds the radius itself
     terms = 1
     tail = b * math.exp(b)
-    while tail >= tol * 1e-3 and terms < 400:
+    while tail >= TAIL_TOL * 1e-3 and terms < 400:
         terms += 1
         tail *= b / terms
-    if tail >= tol * 1e-3:
-        raise ValueError(f"tail bound did not reach {tol} within 400 terms")
+    if tail >= TAIL_TOL * 1e-3:
+        raise ValueError(f"tail bound did not reach {TAIL_TOL} within 400 terms")
     coeffs = []
     fact = 1.0
     for n in range(terms + 1):
@@ -196,8 +173,7 @@ def wick_exp(
             fact *= n
         coeffs.append(1.0 / fact)
     spec = SeriesSpec(tuple(coeffs), radius)
-    cert = certify_radius(f, spec, s, hplus_weights)
-    return wick_series(f, spec, cert, tol=tol)
+    return wick_series(f, spec, certify_radius(f, spec, s))
 
 
 def wick_inverse(f: GradedVector) -> GradedVector:

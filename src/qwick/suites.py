@@ -43,7 +43,6 @@ from .qcombinatorics import (
 )
 from .scales import (
     default_hplus_weights,
-    make_dual_space,
     duality_residual,
     embedding_residual,
     estimate_c1,
@@ -52,7 +51,6 @@ from .scales import (
     graded_tensor,
     lemma53_residual,
     saturating_dual_partner,
-    make_test_space,
     vage_ratio,
 )
 from .series import SeriesSpec, certify_radius, wick_inverse, wick_series
@@ -90,10 +88,10 @@ class RunConfig:
         if self.trials < 1:
             raise ValueError("config requires trials >= 1")
         for r, s, alpha in self.scales:
-            if not (r > s >= 1.0):
-                raise ValueError(f"scale pair must satisfy r > s >= 1, got ({r}, {s})")
-            if not alpha >= 1.0:
-                raise ValueError("scale exponent alpha must be >= 1")
+            if not math.inf > r > s >= 1.0:
+                raise ValueError(f"scale pair must satisfy inf > r > s >= 1, got ({r}, {s})")
+            if not math.inf > alpha >= 1.0:
+                raise ValueError(f"scale exponent alpha must be finite and >= 1, got {alpha}")
 
     def context(self, max_degree: int | None = None) -> QContext:
         return QContext(
@@ -421,9 +419,8 @@ def _hermite(ctx: QContext, tolerance: float) -> tuple[list[float], dict, tuple]
 
 def _embedding(ctx: QContext, rng: np.random.Generator) -> float:
     """The |q|-weighted test scale dominates the center norm."""
-    space = make_test_space(ctx, 1.0, 2.0, "abs_q", default_hplus_weights(ctx.dim))
     f = GradedVector.random(ctx, rng)
-    return embedding_residual(f, space) / max(1.0, fock_norm(f))
+    return embedding_residual(f, 1.0, 2.0, default_hplus_weights(ctx.dim)) / max(1.0, fock_norm(f))
 
 
 def _embedding_findings(ctx: QContext, draw) -> tuple[dict, tuple]:
@@ -434,8 +431,8 @@ def _embedding_findings(ctx: QContext, draw) -> tuple[dict, tuple]:
     anti = np.zeros(ctx.dim**2)
     anti[1] = 1.0
     anti[ctx.dim] = -1.0
-    plain = make_test_space(ctx, max(1.0, 1.0 / (1.0 + ctx.q)), 2.0, "q", None)
-    residual = embedding_residual(GradedVector(ctx, {2: anti}), plain)
+    r = max(1.0, 1.0 / (1.0 + ctx.q))
+    residual = embedding_residual(GradedVector(ctx, {2: anti}), r, 2.0, weight_base="q")
     return {"plain_q_weight_failure_residual": residual}, ()
 
 
@@ -461,14 +458,12 @@ def _theorem43_pair(ctx: QContext, big: float, small: float, alpha: float):
     r, s = small, big
     c1 = estimate_c1(r, s, alpha, ctx)
     weights = default_hplus_weights(ctx.dim)
-    space_r = make_test_space(ctx, r, alpha, "abs_q", weights)
-    space_s = make_test_space(ctx, s, alpha, "abs_q", weights)
 
     def trial(ctx: QContext, rng: np.random.Generator) -> float:
         f = GradedVector.random(ctx, rng)
         g = GradedVector.random(ctx, rng)
-        denom = g_norm(f, space_s) * g_norm(g, space_s)
-        return g_norm(graded_tensor(f, g), space_r) / denom
+        denom = g_norm(f, s, alpha, weights) * g_norm(g, s, alpha, weights)
+        return g_norm(graded_tensor(f, g), r, alpha, weights) / denom
 
     return f"theorem43:{r}", {"r": r, "s": s, "alpha": alpha, "c1": c1}, c1, trial
 
@@ -480,7 +475,7 @@ def _vage_pair(ctx: QContext, r: float, s: float, alpha: float):
     def trial(ctx: QContext, rng: np.random.Generator) -> float:
         f = GradedVector.random(ctx, rng)
         g = GradedVector.random(ctx, rng)
-        ratio, _ = vage_ratio(f, g, r, s, ctx, check=False)
+        ratio, _ = vage_ratio(f, g, r, s)
         return ratio
 
     return f"vage:{r}:{s}", {"r": r, "s": s, "bound": bound}, bound, trial
@@ -489,30 +484,24 @@ def _vage_pair(ctx: QContext, r: float, s: float, alpha: float):
 DUALITY_R, DUALITY_ALPHA = 2.0, 2.0
 
 
-def _duality_spaces(ctx: QContext):
-    weights = default_hplus_weights(ctx.dim)
-    return (
-        make_test_space(ctx, DUALITY_R, DUALITY_ALPHA, "abs_q", weights),
-        make_dual_space(ctx, DUALITY_R, DUALITY_ALPHA, weights),
-    )
-
-
 def _duality(ctx: QContext, rng: np.random.Generator) -> float:
     """The dual-scale norm is the exact operator dual of the test norm."""
-    test, dual = _duality_spaces(ctx)
+    weights = default_hplus_weights(ctx.dim)
     f = GradedVector.random(ctx, rng)
     g = GradedVector.random(ctx, rng)
-    product = g_norm(f, test) * f_dual_norm(g, dual)
-    return duality_residual(f, g, DUALITY_R, DUALITY_ALPHA, ctx) / max(1.0, product)
+    test_norm = g_norm(f, DUALITY_R, DUALITY_ALPHA, weights)
+    product = test_norm * f_dual_norm(g, DUALITY_R, DUALITY_ALPHA, weights)
+    return duality_residual(f, g, DUALITY_R, DUALITY_ALPHA) / max(1.0, product)
 
 
 def _duality_findings(ctx: QContext, draw) -> tuple[dict, tuple]:
     """One saturating pair: the bound is attained, not merely respected."""
-    test, dual = _duality_spaces(ctx)
+    weights = default_hplus_weights(ctx.dim)
     f = GradedVector.random(ctx, draw("saturate"))
-    partner = saturating_dual_partner(f, DUALITY_R, DUALITY_ALPHA, ctx)
+    partner = saturating_dual_partner(f, DUALITY_R, DUALITY_ALPHA)
     pairing = abs(q_inner(f, partner))
-    product = g_norm(f, test) * f_dual_norm(partner, dual)
+    test_norm = g_norm(f, DUALITY_R, DUALITY_ALPHA, weights)
+    product = test_norm * f_dual_norm(partner, DUALITY_R, DUALITY_ALPHA, weights)
     saturation_gap = abs(pairing - product) / product
     return {"saturation_gap": saturation_gap}, ((saturation_gap, 1e-9),)
 
@@ -549,17 +538,15 @@ GEOMETRIC_SERIES = SeriesSpec((1.0,) * 40, 1.0)
 def _series(ctx: QContext, rng: np.random.Generator) -> float:
     """Radius certification and geometric decay of certified power series."""
     f = GradedVector.random(ctx, rng)
-    norm = f_dual_norm(f, make_dual_space(ctx, 1.0, 2.0))
-    f = f.scale(0.5 / norm)  # s-scale norm 0.5 against radius 1
+    f = f.scale(0.5 / f_dual_norm(f, 1.0, 2.0))  # s-scale norm 0.5 against radius 1
     cert = certify_radius(f, GEOMETRIC_SERIES, 1.0)
     if not (cert.contraction < 1.0 and cert.r > cert.s / (1.0 - (cert.norm_s / 1.0) ** 2)):
         return math.inf
-    space_r = make_dual_space(ctx, cert.r, 2.0)
     worst = 0.0
     power = GradedVector.vacuum(ctx)
     for n in range(1, 9):
         power = graded_tensor(power, f)
-        worst = max(worst, f_dual_norm(power, space_r) / cert.contraction**n - 1.0)
+        worst = max(worst, f_dual_norm(power, cert.r, 2.0) / cert.contraction**n - 1.0)
     # the identity series must reproduce its argument exactly
     identity = wick_series(f, SeriesSpec((0.0, 1.0), 1.0), cert)
     if (identity - f).max_abs() != 0.0:

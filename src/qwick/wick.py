@@ -266,22 +266,22 @@ def _wick_monomial_rec(vecs: list[np.ndarray], q: float) -> WickPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def apply_word(word: NormalWord, f: GradedVector, strict: bool = False) -> GradedVector:
+def apply_word(word: NormalWord, f: GradedVector) -> GradedVector:
     """Compose the word's operators right to left (annihilators first)."""
     current = f
     for g in reversed(word.annihilators):
         current = annihilate(np.asarray(g), current)
     for phi in reversed(word.creators):
-        current = create(np.asarray(phi), current, strict=strict)
+        current = create(np.asarray(phi), current)
     return current
 
 
-def apply_to_fock(p: WickPolynomial, f: GradedVector, strict: bool = False) -> GradedVector:
+def apply_to_fock(p: WickPolynomial, f: GradedVector) -> GradedVector:
     """Evaluate the polynomial as an operator (ordinary products, no Wick
     factor) on a graded vector."""
     out = GradedVector.zero(f.ctx)
     for w, c in p.terms.items():
-        out = out + apply_word(w, f, strict=strict).scale(c)
+        out = out + apply_word(w, f).scale(c)
     return out
 
 

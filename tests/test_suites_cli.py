@@ -132,7 +132,7 @@ def test_scale_trial_indices_continue_across_pairs():
         rng = _trial_rng(4, "vage:4.0:1.0", i)
         f = GradedVector.random(ctx, rng)
         g = GradedVector.random(ctx, rng)
-        ratios.append(vage_ratio(f, g, 4.0, 1.0, ctx, check=False)[0])
+        ratios.append(vage_ratio(f, g, 4.0, 1.0)[0])
     assert max(ratios) == report.params["per_scale"][1]["max_ratio"]
     bound = math.sqrt(4.0 / 3.0)
     assert report.trial_values[3:5] == [max(0.0, ratio - bound) for ratio in ratios]
@@ -304,6 +304,7 @@ def test_cli_bad_input_file_is_config_error(tmp_path, capsys):
         (["compute", "moments", "--order", "41"], "--order"),
         (["compute", "moments", "--order", "-1"], "--order"),
         (["compute", "moments", "--dim", "3", "--order", "18"], "--order 18 at dim 3"),
+        (["verify", "--suite", "vage", "--scales", "inf:1"], "inf > r > s >= 1"),
     ),
 )
 def test_cli_precondition_fails_before_output(argv, message, capsys):
@@ -344,10 +345,30 @@ def test_cli_wick_exp_names_its_scale_parameter(tmp_path, capsys):
 
     zpath = tmp_path / "z.json"
     zpath.write_text(GradedVector(QContext(0.3, 1, 3), {1: [0.5]}).to_json())
-    assert cli.main(["compute", "wick-exp", str(zpath), "--s", "0.5"]) == 2
+    for s in ("0.5", "nan"):
+        assert cli.main(["compute", "wick-exp", str(zpath), "--s", s]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"requires s >= 1, got {s}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    (
+        pytest.param(["--side", "dual", "--weight-base", "q"], "abs_q", id="dual-q-base"),
+        pytest.param(["--side", "dual", "--r", "nan"], "r must be >= 1", id="dual-nan-r"),
+        pytest.param(["--side", "test", "--r", "nan"], "r must be >= 1", id="test-nan-r"),
+    ),
+)
+def test_cli_norm_scale_preconditions(flags, message, tmp_path, capsys):
+    from qwick.fock import GradedVector, QContext
+
+    path = tmp_path / "f.json"
+    path.write_text(GradedVector.vacuum(QContext(0.5, 2, 3)).to_json())
+    assert cli.main(["compute", "norm", str(path), *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "s >= 1" in captured.err
+    assert captured.err.startswith("error:") and message in captured.err
 
 
 @pytest.mark.parametrize("operation", (["wick-inv"], ["norm", "--side", "dual"]))

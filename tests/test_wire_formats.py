@@ -78,10 +78,10 @@ def test_series_spec_round_trip_is_bit_exact(coefficients, radius):
     assert _bits([again.radius]) == _bits([spec.radius])
 
 
-FAULTS = ("length", "degree", "entry")
+FAULTS = ("length", "degree", "entry", "dim", "max_degree", "q", "components", "object")
 
 
-def _corrupt(data: dict, fault: str, bad_entry: float) -> dict:
+def _corrupt(data: dict, fault: str, bad_entry: float):
     dim, max_degree = data["dim"], data["max_degree"]
     components = data["components"]
     if fault == "length":
@@ -90,8 +90,19 @@ def _corrupt(data: dict, fault: str, bad_entry: float) -> dict:
     elif fault == "degree":
         n = max_degree + 1
         components[str(n)] = [0.5] * dim**n
-    else:
+    elif fault == "entry":
         components["0"] = [bad_entry]
+    # header faults: a truncating int() once read 2.7 as 2 and true as 1
+    elif fault == "dim":
+        data["dim"] = True if dim == 1 else dim + 0.7
+    elif fault == "max_degree":
+        data["max_degree"] = max_degree + 0.9
+    elif fault == "q":
+        data["q"] = str(data["q"])
+    elif fault == "components":
+        data["components"] = list(components.values())
+    else:
+        return [data]
     return data
 
 
@@ -177,6 +188,7 @@ def test_config_file_gives_the_report_of_its_flags(cfg, suite):
     assert from_file == from_flags
 
 
+INF, NAN = float("inf"), float("nan")  # JSON's Infinity and NaN extensions
 # each key with values of the wrong type or out of range
 BAD_VALUES = {
     "q": ["0.5", True, None, [0.5], 1.5],
@@ -184,7 +196,8 @@ BAD_VALUES = {
     "max_degree": [1.5, "3", False, [3], -1],
     "trials": [2.5, "2", True, None, 0],
     "seed": [1.5, "1", True, None],
-    "scales": [3, "2:1", [2, 1], [[2]], [["2", 1]], [[3, 2, 1, 1]], [[2, True]], [[1, 2]]],
+    "scales": [3, "2:1", [2, 1], [[2]], [["2", 1]], [[3, 2, 1, 1]], [[2, True]], [[1, 2]],
+               [[INF, 1]], [[NAN, 1]], [[2, 1, INF]], [[2, 1, NAN]]],
 }
 
 
@@ -197,6 +210,7 @@ BAD_VALUES = {
 )
 @example({}, ("trials", 2.5))
 @example({}, ("dim", "2"))
+@example({"trials": 3}, ("trails", 5))  # an unknown key
 def test_malformed_config_file_exits_2_before_output(cfg, fault):
     key, bad = fault
     code, out, err = _verify_with_config({**cfg, key: bad}, "theorem43")
@@ -208,5 +222,15 @@ def test_malformed_config_file_exits_2_before_output(cfg, fault):
 @pytest.mark.parametrize("data", ([], 1, "trials"))
 def test_config_file_must_hold_an_object(data):
     code, out, err = _verify_with_config(data, "theorem43")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("phi", ({"0": 1.0}, [[1.0, 0.0]], [1.0, "0"], [True, 0.0], 1.0))
+def test_moments_phi_must_be_a_flat_number_list(phi):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "phi.json"
+        path.write_text(json.dumps(phi))
+        code, out, err = _run(["compute", "moments", "--phi", str(path), "--order", "2"])
     assert (code, out) == (2, "")
     assert err.startswith("error:")
