@@ -9,19 +9,15 @@ from .fock import (
     commutation_residual,
     create,
     elementary_tensor,
-    field_matrix,
     fock_norm,
-    gram_matrix,
     pq_spectrum,
     q_inner,
 )
 from .qcombinatorics import (
     PairPartition,
-    Permutation,
     ShuffleSubset,
     crossing_polynomial,
     enumerate_pair_partitions,
-    enumerate_permutations,
     enumerate_shuffles,
     inversions,
     macmahon_residual,
@@ -46,7 +42,6 @@ from .series import (
     certify_radius,
     wick_exp,
     wick_inverse,
-    wick_power,
     wick_series,
 )
 from .suites import Report, RunConfig, run_suite
@@ -57,11 +52,8 @@ from .wick import (
     adjoint,
     apply_to_fock,
     field_mul,
-    l2_inner,
-    l2_inner_routes,
     moment,
     moments,
-    vacuum_expectation,
     wick_monomial,
     wick_mul,
     wick_mul_poly,

@@ -19,6 +19,7 @@ from .fock import (
     QContext,
     as_one_particle,
     basis_vector,
+    json_numbers,
     json_value,
 )
 from .scales import default_hplus_weights, f_dual_norm, g_norm, graded_tensor
@@ -56,11 +57,6 @@ def _parse_scales(text: str) -> tuple[tuple[float, float, float], ...]:
     return tuple(_scale_pair(chunk.split(":")) for chunk in text.split(","))
 
 
-def _numbers(value, what: str) -> list:
-    """A flat JSON list of numbers."""
-    return [json_value(x, float, f"{what} entry") for x in json_value(value, list, what)]
-
-
 def _config_file(path: str) -> dict:
     """The settings of a JSON config file, with the types the flags give."""
     data = json_value(_load_json(path), dict, "config file")
@@ -75,7 +71,7 @@ def _config_file(path: str) -> dict:
         settings["q"] = float(json_value(data["q"], float, "config q"))
     if "scales" in data:
         pairs = json_value(data["scales"], list, "config scales")
-        settings["scales"] = tuple(_scale_pair(_numbers(p, "config scale pair")) for p in pairs)
+        settings["scales"] = tuple(_scale_pair(json_numbers(p, "config scale pair")) for p in pairs)
     return settings
 
 
@@ -125,7 +121,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
         raise ValueError(f"--order must be in 0..{MAX_MOMENT_ORDER}, got {args.order}")
     dim, phi = args.dim, None
     if args.phi:
-        phi = np.asarray(_numbers(_load_json(args.phi), "--phi"), dtype=float)
+        phi = np.asarray(json_numbers(_load_json(args.phi), "--phi"), dtype=float)
         dim = phi.size
     ctx = QContext(args.q, dim, max(1, (args.order + 1) // 2))
     if dim ** (args.order // 2) > EIGENSOLVER_CAP:

@@ -70,6 +70,16 @@ def json_value(value, kind: type, what: str):
     return value
 
 
+def json_numbers(value, what: str) -> list:
+    """value when it is a flat JSON list of numbers (a bool is not one), else
+    a ValueError naming what; one pass over the entries' types."""
+    odd = set(map(type, json_value(value, list, what))) - {int, float}
+    if odd:
+        names = ", ".join(sorted(t.__name__ for t in odd))
+        raise ValueError(f"{what} entries must be numbers, got {names}")
+    return value
+
+
 def as_one_particle(phi, dim: int) -> np.ndarray:
     phi = np.asarray(phi, dtype=float).reshape(-1)
     if phi.shape != (dim,):
@@ -201,7 +211,13 @@ class GradedVector:
             json_value(data["max_degree"], int, "vector max_degree"),
         )
         components = json_value(data["components"], dict, "vector components")
-        return cls(ctx, {int(n): np.asarray(arr, dtype=float) for n, arr in components.items()})
+        return cls(
+            ctx,
+            {
+                int(n): np.asarray(json_numbers(arr, f"vector component {n}"), dtype=float)
+                for n, arr in components.items()
+            },
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "GradedVector":
@@ -222,7 +238,7 @@ def require_same_context(f: GradedVector, g: GradedVector) -> None:
 def _perm_actions(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """All permutations of n tensor slots with their inversion counts."""
     return tuple(
-        (p, inversions([x + 1 for x in p])) for p in itertools.permutations(range(n))
+        (p, inversions(p)) for p in itertools.permutations(range(n))
     )
 
 
@@ -336,15 +352,11 @@ def contract(phi, t, n: int, q: float) -> np.ndarray:
     return out.reshape(t.shape[:-1] + (-1,))
 
 
-def create(phi, f: GradedVector, strict: bool = False) -> GradedVector:
+def create(phi, f: GradedVector) -> GradedVector:
     """Left tensor multiplication by phi; the top component falls off the
-    truncation (raise instead when strict and it is nonzero)."""
+    truncation."""
     phi = as_one_particle(phi, f.ctx.dim)
     top = f.ctx.max_degree
-    if strict and top in f.components and np.any(f.components[top] != 0.0):
-        raise ValueError(
-            f"creation overflow: nonzero degree-{top} component would exceed the truncation"
-        )
     comps = {
         n + 1: tensor_product(phi, arr) for n, arr in f.components.items() if n + 1 <= top
     }
@@ -366,23 +378,11 @@ def annihilate(phi, f: GradedVector) -> GradedVector:
 # ---------------------------------------------------------------------------
 
 
-def total_dim(ctx: QContext) -> int:
-    return sum(ctx.dim**n for n in range(ctx.max_degree + 1))
-
-
 def degree_offsets(ctx: QContext) -> list[int]:
     offsets = [0]
     for n in range(ctx.max_degree + 1):
         offsets.append(offsets[-1] + ctx.dim**n)
     return offsets
-
-
-def vector_to_flat(f: GradedVector) -> np.ndarray:
-    offsets = degree_offsets(f.ctx)
-    flat = np.zeros(offsets[-1])
-    for n, arr in f.components.items():
-        flat[offsets[n] : offsets[n + 1]] = arr
-    return flat
 
 
 def _operator_matrix(ctx: QContext, shift: int, kernel) -> np.ndarray:
@@ -411,51 +411,34 @@ def annihilation_matrix(phi, ctx: QContext) -> np.ndarray:
     return _operator_matrix(ctx, -1, lambda n, cols: contract(phi, cols, n, ctx.q))
 
 
-def field_matrix(phi, ctx: QContext) -> np.ndarray:
-    """Matrix of creation + annihilation by phi in the monomial basis.
+def commutation_residual(phi, psi, ctx: QContext) -> tuple[float, float]:
+    """Operator norms, on degrees <= N-1, of
 
-    Self-adjointness is with respect to the twisted scalar product, not the
-    Euclidean one: G^T P = P G where P is the block-diagonal Gram matrix.
-    """
-    return creation_matrix(phi, ctx) + annihilation_matrix(phi, ctx)
+        a^-(phi) a^+(psi) - q a^+(psi') a^-(phi') - (phi, psi) Id
 
-
-def gram_matrix(ctx: QContext) -> np.ndarray:
-    """Block-diagonal matrix of the twisted scalar product on degrees 0..N."""
-    return _operator_matrix(ctx, 0, lambda n, cols: symmetrize(cols, n, ctx.dim, ctx.q))
-
-
-def commutation_residual(phi, psi, ctx: QContext, swap_arguments: bool = True) -> float:
-    """Operator norm, on degrees <= N-1, of
-
-        a^-(phi) a^+(psi) - q a^+(psi') a^-(phi') - (phi, psi) Id.
-
-    With swap_arguments (the rule under which the operators genuinely commute)
-    the weighted term is a^+(psi) a^-(phi); without it the arguments are traded
-    to a^+(phi) a^-(psi), a variant whose residual is generally nonzero and is
-    reported rather than reconciled.
+    as (exchange, swapped).  exchange has a^+(psi) a^-(phi) as the weighted
+    term, the rule under which the operators genuinely commute; swapped trades
+    the arguments to a^+(phi) a^-(psi), a variant whose residual is generally
+    nonzero and is reported rather than reconciled.
     """
     if ctx.max_degree < 1:
         raise ValueError("commutation probe needs max_degree >= 1")
     phi = as_one_particle(phi, ctx.dim)
     psi = as_one_particle(psi, ctx.dim)
     q = ctx.q
-    if swap_arguments:
-        plus_vec, minus_vec = psi, phi
-    else:
-        plus_vec, minus_vec = phi, psi
     pairing = float(phi @ psi)
-    worst = 0.0
+    worst = [0.0, 0.0]
     # the products are block diagonal per degree, so probe degree by degree;
     # row j of each block is the operator applied to the basis tensor e_j
     for n in range(ctx.max_degree):
         cols = np.eye(ctx.dim**n)
         block = contract(phi, tensor_product(psi, cols), n + 1, q)
-        if n > 0:
-            block = block - q * tensor_product(plus_vec, contract(minus_vec, cols, n, q))
-        block = block - pairing * cols
-        worst = max(worst, float(np.linalg.norm(block, 2)))
-    return worst
+        for k, (plus_vec, minus_vec) in enumerate(((psi, phi), (phi, psi))):
+            term = block
+            if n > 0:
+                term = term - q * tensor_product(plus_vec, contract(minus_vec, cols, n, q))
+            worst[k] = max(worst[k], float(np.linalg.norm(term - pairing * cols, 2)))
+    return worst[0], worst[1]
 
 
 def pq_spectrum(n: int, ctx: QContext) -> tuple[float, float]:

@@ -1,7 +1,7 @@
 """Exact q-calculus scalars and the combinatorial enumerations behind them.
 
-Everything in this module is pure and deterministic.  Permutations, shuffle
-subsets and pair partitions are produced in lexicographic order, so any
+Everything in this module is pure and deterministic.  Shuffle subsets and
+pair partitions are produced in lexicographic order, so any
 report built on top of these streams is reproducible run to run.  The
 crossing polynomial of pair partitions is counted by a Dyck-path transfer
 with no enumeration; the pair-partition enumeration stays as its test oracle.
@@ -10,7 +10,6 @@ with no enumeration; the pair-partition enumeration stays as its test oracle.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -66,44 +65,18 @@ def q_binomial(n: int, i: int, q: float) -> float:
     return q_factorial(n, q) / (q_factorial(i, q) * q_factorial(n - i, q))
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {1, ..., n} stored as its image tuple (pi(1), ..., pi(n))."""
-
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        image = tuple(int(x) for x in self.image)
-        object.__setattr__(self, "image", image)
-        if sorted(image) != list(range(1, len(image) + 1)):
-            raise ValueError(f"image must be a bijection of {{1,...,{len(image)}}}")
-
-    def __len__(self) -> int:
-        return len(self.image)
-
-
-def inversions(p: Permutation | Sequence[int]) -> int:
-    """Count the pairs i < j with p(i) > p(j).
+def inversions(image: Sequence[int]) -> int:
+    """Count the pairs i < j with image[i] > image[j].
 
     >>> inversions([2, 3, 1])
     2
     """
-    image = p.image if isinstance(p, Permutation) else tuple(p)
     count = 0
     for i in range(len(image)):
         for j in range(i + 1, len(image)):
             if image[i] > image[j]:
                 count += 1
     return count
-
-
-def enumerate_permutations(n: int) -> Iterator[Permutation]:
-    """All n! permutations of {1, ..., n}, lexicographic in the image tuple."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > PERMUTATION_CAP:
-        raise ValueError(f"permutation enumeration capped at n <= {PERMUTATION_CAP}, got {n}")
-    return (Permutation(image) for image in itertools.permutations(range(1, n + 1)))
 
 
 @dataclass(frozen=True)
@@ -255,12 +228,3 @@ def _times_q_integer(poly: list[int], h: int) -> list[int]:
             window -= poly[j - h]
         out.append(window)
     return out
-
-
-def double_factorial_odd(n: int) -> int:
-    """(2n - 1)!! = 1 * 3 * ... * (2n - 1); the number of pair partitions."""
-    return math.prod(range(1, 2 * n, 2)) if n > 0 else 1
-
-
-def catalan_number(n: int) -> int:
-    return math.comb(2 * n, n) // (n + 1)

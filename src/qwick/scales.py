@@ -50,11 +50,13 @@ def _weight_power(weights: tuple[float, ...], n: int) -> np.ndarray:
     return out
 
 
-def _scale_args(f: GradedVector, r: float, weights, weight_base: str):
+def _scale_args(f: GradedVector, r: float, alpha: float, weights, weight_base: str):
     """Check the scale arguments both norms take; return the one-particle
     weights as a tuple (None for the plain norm) and the factorial base."""
     if not r >= 1.0:
         raise ValueError(f"scale parameter r must be >= 1, got {r}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"scale exponent alpha must be finite, got {alpha}")
     if weight_base not in WEIGHT_BASES:
         raise ValueError(f"weight_base must be one of {WEIGHT_BASES}")
     base = f.ctx.q if weight_base == "q" else abs(f.ctx.q)
@@ -82,7 +84,7 @@ def g_norm(
 ) -> float:
     """Test-side norm: sqrt of sum over degrees of the weighted squared tensor
     norm times r^n ([n]_w!)^alpha."""
-    weights, base = _scale_args(f, r, weights, weight_base)
+    weights, base = _scale_args(f, r, alpha, weights, weight_base)
     total = 0.0
     for n, comp in f.components.items():
         weight = r**n * q_factorial(n, base) ** alpha
@@ -93,7 +95,7 @@ def g_norm(
 def f_dual_norm(f: GradedVector, r: float, alpha: float, weights=None) -> float:
     """Dual-side norm: the symmetrized tensor measured with reciprocal
     one-particle weights, degree-weighted by r^(-n) ([n]_|q|!)^(-alpha)."""
-    weights, aq = _scale_args(f, r, weights, "abs_q")
+    weights, aq = _scale_args(f, r, alpha, weights, "abs_q")
     total = 0.0
     for n, comp in f.components.items():
         sym = apply_pq(n, comp, f.ctx)
@@ -138,7 +140,7 @@ def embedding_residual(
     antisymmetric tensors even under this precondition; callers probe that as
     a finding, not a bug.
     """
-    _, base = _scale_args(f, r, weights, weight_base)
+    _, base = _scale_args(f, r, alpha, weights, weight_base)
     if not alpha >= 1.0:
         raise ValueError("embedding check requires alpha >= 1")
     r_min = max(1.0, (1.0 + base) ** (1.0 - alpha))
@@ -193,17 +195,7 @@ def estimate_c1(r: float, s: float, alpha: float, ctx: QContext) -> float:
     return float(math.sqrt(c2 * b**alpha))
 
 
-def _infer_degree(t: np.ndarray, dim: int, name: str) -> int:
-    size = t.size
-    if dim == 1:
-        raise ValueError(f"cannot infer the degree of {name} when dim == 1; pass it explicitly")
-    n = round(math.log(size, dim))
-    if dim**n != size:
-        raise ValueError(f"{name} has length {size}, not a power of dim {dim}")
-    return n
-
-
-def lemma53_residual(f, g, ctx: QContext, m: int | None = None, n: int | None = None) -> float:
+def lemma53_residual(f, g, ctx: QContext, m: int, n: int) -> float:
     """max(0, LHS - RHS) for the shuffle-binomial product bound
 
         ||sym (f (x) g)|| <= (m+n choose m)_|q| ||sym f|| ||sym g||,
@@ -211,10 +203,6 @@ def lemma53_residual(f, g, ctx: QContext, m: int | None = None, n: int | None = 
     all norms plain Euclidean on the tensor level."""
     f = np.asarray(f, dtype=float).reshape(-1)
     g = np.asarray(g, dtype=float).reshape(-1)
-    if m is None:
-        m = _infer_degree(f, ctx.dim, "f")
-    if n is None:
-        n = _infer_degree(g, ctx.dim, "g")
     if f.size != ctx.dim**m or g.size != ctx.dim**n:
         raise ValueError("tensor lengths do not match the declared degrees")
     lhs = float(np.linalg.norm(apply_pq(m + n, tensor_product(f, g), ctx)))

@@ -80,16 +80,6 @@ class ConvergenceCertificate:
             raise ValueError("certificate requires contraction < 1")
 
 
-def wick_power(f: GradedVector, n: int) -> GradedVector:
-    """n-fold graded tensor power; the zeroth power is the vacuum."""
-    if n < 0:
-        raise ValueError("power must be nonnegative")
-    out = GradedVector.vacuum(f.ctx)
-    for _ in range(n):
-        out = graded_tensor(out, f)
-    return out
-
-
 def certify_radius(f: GradedVector, spec: SeriesSpec, s: float = 1.0) -> ConvergenceCertificate:
     """Find a scale pair under which the power series of f converges.
 

@@ -29,7 +29,6 @@ from .fock import (
     as_one_particle,
     contract,
     create,
-    q_inner,
     tensor_product,
 )
 from .qcombinatorics import crossing_polynomial
@@ -63,9 +62,6 @@ class NormalWord:
     @property
     def n_annihilators(self) -> int:
         return len(self.annihilators)
-
-    def is_identity(self) -> bool:
-        return not self.creators and not self.annihilators
 
 
 IDENTITY_WORD = NormalWord()
@@ -119,9 +115,6 @@ class WickPolynomial:
 
     def max_creators(self) -> int:
         return max((w.n_creators for w in self.terms), default=0)
-
-    def max_annihilators(self) -> int:
-        return max((w.n_annihilators for w in self.terms), default=0)
 
     def coefficient(self, word: NormalWord) -> float:
         return self.terms.get(word, 0.0)
@@ -296,11 +289,6 @@ def vacuum_vector(p: WickPolynomial, ctx: QContext) -> GradedVector:
     return apply_to_fock(p, GradedVector.vacuum(ctx))
 
 
-def vacuum_expectation(p: WickPolynomial, ctx: QContext) -> float:
-    """Vacuum state applied to P: the degree-0 component of P acting on it."""
-    return float(vacuum_vector(p, ctx).component(0)[0])
-
-
 # Highest order `compute moments` accepts: the Jacobi-matrix test certifies
 # the oracle's exact evaluation up to here.
 MAX_MOMENT_ORDER = 40
@@ -371,22 +359,3 @@ def moment(phi, k: int, ctx: QContext) -> MomentReport:
     route and whose crossing polynomial is the oracle.  To read several
     orders of one phi, call `moments` once: it walks the vacuum once."""
     return moments(phi, k, ctx)[k]
-
-
-def l2_inner_routes(p1: WickPolynomial, p2: WickPolynomial, ctx: QContext) -> tuple[float, float]:
-    """The polynomial scalar product evaluated along both available routes:
-    the twisted pairing of the two vacuum vectors, and the vacuum component of
-    adjoint(p2) applied to the vacuum vector of p1."""
-    v1 = vacuum_vector(p1, ctx)
-    v2 = vacuum_vector(p2, ctx)
-    fock_value = q_inner(v1, v2)
-    # a normal word annihilates before it creates, so content dropped at the
-    # truncation edge during the creator phase never reaches the vacuum
-    # component; the degree-0 readout below is exact
-    algebra_value = float(apply_to_fock(adjoint(p2), v1).component(0)[0])
-    return fock_value, algebra_value
-
-
-def l2_inner(p1: WickPolynomial, p2: WickPolynomial, ctx: QContext) -> float:
-    fock_value, _ = l2_inner_routes(p1, p2, ctx)
-    return fock_value

@@ -228,13 +228,13 @@ def test_lemma53_random_trials(q):
         assert lemma53_residual(f, g, ctx, m, n) <= 1e-9 * max(1.0, scale)
 
 
-def test_lemma53_degree_inference():
+def test_lemma53_declared_degrees():
     ctx = QContext(0.5, 2, 4)
-    assert lemma53_residual(np.ones(2), np.ones(4), ctx) >= 0.0
+    assert lemma53_residual(np.ones(2), np.ones(4), ctx, 1, 2) >= 0.0
     with pytest.raises(ValueError):
-        lemma53_residual(np.ones(3), np.ones(2), ctx)
+        lemma53_residual(np.ones(3), np.ones(2), ctx, 1, 1)
     with pytest.raises(ValueError):
-        lemma53_residual(np.ones(1), np.ones(1), QContext(0.5, 1, 4))  # needs degrees
+        lemma53_residual(np.ones(2), np.ones(4), ctx, 2, 1)
     # past the old degree-8 cap the residual is computed and respects the bound
     rng = np.random.default_rng(14)
     f, g = rng.standard_normal(2**5), rng.standard_normal(2**4)

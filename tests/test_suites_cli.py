@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -358,6 +359,10 @@ def test_cli_wick_exp_names_its_scale_parameter(tmp_path, capsys):
         pytest.param(["--side", "dual", "--weight-base", "q"], "abs_q", id="dual-q-base"),
         pytest.param(["--side", "dual", "--r", "nan"], "r must be >= 1", id="dual-nan-r"),
         pytest.param(["--side", "test", "--r", "nan"], "r must be >= 1", id="test-nan-r"),
+        pytest.param(["--side", "dual", "--alpha", "nan"], "alpha must be finite", id="dual-nan-alpha"),
+        pytest.param(["--side", "dual", "--alpha", "inf"], "alpha must be finite", id="dual-inf-alpha"),
+        pytest.param(["--side", "test", "--alpha", "nan"], "alpha must be finite", id="test-nan-alpha"),
+        pytest.param(["--side", "test", "--alpha", "inf"], "alpha must be finite", id="test-inf-alpha"),
     ),
 )
 def test_cli_norm_scale_preconditions(flags, message, tmp_path, capsys):
@@ -400,3 +405,12 @@ def test_console_script_runs():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["pass"] is True
+
+
+def test_readme_library_example_runs():
+    # a name the README still uses after it left the package fails here
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

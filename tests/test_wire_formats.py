@@ -78,7 +78,10 @@ def test_series_spec_round_trip_is_bit_exact(coefficients, radius):
     assert _bits([again.radius]) == _bits([spec.radius])
 
 
-FAULTS = ("length", "degree", "entry", "dim", "max_degree", "q", "components", "object")
+FAULTS = (
+    "length", "degree", "entry", "dim", "max_degree", "q", "components", "object",
+    "string-entry", "bool-entry", "nested", "object-entry",
+)
 
 
 def _corrupt(data: dict, fault: str, bad_entry: float):
@@ -92,6 +95,16 @@ def _corrupt(data: dict, fault: str, bad_entry: float):
         components[str(n)] = [0.5] * dim**n
     elif fault == "entry":
         components["0"] = [bad_entry]
+    # entry faults: np.asarray once read "1.5" as 1.5, true as 1.0 and a
+    # nested list of the right total length as flat
+    elif fault == "string-entry":
+        components["0"] = ["1.5"]
+    elif fault == "bool-entry":
+        components["0"] = [True]
+    elif fault == "nested":
+        components[str(max_degree)] = [[0.5]] * dim**max_degree
+    elif fault == "object-entry":
+        components["0"] = [{"a": 1}]
     # header faults: a truncating int() once read 2.7 as 2 and true as 1
     elif fault == "dim":
         data["dim"] = True if dim == 1 else dim + 0.7
@@ -113,6 +126,10 @@ def _corrupt(data: dict, fault: str, bad_entry: float):
     st.sampled_from([float("nan"), float("inf"), float("-inf")]),
     st.sampled_from([["wick-mul"], ["norm"], ["norm", "--side", "test"]]),
 )
+@example(GradedVector(QContext(0.5, 2, 1), {}), "string-entry", 0.0, ["norm"])
+@example(GradedVector(QContext(0.5, 2, 1), {}), "bool-entry", 0.0, ["wick-mul"])
+@example(GradedVector(QContext(0.5, 2, 1), {}), "nested", 0.0, ["norm", "--side", "test"])
+@example(GradedVector(QContext(0.5, 2, 1), {}), "object-entry", 0.0, ["norm"])
 def test_compute_rejects_malformed_vector_before_output(f, fault, bad_entry, operation):
     text = json.dumps(_corrupt(f.to_json_dict(), fault, bad_entry))
     with tempfile.TemporaryDirectory() as tmp:
