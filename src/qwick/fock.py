@@ -13,6 +13,12 @@ vectors are plain length-d arrays.
 Creation, annihilation and P are each written once, as kernels on the last
 axis of an array whose leading axes are a batch; every dense operator matrix
 is derived by applying a kernel to identity columns.
+
+Vectors are validated where they enter: the public GradedVector constructor
+(which JSON files, the CLI and the suites' draws go through) checks degrees,
+shapes and finiteness.  A kernel result is built from fresh arrays whose
+degrees and shapes hold by construction, so GradedVector._of checks only that
+its entries are finite.
 """
 
 from __future__ import annotations
@@ -84,7 +90,7 @@ def as_one_particle(phi, dim: int) -> np.ndarray:
     phi = np.asarray(phi, dtype=float).reshape(-1)
     if phi.shape != (dim,):
         raise ValueError(f"one-particle vector must have length {dim}, got {phi.shape}")
-    if not np.all(np.isfinite(phi)):
+    if not np.isfinite(phi).all():
         raise ValueError("one-particle vector entries must be finite")
     return phi
 
@@ -132,19 +138,35 @@ class GradedVector:
                 raise ValueError(
                     f"degree-{n} component must have length {self.ctx.dim ** n}"
                 )
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"degree-{n} component entries must be finite")
             arr.flags.writeable = False
             clean[n] = arr
         object.__setattr__(self, "components", clean)
 
     @classmethod
+    def _of(cls, ctx: QContext, comps: dict[int, np.ndarray]) -> "GradedVector":
+        """A kernel result: comps maps int degrees to flat float arrays of the
+        right lengths that nothing else writes (fresh arrays, or another
+        vector's components).  They are marked read-only but neither copied
+        nor reshaped, and only finiteness is checked, so an overflow still
+        raises."""
+        for n, arr in comps.items():
+            if not np.isfinite(arr).all():
+                raise ValueError(f"degree-{n} component entries must be finite")
+            arr.flags.writeable = False
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "ctx", ctx)
+        object.__setattr__(vec, "components", comps)
+        return vec
+
+    @classmethod
     def vacuum(cls, ctx: QContext) -> "GradedVector":
-        return cls(ctx, {0: np.ones(1)})
+        return cls._of(ctx, {0: np.ones(1)})
 
     @classmethod
     def zero(cls, ctx: QContext) -> "GradedVector":
-        return cls(ctx, {})
+        return cls._of(ctx, {})
 
     @classmethod
     def random(cls, ctx: QContext, rng: np.random.Generator) -> "GradedVector":
@@ -164,13 +186,13 @@ class GradedVector:
         comps = dict(self.components)
         for n, arr in other.components.items():
             comps[n] = comps[n] + arr if n in comps else arr
-        return GradedVector(self.ctx, comps)
+        return GradedVector._of(self.ctx, comps)
 
     def __sub__(self, other: "GradedVector") -> "GradedVector":
         return self + other.scale(-1.0)
 
     def scale(self, c: float) -> "GradedVector":
-        return GradedVector(self.ctx, {n: c * arr for n, arr in self.components.items()})
+        return GradedVector._of(self.ctx, {n: c * arr for n, arr in self.components.items()})
 
     def euclidean_norm(self) -> float:
         return float(
@@ -210,14 +232,13 @@ class GradedVector:
             json_value(data["dim"], int, "vector dim"),
             json_value(data["max_degree"], int, "vector max_degree"),
         )
-        components = json_value(data["components"], dict, "vector components")
-        return cls(
-            ctx,
-            {
-                int(n): np.asarray(json_numbers(arr, f"vector component {n}"), dtype=float)
-                for n, arr in components.items()
-            },
-        )
+        comps = {}
+        for key, arr in json_value(data["components"], dict, "vector components").items():
+            # the decimal text of a degree, so no two keys name the same one
+            if not (key.isascii() and key.isdigit() and str(int(key)) == key):
+                raise ValueError(f"vector component key {key!r} must be a degree in decimal")
+            comps[int(key)] = np.asarray(json_numbers(arr, f"vector component {key}"), dtype=float)
+        return cls(ctx, comps)
 
     @classmethod
     def from_json(cls, text: str) -> "GradedVector":
@@ -341,15 +362,20 @@ def fock_norm(f: GradedVector) -> float:
 def contract(phi, t, n: int, q: float) -> np.ndarray:
     """Annihilation kernel on the last axis of t (leading axes are a batch):
     slot i of the degree-n tensor is contracted against phi with weight q^i.
-    Creation needs no kernel of its own: it is tensor_product(phi, t)."""
+    Creation needs no kernel of its own: it is tensor_product(phi, t).
+
+    Slot i is one matmul: the tensor viewed as (..., d**i, d, d**(n-1-i))
+    is a stack of d x d**(n-1-i) matrices, and phi @ view contracts their
+    rows, leaving the remaining slots in row-major order."""
     t = np.asarray(t, dtype=float)
-    cube = t.reshape(t.shape[:-1] + (phi.size,) * n)
-    out = np.zeros(t.shape[:-1] + (phi.size,) * (n - 1))
+    lead, d = t.shape[:-1], phi.size
+    out = np.zeros(lead + (d ** (n - 1),))
     weight = 1.0
     for i in range(n):
-        out += weight * np.tensordot(phi, cube, axes=(0, cube.ndim - n + i))
+        view = t.reshape(lead + (d**i, d, d ** (n - 1 - i)))
+        out += weight * (phi @ view).reshape(out.shape)
         weight *= q
-    return out.reshape(t.shape[:-1] + (-1,))
+    return out
 
 
 def create(phi, f: GradedVector) -> GradedVector:
@@ -360,7 +386,7 @@ def create(phi, f: GradedVector) -> GradedVector:
     comps = {
         n + 1: tensor_product(phi, arr) for n, arr in f.components.items() if n + 1 <= top
     }
-    return GradedVector(f.ctx, comps)
+    return GradedVector._of(f.ctx, comps)
 
 
 def annihilate(phi, f: GradedVector) -> GradedVector:
@@ -370,7 +396,7 @@ def annihilate(phi, f: GradedVector) -> GradedVector:
     comps = {
         n - 1: contract(phi, arr, n, f.ctx.q) for n, arr in f.components.items() if n > 0
     }
-    return GradedVector(f.ctx, comps)
+    return GradedVector._of(f.ctx, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -427,18 +453,23 @@ def commutation_residual(phi, psi, ctx: QContext) -> tuple[float, float]:
     psi = as_one_particle(psi, ctx.dim)
     q = ctx.q
     pairing = float(phi @ psi)
-    worst = [0.0, 0.0]
+    worst = np.zeros(2)
     # the products are block diagonal per degree, so probe degree by degree;
-    # row j of each block is the operator applied to the basis tensor e_j
+    # row j of each block is the operator applied to the basis tensor e_j.
+    # Both variants' blocks share one stacked SVD; the largest singular value
+    # is the 2-norm.
     for n in range(ctx.max_degree):
         cols = np.eye(ctx.dim**n)
         block = contract(phi, tensor_product(psi, cols), n + 1, q)
-        for k, (plus_vec, minus_vec) in enumerate(((psi, phi), (phi, psi))):
-            term = block
-            if n > 0:
-                term = term - q * tensor_product(plus_vec, contract(minus_vec, cols, n, q))
-            worst[k] = max(worst[k], float(np.linalg.norm(term - pairing * cols, 2)))
-    return worst[0], worst[1]
+        terms = [block, block]
+        if n > 0:
+            terms = [
+                block - q * tensor_product(plus_vec, contract(minus_vec, cols, n, q))
+                for plus_vec, minus_vec in ((psi, phi), (phi, psi))
+            ]
+        stack = np.stack(terms) - pairing * cols
+        worst = np.maximum(worst, np.linalg.svd(stack, compute_uv=False).max(axis=-1))
+    return float(worst[0]), float(worst[1])
 
 
 def pq_spectrum(n: int, ctx: QContext) -> tuple[float, float]:

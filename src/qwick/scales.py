@@ -121,7 +121,7 @@ def graded_tensor(f: GradedVector, g: GradedVector) -> GradedVector:
                 continue
             block = tensor_product(fi, gj)
             comps[n] = comps[n] + block if n in comps else block
-    return GradedVector(f.ctx, comps)
+    return GradedVector._of(f.ctx, comps)
 
 
 # ---------------------------------------------------------------------------

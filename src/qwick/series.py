@@ -3,9 +3,9 @@
 The submultiplicativity bound sqrt(r/(r-s)) makes powers of a graded vector
 grow at most geometrically once the s-scale norm sits strictly inside the
 series' convergence radius; the certificate records one working (s, r) pair
-and the resulting contraction factor.  On a truncation, a vector with zero
-vacuum component is degree-nilpotent, which makes the tensor inverse a finite
-sum and exact.
+and the resulting contraction factor.  On a truncation, the tensor inverse
+of a vector with nonzero vacuum component is a finite degree recursion and
+exact.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fock import GradedVector
+import numpy as np
+
+from .fock import GradedVector, tensor_product
 from .scales import f_dual_norm, graded_tensor
 
 TAIL_TOL = 1e-12  # a series stops once its certified tail bound drops below this
@@ -167,22 +169,24 @@ def wick_exp(f: GradedVector, s: float = 1.0) -> GradedVector:
 
 
 def wick_inverse(f: GradedVector) -> GradedVector:
-    """Tensor-multiplicative inverse: exists iff the vacuum component is
-    nonzero, and on the truncation the defect series terminates at the cutoff
-    degree, so the result is exact."""
+    """Tensor-multiplicative inverse: exists iff the vacuum component f_0 is
+    nonzero.  On the truncation it is exact, degree by degree:
+
+        g_0 = 1/f_0,   g_n = -(1/f_0) sum_{i=1..n} f_i (x) g_(n-i),
+
+    O(N^2) tensor products.  A degree no f_i (x) g_(n-i) reaches stays absent.
+    graded_tensor(f, g) == vacuum is the independent check."""
     vacuum_part = float(f.component(0)[0])
     if vacuum_part == 0.0:
         raise ValueError("not invertible: the vacuum component is zero")
-    ctx = f.ctx
-    # the defect has no vacuum component by construction, hence is
-    # degree-nilpotent and the sum below terminates exactly at the cutoff
-    defect = GradedVector(
-        ctx, {n: -arr / vacuum_part for n, arr in f.components.items() if n >= 1}
-    )
-    omega = GradedVector.vacuum(ctx)
-    result = omega
-    power = omega
-    for _ in range(ctx.max_degree):
-        power = graded_tensor(power, defect)
-        result = result + power
-    return result.scale(1.0 / vacuum_part)
+    inv = 1.0 / vacuum_part
+    g = {0: np.array([inv])}
+    for n in range(1, f.ctx.max_degree + 1):
+        terms = [
+            tensor_product(f.components[i], g[n - i])
+            for i in range(1, n + 1)
+            if i in f.components and n - i in g
+        ]
+        if terms:
+            g[n] = -inv * sum(terms[1:], terms[0])
+    return GradedVector._of(f.ctx, g)

@@ -36,7 +36,7 @@ from .qcombinatorics import crossing_polynomial
 
 def _as_vec_tuple(v) -> tuple[float, ...]:
     arr = np.asarray(v, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("word arguments must have finite entries")
     return tuple(float(x) for x in arr)
 

@@ -9,6 +9,7 @@ from qwick.fock import (
     apply_pq,
     basis_vector,
     commutation_residual,
+    contract,
     create,
     creation_matrix,
     degree_offsets,
@@ -17,8 +18,12 @@ from qwick.fock import (
     pq_matrix,
     pq_spectrum,
     q_inner,
+    tensor_product,
 )
 from qwick.qcombinatorics import q_factorial
+from qwick.scales import graded_tensor
+from qwick.series import wick_inverse
+from qwick.wick import NormalWord, WickPolynomial, apply_to_fock
 
 Q_GRID = (-0.9, -0.5, 0.0, 0.3, 0.5, 0.9)
 
@@ -249,6 +254,71 @@ def test_field_matrix_cap():
     with pytest.raises(ValueError):
         creation_matrix(basis_vector(3, 0), ctx)
     assert degree_offsets(QContext(0.5, 2, 3))[-1] == 15
+
+
+def _contract_tensordot(phi, t, n, q):
+    """Oracle for contract: one tensordot over each slot of the n-cube."""
+    t = np.asarray(t, dtype=float)
+    cube = t.reshape(t.shape[:-1] + (phi.size,) * n)
+    out = np.zeros(t.shape[:-1] + (phi.size,) * (n - 1))
+    weight = 1.0
+    for i in range(n):
+        out += weight * np.tensordot(phi, cube, axes=(0, cube.ndim - n + i))
+        weight *= q
+    return out.reshape(t.shape[:-1] + (-1,))
+
+
+@pytest.mark.parametrize("lead", ((), (3,)))
+@pytest.mark.parametrize("dim,n", ((1, 6), (2, 8), (3, 5), (4, 4)))
+@pytest.mark.parametrize("q", (-0.7, 0.0, 0.5))
+def test_contract_matches_tensordot_oracle(dim, n, lead, q):
+    rng = np.random.default_rng([dim, n, len(lead)])
+    phi = rng.standard_normal(dim)
+    t = rng.standard_normal(lead + (dim**n,))
+    got = contract(phi, t, n, q)
+    assert got.shape == lead + (dim ** (n - 1),)
+    gap = np.max(np.abs(got - _contract_tensordot(phi, t, n, q)))
+    assert gap <= 1e-15 * np.linalg.norm(phi) * np.linalg.norm(t)
+
+
+@pytest.mark.parametrize("dim,top", ((2, 6), (2, 8), (3, 6)))
+def test_commutation_stacked_svd_is_the_two_norm(dim, top):
+    """Both variants share one stacked SVD per degree; it must give exactly
+    what np.linalg.norm(term, 2) gives for each variant on its own."""
+    ctx = QContext(-0.7, dim, top)
+    rng = np.random.default_rng(dim * top)
+    phi, psi = rng.standard_normal(dim), rng.standard_normal(dim)
+    want = [0.0, 0.0]
+    for n in range(top):
+        cols = np.eye(dim**n)
+        block = contract(phi, tensor_product(psi, cols), n + 1, ctx.q)
+        for k, (plus_vec, minus_vec) in enumerate(((psi, phi), (phi, psi))):
+            term = block
+            if n > 0:
+                term = term - ctx.q * tensor_product(plus_vec, contract(minus_vec, cols, n, ctx.q))
+            want[k] = max(want[k], float(np.linalg.norm(term - float(phi @ psi) * cols, 2)))
+    assert commutation_residual(phi, psi, ctx) == tuple(want)
+
+
+def test_kernel_results_skip_revalidation(monkeypatch):
+    ctx = QContext(0.5, 2, 4)
+    rng = np.random.default_rng(3)
+    f, g = GradedVector.random(ctx, rng), GradedVector.random(ctx, rng)
+    word = NormalWord.build(creators=[[1.0, 0.5]], annihilators=[[0.25, -1.0]])
+    p = WickPolynomial({word: 2.0, NormalWord(): -1.0})
+    calls = []
+    original = GradedVector.__post_init__
+    monkeypatch.setattr(
+        GradedVector, "__post_init__", lambda self: calls.append(1) or original(self)
+    )
+    results = [wick_inverse(f), graded_tensor(f, g), apply_to_fock(p, f)]
+    assert calls == []
+    for result in results:
+        assert result.degrees()
+        assert not any(arr.flags.writeable for arr in result.components.values())
+    big = GradedVector(ctx, {0: [1e200], 1: [1e200, 1e200]})
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        graded_tensor(big, big)
 
 
 def test_commutation_examples():

@@ -188,6 +188,61 @@ def test_wick_exp_homomorphism_single_mode():
     assert (left - right).max_abs() <= 1e-10
 
 
+def _wick_inverse_power_sum(f: GradedVector) -> GradedVector:
+    """Oracle for wick_inverse: f = f_0 (Omega - D) with D degree-nilpotent,
+    so f^-1 = (1/f_0) sum_{k=0..N} D^k."""
+    vacuum_part = float(f.component(0)[0])
+    defect = GradedVector(
+        f.ctx, {n: -arr / vacuum_part for n, arr in f.components.items() if n >= 1}
+    )
+    result = power = GradedVector.vacuum(f.ctx)
+    for _ in range(f.ctx.max_degree):
+        power = graded_tensor(power, defect)
+        result = result + power
+    return result.scale(1.0 / vacuum_part)
+
+
+def _dyadic_vector(ctx, rng):
+    """Entries k/8 and a power-of-two vacuum part: tensor arithmetic on them
+    is exact."""
+    comps = {n: rng.integers(-16, 17, size=ctx.dim**n) / 8.0 for n in range(ctx.max_degree + 1)}
+    sign = float((-1.0) ** rng.integers(0, 2))
+    comps[0] = np.array([sign * 2.0 ** float(rng.integers(-2, 3))])
+    return GradedVector(ctx, comps)
+
+
+def _generic_vector(ctx, rng):
+    comps = {n: rng.standard_normal(ctx.dim**n) for n in range(1, ctx.max_degree + 1)}
+    # |vacuum part| >= 1 keeps the inverse well conditioned
+    z = float(rng.standard_normal())
+    comps[0] = np.array([math.copysign(1.0 + abs(z), z)])
+    return GradedVector(ctx, comps)
+
+
+@pytest.mark.parametrize("q", (-0.7, 0.0, 0.5))
+@pytest.mark.parametrize("dim,top", ((1, 8), (2, 5), (3, 4)))
+def test_wick_inverse_recursion_matches_power_sum(dim, top, q):
+    ctx = QContext(q, dim, top)
+    rng = np.random.default_rng([dim, top])
+    for _ in range(10):
+        f = _dyadic_vector(ctx, rng)
+        got, want = wick_inverse(f), _wick_inverse_power_sum(f)
+        assert got.degrees() == want.degrees()
+        # dyadic data keeps both routes exact, so the entries are equal; only
+        # the sign of a zero may differ, as the routes add in another order
+        for n in got.degrees():
+            assert np.array_equal(got.component(n), want.component(n))
+        g = _generic_vector(ctx, rng)
+        gap = (wick_inverse(g) - _wick_inverse_power_sum(g)).max_abs()
+        assert gap <= 1e-13 * max(1.0, g.max_abs()) ** top
+
+
+def test_wick_inverse_skips_unreached_degrees():
+    ctx = QContext(0.5, 2, 5)
+    f = GradedVector(ctx, {0: [2.0], 2: [1.0, 0.0, 0.0, 1.0]})
+    assert wick_inverse(f).degrees() == [0, 2, 4]
+
+
 def test_wick_inverse_vacuum():
     ctx = QContext(0.5, 2, 4)
     vac = GradedVector.vacuum(ctx)
@@ -216,12 +271,7 @@ def test_wick_inverse_exact_on_dyadic_family(q):
     vac = GradedVector.vacuum(ctx)
     rng = np.random.default_rng(6)
     for _ in range(30):
-        comps = {
-            n: rng.integers(-16, 17, size=2**n).astype(float) / 8.0
-            for n in range(ctx.max_degree + 1)
-        }
-        comps[0] = np.array([float((-1.0) ** rng.integers(0, 2)) * 2.0 ** float(rng.integers(-2, 3))])
-        f = GradedVector(ctx, comps)
+        f = _dyadic_vector(ctx, rng)
         assert (graded_tensor(f, wick_inverse(f)) - vac).max_abs() == 0.0
 
 
@@ -230,10 +280,6 @@ def test_wick_inverse_float_family_to_roundoff():
     vac = GradedVector.vacuum(ctx)
     rng = np.random.default_rng(7)
     for _ in range(30):
-        comps = {n: rng.standard_normal(2**n) for n in range(1, ctx.max_degree + 1)}
-        # |vacuum part| >= 1 keeps the defect series well conditioned
-        z = float(rng.standard_normal())
-        comps[0] = np.array([math.copysign(1.0 + abs(z), z)])
-        f = GradedVector(ctx, comps)
+        f = _generic_vector(ctx, rng)
         defect = (graded_tensor(f, wick_inverse(f)) - vac).max_abs()
         assert defect <= 1e-12 * max(1.0, f.max_abs()) ** ctx.max_degree

@@ -81,7 +81,15 @@ def test_series_spec_round_trip_is_bit_exact(coefficients, radius):
 FAULTS = (
     "length", "degree", "entry", "dim", "max_degree", "q", "components", "object",
     "string-entry", "bool-entry", "nested", "object-entry",
+    "leading-zero-key", "underscore-key", "space-key",
 )
+# degree-key faults: int() once read "00" as a second degree 0 (the later
+# entry won), "1_0" as degree 10 and " 1" as degree 1
+KEY_FAULTS = {
+    "leading-zero-key": {"0": [1.0], "00": [2.0]},
+    "underscore-key": {"1_0": [1.0]},
+    "space-key": {" 1": [1.0]},
+}
 
 
 def _corrupt(data: dict, fault: str, bad_entry: float):
@@ -114,6 +122,8 @@ def _corrupt(data: dict, fault: str, bad_entry: float):
         data["q"] = str(data["q"])
     elif fault == "components":
         data["components"] = list(components.values())
+    elif fault in KEY_FAULTS:
+        data.update(dim=1, max_degree=10, components=KEY_FAULTS[fault])
     else:
         return [data]
     return data
@@ -130,6 +140,9 @@ def _corrupt(data: dict, fault: str, bad_entry: float):
 @example(GradedVector(QContext(0.5, 2, 1), {}), "bool-entry", 0.0, ["wick-mul"])
 @example(GradedVector(QContext(0.5, 2, 1), {}), "nested", 0.0, ["norm", "--side", "test"])
 @example(GradedVector(QContext(0.5, 2, 1), {}), "object-entry", 0.0, ["norm"])
+@example(GradedVector(QContext(0.5, 2, 1), {}), "leading-zero-key", 0.0, ["norm"])
+@example(GradedVector(QContext(0.5, 2, 1), {}), "underscore-key", 0.0, ["norm", "--side", "test"])
+@example(GradedVector(QContext(0.5, 2, 1), {}), "space-key", 0.0, ["norm"])
 def test_compute_rejects_malformed_vector_before_output(f, fault, bad_entry, operation):
     text = json.dumps(_corrupt(f.to_json_dict(), fault, bad_entry))
     with tempfile.TemporaryDirectory() as tmp:
