@@ -21,6 +21,7 @@ from .fock import (
     basis_vector,
     json_numbers,
     json_value,
+    unique_keys,
 )
 from .scales import default_hplus_weights, f_dual_norm, g_norm, graded_tensor
 from .series import wick_exp, wick_inverse
@@ -42,7 +43,7 @@ def _json_out(data: dict | list, path: str | None, allow_nan: bool = False) -> N
 
 def _load_json(path: str) -> dict:
     with open(path) as handle:
-        return json.load(handle)
+        return json.load(handle, object_pairs_hook=unique_keys)
 
 
 def _scale_pair(parts) -> tuple[float, float, float]:

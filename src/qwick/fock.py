@@ -12,7 +12,15 @@ vectors are plain length-d arrays.
 
 Creation, annihilation and P are each written once, as kernels on the last
 axis of an array whose leading axes are a batch; every dense operator matrix
-is derived by applying a kernel to identity columns.
+is derived by applying a kernel to identity columns.  The functions built on
+them take the same batch: a GradedVector's components may have shape
+batch + (d**n,) (`GradedVector.stack`), a one-particle argument shape
+batch + (d,), and a scalar result then has the batch shape.  A batched call
+computes row i bit for bit as the unbatched call on row i would, so every
+product over the last axis is a stacked matmul (`a[..., None, :] @ b`),
+which sums each row as the 1-D product does; a plain gemm, einsum or sum
+may sum in another order.  An unbatched call is the batch-shape-() case and
+returns a float.
 
 Vectors are validated where they enter: the public GradedVector constructor
 (which JSON files, the CLI and the suites' draws go through) checks degrees,
@@ -41,6 +49,9 @@ EIGENSOLVER_CAP = 4096  # largest d**n for dense spectral probes
 # largest d**n for which apply_pq memoizes the dense P: below it a cached
 # matvec beats the kernel, above it the kernel wins and skips the matrix
 MATRIX_CACHE_CAP = 512
+# largest stacked block commutation_residual hands to one SVD, in bytes: the
+# blocks of all trials of a stream at d = 2, degree 5 fit, at degree 7 four
+STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -67,6 +78,17 @@ _JSON_TYPES = {
 }
 
 
+def unique_keys(pairs: list) -> dict:
+    """object_pairs_hook for json.load: the object as a dict, or a
+    ValueError when a key repeats, since json keeps the last value silently."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"JSON object repeats the key {key!r}")
+        data[key] = value
+    return data
+
+
 def json_value(value, kind: type, what: str):
     """value when it has the JSON type kind (int, float for any number, list
     or dict; a bool is not a number), else a ValueError naming what."""
@@ -86,9 +108,15 @@ def json_numbers(value, what: str) -> list:
     return value
 
 
+def batch_value(x):
+    """A batch-shape-() result as a Python float; a batched one stays an array."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def as_one_particle(phi, dim: int) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float).reshape(-1)
-    if phi.shape != (dim,):
+    """phi as a float array of shape batch + (dim,)."""
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape[-1:] != (dim,):
         raise ValueError(f"one-particle vector must have length {dim}, got {phi.shape}")
     if not np.isfinite(phi).all():
         raise ValueError("one-particle vector entries must be finite")
@@ -161,6 +189,18 @@ class GradedVector:
         return vec
 
     @classmethod
+    def stack(cls, vectors) -> "GradedVector":
+        """Vectors of one context and one degree set as one batched vector:
+        row i of every component is vector i's."""
+        first = vectors[0]
+        for vec in vectors:
+            require_same_context(first, vec)
+            if vec.components.keys() != first.components.keys():
+                raise ValueError("stacked vectors must have the same degrees")
+        comps = {n: np.stack([vec.components[n] for vec in vectors]) for n in first.components}
+        return cls._of(first.ctx, comps)
+
+    @classmethod
     def vacuum(cls, ctx: QContext) -> "GradedVector":
         return cls._of(ctx, {0: np.ones(1)})
 
@@ -191,18 +231,25 @@ class GradedVector:
     def __sub__(self, other: "GradedVector") -> "GradedVector":
         return self + other.scale(-1.0)
 
-    def scale(self, c: float) -> "GradedVector":
+    def scale(self, c) -> "GradedVector":
+        """Multiply by c, a float or one factor per row of the batch."""
+        c = np.asarray(c, dtype=float)
+        if c.ndim:
+            c = c[..., None]
         return GradedVector._of(self.ctx, {n: c * arr for n, arr in self.components.items()})
 
     def euclidean_norm(self) -> float:
+        """Of an unbatched vector."""
         return float(
             np.sqrt(sum(float(arr @ arr) for arr in self.components.values()))
         )
 
-    def max_abs(self) -> float:
-        if not self.components:
-            return 0.0
-        return max(float(np.max(np.abs(arr))) for arr in self.components.values())
+    def max_abs(self):
+        """Largest entry magnitude, per row of the batch."""
+        top = 0.0
+        for arr in self.components.values():
+            top = np.maximum(top, np.max(np.abs(arr), axis=-1))
+        return batch_value(top)
 
     def allclose(self, other: "GradedVector", atol: float = 0.0, rtol: float = 0.0) -> bool:
         require_same_context(self, other)
@@ -242,7 +289,7 @@ class GradedVector:
 
     @classmethod
     def from_json(cls, text: str) -> "GradedVector":
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(json.loads(text, object_pairs_hook=unique_keys))
 
 
 def require_same_context(f: GradedVector, g: GradedVector) -> None:
@@ -326,32 +373,34 @@ def _pq_cached(n: int, dim: int, q: float) -> np.ndarray:
 
 
 def apply_pq(n: int, t, ctx: QContext) -> np.ndarray:
-    """Apply the degree-n symmetrizer: sum over permutations of q^inversions
-    times the corresponding rearrangement of tensor factors.
+    """Apply the degree-n symmetrizer to the last axis of t (leading axes are
+    a batch): sum over permutations of q^inversions times the corresponding
+    rearrangement of tensor factors.
 
     Small degrees multiply by the memoized matrix derived from the kernel,
     larger ones run the factorized kernel directly; neither has a degree cap.
     """
-    t = np.asarray(t, dtype=float).reshape(-1)
+    t = np.asarray(t, dtype=float)
     size = ctx.dim**n
-    if t.shape != (size,):
+    if t.shape[-1:] != (size,):
         raise ValueError(f"degree-{n} tensor must have length {size}")
     if size <= MATRIX_CACHE_CAP:
-        return t @ _pq_cached(n, ctx.dim, ctx.q)
+        return (t[..., None, :] @ _pq_cached(n, ctx.dim, ctx.q))[..., 0, :]
     return symmetrize(t, n, ctx.dim, ctx.q)
 
 
-def q_inner(f: GradedVector, g: GradedVector) -> float:
+def q_inner(f: GradedVector, g: GradedVector):
     """Twisted scalar product: sum over degrees of (P f_n, g_n)."""
     require_same_context(f, g)
     total = 0.0
     for n in sorted(set(f.components) & set(g.components)):
-        total += float(apply_pq(n, f.components[n], f.ctx) @ g.components[n])
-    return total
+        sym = apply_pq(n, f.components[n], f.ctx)
+        total = total + (sym[..., None, :] @ g.components[n][..., :, None])[..., 0, 0]
+    return batch_value(total)
 
 
-def fock_norm(f: GradedVector) -> float:
-    return float(np.sqrt(max(q_inner(f, f), 0.0)))
+def fock_norm(f: GradedVector):
+    return batch_value(np.sqrt(np.maximum(q_inner(f, f), 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,25 +411,31 @@ def fock_norm(f: GradedVector) -> float:
 def contract(phi, t, n: int, q: float) -> np.ndarray:
     """Annihilation kernel on the last axis of t (leading axes are a batch):
     slot i of the degree-n tensor is contracted against phi with weight q^i.
+    phi has shape batch + (d,), its batch broadcasting against t's.
     Creation needs no kernel of its own: it is tensor_product(phi, t).
 
     Slot i is one matmul: the tensor viewed as (..., d**i, d, d**(n-1-i))
-    is a stack of d x d**(n-1-i) matrices, and phi @ view contracts their
+    is a stack of d x d**(n-1-i) matrices, and phi as a row contracts their
     rows, leaving the remaining slots in row-major order."""
     t = np.asarray(t, dtype=float)
-    lead, d = t.shape[:-1], phi.size
-    out = np.zeros(lead + (d ** (n - 1),))
+    d = phi.shape[-1]
+    row = phi[..., None, None, :]
     weight = 1.0
     for i in range(n):
-        view = t.reshape(lead + (d**i, d, d ** (n - 1 - i)))
-        out += weight * (phi @ view).reshape(out.shape)
+        view = t.reshape(t.shape[:-1] + (d**i, d, d ** (n - 1 - i)))
+        slot = row @ view
+        slot = slot.reshape(slot.shape[:-3] + (-1,))
+        slot *= weight
+        if i == 0:
+            out = np.zeros(slot.shape)
+        out += slot
         weight *= q
     return out
 
 
 def create(phi, f: GradedVector) -> GradedVector:
     """Left tensor multiplication by phi; the top component falls off the
-    truncation."""
+    truncation.  phi and f may carry a batch."""
     phi = as_one_particle(phi, f.ctx.dim)
     top = f.ctx.max_degree
     comps = {
@@ -391,7 +446,7 @@ def create(phi, f: GradedVector) -> GradedVector:
 
 def annihilate(phi, f: GradedVector) -> GradedVector:
     """q-weighted contraction: slot i is contracted against phi with weight
-    q^(i-1); degree 0 maps to zero."""
+    q^(i-1); degree 0 maps to zero.  phi and f may carry a batch."""
     phi = as_one_particle(phi, f.ctx.dim)
     comps = {
         n - 1: contract(phi, arr, n, f.ctx.q) for n, arr in f.components.items() if n > 0
@@ -437,7 +492,7 @@ def annihilation_matrix(phi, ctx: QContext) -> np.ndarray:
     return _operator_matrix(ctx, -1, lambda n, cols: contract(phi, cols, n, ctx.q))
 
 
-def commutation_residual(phi, psi, ctx: QContext) -> tuple[float, float]:
+def commutation_residual(phi, psi, ctx: QContext) -> tuple:
     """Operator norms, on degrees <= N-1, of
 
         a^-(phi) a^+(psi) - q a^+(psi') a^-(phi') - (phi, psi) Id
@@ -449,27 +504,37 @@ def commutation_residual(phi, psi, ctx: QContext) -> tuple[float, float]:
     """
     if ctx.max_degree < 1:
         raise ValueError("commutation probe needs max_degree >= 1")
-    phi = as_one_particle(phi, ctx.dim)
-    psi = as_one_particle(psi, ctx.dim)
+    phi, psi = np.broadcast_arrays(as_one_particle(phi, ctx.dim), as_one_particle(psi, ctx.dim))
+    batch = phi.shape[:-1]
+    phi = phi.reshape(-1, 1, ctx.dim)  # one row per trial, broadcast over the block's rows
+    psi = psi.reshape(-1, 1, ctx.dim)
+    pairing = phi @ psi.swapaxes(-1, -2)
     q = ctx.q
-    pairing = float(phi @ psi)
-    worst = np.zeros(2)
+    worst = np.zeros((2, len(phi)))
     # the products are block diagonal per degree, so probe degree by degree;
     # row j of each block is the operator applied to the basis tensor e_j.
-    # Both variants' blocks share one stacked SVD; the largest singular value
-    # is the 2-norm.
+    # Both variants' blocks share one stacked SVD, taken over as many trials
+    # at a time as keep it within STACK_BYTES; the largest singular value is
+    # the 2-norm.  The terms are built in place, so a slice's peak memory
+    # stays a small multiple of its stack.
     for n in range(ctx.max_degree):
         cols = np.eye(ctx.dim**n)
-        block = contract(phi, tensor_product(psi, cols), n + 1, q)
-        terms = [block, block]
-        if n > 0:
-            terms = [
-                block - q * tensor_product(plus_vec, contract(minus_vec, cols, n, q))
-                for plus_vec, minus_vec in ((psi, phi), (phi, psi))
-            ]
-        stack = np.stack(terms) - pairing * cols
-        worst = np.maximum(worst, np.linalg.svd(stack, compute_uv=False).max(axis=-1))
-    return float(worst[0]), float(worst[1])
+        step = max(1, STACK_BYTES // (2 * cols.nbytes))
+        for lo in range(0, len(phi), step):
+            rows = slice(lo, lo + step)
+            block = contract(phi[rows], tensor_product(psi[rows], cols), n + 1, q)
+            stack = np.empty((2,) + block.shape)
+            for term, (plus_vec, minus_vec) in zip(stack, ((psi, phi), (phi, psi))):
+                term[...] = block
+                if n > 0:
+                    weighted = tensor_product(plus_vec[rows], contract(minus_vec[rows], cols, n, q))
+                    weighted *= q
+                    term -= weighted
+            del block
+            stack -= pairing[rows] * cols
+            top = np.linalg.svd(stack, compute_uv=False).max(axis=-1)
+            worst[:, rows] = np.maximum(worst[:, rows], top)
+    return batch_value(worst[0].reshape(batch)), batch_value(worst[1].reshape(batch))
 
 
 def pq_spectrum(n: int, ctx: QContext) -> tuple[float, float]:

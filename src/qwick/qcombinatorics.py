@@ -9,6 +9,7 @@ with no enumeration; the pair-partition enumeration stays as its test oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -43,8 +44,10 @@ def q_integer(n: int, q: float) -> float:
     return total
 
 
+@functools.lru_cache(maxsize=None)
 def q_factorial(n: int, q: float) -> float:
-    """The q-factorial [n]_q! = [1]_q [2]_q ... [n]_q, empty product for n = 0.
+    """The q-factorial [n]_q! = [1]_q [2]_q ... [n]_q, empty product for n = 0;
+    memoized per (n, q), since every norm reads it once per degree.
 
     >>> q_factorial(3, 0.5)
     2.625

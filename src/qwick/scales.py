@@ -1,6 +1,7 @@
 """Weighted Hilbert scales around the truncated deformed Fock space.
 
-The scale of a norm is passed as plain arguments.  The test-side norm
+The scale of a norm is passed as plain arguments; the vector may be batched
+(see fock), and the norm then has its batch shape.  The test-side norm
 `g_norm(f, r, alpha, weights, weight_base)` weights degree n by
 r^n ([n]_w!)^alpha, with w = |q| (the default) or w = q, and measures each
 tensor with the diagonal one-particle weights (each >= 1; None is the plain
@@ -25,6 +26,7 @@ from .fock import (
     GradedVector,
     QContext,
     apply_pq,
+    batch_value,
     fock_norm,
     q_inner,
     require_same_context,
@@ -70,13 +72,14 @@ def _scale_args(f: GradedVector, r: float, alpha: float, weights, weight_base: s
     return tuple(w), base
 
 
-def _weighted_norm_sq(t: np.ndarray, weights: tuple | None, n: int, invert: bool) -> float:
+def _weighted_norm_sq(t: np.ndarray, weights: tuple | None, n: int, invert: bool) -> np.ndarray:
+    """The squared weighted norm over the last axis, per row of the batch."""
     if weights is None:
-        return float(t @ t)
+        return (t[..., None, :] @ t[..., :, None])[..., 0, 0]
     w = _weight_power(weights, n)
     if invert:
-        return float((t * t) @ (1.0 / w))
-    return float((t * t) @ w)
+        w = 1.0 / w
+    return ((t * t)[..., None, :] @ w)[..., 0]
 
 
 def g_norm(
@@ -88,8 +91,8 @@ def g_norm(
     total = 0.0
     for n, comp in f.components.items():
         weight = r**n * q_factorial(n, base) ** alpha
-        total += _weighted_norm_sq(comp, weights, n, invert=False) * weight
-    return float(math.sqrt(total))
+        total = total + _weighted_norm_sq(comp, weights, n, invert=False) * weight
+    return batch_value(np.sqrt(total))
 
 
 def f_dual_norm(f: GradedVector, r: float, alpha: float, weights=None) -> float:
@@ -100,8 +103,8 @@ def f_dual_norm(f: GradedVector, r: float, alpha: float, weights=None) -> float:
     for n, comp in f.components.items():
         sym = apply_pq(n, comp, f.ctx)
         weight = r ** (-n) * q_factorial(n, aq) ** (-alpha)
-        total += _weighted_norm_sq(sym, weights, n, invert=True) * weight
-    return float(math.sqrt(total))
+        total = total + _weighted_norm_sq(sym, weights, n, invert=True) * weight
+    return batch_value(np.sqrt(total))
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +114,8 @@ def f_dual_norm(f: GradedVector, r: float, alpha: float, weights=None) -> float:
 
 def graded_tensor(f: GradedVector, g: GradedVector) -> GradedVector:
     """Degree-n component sum of f_i (x) g_(n-i); degrees beyond the
-    truncation are dropped, so norms of a product never see them."""
+    truncation are dropped, so norms of a product never see them.  f and g
+    may carry a batch."""
     require_same_context(f, g)
     comps: dict[int, np.ndarray] = {}
     for i, fi in f.components.items():
@@ -149,7 +153,7 @@ def embedding_residual(
             f"embedding check requires r >= max(1, (1+w)^(1-alpha)) = {r_min:.6g}, "
             f"got r = {r}"
         )
-    return max(0.0, fock_norm(f) - g_norm(f, r, alpha, weights, weight_base))
+    return batch_value(np.maximum(0.0, fock_norm(f) - g_norm(f, r, alpha, weights, weight_base)))
 
 
 def estimate_c1(r: float, s: float, alpha: float, ctx: QContext) -> float:
@@ -225,10 +229,10 @@ def vage_ratio(f: GradedVector, g: GradedVector, r: float, s: float) -> tuple[fl
     if not s >= 1.0 or not r > s:
         raise ValueError("requires r > s >= 1")
     denom = f_dual_norm(f, s, 2.0) * f_dual_norm(g, r, 2.0)
-    if denom == 0.0:
+    if np.any(denom == 0.0):
         raise ValueError("zero denominator: both factors must be nonzero")
     ratio = f_dual_norm(graded_tensor(f, g), r, 2.0) / denom
-    return float(ratio), float(math.sqrt(r / (r - s)))
+    return batch_value(ratio), float(math.sqrt(r / (r - s)))
 
 
 def duality_residual(f_test: GradedVector, g_dual: GradedVector, r: float, alpha: float) -> float:
@@ -240,7 +244,7 @@ def duality_residual(f_test: GradedVector, g_dual: GradedVector, r: float, alpha
         raise ValueError("requires alpha >= 1")
     weights = default_hplus_weights(f_test.ctx.dim)
     product = g_norm(f_test, r, alpha, weights) * f_dual_norm(g_dual, r, alpha, weights)
-    return max(0.0, abs(q_inner(f_test, g_dual)) - product)
+    return batch_value(np.maximum(0.0, np.abs(q_inner(f_test, g_dual)) - product))
 
 
 def saturating_dual_partner(f_test: GradedVector, r: float, alpha: float) -> GradedVector:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import GradedVector, tensor_product
+from .fock import GradedVector, batch_value, tensor_product
 from .scales import f_dual_norm, graded_tensor
 
 TAIL_TOL = 1e-12  # a series stops once its certified tail bound drops below this
@@ -59,7 +59,8 @@ class SeriesSpec:
 
 @dataclass(frozen=True)
 class ConvergenceCertificate:
-    """One working scale pair for a series argument.
+    """One working scale pair for a series argument, or one per row of a
+    batched argument (every field then has the batch shape).
 
     epsilon is the gap radius - norm_s; contraction = sqrt(r/(r-s)) * norm_s
     / radius must be < 1 for the power norms to shrink geometrically.
@@ -76,14 +77,15 @@ class ConvergenceCertificate:
         return self.norm_s + self.epsilon
 
     def __post_init__(self):
-        if not self.r > self.s >= 1.0:
+        if not np.all((self.r > self.s) & (self.s >= 1.0)):
             raise ValueError("certificate requires r > s >= 1")
-        if not self.contraction < 1.0:
+        if not np.all(self.contraction < 1.0):
             raise ValueError("certificate requires contraction < 1")
 
 
 def certify_radius(f: GradedVector, spec: SeriesSpec, s: float = 1.0) -> ConvergenceCertificate:
-    """Find a scale pair under which the power series of f converges.
+    """Find a scale pair under which the power series of f converges, for
+    each row of a batched f.
 
     Grows s geometrically until the s-scale norm drops inside the radius and
     some r on the grid s * {1.1, ..., 8} yields a contraction below the 1%
@@ -92,33 +94,37 @@ def certify_radius(f: GradedVector, spec: SeriesSpec, s: float = 1.0) -> Converg
     """
     if not s >= 1.0:
         raise ValueError(f"requires s >= 1, got {s}")
-    vacuum_part = abs(float(f.component(0)[0]))
-    if not vacuum_part < spec.radius:
+    vacuum_part = batch_value(np.abs(f.component(0)[..., 0]))
+    if not np.all(vacuum_part < spec.radius):
         raise ValueError(
             "series argument requires the vacuum component strictly inside "
-            f"the convergence radius: |{vacuum_part}| >= {spec.radius}"
+            f"the convergence radius: |{batch_value(np.max(vacuum_part))}| >= {spec.radius}"
         )
-    while s <= SCALE_CAP:
+    pending = np.ones(np.shape(vacuum_part), dtype=bool)
+    fields = {name: np.zeros(pending.shape) for name in ("s", "norm_s", "r", "contraction")}
+    while s <= SCALE_CAP and pending.any():
         norm_s = f_dual_norm(f, s, 2.0)
-        if norm_s < spec.radius:
-            for factor in R_GRID_FACTORS:
-                r = s * factor
-                contraction = math.sqrt(r / (r - s)) * norm_s / spec.radius
-                if contraction <= CONTRACTION_MARGIN:
-                    return ConvergenceCertificate(
-                        s=s,
-                        norm_s=norm_s,
-                        epsilon=spec.radius - norm_s,
-                        r=r,
-                        contraction=contraction,
-                    )
+        inside = pending & (norm_s < spec.radius)
+        for factor in R_GRID_FACTORS:
+            r = s * factor
+            contraction = math.sqrt(r / (r - s)) * norm_s / spec.radius
+            hit = inside & (contraction <= CONTRACTION_MARGIN)
+            found = {"s": s, "norm_s": norm_s, "r": r, "contraction": contraction}
+            for name, value in found.items():
+                fields[name] = np.where(hit, value, fields[name])
+            inside &= ~hit
+            pending &= ~hit
         s *= 2.0
-    raise ValueError("not certifiable at desk scale: no valid scale below the cap")
+    if pending.any():
+        raise ValueError("not certifiable at desk scale: no valid scale below the cap")
+    fields = {name: batch_value(value) for name, value in fields.items()}
+    return ConvergenceCertificate(epsilon=spec.radius - fields["norm_s"], **fields)
 
 
-def _tail_bound(spec: SeriesSpec, cert: ConvergenceCertificate, after: int) -> float:
-    """Certified bound on the r-scale norm of everything past term `after`."""
-    b = cert.contraction * spec.radius
+def _tail_bound(spec: SeriesSpec, contraction: float, after: int) -> float:
+    """Certified bound on the r-scale norm of everything past term `after`,
+    for a certificate with this contraction."""
+    b = contraction * spec.radius
     rho = (b + spec.radius) / 2.0
     c = spec.fitted_constant(rho)
     ratio = b / rho
@@ -128,15 +134,20 @@ def _tail_bound(spec: SeriesSpec, cert: ConvergenceCertificate, after: int) -> f
 def wick_series(f: GradedVector, spec: SeriesSpec, cert: ConvergenceCertificate) -> GradedVector:
     """Sum a_n f^(x n), stopping once the certified geometric tail bound
     drops below TAIL_TOL (or the supplied coefficients are exhausted, which
-    makes the sum exact)."""
+    makes the sum exact).  For a batched f and certificate every row stops at
+    its own term; a row that has stopped adds zeros."""
+    contractions = np.ravel(cert.contraction).tolist()
+    live = np.ones(np.shape(cert.contraction), dtype=bool)
     result = GradedVector.zero(f.ctx)
     power = GradedVector.vacuum(f.ctx)
     for n, a in enumerate(spec.coefficients):
         if n > 0:
             power = graded_tensor(power, f)
         if a != 0.0:
-            result = result + power.scale(a)
-        if _tail_bound(spec, cert, n) < TAIL_TOL:
+            result = result + power.scale(a if live.all() else a * live)
+        tails = [_tail_bound(spec, c, n) for c in contractions]
+        live &= ~(np.reshape(tails, live.shape) < TAIL_TOL)
+        if not live.any():
             break
     return result
 
@@ -169,18 +180,19 @@ def wick_exp(f: GradedVector, s: float = 1.0) -> GradedVector:
 
 
 def wick_inverse(f: GradedVector) -> GradedVector:
-    """Tensor-multiplicative inverse: exists iff the vacuum component f_0 is
-    nonzero.  On the truncation it is exact, degree by degree:
+    """Tensor-multiplicative inverse, per row of a batched f: exists iff the
+    vacuum component f_0 is nonzero.  On the truncation it is exact, degree
+    by degree:
 
         g_0 = 1/f_0,   g_n = -(1/f_0) sum_{i=1..n} f_i (x) g_(n-i),
 
     O(N^2) tensor products.  A degree no f_i (x) g_(n-i) reaches stays absent.
     graded_tensor(f, g) == vacuum is the independent check."""
-    vacuum_part = float(f.component(0)[0])
-    if vacuum_part == 0.0:
+    vacuum_part = f.component(0)[..., :1]
+    if np.any(vacuum_part == 0.0):
         raise ValueError("not invertible: the vacuum component is zero")
     inv = 1.0 / vacuum_part
-    g = {0: np.array([inv])}
+    g = {0: inv}
     for n in range(1, f.ctx.max_degree + 1):
         terms = [
             tensor_product(f.components[i], g[n - i])

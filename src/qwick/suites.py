@@ -1,17 +1,21 @@
 """Seeded randomized verification suites with machine-readable reports.
 
 The suites form one table, `SUITES`, run by one runner, `run_suite`.  A table
-entry holds only the suite's own maths: what one trial computes, its
-tolerance, its truncation degree, and its extra params and findings.  The
-runner does the rest for every suite: it draws trial i's generator from
-(seed, stream key, i), so results do not depend on execution order, loops over
-the trials, splits them evenly over the configured scale pairs, builds the
-shared params and records the violations.  Adding a suite means adding one
-entry to the table.
+entry holds only the suite's own maths: what one trial draws, how a stream of
+draws is checked, its tolerance, its truncation degree, and its extra params
+and findings.  The runner does the rest for every suite: it draws trial i's
+inputs from a generator seeded by (seed, stream key, i), so results do not
+depend on execution order, splits the trials evenly over the configured scale
+pairs, checks each stream's draws in one call, builds the shared params and
+records the violations.  A check stacks its draws into one batch and makes
+one kernel call where a trial made one, each row computed bit for bit as
+alone; commutation's dense blocks go to the SVD at most fock.STACK_BYTES at a
+time.  Adding a suite means adding one entry to the table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import zlib
 from dataclasses import dataclass, field
@@ -143,32 +147,53 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
+def _stacked(check):
+    """check(ctx, draws) from check(ctx, *columns): the draws' inputs are
+    stacked position by position (graded vectors with GradedVector.stack,
+    arrays with np.stack), and no draws give no values."""
+
+    @functools.wraps(check)
+    def on_draws(ctx: QContext, draws: list) -> list:
+        if not draws:
+            return []
+        columns = [
+            GradedVector.stack(col) if isinstance(col[0], GradedVector) else np.stack(col)
+            for col in zip(*draws)
+        ]
+        return check(ctx, *columns)
+
+    return on_draws
+
+
 @dataclass(frozen=True)
 class Suite:
     """One row of the suite table.
 
-    A sampling suite gives `trial(ctx, rng)`, the value of one trial.  A scale
-    suite gives `pair(ctx, r, s, alpha)`, called once per configured scale
-    pair, which returns the pair's stream key, its `per_scale` record, its
-    bound and a trial computing a ratio; the trial's value is how far the
-    ratio exceeds the bound.  A fixed suite gives `fixed(ctx, tolerance)`,
+    A sampling suite gives `draw(ctx, rng)`, the inputs of one trial, and
+    `check(ctx, draws)`, the values of a list of draws, one per draw and each
+    the same as `check(ctx, [draw])` would give.  A scale suite gives `draw`
+    and `pair(ctx, r, s, alpha)`, called once per configured scale pair,
+    which returns the pair's stream key, its `per_scale` record, its bound
+    and a check computing ratios; a trial's value is how far its ratio
+    exceeds the bound.  A fixed suite gives `fixed(ctx, tolerance)`,
     which draws no randomness and returns its whole value list, its extra
-    params and its side checks.  `findings(ctx, draw)` returns a sampling
-    suite's computed params and side checks; `draw(key)` is the generator of
+    params and its side checks.  `findings(ctx, side)` returns a sampling
+    suite's computed params and side checks; `side(key)` is the generator of
     side stream `{suite}:{key}`, index 0.  A side check is a (value, limit)
     pair, recorded as trial -1 when the value is not within its limit.
 
     `params` holds constant extra params, `shared` the shared params the
     report keeps, and `degree` maps the configured truncation degree to the
-    suite's.  With `aside` set, a trial returns (value, aside) and the
+    suite's.  With `aside` set, a check gives (value, aside) per draw and the
     report's `aside` param is the largest aside.
     """
 
     tolerance: float
-    trial: Callable[[QContext, np.random.Generator], float] | None = None
+    draw: Callable[[QContext, np.random.Generator], tuple] | None = None
+    check: Callable[[QContext, list], list] | None = None
     pair: Callable[[QContext, float, float, float], tuple[str, dict, float, Callable]] | None = None
     fixed: Callable[[QContext, float], tuple[list[float], dict, tuple]] | None = None
-    findings: Callable[[QContext, Callable], tuple[dict, tuple]] = lambda ctx, draw: ({}, ())
+    findings: Callable[[QContext, Callable], tuple[dict, tuple]] = lambda ctx, side: ({}, ())
     params: dict = field(default_factory=dict)
     shared: tuple[str, ...] = ("q", "dim", "max_degree")
     degree: Callable[[int], int] = lambda n: n
@@ -196,13 +221,14 @@ def run_suite(name: str, cfg: RunConfig) -> Report:
         if suite.pair:
             streams = [suite.pair(ctx, *scale) for scale in cfg.scales]
         else:
-            streams = [(name, {}, None, suite.trial)]
+            streams = [(name, {}, None, suite.check)]
         base, rest = divmod(cfg.trials, len(streams))
         values, per_scale, start = [], [], 0
         worst_margin = -math.inf
-        for k, (key, record, limit, trial) in enumerate(streams):
+        for k, (key, record, limit, check) in enumerate(streams):
             stop = start + base + (k < rest)
-            outputs = [trial(ctx, _trial_rng(cfg.seed, key, i)) for i in range(start, stop)]
+            draws = [suite.draw(ctx, _trial_rng(cfg.seed, key, i)) for i in range(start, stop)]
+            outputs = check(ctx, draws)
             start = stop
             if limit is None:
                 values += outputs
@@ -240,12 +266,16 @@ def run_suite(name: str, cfg: RunConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _commutation(ctx: QContext, rng: np.random.Generator) -> tuple[float, float]:
+def _unit_pair(ctx: QContext, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    return _unit(rng.standard_normal(ctx.dim)), _unit(rng.standard_normal(ctx.dim))
+
+
+@_stacked
+def _commutation(ctx: QContext, phi: np.ndarray, psi: np.ndarray) -> list[tuple[float, float]]:
     """a^- a^+ = q a^+ a^- + pairing, on degrees below the truncation edge;
     the aside is the residual of the argument-swapped variant."""
-    phi = _unit(rng.standard_normal(ctx.dim))
-    psi = _unit(rng.standard_normal(ctx.dim))
-    return commutation_residual(phi, psi, ctx)
+    exchange, swapped = commutation_residual(phi, psi, ctx)
+    return list(zip(exchange.tolist(), swapped.tolist()))
 
 
 def _positivity(ctx: QContext, tolerance: float) -> tuple[list[float], dict, tuple]:
@@ -275,14 +305,18 @@ def _positivity(ctx: QContext, tolerance: float) -> tuple[list[float], dict, tup
     return values, extra, ((oracle_gap, tolerance),)
 
 
-def _adjointness(ctx: QContext, rng: np.random.Generator) -> float:
-    """Creation and annihilation are mutually adjoint in the twisted pairing."""
+def _adjointness_draw(ctx: QContext, rng: np.random.Generator) -> tuple:
     phi = _unit(rng.standard_normal(ctx.dim))
-    f = GradedVector.random(ctx, rng)
-    g = GradedVector.random(ctx, rng)
+    return phi, GradedVector.random(ctx, rng), GradedVector.random(ctx, rng)
+
+
+@_stacked
+def _adjointness(ctx: QContext, phi: np.ndarray, f: GradedVector, g: GradedVector) -> list[float]:
+    """Creation and annihilation are mutually adjoint in the twisted pairing."""
     lhs = q_inner(create(phi, f), g)
     rhs = q_inner(f, annihilate(phi, g))
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+    scale = np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
+    return (np.abs(lhs - rhs) / scale).tolist()
 
 
 def _macmahon(ctx: QContext, tolerance: float) -> tuple[list[float], dict, tuple]:
@@ -299,18 +333,25 @@ def _moment_orders(ctx: QContext) -> int:
     return min(10, 2 * ctx.max_degree)
 
 
-def _moments(ctx: QContext, rng: np.random.Generator) -> float:
+@_stacked
+def _moments(ctx: QContext, phi: np.ndarray) -> list[float]:
     """Field-operator vacuum moments of one walk against the crossing-polynomial
-    oracle."""
-    phi = rng.standard_normal(ctx.dim)
-    scale = max(1.0, float(np.linalg.norm(phi)))
-    worst = 0.0
-    for k, report in enumerate(moments(phi, _moment_orders(ctx), ctx)):
-        if k % 2 == 0:
-            worst = max(worst, report.residual / abs(report.oracle_value))
-        else:
-            worst = max(worst, abs(report.value) / scale**k)
-    return worst
+    oracle; one walk serves every draw."""
+    columns = [
+        (report.residual.tolist(), report.oracle_value.tolist(), report.value.tolist())
+        for report in moments(phi, _moment_orders(ctx), ctx)
+    ]
+    values = []
+    for i, row in enumerate(phi):
+        scale = max(1.0, float(np.linalg.norm(row)))
+        worst = 0.0
+        for k, (residual, oracle, value) in enumerate(columns):
+            if k % 2 == 0:
+                worst = max(worst, residual[i] / abs(oracle[i]))
+            else:
+                worst = max(worst, abs(value[i]) / scale**k)
+        values.append(worst)
+    return values
 
 
 def _random_polynomial(rng: np.random.Generator, dim: int, max_terms: int = 3) -> WickPolynomial:
@@ -324,28 +365,35 @@ def _random_polynomial(rng: np.random.Generator, dim: int, max_terms: int = 3) -
     return WickPolynomial(terms)
 
 
-def _wick_correspondence(ctx: QContext, rng: np.random.Generator) -> float:
-    """The vacuum map turns the Wick product into the graded tensor product,
-    and orthogonal monomials land on their kernels."""
+def _wick_correspondence_draw(ctx: QContext, rng: np.random.Generator) -> tuple:
     p1 = _random_polynomial(rng, ctx.dim)
     p2 = _random_polynomial(rng, ctx.dim)
-    left = vacuum_vector(wick_mul_poly(p1, p2, ctx.q), ctx)
-    right = graded_tensor(vacuum_vector(p1, ctx), vacuum_vector(p2, ctx))
-    worst = (left - right).euclidean_norm() / max(1.0, right.euclidean_norm())
-
     n = int(rng.integers(1, min(4, ctx.max_degree) + 1))
     vectors = [rng.standard_normal(ctx.dim) for _ in range(n)]
-    target = GradedVector(ctx, {n: elementary_tensor(vectors)})
-    mono_gap = vacuum_vector(wick_monomial(vectors, ctx.q), ctx) - target
-    worst = max(worst, mono_gap.euclidean_norm() / max(1.0, target.euclidean_norm()))
-
     fs = [rng.standard_normal(ctx.dim) for _ in range(int(rng.integers(1, 3)))]
     gs = [rng.standard_normal(ctx.dim) for _ in range(int(rng.integers(1, 3)))]
-    product = wick_mul_poly(wick_monomial(fs, ctx.q), wick_monomial(gs, ctx.q), ctx.q)
-    joint = wick_monomial(fs + gs, ctx.q)
-    coeff_scale = max(1.0, max(abs(c) for c in joint.terms.values()))
-    worst = max(worst, product.max_coeff_diff(joint) / coeff_scale)
-    return worst
+    return p1, p2, vectors, fs, gs
+
+
+def _wick_correspondence(ctx: QContext, draws: list) -> list[float]:
+    """The vacuum map turns the Wick product into the graded tensor product,
+    and orthogonal monomials land on their kernels.  Polynomials are dicts of
+    words, so each draw is checked on its own."""
+    values = []
+    for p1, p2, vectors, fs, gs in draws:
+        left = vacuum_vector(wick_mul_poly(p1, p2, ctx.q), ctx)
+        right = graded_tensor(vacuum_vector(p1, ctx), vacuum_vector(p2, ctx))
+        worst = (left - right).euclidean_norm() / max(1.0, right.euclidean_norm())
+
+        target = GradedVector(ctx, {len(vectors): elementary_tensor(vectors)})
+        mono_gap = vacuum_vector(wick_monomial(vectors, ctx.q), ctx) - target
+        worst = max(worst, mono_gap.euclidean_norm() / max(1.0, target.euclidean_norm()))
+
+        product = wick_mul_poly(wick_monomial(fs, ctx.q), wick_monomial(gs, ctx.q), ctx.q)
+        joint = wick_monomial(fs + gs, ctx.q)
+        coeff_scale = max(1.0, max(abs(c) for c in joint.terms.values()))
+        values.append(max(worst, product.max_coeff_diff(joint) / coeff_scale))
+    return values
 
 
 def _x_power_polynomial(k: int, q: float) -> WickPolynomial:
@@ -415,13 +463,22 @@ def _hermite(ctx: QContext, tolerance: float) -> tuple[list[float], dict, tuple]
     return values, extra, ((classical_worst, 1e-4),)
 
 
-def _embedding(ctx: QContext, rng: np.random.Generator) -> float:
+def _one_vector(ctx: QContext, rng: np.random.Generator) -> tuple[GradedVector]:
+    return (GradedVector.random(ctx, rng),)
+
+
+def _two_vectors(ctx: QContext, rng: np.random.Generator) -> tuple[GradedVector, GradedVector]:
+    return GradedVector.random(ctx, rng), GradedVector.random(ctx, rng)
+
+
+@_stacked
+def _embedding(ctx: QContext, f: GradedVector) -> list[float]:
     """The |q|-weighted test scale dominates the center norm."""
-    f = GradedVector.random(ctx, rng)
-    return embedding_residual(f, 1.0, 2.0, default_hplus_weights(ctx.dim)) / max(1.0, fock_norm(f))
+    residual = embedding_residual(f, 1.0, 2.0, default_hplus_weights(ctx.dim))
+    return (residual / np.maximum(1.0, fock_norm(f))).tolist()
 
 
-def _embedding_findings(ctx: QContext, draw) -> tuple[dict, tuple]:
+def _embedding_findings(ctx: QContext, side) -> tuple[dict, tuple]:
     """Documented finding: with plain-q weights the same bound fails on
     antisymmetric tensors even under the scale precondition."""
     if not (ctx.q < 0.0 and ctx.dim >= 2 and ctx.max_degree >= 2):
@@ -434,19 +491,25 @@ def _embedding_findings(ctx: QContext, draw) -> tuple[dict, tuple]:
     return {"plain_q_weight_failure_residual": residual}, ()
 
 
-def _lemma53(ctx: QContext, rng: np.random.Generator) -> float:
-    """Symmetrized tensor products obey the |q|-binomial bound."""
+def _lemma53_draw(ctx: QContext, rng: np.random.Generator) -> tuple:
     m = int(rng.integers(1, 4))
     n = int(rng.integers(1, 4))
-    f = rng.standard_normal(ctx.dim**m)
-    g = rng.standard_normal(ctx.dim**n)
-    rhs_scale = max(
-        1.0,
-        q_binomial(m + n, m, abs(ctx.q))
-        * float(np.linalg.norm(f))
-        * float(np.linalg.norm(g)),
-    )
-    return lemma53_residual(f, g, ctx, m, n) / rhs_scale
+    return m, n, rng.standard_normal(ctx.dim**m), rng.standard_normal(ctx.dim**n)
+
+
+def _lemma53(ctx: QContext, draws: list) -> list[float]:
+    """Symmetrized tensor products obey the |q|-binomial bound.  The degrees
+    are drawn per trial, so each draw is checked on its own."""
+    values = []
+    for m, n, f, g in draws:
+        rhs_scale = max(
+            1.0,
+            q_binomial(m + n, m, abs(ctx.q))
+            * float(np.linalg.norm(f))
+            * float(np.linalg.norm(g)),
+        )
+        values.append(lemma53_residual(f, g, ctx, m, n) / rhs_scale)
+    return values
 
 
 def _theorem43_pair(ctx: QContext, big: float, small: float, alpha: float):
@@ -457,45 +520,43 @@ def _theorem43_pair(ctx: QContext, big: float, small: float, alpha: float):
     c1 = estimate_c1(r, s, alpha, ctx)
     weights = default_hplus_weights(ctx.dim)
 
-    def trial(ctx: QContext, rng: np.random.Generator) -> float:
-        f = GradedVector.random(ctx, rng)
-        g = GradedVector.random(ctx, rng)
+    @_stacked
+    def check(ctx: QContext, f: GradedVector, g: GradedVector) -> list[float]:
         denom = g_norm(f, s, alpha, weights) * g_norm(g, s, alpha, weights)
-        return g_norm(graded_tensor(f, g), r, alpha, weights) / denom
+        return (g_norm(graded_tensor(f, g), r, alpha, weights) / denom).tolist()
 
-    return f"theorem43:{r}", {"r": r, "s": s, "alpha": alpha, "c1": c1}, c1, trial
+    return f"theorem43:{r}", {"r": r, "s": s, "alpha": alpha, "c1": c1}, c1, check
 
 
 def _vage_pair(ctx: QContext, r: float, s: float, alpha: float):
     """Asymmetric submultiplicativity on the dual scale at exponent -2."""
     bound = math.sqrt(r / (r - s))
 
-    def trial(ctx: QContext, rng: np.random.Generator) -> float:
-        f = GradedVector.random(ctx, rng)
-        g = GradedVector.random(ctx, rng)
+    @_stacked
+    def check(ctx: QContext, f: GradedVector, g: GradedVector) -> list[float]:
         ratio, _ = vage_ratio(f, g, r, s)
-        return ratio
+        return ratio.tolist()
 
-    return f"vage:{r}:{s}", {"r": r, "s": s, "bound": bound}, bound, trial
+    return f"vage:{r}:{s}", {"r": r, "s": s, "bound": bound}, bound, check
 
 
 DUALITY_R, DUALITY_ALPHA = 2.0, 2.0
 
 
-def _duality(ctx: QContext, rng: np.random.Generator) -> float:
+@_stacked
+def _duality(ctx: QContext, f: GradedVector, g: GradedVector) -> list[float]:
     """The dual-scale norm is the exact operator dual of the test norm."""
     weights = default_hplus_weights(ctx.dim)
-    f = GradedVector.random(ctx, rng)
-    g = GradedVector.random(ctx, rng)
     test_norm = g_norm(f, DUALITY_R, DUALITY_ALPHA, weights)
     product = test_norm * f_dual_norm(g, DUALITY_R, DUALITY_ALPHA, weights)
-    return duality_residual(f, g, DUALITY_R, DUALITY_ALPHA) / max(1.0, product)
+    residual = duality_residual(f, g, DUALITY_R, DUALITY_ALPHA)
+    return (residual / np.maximum(1.0, product)).tolist()
 
 
-def _duality_findings(ctx: QContext, draw) -> tuple[dict, tuple]:
+def _duality_findings(ctx: QContext, side) -> tuple[dict, tuple]:
     """One saturating pair: the bound is attained, not merely respected."""
     weights = default_hplus_weights(ctx.dim)
-    f = GradedVector.random(ctx, draw("saturate"))
+    f = GradedVector.random(ctx, side("saturate"))
     partner = saturating_dual_partner(f, DUALITY_R, DUALITY_ALPHA)
     pairing = abs(q_inner(f, partner))
     test_norm = g_norm(f, DUALITY_R, DUALITY_ALPHA, weights)
@@ -516,45 +577,64 @@ def _random_dyadic_vector(ctx: QContext, rng: np.random.Generator) -> GradedVect
     return GradedVector(ctx, comps)
 
 
-def _inverse(ctx: QContext, rng: np.random.Generator) -> float:
-    """The tensor inverse is exact on the truncation."""
-    omega = GradedVector.vacuum(ctx)
+def _inverse_draw(ctx: QContext, rng: np.random.Generator) -> tuple[GradedVector, GradedVector]:
     f = _random_dyadic_vector(ctx, rng)
-    defect = (graded_tensor(f, wick_inverse(f)) - omega).max_abs()
-    value = 0.0 if defect == 0.0 else math.inf  # exact family must cancel exactly
     g_comps = {n: rng.standard_normal(ctx.dim**n) for n in range(1, ctx.max_degree + 1)}
     z = float(rng.standard_normal())
     g_comps[0] = np.array([math.copysign(1.0 + abs(z), z)])  # well away from zero
-    g = GradedVector(ctx, g_comps)
-    float_defect = (graded_tensor(g, wick_inverse(g)) - omega).max_abs()
-    return max(value, float_defect / max(1.0, g.max_abs()) ** ctx.max_degree)
+    return f, GradedVector(ctx, g_comps)
+
+
+@_stacked
+def _inverse(ctx: QContext, f: GradedVector, g: GradedVector) -> list[float]:
+    """The tensor inverse is exact on the truncation."""
+    omega = GradedVector.vacuum(ctx)
+    defects = (graded_tensor(f, wick_inverse(f)) - omega).max_abs().tolist()
+    float_defects = (graded_tensor(g, wick_inverse(g)) - omega).max_abs().tolist()
+    values = []
+    for defect, float_defect, size in zip(defects, float_defects, g.max_abs().tolist()):
+        value = 0.0 if defect == 0.0 else math.inf  # exact family must cancel exactly
+        values.append(max(value, float_defect / max(1.0, size) ** ctx.max_degree))
+    return values
 
 
 GEOMETRIC_SERIES = SeriesSpec((1.0,) * 40, 1.0)
 
 
-def _series(ctx: QContext, rng: np.random.Generator) -> float:
+@_stacked
+def _series(ctx: QContext, f: GradedVector) -> list[float]:
     """Radius certification and geometric decay of certified power series."""
-    f = GradedVector.random(ctx, rng)
     f = f.scale(0.5 / f_dual_norm(f, 1.0, 2.0))  # s-scale norm 0.5 against radius 1
     cert = certify_radius(f, GEOMETRIC_SERIES, 1.0)
-    if not (cert.contraction < 1.0 and cert.r > cert.s / (1.0 - (cert.norm_s / 1.0) ** 2)):
-        return math.inf
-    worst = 0.0
+    # each draw's powers are measured at its own r; draws share r in practice
+    rs = cert.r.tolist()
+    norms: dict[float, list] = {r: [] for r in rs}
     power = GradedVector.vacuum(ctx)
     for n in range(1, 9):
         power = graded_tensor(power, f)
-        worst = max(worst, f_dual_norm(power, cert.r, 2.0) / cert.contraction**n - 1.0)
+        for r, at_r in norms.items():
+            at_r.append(f_dual_norm(power, r, 2.0).tolist())
     # the identity series must reproduce its argument exactly
     identity = wick_series(f, SeriesSpec((0.0, 1.0), 1.0), cert)
-    if (identity - f).max_abs() != 0.0:
-        return math.inf
-    return max(0.0, worst)
+    exact = ((identity - f).max_abs() == 0.0).tolist()
+    values = []
+    for i, (r, s, norm_s, contraction) in enumerate(
+        zip(rs, cert.s.tolist(), cert.norm_s.tolist(), cert.contraction.tolist())
+    ):
+        if not (contraction < 1.0 and r > s / (1.0 - (norm_s / 1.0) ** 2)) or not exact[i]:
+            values.append(math.inf)
+            continue
+        worst = 0.0
+        for n, power_norms in enumerate(norms[r], start=1):
+            worst = max(worst, power_norms[i] / contraction**n - 1.0)
+        values.append(max(0.0, worst))
+    return values
 
 
 SUITES = {
     "commutation": Suite(
         1e-12,
+        _unit_pair,
         _commutation,
         params={
             "normalization": "unit test vectors",
@@ -563,34 +643,44 @@ SUITES = {
         aside="argument_swapped_variant_max_residual",
     ),
     "positivity": Suite(1e-10, fixed=_positivity, shared=("q", "dim")),
-    "adjointness": Suite(1e-12, _adjointness),
+    "adjointness": Suite(1e-12, _adjointness_draw, _adjointness),
     "macmahon": Suite(1e-12, fixed=_macmahon, shared=("q",)),
     "moments": Suite(
         1e-9,
+        lambda ctx, rng: (rng.standard_normal(ctx.dim),),
         _moments,
-        findings=lambda ctx, draw: ({"orders": _moment_orders(ctx)}, ()),
+        findings=lambda ctx, side: ({"orders": _moment_orders(ctx)}, ()),
         degree=lambda n: max(n, 1),
     ),
-    "wick-correspondence": Suite(1e-10, _wick_correspondence, degree=lambda n: max(n, 4)),
+    "wick-correspondence": Suite(
+        1e-10, _wick_correspondence_draw, _wick_correspondence, degree=lambda n: max(n, 4)
+    ),
     "hermite": Suite(1e-12, fixed=_hermite, shared=("q",)),
     "embedding": Suite(
         1e-12,
+        _one_vector,
         _embedding,
         findings=_embedding_findings,
         params={"alpha": 2.0, "r": 1.0, "weight_base": "abs_q"},
     ),
-    "lemma53": Suite(1e-9, _lemma53, params={"degrees": "1..3"}, shared=("q", "dim")),
-    "theorem43": Suite(1e-9, pair=_theorem43_pair),
-    "vage": Suite(1e-9, pair=_vage_pair),
+    "lemma53": Suite(
+        1e-9, _lemma53_draw, _lemma53, params={"degrees": "1..3"}, shared=("q", "dim")
+    ),
+    "theorem43": Suite(1e-9, _two_vectors, pair=_theorem43_pair),
+    "vage": Suite(1e-9, _two_vectors, pair=_vage_pair),
     "duality": Suite(
         1e-10,
+        _two_vectors,
         _duality,
         findings=_duality_findings,
         params={"r": DUALITY_R, "alpha": DUALITY_ALPHA},
     ),
     "inverse": Suite(
-        1e-12, _inverse, params={"exact_family": "dyadic entries, power-of-two vacuum part"}
+        1e-12,
+        _inverse_draw,
+        _inverse,
+        params={"exact_family": "dyadic entries, power-of-two vacuum part"},
     ),
-    "series": Suite(1e-9, _series, params={"radius": 1.0, "target_norm": 0.5}),
+    "series": Suite(1e-9, _one_vector, _series, params={"radius": 1.0, "target_norm": 0.5}),
 }
 SUITE_NAMES = tuple(SUITES)

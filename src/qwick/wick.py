@@ -27,9 +27,11 @@ from .fock import (
     QContext,
     annihilate,
     as_one_particle,
+    batch_value,
     contract,
     create,
     tensor_product,
+    unique_keys,
 )
 from .qcombinatorics import crossing_polynomial
 
@@ -159,7 +161,7 @@ class WickPolynomial:
 
     @classmethod
     def from_json(cls, text: str) -> "WickPolynomial":
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(json.loads(text, object_pairs_hook=unique_keys))
 
 
 # ---------------------------------------------------------------------------
@@ -296,18 +298,22 @@ MAX_MOMENT_ORDER = 40
 
 @dataclass(frozen=True)
 class MomentReport:
+    """One order's moment, both ways; value and oracle_value have the batch
+    shape of phi."""
+
     order: int
     value: float
     oracle_value: float
 
     @property
     def residual(self) -> float:
-        return abs(self.value - self.oracle_value)
+        return batch_value(np.abs(self.value - self.oracle_value))
 
 
 def moments(phi, top: int, ctx: QContext) -> list[MomentReport]:
-    """Vacuum moments of orders 0..top of the field operator of phi, each
-    computed two independent ways.
+    """Vacuum moments of orders 0..top of the field operator of phi (shape
+    batch + (d,): one walk serves every row), each computed two independent
+    ways.
 
     value (the fast route): one walk of the vacuum, top steps under creation
     plus annihilation by phi on per-degree arrays; the moment of order k is
@@ -318,8 +324,8 @@ def moments(phi, top: int, ctx: QContext) -> list[MomentReport]:
     once max_degree covers that.
     oracle: ||phi||^k times the crossing polynomial of pair partitions of k
     points evaluated at q, zero for odd k.  The integer polynomial is
-    evaluated exactly at the rational value of the double q and rounded
-    once, since the float sum cancels for q < 0 at high order.
+    evaluated exactly at the rational value of the double q, once per order,
+    and rounded once, since the float sum cancels for q < 0 at high order.
     """
     if top < 0:
         raise ValueError("moment order must be nonnegative")
@@ -328,10 +334,12 @@ def moments(phi, top: int, ctx: QContext) -> list[MomentReport]:
             f"moment of order {top} needs max_degree >= {top // 2}, got {ctx.max_degree}"
         )
     phi = as_one_particle(phi, ctx.dim)
-    norm_sq = float(phi @ phi)
+    batch = phi.shape[:-1]
+    norm_sq = (phi[..., None, :] @ phi[..., :, None]).reshape(-1).tolist()
     num, den = float(ctx.q).as_integer_ratio()
-    reports = [MomentReport(0, 1.0, 1.0)]
-    walk = {0: np.ones(1)}  # degree -> component of the vacuum walked so far
+    ones = batch_value(np.ones(batch))
+    reports = [MomentReport(0, ones, ones)]
+    walk = {0: np.ones(batch + (1,))}  # degree -> component of the vacuum walked so far
     for step in range(1, top + 1):
         reach = min(ctx.max_degree, top - step)  # higher degrees cannot return to 0
         nxt: dict[int, np.ndarray] = {}
@@ -341,15 +349,17 @@ def moments(phi, top: int, ctx: QContext) -> list[MomentReport]:
             if 0 < n <= reach + 1:
                 nxt[n - 1] = contract(phi, arr, n, ctx.q) + nxt.get(n - 1, 0.0)
         walk = nxt
-        value = float(walk[0][0]) if 0 in walk else 0.0
-        oracle = 0.0
+        value = batch_value(walk[0][..., 0] if 0 in walk else np.zeros(batch))
+        oracle = [0.0] * len(norm_sq)
         if step % 2 == 0:
             coeffs = crossing_polynomial(step // 2)
             top_power = len(coeffs) - 1
             exact = sum(c * num**j * den ** (top_power - j) for j, c in enumerate(coeffs))
-            # numpy's power gives inf where a float's raises OverflowError
-            oracle = float(np.float64(norm_sq) ** (step // 2) * (exact / den**top_power))
-        reports.append(MomentReport(step, value, oracle))
+            polynomial = exact / den**top_power
+            # numpy's power gives inf where a float's raises OverflowError; a
+            # scalar power per row, since an array power may round otherwise
+            oracle = [float(np.float64(x) ** (step // 2) * polynomial) for x in norm_sq]
+        reports.append(MomentReport(step, value, batch_value(np.reshape(oracle, batch))))
     return reports
 
 

@@ -1,0 +1,179 @@
+"""Batched calls compute every row bit for bit as the unbatched call on that
+row, for each kernel with a batch axis and for each suite's check; and a
+suite makes the same number of kernel calls whatever its trial count."""
+
+import sys
+
+import numpy as np
+import pytest
+
+from qwick import fock, scales
+from qwick.fock import (
+    GradedVector,
+    QContext,
+    annihilate,
+    apply_pq,
+    commutation_residual,
+    contract,
+    create,
+    q_inner,
+)
+from qwick.scales import default_hplus_weights, f_dual_norm, g_norm, graded_tensor, vage_ratio
+from qwick.series import wick_inverse
+from qwick.suites import DEFAULT_SCALES, SUITE_NAMES, SUITES, RunConfig, _trial_rng, run_suite
+from qwick.wick import moments
+
+SHAPES = ((1, 5), (2, 6), (3, 4))
+QS = (-0.7, 0.0, 0.5)
+ROWS = 4
+
+
+def _same_row(batched: GradedVector, i: int, row: GradedVector) -> bool:
+    """Row i of a batched vector equals row, entry for entry."""
+    return batched.degrees() == row.degrees() and all(
+        np.array_equal(batched.components[n][i], row.components[n]) for n in row.degrees()
+    )
+
+
+@pytest.fixture(params=[(d, n, q) for d, n in SHAPES for q in QS], ids=str)
+def batch(request):
+    """Random rows of one context: graded vectors f and g, one-particle
+    vectors phi and psi, each unbatched and stacked."""
+    dim, max_degree, q = request.param
+    ctx = QContext(q, dim, max_degree)
+    rng = np.random.default_rng([dim, max_degree, int(10 * q) + 10])
+    fs = [GradedVector.random(ctx, rng) for _ in range(ROWS)]
+    gs = [GradedVector.random(ctx, rng) for _ in range(ROWS)]
+    phis = rng.standard_normal((ROWS, dim))
+    psis = rng.standard_normal((ROWS, dim))
+    return ctx, fs, gs, GradedVector.stack(fs), GradedVector.stack(gs), phis, psis
+
+
+def test_stack_rows_are_the_vectors(batch):
+    _, fs, _, f, _, _, _ = batch
+    for i, row in enumerate(fs):
+        assert _same_row(f, i, row)
+    with pytest.raises(ValueError):
+        GradedVector.stack([fs[0], GradedVector.vacuum(fs[0].ctx)])
+
+
+def test_apply_pq_and_contract_rows(batch):
+    ctx, fs, _, f, _, phis, _ = batch
+    for n in f.degrees():
+        out = apply_pq(n, f.components[n], ctx)
+        for i, row in enumerate(fs):
+            assert np.array_equal(out[i], apply_pq(n, row.components[n], ctx))
+        if n > 0:
+            out = contract(phis, f.components[n], n, ctx.q)
+            for i, row in enumerate(fs):
+                assert np.array_equal(out[i], contract(phis[i], row.components[n], n, ctx.q))
+
+
+def test_vector_kernel_rows(batch):
+    ctx, fs, gs, f, g, phis, _ = batch
+    pairs = [
+        (q_inner(f, g), [q_inner(a, b) for a, b in zip(fs, gs)]),
+        (vage_ratio(f, g, 2.0, 1.0)[0], [vage_ratio(a, b, 2.0, 1.0)[0] for a, b in zip(fs, gs)]),
+    ]
+    for weights in (None, default_hplus_weights(ctx.dim)):
+        for base in ("q", "abs_q"):
+            rows = [g_norm(a, 1.5, 2.0, weights, base) for a in fs]
+            pairs.append((g_norm(f, 1.5, 2.0, weights, base), rows))
+        rows = [f_dual_norm(a, 1.5, 2.0, weights) for a in fs]
+        pairs.append((f_dual_norm(f, 1.5, 2.0, weights), rows))
+    for batched, rows in pairs:
+        assert batched.tolist() == rows
+
+    vectors = [
+        (graded_tensor(f, g), [graded_tensor(a, b) for a, b in zip(fs, gs)]),
+        (wick_inverse(f), [wick_inverse(a) for a in fs]),
+        (create(phis, f), [create(p, a) for p, a in zip(phis, fs)]),
+        (annihilate(phis, f), [annihilate(p, a) for p, a in zip(phis, fs)]),
+    ]
+    for batched, rows in vectors:
+        for i, row in enumerate(rows):
+            assert _same_row(batched, i, row)
+
+
+def test_commutation_and_moment_rows(batch):
+    ctx, _, _, _, _, phis, psis = batch
+    exchange, swapped = commutation_residual(phis, psis, ctx)
+    for i in range(ROWS):
+        assert (exchange[i], swapped[i]) == commutation_residual(phis[i], psis[i], ctx)
+    walked = moments(phis, 2 * ctx.max_degree, ctx)
+    for i in range(ROWS):
+        for both, alone in zip(walked, moments(phis[i], 2 * ctx.max_degree, ctx)):
+            assert (both.value[i], both.oracle_value[i]) == (alone.value, alone.oracle_value)
+
+
+def test_unbatched_norms_are_floats():
+    ctx = QContext(0.5, 2, 3)
+    f = GradedVector.random(ctx, np.random.default_rng(0))
+    for weights in (None, default_hplus_weights(2)):
+        assert type(g_norm(f, 2.0, 2.0, weights)) is float
+        assert type(f_dual_norm(f, 2.0, 2.0, weights)) is float
+    assert type(q_inner(f, f)) is float
+
+
+def _checks(name: str, ctx: QContext, cfg: RunConfig) -> list:
+    """(stream key, check) of each stream of a sampling suite."""
+    suite = SUITES[name]
+    if suite.pair:
+        return [(key, check) for key, _, _, check in (suite.pair(ctx, *s) for s in cfg.scales)]
+    return [(name, suite.check)]
+
+
+SAMPLING = [name for name in SUITE_NAMES if not SUITES[name].fixed]
+
+
+@pytest.mark.parametrize("name", SAMPLING)
+@pytest.mark.parametrize(
+    "cfg", [RunConfig(), RunConfig(q=-0.7, dim=3, max_degree=4)], ids=("default", "negq-d3")
+)
+def test_suite_check_rows_match_single_draws(name, cfg):
+    ctx = cfg.context(SUITES[name].degree(cfg.max_degree))
+    for key, check in _checks(name, ctx, cfg):
+        draws = [SUITES[name].draw(ctx, _trial_rng(3, key, i)) for i in range(5)]
+        assert check(ctx, draws) == [check(ctx, [x])[0] for x in draws]
+        assert check(ctx, []) == []
+
+
+@pytest.mark.parametrize("name", ["vage", "theorem43"])
+@pytest.mark.parametrize("trials", [1, 2])
+def test_scale_suites_run_streams_without_trials(name, trials):
+    cfg = RunConfig(trials=trials)
+    assert cfg.scales == DEFAULT_SCALES
+    report = run_suite(name, cfg)
+    assert report.trials == trials and report.passed
+    tops = [record["max_ratio"] for record in report.params["per_scale"]]
+    assert tops[trials:] == [0.0] * (3 - trials)  # the streams that drew nothing
+
+
+BATCHED = [
+    "series", "inverse", "vage", "theorem43", "duality", "embedding", "adjointness",
+    "commutation", "moments",
+]
+
+
+def test_batched_suites_make_as_many_kernel_calls_at_any_trial_count(monkeypatch):
+    """Wrap each kernel wherever qwick binds it and count its calls."""
+    calls = {}
+    modules = [m for name, m in list(sys.modules.items()) if name.startswith("qwick.")]
+    for fn in (scales.graded_tensor, fock.apply_pq, fock.contract):
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] = calls.get(_fn.__name__, 0) + 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    for name in BATCHED:
+        counts = []
+        for trials in (6, 60):
+            calls.clear()
+            run_suite(name, RunConfig(dim=2, max_degree=6, trials=trials))
+            counts.append(dict(calls))
+        assert counts[0] == counts[1], name
+        assert counts[0], name

@@ -119,8 +119,9 @@ def test_vage_report_per_scale_bounds():
 def test_trial_replays_from_suite_key_and_index():
     cfg = RunConfig(trials=6, seed=11)
     report = run_suite("adjointness", cfg)
-    replay = SUITES["adjointness"].trial(cfg.context(), _trial_rng(11, "adjointness", 3))
-    assert replay == report.trial_values[3]
+    suite = SUITES["adjointness"]
+    inputs = suite.draw(cfg.context(), _trial_rng(11, "adjointness", 3))
+    assert suite.check(cfg.context(), [inputs]) == [report.trial_values[3]]
 
 
 def test_scale_trial_indices_continue_across_pairs():

@@ -81,7 +81,7 @@ def test_series_spec_round_trip_is_bit_exact(coefficients, radius):
 FAULTS = (
     "length", "degree", "entry", "dim", "max_degree", "q", "components", "object",
     "string-entry", "bool-entry", "nested", "object-entry",
-    "leading-zero-key", "underscore-key", "space-key",
+    "leading-zero-key", "underscore-key", "space-key", "repeated-key",
 )
 # degree-key faults: int() once read "00" as a second degree 0 (the later
 # entry won), "1_0" as degree 10 and " 1" as degree 1
@@ -92,7 +92,8 @@ KEY_FAULTS = {
 }
 
 
-def _corrupt(data: dict, fault: str, bad_entry: float):
+def _corrupt(data: dict, fault: str, bad_entry: float) -> str:
+    """The vector file text of data with the fault put in."""
     dim, max_degree = data["dim"], data["max_degree"]
     components = data["components"]
     if fault == "length":
@@ -124,9 +125,13 @@ def _corrupt(data: dict, fault: str, bad_entry: float):
         data["components"] = list(components.values())
     elif fault in KEY_FAULTS:
         data.update(dim=1, max_degree=10, components=KEY_FAULTS[fault])
+    elif fault == "repeated-key":
+        # json once kept the later value: this file had dual norm 2.0
+        data.update(dim=1, max_degree=10, components={"0": [1.0]})
+        return json.dumps(data).replace('{"0": [1.0]}', '{"0": [1.0], "0": [2.0]}')
     else:
-        return [data]
-    return data
+        data = [data]
+    return json.dumps(data)
 
 
 @FEW
@@ -143,8 +148,9 @@ def _corrupt(data: dict, fault: str, bad_entry: float):
 @example(GradedVector(QContext(0.5, 2, 1), {}), "leading-zero-key", 0.0, ["norm"])
 @example(GradedVector(QContext(0.5, 2, 1), {}), "underscore-key", 0.0, ["norm", "--side", "test"])
 @example(GradedVector(QContext(0.5, 2, 1), {}), "space-key", 0.0, ["norm"])
+@example(GradedVector(QContext(0.5, 2, 1), {}), "repeated-key", 0.0, ["norm"])
 def test_compute_rejects_malformed_vector_before_output(f, fault, bad_entry, operation):
-    text = json.dumps(_corrupt(f.to_json_dict(), fault, bad_entry))
+    text = _corrupt(f.to_json_dict(), fault, bad_entry)
     with tempfile.TemporaryDirectory() as tmp:
         bad, good = Path(tmp) / "bad.json", Path(tmp) / "good.json"
         bad.write_text(text)
@@ -203,9 +209,10 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
 
 
 def _verify_with_config(data, suite: str) -> tuple[int, str, str]:
+    """Run verify with data, or JSON text, as its config file."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(data))
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
         return _run(["verify", "--suite", suite, "--config", str(path)])
 
 
@@ -246,6 +253,18 @@ def test_malformed_config_file_exits_2_before_output(cfg, fault):
     code, out, err = _verify_with_config({**cfg, key: bad}, "theorem43")
     assert code == 2
     assert out == ""
+    assert err.startswith("error:")
+
+
+@FEW
+@given(configs().flatmap(lambda cfg: st.tuples(st.just(cfg), st.sampled_from(sorted(cfg)))))
+@example(({"trials": 1}, "trials"))  # json once kept the later value: 3 trials ran
+def test_config_file_with_a_repeated_key_exits_2_before_output(case):
+    cfg, key = case
+    again = json.dumps(3 if key == "trials" else cfg[key])
+    text = f"{json.dumps(cfg)[:-1]}, {json.dumps(key)}: {again}}}"
+    code, out, err = _verify_with_config(text, "theorem43")
+    assert (code, out) == (2, "")
     assert err.startswith("error:")
 
 
