@@ -89,22 +89,38 @@ def unique_keys(pairs: list) -> dict:
     return data
 
 
+def _is_double(x) -> bool:
+    """Whether float(x) works: a JSON integer literal can exceed a double."""
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
+
+
 def json_value(value, kind: type, what: str):
-    """value when it has the JSON type kind (int, float for any number, list
-    or dict; a bool is not a number), else a ValueError naming what."""
+    """value when it has the JSON type kind (int, float for any number within
+    double range, list or dict; a bool is not a number), else a ValueError
+    naming what."""
     name, types = _JSON_TYPES[kind]
     if isinstance(value, bool) or not isinstance(value, types):
         raise ValueError(f"{what} must be {name}, got {type(value).__name__}")
+    if kind is float and not _is_double(value):
+        raise ValueError(f"{what} must be a number within double range")
     return value
 
 
 def json_numbers(value, what: str) -> list:
-    """value when it is a flat JSON list of numbers (a bool is not one), else
-    a ValueError naming what; one pass over the entries' types."""
-    odd = set(map(type, json_value(value, list, what))) - {int, float}
+    """value when it is a flat JSON list of numbers within double range (a
+    bool is not one), else a ValueError naming what; one pass over the
+    entries' types, and one over the entries when some are integers."""
+    types = set(map(type, json_value(value, list, what)))
+    odd = types - {int, float}
     if odd:
         names = ", ".join(sorted(t.__name__ for t in odd))
         raise ValueError(f"{what} entries must be numbers, got {names}")
+    if int in types and not all(map(_is_double, value)):
+        raise ValueError(f"{what} entries must be numbers within double range")
     return value
 
 
@@ -310,6 +326,10 @@ def _perm_actions(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     )
 
 
+# permutations per add.at in pq_matrix: bounds its (chunk, d**n) index arrays
+_PERM_CHUNK = 120
+
+
 @functools.lru_cache(maxsize=None)
 def pq_matrix(n: int, dim: int, q: float) -> np.ndarray:
     """Dense matrix of the degree-n symmetrizer by enumerating all n!
@@ -335,11 +355,18 @@ def pq_matrix(n: int, dim: int, q: float) -> np.ndarray:
     for k in range(n):
         digits[k] = (idx // dim ** (n - 1 - k)) % dim
     mat = np.zeros((size, size))
-    for p, inv in _perm_actions(n):
-        gather = np.zeros(size, dtype=np.intp)
+    actions = _perm_actions(n)
+    for start in range(0, len(actions), _PERM_CHUNK):
+        chunk = actions[start : start + _PERM_CHUNK]
+        perms = np.array([p for p, _ in chunk])
+        # row m: the flat column index that permutation m sends each row to
+        gather = np.zeros((len(chunk), size), dtype=np.intp)
         for k in range(n):
-            gather += digits[p[k]] * dim ** (n - 1 - k)
-        mat[idx, gather] += q**inv
+            gather += digits[perms[:, k]] * dim ** (n - 1 - k)
+        weights = np.array([q**inv for _, inv in chunk])
+        # add.at adds in index order, so each cell sums its weights in
+        # permutation order, as one add per permutation would
+        np.add.at(mat, (idx, gather), weights[:, None])
     mat.flags.writeable = False
     return mat
 

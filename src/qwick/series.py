@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import GradedVector, batch_value, tensor_product
+from .fock import GradedVector, batch_value, json_numbers, json_value, tensor_product
 from .scales import f_dual_norm, graded_tensor
 
 TAIL_TOL = 1e-12  # a series stops once its certified tail bound drops below this
@@ -54,7 +54,11 @@ class SeriesSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SeriesSpec":
-        return cls(tuple(data["coefficients"]), float(data["radius"]))
+        data = json_value(data, dict, "series spec")
+        return cls(
+            tuple(json_numbers(data["coefficients"], "series coefficients")),
+            float(json_value(data["radius"], float, "series radius")),
+        )
 
 
 @dataclass(frozen=True)

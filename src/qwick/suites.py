@@ -415,7 +415,7 @@ def x_coefficients(poly: WickPolynomial, degree: int, q: float) -> list[float]:
         c = residue.coefficient(NormalWord(creators=(e,) * k))
         coeffs[k] = c
         if c != 0.0:
-            residue = residue - _x_power_polynomial(k, q).scale(c)
+            residue = residue.minus_scaled(_x_power_polynomial(k, q), c)
     return coeffs
 
 
@@ -437,10 +437,8 @@ def _hermite(ctx: QContext, tolerance: float) -> tuple[list[float], dict, tuple]
     e = basis_vector(1, 0)
     recurrence = [WickPolynomial.identity(), WickPolynomial.field(e)]
     for n in range(1, 7):
-        recurrence.append(
-            field_mul(e, recurrence[n], ctx.q)
-            - recurrence[n - 1].scale(q_integer(n, ctx.q))
-        )
+        step = field_mul(e, recurrence[n], ctx.q)
+        recurrence.append(step.minus_scaled(recurrence[n - 1], q_integer(n, ctx.q)))
     values = [
         wick_monomial([e] * n, ctx.q).max_coeff_diff(recurrence[n]) for n in range(7)
     ]

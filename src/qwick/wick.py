@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .fock import (
     batch_value,
     contract,
     create,
+    json_numbers,
+    json_value,
     tensor_product,
     unique_keys,
 )
@@ -40,12 +42,14 @@ def _as_vec_tuple(v) -> tuple[float, ...]:
     arr = np.asarray(v, dtype=float).reshape(-1)
     if not np.isfinite(arr).all():
         raise ValueError("word arguments must have finite entries")
-    return tuple(float(x) for x in arr)
+    return tuple(arr.tolist())
 
 
-@dataclass(frozen=True)
-class NormalWord:
-    """a^+(f_1)...a^+(f_n) a^-(g_1)...a^-(g_m) stored as argument tuples."""
+class NormalWord(NamedTuple):
+    """a^+(f_1)...a^+(f_n) a^-(g_1)...a^-(g_m) stored as argument tuples.
+
+    A named tuple, so it hashes and compares in C; it equals the plain tuple
+    (creators, annihilators)."""
 
     creators: tuple[tuple[float, ...], ...] = ()
     annihilators: tuple[tuple[float, ...], ...] = ()
@@ -83,8 +87,20 @@ class WickPolynomial:
         object.__setattr__(self, "terms", clean)
 
     @classmethod
+    def _of(cls, terms: dict[NormalWord, float]) -> "WickPolynomial":
+        """An algebra result: terms maps words to Python float sums made here.
+        Zero sums are dropped and only finiteness is checked, so an overflow
+        still raises."""
+        clean = {w: c for w, c in terms.items() if c != 0.0}
+        if not all(map(math.isfinite, clean.values())):
+            raise ValueError("polynomial coefficients must be finite")
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "terms", clean)
+        return poly
+
+    @classmethod
     def identity(cls) -> "WickPolynomial":
-        return cls({IDENTITY_WORD: 1.0})
+        return cls._of({IDENTITY_WORD: 1.0})
 
     @classmethod
     def from_word(cls, word: NormalWord, coeff: float = 1.0) -> "WickPolynomial":
@@ -101,19 +117,30 @@ class WickPolynomial:
     @classmethod
     def field(cls, phi) -> "WickPolynomial":
         """The field operator a^+(phi) + a^-(phi)."""
-        return cls.creator(phi) + cls.annihilator(phi)
+        phi_t = (_as_vec_tuple(phi),)
+        return cls._of({NormalWord(phi_t, ()): 1.0, NormalWord((), phi_t): 1.0})
 
     def __add__(self, other: "WickPolynomial") -> "WickPolynomial":
         terms = dict(self.terms)
         for w, c in other.terms.items():
             terms[w] = terms.get(w, 0.0) + c
-        return WickPolynomial(terms)
+        return WickPolynomial._of(terms)
 
     def __sub__(self, other: "WickPolynomial") -> "WickPolynomial":
-        return self + other.scale(-1.0)
+        return self.minus_scaled(other, 1.0)
+
+    def minus_scaled(self, other: "WickPolynomial", c: float) -> "WickPolynomial":
+        """self - c * other in one merge: each sum is c_self - c * c_other,
+        bit for bit what `self - other.scale(c)` gives, in its term order."""
+        c = float(c)
+        terms = dict(self.terms)
+        for w, v in other.terms.items():
+            terms[w] = terms.get(w, 0.0) - c * v
+        return WickPolynomial._of(terms)
 
     def scale(self, c: float) -> "WickPolynomial":
-        return WickPolynomial({w: c * v for w, v in self.terms.items()})
+        c = float(c)
+        return WickPolynomial._of({w: c * v for w, v in self.terms.items()})
 
     def max_creators(self) -> int:
         return max((w.n_creators for w in self.terms), default=0)
@@ -153,10 +180,25 @@ class WickPolynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "WickPolynomial":
+        data = json_value(data, dict, "polynomial file")
         terms: dict[NormalWord, float] = {}
-        for item in data["terms"]:
-            word = NormalWord.build(item["creators"], item["annihilators"])
-            terms[word] = terms.get(word, 0.0) + float(item["coeff"])
+        lengths = set()  # of the argument vectors: one for the whole polynomial
+        for k, item in enumerate(json_value(data["terms"], list, "polynomial terms")):
+            item = json_value(item, dict, f"polynomial term {k}")
+            coeff = json_value(item["coeff"], float, f"polynomial term {k} coeff")
+            sides = []
+            for side in ("creators", "annihilators"):
+                what = f"polynomial term {k} {side}"
+                vectors = json_value(item[side], list, what)
+                sides.append([json_numbers(v, f"{what} argument") for v in vectors])
+                lengths.update(map(len, vectors))
+            if 0 in lengths or len(lengths) > 1:
+                raise ValueError(
+                    f"polynomial term {k}: arguments must be non-empty and of one length, "
+                    f"got lengths {sorted(lengths)}"
+                )
+            word = NormalWord.build(*sides)
+            terms[word] = terms.get(word, 0.0) + float(coeff)
         return cls(terms)
 
     @classmethod
@@ -186,7 +228,7 @@ def wick_mul_poly(p1: WickPolynomial, p2: WickPolynomial, q: float) -> WickPolyn
         for v, cv in p2.terms.items():
             coeff, word = wick_mul(u, v, q)
             terms[word] = terms.get(word, 0.0) + cu * cv * coeff
-    return WickPolynomial(terms)
+    return WickPolynomial._of(terms)
 
 
 def adjoint(p: WickPolynomial) -> WickPolynomial:
@@ -195,7 +237,7 @@ def adjoint(p: WickPolynomial) -> WickPolynomial:
     for w, c in p.terms.items():
         flipped = NormalWord(tuple(reversed(w.annihilators)), tuple(reversed(w.creators)))
         terms[flipped] = terms.get(flipped, 0.0) + c
-    return WickPolynomial(terms)
+    return WickPolynomial._of(terms)
 
 
 def field_mul(phi, p: WickPolynomial, q: float) -> WickPolynomial:
@@ -205,9 +247,14 @@ def field_mul(phi, p: WickPolynomial, q: float) -> WickPolynomial:
     contraction sum over dropped slots, weighted q^(i-1) (phi, h_i), plus the
     fully exchanged word weighted q^k.
     """
-    q = float(q)
-    phi_t = _as_vec_tuple(phi)
+    return _field_mul(_as_vec_tuple(phi), p, float(q))
+
+
+def _field_mul(phi_t: tuple[float, ...], p: WickPolynomial, q: float) -> WickPolynomial:
+    """field_mul for a validated argument tuple; each distinct creator is
+    paired with phi once per call."""
     phi_arr = np.asarray(phi_t)
+    pairings: dict[tuple[float, ...], float] = {}
     terms: dict[NormalWord, float] = {}
 
     def put(word: NormalWord, coeff: float) -> None:
@@ -217,12 +264,14 @@ def field_mul(phi, p: WickPolynomial, q: float) -> WickPolynomial:
         put(NormalWord((phi_t,) + w.creators, w.annihilators), c)
         weight = 1.0
         for i, h in enumerate(w.creators):
-            pairing = float(phi_arr @ np.asarray(h))
+            pairing = pairings.get(h)
+            if pairing is None:
+                pairing = pairings[h] = float(phi_arr @ np.asarray(h))
             dropped = w.creators[:i] + w.creators[i + 1 :]
             put(NormalWord(dropped, w.annihilators), c * weight * pairing)
             weight *= q
         put(NormalWord(w.creators, (phi_t,) + w.annihilators), c * weight)
-    return WickPolynomial(terms)
+    return WickPolynomial._of(terms)
 
 
 def wick_monomial(vectors: Sequence, q: float) -> WickPolynomial:
@@ -231,29 +280,30 @@ def wick_monomial(vectors: Sequence, q: float) -> WickPolynomial:
     subtract the monomials of the one-slot contractions of the tail.
 
     In a single mode this reproduces the q-deformed Hermite three-term
-    recurrence.
+    recurrence.  Each argument is validated once, and each sub-list of the
+    arguments the recursion reaches (keyed by its index tuple) is built once
+    per call.
     """
     q = float(q)
     vecs = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
-    return _wick_monomial_rec(vecs, q)
+    args = [_as_vec_tuple(v) for v in vecs]
+    memo: dict[tuple[int, ...], WickPolynomial] = {(): WickPolynomial.identity()}
 
+    def monomial(idx: tuple[int, ...]) -> WickPolynomial:
+        if idx in memo:
+            return memo[idx]
+        head, tail = idx[0], idx[1:]
+        result = _field_mul(args[head], monomial(tail), q)
+        weight = 1.0
+        for j, t in enumerate(tail):
+            pairing = float(vecs[head] @ vecs[t])
+            if pairing != 0.0:
+                result = result.minus_scaled(monomial(tail[:j] + tail[j + 1 :]), weight * pairing)
+            weight *= q
+        memo[idx] = result
+        return result
 
-def _wick_monomial_rec(vecs: list[np.ndarray], q: float) -> WickPolynomial:
-    n = len(vecs)
-    if n == 0:
-        return WickPolynomial.identity()
-    if n == 1:
-        return WickPolynomial.field(vecs[0])
-    head, tail = vecs[0], vecs[1:]
-    result = field_mul(head, _wick_monomial_rec(tail, q), q)
-    weight = 1.0
-    for j, t in enumerate(tail):
-        pairing = float(head @ t)
-        if pairing != 0.0:
-            rest = tail[:j] + tail[j + 1 :]
-            result = result - _wick_monomial_rec(rest, q).scale(weight * pairing)
-        weight *= q
-    return result
+    return monomial(tuple(range(len(vecs))))
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +331,20 @@ def apply_to_fock(p: WickPolynomial, f: GradedVector) -> GradedVector:
 
 
 def vacuum_vector(p: WickPolynomial, ctx: QContext) -> GradedVector:
-    """P applied to the vacuum; every word needs creator headroom within N."""
+    """P applied to the vacuum.  a^-(g) annihilates the vacuum, so only the
+    words without annihilators are applied; every word must still create
+    within N and have arguments of length d."""
     overflow = p.max_creators()
     if overflow > ctx.max_degree:
         raise ValueError(
             f"truncation overflow: a word creates degree {overflow} "
             f"but max_degree is {ctx.max_degree}"
         )
-    return apply_to_fock(p, GradedVector.vacuum(ctx))
+    lengths = {len(g) for w in p.terms for g in w.annihilators} - {ctx.dim}
+    if lengths:
+        raise ValueError(f"one-particle vector must have length {ctx.dim}, got {sorted(lengths)}")
+    creators_only = {w: c for w, c in p.terms.items() if not w.annihilators}
+    return apply_to_fock(WickPolynomial._of(creators_only), GradedVector.vacuum(ctx))
 
 
 # Highest order `compute moments` accepts: the Jacobi-matrix test certifies

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from qwick.fock import (
     q_inner,
     tensor_product,
 )
-from qwick.qcombinatorics import q_factorial
+from qwick.qcombinatorics import inversions, q_factorial
 from qwick.scales import graded_tensor
 from qwick.series import wick_inverse
 from qwick.wick import NormalWord, WickPolynomial, apply_to_fock
@@ -89,6 +91,28 @@ def test_apply_pq_matches_matrix():
             got = apply_pq(n, t, QContext(q, dim, n))
             want = np.asarray(pq_matrix(n, dim, q)) @ t
             assert np.max(np.abs(got - want)) <= 1e-12 * q_factorial(n, abs(q)), (dim, n, q)
+
+
+def _pq_matrix_oracle(n: int, dim: int, q: float) -> np.ndarray:
+    """The n!-term sum with one fancy-index add per permutation."""
+    size = dim**n
+    idx = np.arange(size)
+    digits = np.array([(idx // dim ** (n - 1 - k)) % dim for k in range(n)])
+    mat = np.zeros((size, size))
+    for p in itertools.permutations(range(n)):
+        gather = sum(digits[p[k]] * dim ** (n - 1 - k) for k in range(n))
+        mat[idx, gather] += q ** inversions(p)
+    return mat
+
+
+@pytest.mark.parametrize("q", (-0.7, 0.0, 0.5))
+def test_pq_matrix_matches_per_permutation_oracle_bit_for_bit(q):
+    # each cell sums its q**inv in permutation order, also across chunks
+    for dim, top in ((2, 7), (3, 6), (4, 4)):
+        for n in range(2, top + 1):
+            got, want = pq_matrix(n, dim, q), _pq_matrix_oracle(n, dim, q)
+            assert np.array_equal(got, want), (dim, n)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (dim, n)
 
 
 def test_apply_pq_past_degree_eight():

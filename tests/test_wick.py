@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import qwick.wick as wick
 from qwick.fock import GradedVector, QContext, basis_vector, elementary_tensor, q_inner
 from qwick.qcombinatorics import q_integer
 from qwick.wick import (
@@ -253,6 +254,170 @@ def test_wick_monomial_product_identity(q):
         joint = wick_monomial(fs + gs, q)
         scale = max(1.0, max(abs(c) for c in joint.terms.values()))
         assert product.max_coeff_diff(joint) <= 1e-12 * scale
+
+
+# -- oracles: the monomial recursion and the vacuum map as they were before
+# sub-lists were memoized and annihilator words skipped --------------------
+
+
+def _field_mul_oracle(phi, p: WickPolynomial, q: float) -> WickPolynomial:
+    """field_mul with one pairing per creator slot, nothing cached."""
+    phi_t = tuple(float(x) for x in np.asarray(phi, dtype=float).reshape(-1))
+    phi_arr = np.asarray(phi_t)
+    terms: dict[NormalWord, float] = {}
+
+    def put(word: NormalWord, coeff: float) -> None:
+        terms[word] = terms.get(word, 0.0) + coeff
+
+    for w, c in p.terms.items():
+        put(NormalWord((phi_t,) + w.creators, w.annihilators), c)
+        weight = 1.0
+        for i, h in enumerate(w.creators):
+            pairing = float(phi_arr @ np.asarray(h))
+            dropped = w.creators[:i] + w.creators[i + 1 :]
+            put(NormalWord(dropped, w.annihilators), c * weight * pairing)
+            weight *= q
+        put(NormalWord(w.creators, (phi_t,) + w.annihilators), c * weight)
+    return WickPolynomial(terms)
+
+
+def _wick_monomial_oracle(vecs: list, q: float, calls: list) -> WickPolynomial:
+    """The contraction recursion without memo: every sub-list is rebuilt each
+    time it is reached (one entry in calls per evaluation)."""
+    calls.append(len(vecs))
+    n = len(vecs)
+    if n == 0:
+        return WickPolynomial.identity()
+    if n == 1:
+        return WickPolynomial.field(vecs[0])
+    head, tail = vecs[0], vecs[1:]
+    result = _field_mul_oracle(head, _wick_monomial_oracle(tail, q, calls), q)
+    weight = 1.0
+    for j, t in enumerate(tail):
+        pairing = float(head @ t)
+        if pairing != 0.0:
+            rest = tail[:j] + tail[j + 1 :]
+            # p - r was p + r.scale(-1.0)
+            scaled = _wick_monomial_oracle(rest, q, calls).scale(weight * pairing)
+            result = result + scaled.scale(-1.0)
+        weight *= q
+    return result
+
+
+def _vacuum_vector_oracle(p: WickPolynomial, ctx: QContext) -> GradedVector:
+    """Every word applied to the vacuum, annihilator words included."""
+    assert p.max_creators() <= ctx.max_degree
+    return apply_to_fock(p, GradedVector.vacuum(ctx))
+
+
+def _items_text(p: WickPolynomial) -> str:
+    """The terms in order; repr gives each double its own text, -0.0 included."""
+    return repr([(w.creators, w.annihilators, c) for w, c in p.terms.items()])
+
+
+def _argument_lists(dim: int, rng) -> dict[str, list]:
+    """Six arguments each: generic, orthogonal (basis vectors and zeros, so
+    many pairings are exactly 0) and dyadic (exact cancellations)."""
+    return {
+        "generic": [rng.standard_normal(dim) for _ in range(6)],
+        "orthogonal": [basis_vector(dim, i % dim) * (i % 3 != 1) for i in range(6)],
+        "dyadic": [rng.integers(-2, 3, dim) / 2.0 for _ in range(6)],
+    }
+
+
+MONOMIAL_Q = (-0.9, -0.5, 0.0, 0.5, 0.9, 1 - 1e-6)
+
+
+@pytest.mark.parametrize("q", MONOMIAL_Q)
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_wick_monomial_matches_recursion_oracle_bit_for_bit(dim, q):
+    rng = np.random.default_rng(40 + dim)
+    for kind, vectors in _argument_lists(dim, rng).items():
+        for n in range(7):
+            got = wick_monomial(vectors[:n], q)
+            want = _wick_monomial_oracle([np.asarray(v) for v in vectors[:n]], q, [])
+            assert _items_text(got) == _items_text(want), (kind, n)
+
+
+@pytest.mark.parametrize("q", MONOMIAL_Q)
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_vacuum_vector_matches_every_word_oracle_bit_for_bit(dim, q):
+    ctx = QContext(q, dim, 6)
+    rng = np.random.default_rng(50 + dim)
+    vectors = _argument_lists(dim, rng)
+    polys = [wick_monomial(vectors[kind][:n], q) for kind in vectors for n in range(7)]
+    polys += [_dyadic_polynomial(rng, dim, terms=4) for _ in range(6)]
+    for p in polys:
+        got, want = vacuum_vector(p, ctx), _vacuum_vector_oracle(p, ctx)
+        assert list(got.components) == list(want.components)
+        for n in want.components:
+            assert got.components[n].tobytes() == want.components[n].tobytes(), n
+
+
+def test_wick_monomial_builds_each_sub_list_once(monkeypatch):
+    # one field product per distinct sub-list reached; the unmemoized
+    # recursion evaluates 122 sub-monomials for six equal arguments
+    e = single_mode()
+    calls, oracle_calls = [], []
+    original = wick._field_mul
+    monkeypatch.setattr(wick, "_field_mul", lambda *args: calls.append(1) or original(*args))
+    got = wick_monomial([e] * 6, 0.5)
+    want = _wick_monomial_oracle([e] * 6, 0.5, oracle_calls)
+    assert len(oracle_calls) == 122
+    assert len(calls) <= 2**6
+    assert _items_text(got) == _items_text(want)
+
+
+def test_vacuum_vector_skips_annihilator_words(monkeypatch):
+    ctx = QContext(0.5, 2, 4)
+    calls = []
+    original = wick.annihilate
+    monkeypatch.setattr(wick, "annihilate", lambda *args: calls.append(1) or original(*args))
+    rng = np.random.default_rng(60)
+    p = WickPolynomial(
+        {
+            NormalWord.build(
+                creators=[rng.standard_normal(2) for _ in range(k % 3)],
+                annihilators=[rng.standard_normal(2) for _ in range(1 + k % 2)],
+            ): float(k + 1)
+            for k in range(5)
+        }
+    )
+    out = vacuum_vector(p, ctx)
+    assert calls == []
+    assert out.components == {}
+
+
+def test_vacuum_vector_checks_every_word():
+    # a word it does not apply still has to fit the context
+    ctx = QContext(0.5, 2, 2)
+    e = basis_vector(2, 0)
+    wrong_length = NormalWord.build(creators=[e], annihilators=[[1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="length 2"):
+        vacuum_vector(WickPolynomial.from_word(wrong_length), ctx)
+    too_many = NormalWord.build(creators=[e] * 3, annihilators=[e])
+    with pytest.raises(ValueError, match="truncation overflow"):
+        vacuum_vector(WickPolynomial.from_word(too_many), ctx)
+
+
+def test_normal_word_is_a_plain_tuple():
+    # words hash and compare as the tuple (creators, annihilators)
+    word = NormalWord.build(creators=[[1.0, -0.5]], annihilators=[[0.25, 2.0]])
+    plain = (((1.0, -0.5),), ((0.25, 2.0),))
+    assert word == plain
+    assert hash(word) == hash(plain)
+    assert {plain: 1.0}[word] == 1.0
+    assert IDENTITY_WORD == ((), ())
+
+
+def test_minus_scaled_is_subtracting_the_scaled_polynomial():
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        p1, p2 = _dyadic_polynomial(rng, 2, terms=5), _dyadic_polynomial(rng, 2, terms=5)
+        c = float(rng.standard_normal())
+        want = p1 + p2.scale(c).scale(-1.0)
+        assert _items_text(p1.minus_scaled(p2, c)) == _items_text(want)
+        assert _items_text(p1 - p2) == _items_text(p1 + p2.scale(-1.0))
 
 
 def test_vacuum_expectation_examples():

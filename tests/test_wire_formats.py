@@ -81,8 +81,9 @@ def test_series_spec_round_trip_is_bit_exact(coefficients, radius):
 FAULTS = (
     "length", "degree", "entry", "dim", "max_degree", "q", "components", "object",
     "string-entry", "bool-entry", "nested", "object-entry",
-    "leading-zero-key", "underscore-key", "space-key", "repeated-key",
+    "leading-zero-key", "underscore-key", "space-key", "repeated-key", "huge-int-entry",
 )
+HUGE = 10**400  # a JSON integer literal no double holds
 # degree-key faults: int() once read "00" as a second degree 0 (the later
 # entry won), "1_0" as degree 10 and " 1" as degree 1
 KEY_FAULTS = {
@@ -114,6 +115,9 @@ def _corrupt(data: dict, fault: str, bad_entry: float) -> str:
         components[str(max_degree)] = [[0.5]] * dim**max_degree
     elif fault == "object-entry":
         components["0"] = [{"a": 1}]
+    # float() of it raised OverflowError, which exited 1 with a traceback
+    elif fault == "huge-int-entry":
+        components["0"] = [HUGE]
     # header faults: a truncating int() once read 2.7 as 2 and true as 1
     elif fault == "dim":
         data["dim"] = True if dim == 1 else dim + 0.7
@@ -149,6 +153,7 @@ def _corrupt(data: dict, fault: str, bad_entry: float) -> str:
 @example(GradedVector(QContext(0.5, 2, 1), {}), "underscore-key", 0.0, ["norm", "--side", "test"])
 @example(GradedVector(QContext(0.5, 2, 1), {}), "space-key", 0.0, ["norm"])
 @example(GradedVector(QContext(0.5, 2, 1), {}), "repeated-key", 0.0, ["norm"])
+@example(GradedVector(QContext(0.5, 2, 1), {}), "huge-int-entry", 0.0, ["wick-mul"])
 def test_compute_rejects_malformed_vector_before_output(f, fault, bad_entry, operation):
     text = _corrupt(f.to_json_dict(), fault, bad_entry)
     with tempfile.TemporaryDirectory() as tmp:
@@ -228,13 +233,13 @@ def test_config_file_gives_the_report_of_its_flags(cfg, suite):
 INF, NAN = float("inf"), float("nan")  # JSON's Infinity and NaN extensions
 # each key with values of the wrong type or out of range
 BAD_VALUES = {
-    "q": ["0.5", True, None, [0.5], 1.5],
+    "q": ["0.5", True, None, [0.5], 1.5, HUGE],
     "dim": [2.5, "2", True, None, 2.0, 0],
     "max_degree": [1.5, "3", False, [3], -1],
     "trials": [2.5, "2", True, None, 0],
     "seed": [1.5, "1", True, None],
     "scales": [3, "2:1", [2, 1], [[2]], [["2", 1]], [[3, 2, 1, 1]], [[2, True]], [[1, 2]],
-               [[INF, 1]], [[NAN, 1]], [[2, 1, INF]], [[2, 1, NAN]]],
+               [[INF, 1]], [[NAN, 1]], [[2, 1, INF]], [[2, 1, NAN]], [[HUGE, 1]]],
 }
 
 
@@ -247,6 +252,8 @@ BAD_VALUES = {
 )
 @example({}, ("trials", 2.5))
 @example({}, ("dim", "2"))
+@example({}, ("q", HUGE))
+@example({}, ("scales", [[HUGE, 1]]))
 @example({"trials": 3}, ("trails", 5))  # an unknown key
 def test_malformed_config_file_exits_2_before_output(cfg, fault):
     key, bad = fault
@@ -283,3 +290,53 @@ def test_moments_phi_must_be_a_flat_number_list(phi):
         code, out, err = _run(["compute", "moments", "--phi", str(path), "--order", "2"])
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+
+
+# -- polynomial and series files: the vector file's checks ------------------
+
+TERM = {"coeff": 1.5, "creators": [[1.0, 0.5]], "annihilators": [[0.25, -1.0]]}
+# each once read as a polynomial: np.asarray took "1.5" and true as numbers and
+# flattened nested arguments, float() took a string or bool coefficient and
+# raised OverflowError on a huge integer, and iterating an object of terms
+# raised TypeError
+POLYNOMIAL_FAULTS = {
+    "string-and-bool-entries": ({"terms": [{**TERM, "creators": [["1.5", True]]}]}, "creators"),
+    "nested-argument": ({"terms": [{**TERM, "creators": [[[1.0], [0.5]]]}]}, "creators"),
+    "ragged-in-a-term": ({"terms": [{**TERM, "annihilators": [[0.25]]}]}, "length"),
+    "ragged-across-terms": ({"terms": [TERM, {**TERM, "creators": [[1.0, 0.5, 0.0]]}]}, "length"),
+    "empty-argument": ({"terms": [{**TERM, "creators": [[]]}]}, "non-empty"),
+    "string-coeff": ({"terms": [{**TERM, "coeff": "2"}]}, "coeff"),
+    "bool-coeff": ({"terms": [{**TERM, "coeff": True}]}, "coeff"),
+    "terms-object": ({"terms": {}}, "terms"),
+    "term-list": ({"terms": [[1.5]]}, "term 0"),
+    "huge-int-coeff": ({"terms": [{**TERM, "coeff": HUGE}]}, "coeff"),
+    "huge-int-entry": ({"terms": [{**TERM, "annihilators": [[HUGE, 1]]}]}, "annihilators"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(POLYNOMIAL_FAULTS))
+def test_polynomial_file_faults_raise_value_error_naming_the_field(fault):
+    data, field = POLYNOMIAL_FAULTS[fault]
+    with pytest.raises(ValueError, match=field):
+        WickPolynomial.from_json(json.dumps(data))
+
+
+# float() once took "2" and true as a radius and coefficient; a nested
+# coefficient raised TypeError and a huge integer OverflowError
+SERIES_FAULTS = {
+    "string-radius": ({"coefficients": [1.0], "radius": "2"}, "radius"),
+    "bool-radius": ({"coefficients": [1.0], "radius": True}, "radius"),
+    "string-coefficient": ({"coefficients": ["1.0"], "radius": 2.0}, "coefficients"),
+    "bool-coefficient": ({"coefficients": [1.0, False], "radius": 2.0}, "coefficients"),
+    "nested-coefficient": ({"coefficients": [[1.0]], "radius": 2.0}, "coefficients"),
+    "coefficient-object": ({"coefficients": {"0": 1.0}, "radius": 2.0}, "coefficients"),
+    "huge-int-radius": ({"coefficients": [1.0], "radius": HUGE}, "radius"),
+    "huge-int-coefficient": ({"coefficients": [HUGE], "radius": 2.0}, "coefficients"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SERIES_FAULTS))
+def test_series_spec_faults_raise_value_error_naming_the_field(fault):
+    data, field = SERIES_FAULTS[fault]
+    with pytest.raises(ValueError, match=field):
+        SeriesSpec.from_json_dict(json.loads(json.dumps(data)))
