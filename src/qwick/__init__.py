@@ -14,10 +14,7 @@ from .fock import (
     q_inner,
 )
 from .qcombinatorics import (
-    PairPartition,
-    ShuffleSubset,
     crossing_polynomial,
-    enumerate_pair_partitions,
     enumerate_shuffles,
     inversions,
     macmahon_residual,
@@ -27,7 +24,6 @@ from .qcombinatorics import (
 )
 from .scales import (
     default_hplus_weights,
-    duality_residual,
     embedding_residual,
     estimate_c1,
     f_dual_norm,

@@ -95,6 +95,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
+    if args.csv and len(names) != 1:
+        raise ValueError("csv export needs a single suite")
     reports: list[Report] = []
     for name in names:
         report = run_suite(name, cfg)
@@ -110,9 +112,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # a failing suite may record inf, so verify reports keep JSON's extension
     _json_out(payload[0] if len(payload) == 1 else payload, args.out, allow_nan=True)
     if args.csv:
-        if len(reports) != 1:
-            print("csv export needs a single suite", file=sys.stderr)
-            return 2
         reports[0].write_csv(args.csv)
     return 0 if all(r.passed for r in reports) else 1
 

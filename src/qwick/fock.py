@@ -267,13 +267,6 @@ class GradedVector:
             top = np.maximum(top, np.max(np.abs(arr), axis=-1))
         return batch_value(top)
 
-    def allclose(self, other: "GradedVector", atol: float = 0.0, rtol: float = 0.0) -> bool:
-        require_same_context(self, other)
-        for n in set(self.components) | set(other.components):
-            if not np.allclose(self.component(n), other.component(n), atol=atol, rtol=rtol):
-                return False
-        return True
-
     # -- JSON wire format: {"q","dim","max_degree","components":{"0":[...],...}} --
 
     def to_json_dict(self) -> dict:

@@ -1,22 +1,20 @@
-"""Exact q-calculus scalars and the combinatorial enumerations behind them.
+"""Exact q-calculus scalars and the combinatorics behind them.
 
-Everything in this module is pure and deterministic.  Shuffle subsets and
-pair partitions are produced in lexicographic order, so any
-report built on top of these streams is reproducible run to run.  The
-crossing polynomial of pair partitions is counted by a Dyck-path transfer
-with no enumeration; the pair-partition enumeration stays as its test oracle.
+Everything in this module is pure and deterministic.  Shuffles are produced
+as (positions, inversions) tuples in lexicographic order, so any report
+built on that stream is reproducible run to run.  The crossing polynomial of
+pair partitions is counted by a Dyck-path transfer with no enumeration; the
+pair-partition enumeration it is checked against lives in the tests.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 # Enumeration caps keep brute-force suites under a minute at desk scale.
-PERMUTATION_CAP = 8   # largest n for S_n enumeration (8! = 40320)
-PAIRING_CAP = 12      # largest point count 2n of the pair-partition test oracle
+PERMUTATION_CAP = 8  # largest n for S_n enumeration (8! = 40320)
 
 
 def check_deformation(q: float) -> float:
@@ -82,53 +80,18 @@ def inversions(image: Sequence[int]) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class ShuffleSubset:
-    """An m-element subset of {1, ..., total} marking the slots of the left block.
-
-    The complement, in increasing order, holds the right block; both blocks
-    keep their internal order, which is what makes this a shuffle.
-    """
-
-    positions: tuple[int, ...]
-    total: int
-
-    def __post_init__(self):
-        positions = tuple(int(x) for x in self.positions)
-        object.__setattr__(self, "positions", positions)
-        if list(positions) != sorted(set(positions)):
-            raise ValueError("positions must be strictly increasing")
-        if positions and not (1 <= positions[0] and positions[-1] <= self.total):
-            raise ValueError(f"positions must lie in 1..{self.total}")
-
-    @property
-    def m(self) -> int:
-        return len(self.positions)
-
-    def complement(self) -> tuple[int, ...]:
-        chosen = set(self.positions)
-        return tuple(x for x in range(1, self.total + 1) if x not in chosen)
-
-
-def shuffle_inversions(subset: ShuffleSubset) -> int:
-    """Number of pairs (j, i) with j in the complement, i chosen, and j < i."""
-    comp = subset.complement()
-    return sum(1 for j in comp for i in subset.positions if j < i)
-
-
-def enumerate_shuffles(m: int, n: int) -> Iterator[tuple[ShuffleSubset, int]]:
-    """All C(m+n, m) shuffle subsets with their inversion statistic."""
+def enumerate_shuffles(m: int, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """All C(m+n, m) shuffles of an m-block into an n-block, lexicographically,
+    each as (positions, inversions): the slots 1..m+n of the left block, and
+    the number of right-block slots that precede a left-block slot."""
     if m < 0 or n < 0:
         raise ValueError("m and n must be nonnegative")
     if m + n > PERMUTATION_CAP:
         raise ValueError(f"shuffle enumeration capped at m + n <= {PERMUTATION_CAP}")
-
-    def gen():
-        for positions in itertools.combinations(range(1, m + n + 1), m):
-            subset = ShuffleSubset(positions, m + n)
-            yield subset, shuffle_inversions(subset)
-
-    return gen()
+    return (
+        (positions, sum(p - 1 - k for k, p in enumerate(positions)))
+        for positions in itertools.combinations(range(1, m + n + 1), m)
+    )
 
 
 def macmahon_residual(m: int, n: int, q: float) -> float:
@@ -144,49 +107,6 @@ def macmahon_residual(m: int, n: int, q: float) -> float:
     return abs(total - q_binomial(m + n, m, aq))
 
 
-@dataclass(frozen=True)
-class PairPartition:
-    """A perfect matching of {1, ..., 2n} together with its crossing count."""
-
-    blocks: tuple[tuple[int, int], ...]
-    crossings: int
-
-
-def count_crossings(blocks: Sequence[tuple[int, int]]) -> int:
-    """Crossings: pairs of blocks {a,b}, {c,d} with a < c < b < d."""
-    count = 0
-    for (a, b), (c, d) in itertools.combinations(blocks, 2):
-        if a < c < b < d or c < a < d < b:
-            count += 1
-    return count
-
-
-def enumerate_pair_partitions(n: int) -> Iterator[PairPartition]:
-    """All (2n-1)!! perfect matchings of {1, ..., 2n}, smallest-element first;
-    the test oracle of `crossing_polynomial`."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if 2 * n > PAIRING_CAP:
-        raise ValueError(f"pair-partition enumeration capped at 2n <= {PAIRING_CAP}")
-
-    def rec(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-        if not points:
-            yield ()
-            return
-        first = points[0]
-        for k in range(1, len(points)):
-            partner = points[k]
-            rest = points[1:k] + points[k + 1 :]
-            for tail in rec(rest):
-                yield ((first, partner),) + tail
-
-    def gen():
-        for blocks in rec(tuple(range(1, 2 * n + 1))):
-            yield PairPartition(blocks, count_crossings(blocks))
-
-    return gen()
-
-
 def crossing_polynomial(n: int) -> list[int]:
     """Coefficients c_k = #{pair partitions of {1..2n} with exactly k crossings}.
 
@@ -198,7 +118,7 @@ def crossing_polynomial(n: int) -> list[int]:
     (1980)) counts the same polynomial as Dyck paths of length 2n whose
     down-step from height h carries [h]_q = 1 + q + ... + q^(h-1), summed by
     a transfer over (step, height) on integer coefficient lists.  There is no
-    cap; `enumerate_pair_partitions` is the oracle it is tested against.
+    cap; the tests check it against an enumeration of pair partitions.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

@@ -10,9 +10,9 @@ measures the symmetrized tensor with the reciprocal degree weights
 r^(-n) ([n]_|q|!)^(-alpha) and the reciprocal one-particle weights; its base
 is always |q|, since its factorial weights enter with a negative power and
 only the |q| family bounds the symmetrizer norm.  Both require r >= 1.  The
-graded tensor product, the embedding/duality residuals, the tensor-bound
-constant, the shuffle-binomial bound, and the asymmetric submultiplicativity
-ratio live here.
+graded tensor product, the embedding residual, the tensor-bound constant, the
+shuffle-binomial bound, the asymmetric submultiplicativity ratio and the dual
+partner that saturates the duality bound live here.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .fock import (
     apply_pq,
     batch_value,
     fock_norm,
-    q_inner,
     require_same_context,
     symmetrize,
     tensor_product,
@@ -233,18 +232,6 @@ def vage_ratio(f: GradedVector, g: GradedVector, r: float, s: float) -> tuple[fl
         raise ValueError("zero denominator: both factors must be nonzero")
     ratio = f_dual_norm(graded_tensor(f, g), r, 2.0) / denom
     return batch_value(ratio), float(math.sqrt(r / (r - s)))
-
-
-def duality_residual(f_test: GradedVector, g_dual: GradedVector, r: float, alpha: float) -> float:
-    """max(0, |twisted pairing| - test norm * dual norm) for the matched pair
-    of scales (r, alpha) on the |q| base with the default one-particle weights
-    and their reciprocals; expected zero because the dual norm is exactly the
-    operator dual."""
-    if not alpha >= 1.0:
-        raise ValueError("requires alpha >= 1")
-    weights = default_hplus_weights(f_test.ctx.dim)
-    product = g_norm(f_test, r, alpha, weights) * f_dual_norm(g_dual, r, alpha, weights)
-    return batch_value(np.maximum(0.0, np.abs(q_inner(f_test, g_dual)) - product))
 
 
 def saturating_dual_partner(f_test: GradedVector, r: float, alpha: float) -> GradedVector:

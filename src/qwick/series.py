@@ -2,10 +2,10 @@
 
 The submultiplicativity bound sqrt(r/(r-s)) makes powers of a graded vector
 grow at most geometrically once the s-scale norm sits strictly inside the
-series' convergence radius; the certificate records one working (s, r) pair
-and the resulting contraction factor.  On a truncation, the tensor inverse
-of a vector with nonzero vacuum component is a finite degree recursion and
-exact.
+series' convergence radius; the certificate records one working (s, r) pair,
+the s-scale norm and the resulting contraction factor (its gap to the radius
+is spec.radius - norm_s).  On a truncation, the tensor inverse of a vector
+with nonzero vacuum component is a finite degree recursion and exact.
 """
 
 from __future__ import annotations
@@ -66,19 +66,14 @@ class ConvergenceCertificate:
     """One working scale pair for a series argument, or one per row of a
     batched argument (every field then has the batch shape).
 
-    epsilon is the gap radius - norm_s; contraction = sqrt(r/(r-s)) * norm_s
-    / radius must be < 1 for the power norms to shrink geometrically.
+    contraction = sqrt(r/(r-s)) * norm_s / radius must be < 1 for the power
+    norms to shrink geometrically.
     """
 
     s: float
     norm_s: float
-    epsilon: float
     r: float
     contraction: float
-
-    @property
-    def radius(self) -> float:
-        return self.norm_s + self.epsilon
 
     def __post_init__(self):
         if not np.all((self.r > self.s) & (self.s >= 1.0)):
@@ -122,7 +117,7 @@ def certify_radius(f: GradedVector, spec: SeriesSpec, s: float = 1.0) -> Converg
     if pending.any():
         raise ValueError("not certifiable at desk scale: no valid scale below the cap")
     fields = {name: batch_value(value) for name, value in fields.items()}
-    return ConvergenceCertificate(epsilon=spec.radius - fields["norm_s"], **fields)
+    return ConvergenceCertificate(**fields)
 
 
 def _tail_bound(spec: SeriesSpec, contraction: float, after: int) -> float:

@@ -47,7 +47,6 @@ from .qcombinatorics import (
 )
 from .scales import (
     default_hplus_weights,
-    duality_residual,
     embedding_residual,
     estimate_c1,
     f_dual_norm,
@@ -91,6 +90,10 @@ class RunConfig:
             raise ValueError("config requires max_degree >= 0")
         if self.trials < 1:
             raise ValueError("config requires trials >= 1")
+        if self.seed < 0:
+            raise ValueError("config requires seed >= 0")
+        if not self.scales:
+            raise ValueError("config requires at least one scale pair")
         for r, s, alpha in self.scales:
             if not math.inf > r > s >= 1.0:
                 raise ValueError(f"scale pair must satisfy inf > r > s >= 1, got ({r}, {s})")
@@ -547,7 +550,7 @@ def _duality(ctx: QContext, f: GradedVector, g: GradedVector) -> list[float]:
     weights = default_hplus_weights(ctx.dim)
     test_norm = g_norm(f, DUALITY_R, DUALITY_ALPHA, weights)
     product = test_norm * f_dual_norm(g, DUALITY_R, DUALITY_ALPHA, weights)
-    residual = duality_residual(f, g, DUALITY_R, DUALITY_ALPHA)
+    residual = np.maximum(0.0, np.abs(q_inner(f, g)) - product)
     return (residual / np.maximum(1.0, product)).tolist()
 
 

@@ -148,12 +148,6 @@ class WickPolynomial:
     def coefficient(self, word: NormalWord) -> float:
         return self.terms.get(word, 0.0)
 
-    def equals(self, other: "WickPolynomial", atol: float = 0.0) -> bool:
-        for w in set(self.terms) | set(other.terms):
-            if abs(self.coefficient(w) - other.coefficient(w)) > atol:
-                return False
-        return True
-
     def max_coeff_diff(self, other: "WickPolynomial") -> float:
         keys = set(self.terms) | set(other.terms)
         return max(

@@ -1,13 +1,13 @@
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import pytest
 
 from qwick.qcombinatorics import (
-    ShuffleSubset,
-    count_crossings,
+    PERMUTATION_CAP,
     crossing_polynomial,
-    enumerate_pair_partitions,
     enumerate_shuffles,
     inversions,
     macmahon_residual,
@@ -27,6 +27,52 @@ def double_factorial_odd(n: int) -> int:
 def catalan_number(n: int) -> int:
     """C_n = (2n choose n) / (n + 1); the non-crossing pair partitions."""
     return math.comb(2 * n, n) // (n + 1)
+
+
+PAIRING_CAP = 12  # largest point count 2n of the pair-partition oracle
+
+
+@dataclass(frozen=True)
+class PairPartition:
+    """A perfect matching of {1, ..., 2n} together with its crossing count."""
+
+    blocks: tuple[tuple[int, int], ...]
+    crossings: int
+
+
+def count_crossings(blocks: Sequence[tuple[int, int]]) -> int:
+    """Crossings: pairs of blocks {a,b}, {c,d} with a < c < b < d."""
+    count = 0
+    for (a, b), (c, d) in itertools.combinations(blocks, 2):
+        if a < c < b < d or c < a < d < b:
+            count += 1
+    return count
+
+
+def enumerate_pair_partitions(n: int) -> Iterator[PairPartition]:
+    """All (2n-1)!! perfect matchings of {1, ..., 2n}, smallest-element first;
+    the oracle of `crossing_polynomial`."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if 2 * n > PAIRING_CAP:
+        raise ValueError(f"pair-partition enumeration capped at 2n <= {PAIRING_CAP}")
+
+    def rec(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
+        if not points:
+            yield ()
+            return
+        first = points[0]
+        for k in range(1, len(points)):
+            partner = points[k]
+            rest = points[1:k] + points[k + 1 :]
+            for tail in rec(rest):
+                yield ((first, partner),) + tail
+
+    def gen():
+        for blocks in rec(tuple(range(1, 2 * n + 1))):
+            yield PairPartition(blocks, count_crossings(blocks))
+
+    return gen()
 
 
 def test_q_integer_values():
@@ -102,7 +148,7 @@ def test_inversion_generating_function_is_q_factorial(n, q):
 
 
 def test_enumerate_shuffles_examples():
-    one_one = {s.positions: inv for s, inv in enumerate_shuffles(1, 1)}
+    one_one = dict(enumerate_shuffles(1, 1))
     assert one_one == {(1,): 0, (2,): 1}
     only = list(enumerate_shuffles(3, 0))
     assert len(only) == 1 and only[0][1] == 0
@@ -113,12 +159,18 @@ def test_enumerate_shuffles_examples():
 
 
 def test_shuffle_subset_complement():
-    subset = ShuffleSubset((2, 5), 5)
-    assert subset.m == 2
-    assert subset.complement() == (1, 3, 4)
-    assert len(list(enumerate_shuffles(3, 2))) == math.comb(5, 3)
-    with pytest.raises(ValueError):
-        ShuffleSubset((5, 2), 5)
+    # the inversion count is the number of pairs (j, i) with j in the
+    # complement of the subset, i in it and j < i
+    for total in range(PERMUTATION_CAP + 1):
+        for m in range(total + 1):
+            shuffles = list(enumerate_shuffles(m, total - m))
+            assert [positions for positions, _ in shuffles] == list(
+                itertools.combinations(range(1, total + 1), m)
+            )
+            for positions, inv in shuffles:
+                complement = set(range(1, total + 1)) - set(positions)
+                assert inv == sum(1 for j in complement for i in positions if j < i)
+    assert dict(enumerate_shuffles(2, 3))[(2, 5)] == 1 + 3
 
 
 @pytest.mark.parametrize("q", Q_GRID)
@@ -206,6 +258,4 @@ def test_enumeration_is_deterministic():
     first = [p.blocks for p in enumerate_pair_partitions(4)]
     second = [p.blocks for p in enumerate_pair_partitions(4)]
     assert first == second
-    assert [s.positions for s, _ in enumerate_shuffles(2, 2)] == [
-        s.positions for s, _ in enumerate_shuffles(2, 2)
-    ]
+    assert list(enumerate_shuffles(2, 2)) == list(enumerate_shuffles(2, 2))

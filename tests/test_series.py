@@ -38,11 +38,11 @@ def test_series_spec_validation():
 
 def test_certificate_invariants():
     with pytest.raises(ValueError):
-        ConvergenceCertificate(s=1.0, norm_s=0.5, epsilon=0.5, r=1.0, contraction=0.5)
+        ConvergenceCertificate(s=1.0, norm_s=0.5, r=1.0, contraction=0.5)
     with pytest.raises(ValueError):
-        ConvergenceCertificate(s=1.0, norm_s=0.5, epsilon=0.5, r=2.0, contraction=1.2)
-    cert = ConvergenceCertificate(s=1.0, norm_s=0.5, epsilon=0.5, r=2.0, contraction=0.7)
-    assert cert.radius == 1.0
+        ConvergenceCertificate(s=1.0, norm_s=0.5, r=2.0, contraction=1.2)
+    cert = ConvergenceCertificate(s=1.0, norm_s=0.5, r=2.0, contraction=0.7)
+    assert (cert.s, cert.norm_s, cert.r, cert.contraction) == (1.0, 0.5, 2.0, 0.7)
 
 
 def test_wick_power_basics():

@@ -35,6 +35,10 @@ def test_run_config_validation():
         RunConfig(scales=((1.0, 2.0, 2.0),))
     with pytest.raises(ValueError):
         RunConfig(scales=((2.0, 1.0, math.nan),))
+    with pytest.raises(ValueError, match="scale pair"):
+        RunConfig(scales=())
+    with pytest.raises(ValueError, match="seed"):
+        RunConfig(seed=-1)
     cfg = RunConfig()
     assert cfg.q == 0.5 and cfg.dim == 2 and cfg.max_degree == 6
     assert cfg.trials == 500 and cfg.seed == 1
@@ -118,10 +122,17 @@ def test_vage_report_per_scale_bounds():
 
 def test_trial_replays_from_suite_key_and_index():
     cfg = RunConfig(trials=6, seed=11)
-    report = run_suite("adjointness", cfg)
-    suite = SUITES["adjointness"]
-    inputs = suite.draw(cfg.context(), _trial_rng(11, "adjointness", 3))
-    assert suite.check(cfg.context(), [inputs]) == [report.trial_values[3]]
+    for name in ("adjointness", "commutation"):
+        report = run_suite(name, cfg)
+        suite = SUITES[name]
+        ctx = cfg.context(suite.degree(cfg.max_degree))
+        inputs = suite.draw(ctx, _trial_rng(11, name, 3))
+        (value,) = suite.check(ctx, [inputs])
+        if suite.aside:  # commutation checks an (exchange, swapped) pair; the row is its first
+            exchange, swapped = value
+            assert swapped <= report.params[suite.aside]
+            value = exchange
+        assert value == report.trial_values[3]
 
 
 def test_scale_trial_indices_continue_across_pairs():
@@ -307,6 +318,8 @@ def test_cli_bad_input_file_is_config_error(tmp_path, capsys):
         (["compute", "moments", "--order", "-1"], "--order"),
         (["compute", "moments", "--dim", "3", "--order", "18"], "--order 18 at dim 3"),
         (["verify", "--suite", "vage", "--scales", "inf:1"], "inf > r > s >= 1"),
+        (["verify", "--suite", "all", "--trials", "2", "--csv", "x.csv"], "single suite"),
+        (["verify", "--suite", "macmahon", "--seed", "-1"], "seed >= 0"),
     ),
 )
 def test_cli_precondition_fails_before_output(argv, message, capsys):

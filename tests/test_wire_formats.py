@@ -237,8 +237,8 @@ BAD_VALUES = {
     "dim": [2.5, "2", True, None, 2.0, 0],
     "max_degree": [1.5, "3", False, [3], -1],
     "trials": [2.5, "2", True, None, 0],
-    "seed": [1.5, "1", True, None],
-    "scales": [3, "2:1", [2, 1], [[2]], [["2", 1]], [[3, 2, 1, 1]], [[2, True]], [[1, 2]],
+    "seed": [1.5, "1", True, None, -1],
+    "scales": [3, "2:1", [], [2, 1], [[2]], [["2", 1]], [[3, 2, 1, 1]], [[2, True]], [[1, 2]],
                [[INF, 1]], [[NAN, 1]], [[2, 1, INF]], [[2, 1, NAN]], [[HUGE, 1]]],
 }
 
@@ -254,6 +254,8 @@ BAD_VALUES = {
 @example({}, ("dim", "2"))
 @example({}, ("q", HUGE))
 @example({}, ("scales", [[HUGE, 1]]))
+@example({}, ("scales", []))  # divmod(trials, 0) once raised ZeroDivisionError
+@example({}, ("seed", -1))
 @example({"trials": 3}, ("trails", 5))  # an unknown key
 def test_malformed_config_file_exits_2_before_output(cfg, fault):
     key, bad = fault
