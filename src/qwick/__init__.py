@@ -43,15 +43,13 @@ from .series import (
 from .suites import Report, RunConfig, run_suite
 from .wick import (
     MomentReport,
-    NormalWord,
-    WickPolynomial,
-    adjoint,
+    add_scaled,
     apply_to_fock,
     field_mul,
     moment,
     moments,
+    vacuum_vector,
     wick_monomial,
-    wick_mul,
     wick_mul_poly,
 )
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -234,9 +233,6 @@ class GradedVector:
             return self.components[n]
         return np.zeros(self.ctx.dim**n)
 
-    def degrees(self):
-        return sorted(self.components)
-
     def __add__(self, other: "GradedVector") -> "GradedVector":
         require_same_context(self, other)
         comps = dict(self.components)
@@ -254,11 +250,12 @@ class GradedVector:
             c = c[..., None]
         return GradedVector._of(self.ctx, {n: c * arr for n, arr in self.components.items()})
 
-    def euclidean_norm(self) -> float:
-        """Of an unbatched vector."""
-        return float(
-            np.sqrt(sum(float(arr @ arr) for arr in self.components.values()))
-        )
+    def euclidean_norm(self):
+        """Per row of the batch."""
+        total = 0.0
+        for arr in self.components.values():
+            total = total + (arr[..., None, :] @ arr[..., :, None])[..., 0, 0]
+        return batch_value(np.sqrt(total))
 
     def max_abs(self):
         """Largest entry magnitude, per row of the batch."""
@@ -277,9 +274,6 @@ class GradedVector:
             "components": {str(n): arr.tolist() for n, arr in self.components.items()},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "GradedVector":
         data = json_value(data, dict, "vector file")
@@ -295,10 +289,6 @@ class GradedVector:
                 raise ValueError(f"vector component key {key!r} must be a degree in decimal")
             comps[int(key)] = np.asarray(json_numbers(arr, f"vector component {key}"), dtype=float)
         return cls(ctx, comps)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GradedVector":
-        return cls.from_json_dict(json.loads(text, object_pairs_hook=unique_keys))
 
 
 def require_same_context(f: GradedVector, g: GradedVector) -> None:
@@ -433,16 +423,18 @@ def contract(phi, t, n: int, q: float) -> np.ndarray:
     slot i of the degree-n tensor is contracted against phi with weight q^i.
     phi has shape batch + (d,), its batch broadcasting against t's.
     Creation needs no kernel of its own: it is tensor_product(phi, t).
+    A tensor of higher degree is contracted in its first n slots only, and
+    its remaining slots pass through.
 
-    Slot i is one matmul: the tensor viewed as (..., d**i, d, d**(n-1-i))
-    is a stack of d x d**(n-1-i) matrices, and phi as a row contracts their
-    rows, leaving the remaining slots in row-major order."""
+    Slot i is one matmul: the tensor viewed as (..., d**i, d, rest) is a
+    stack of d x rest matrices, and phi as a row contracts their rows,
+    leaving the remaining slots in row-major order."""
     t = np.asarray(t, dtype=float)
     d = phi.shape[-1]
     row = phi[..., None, None, :]
     weight = 1.0
     for i in range(n):
-        view = t.reshape(t.shape[:-1] + (d**i, d, d ** (n - 1 - i)))
+        view = t.reshape(t.shape[:-1] + (d**i, d, -1))
         slot = row @ view
         slot = slot.reshape(slot.shape[:-3] + (-1,))
         slot *= weight

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import GradedVector, batch_value, json_numbers, json_value, tensor_product
+from .fock import GradedVector, batch_value, tensor_product
 from .scales import f_dual_norm, graded_tensor
 
 TAIL_TOL = 1e-12  # a series stops once its certified tail bound drops below this
@@ -48,17 +48,6 @@ class SeriesSpec:
             c = max(c, abs(a) * power)
             power *= rho
         return c
-
-    def to_json_dict(self) -> dict:
-        return {"coefficients": list(self.coefficients), "radius": self.radius}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SeriesSpec":
-        data = json_value(data, dict, "series spec")
-        return cls(
-            tuple(json_numbers(data["coefficients"], "series coefficients")),
-            float(json_value(data["radius"], float, "series radius")),
-        )
 
 
 @dataclass(frozen=True)

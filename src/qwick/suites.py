@@ -58,8 +58,8 @@ from .scales import (
 )
 from .series import SeriesSpec, certify_radius, wick_inverse, wick_series
 from .wick import (
-    NormalWord,
-    WickPolynomial,
+    add_scaled,
+    apply_to_fock,
     field_mul,
     moments,
     vacuum_vector,
@@ -206,7 +206,8 @@ class Suite:
 def run_suite(name: str, cfg: RunConfig) -> Report:
     """Run the suite `name` of the table at `cfg`.  Trial indices continue
     across the streams of a scale suite, and on a tie of margins the first
-    scale pair supplies the report's max_ratio and bound."""
+    scale pair supplies the report's max_ratio and bound; a pair that ran no
+    trial reports max_ratio null and supplies neither."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     suite = SUITES[name]
@@ -237,9 +238,9 @@ def run_suite(name: str, cfg: RunConfig) -> Report:
                 values += outputs
                 continue
             values += [max(0.0, ratio - limit) for ratio in outputs]
-            top = max(outputs, default=0.0)
+            top = max(outputs, default=None)  # a pair that ran no trial has none
             per_scale.append({**record, "max_ratio": top})
-            if top - limit > worst_margin:
+            if top is not None and top - limit > worst_margin:
                 worst_margin, max_ratio, bound = top - limit, top, limit
         if suite.pair:
             extra["per_scale"] = per_scale
@@ -357,15 +358,18 @@ def _moments(ctx: QContext, phi: np.ndarray) -> list[float]:
     return values
 
 
-def _random_polynomial(rng: np.random.Generator, dim: int, max_terms: int = 3) -> WickPolynomial:
-    terms: dict[NormalWord, float] = {}
+def _random_polynomial(rng: np.random.Generator, dim: int, max_terms: int = 3) -> dict:
+    """Up to max_terms random words with at most two creators and two
+    annihilators, as kernels at every bidegree m, k <= 2 (zero where no word
+    is), so that draws stack."""
+    poly = {(m, k): np.zeros((dim**m, dim**k)) for m in range(3) for k in range(3)}
     for _ in range(int(rng.integers(1, max_terms + 1))):
-        word = NormalWord.build(
-            creators=[rng.standard_normal(dim) for _ in range(int(rng.integers(0, 3)))],
-            annihilators=[rng.standard_normal(dim) for _ in range(int(rng.integers(0, 3)))],
-        )
-        terms[word] = terms.get(word, 0.0) + float(rng.standard_normal())
-    return WickPolynomial(terms)
+        creators = [rng.standard_normal(dim) for _ in range(int(rng.integers(0, 3)))]
+        annihilators = [rng.standard_normal(dim) for _ in range(int(rng.integers(0, 3)))]
+        word = np.outer(elementary_tensor(creators), elementary_tensor(annihilators))
+        key = (len(creators), len(annihilators))
+        poly[key] = poly[key] + float(rng.standard_normal()) * word
+    return poly
 
 
 def _wick_correspondence_draw(ctx: QContext, rng: np.random.Generator) -> tuple:
@@ -375,50 +379,89 @@ def _wick_correspondence_draw(ctx: QContext, rng: np.random.Generator) -> tuple:
     vectors = [rng.standard_normal(ctx.dim) for _ in range(n)]
     fs = [rng.standard_normal(ctx.dim) for _ in range(int(rng.integers(1, 3)))]
     gs = [rng.standard_normal(ctx.dim) for _ in range(int(rng.integers(1, 3)))]
-    return p1, p2, vectors, fs, gs
+    # degrees <= N - n, so that the monomial of vectors never leaves the truncation
+    f = {j: rng.standard_normal(ctx.dim**j) for j in range(ctx.max_degree - n + 1)}
+    return p1, p2, vectors, fs, gs, GradedVector(ctx, f)
+
+
+def _monomial_on(vectors: list, f: GradedVector, q: float) -> GradedVector:
+    """The monomial recursion run as operators through create and annihilate:
+    H(v_1..v_n) f = (a^+(v_1) + a^-(v_1)) H(tail) f minus, for the j-th tail
+    argument, q^(j-1) (v_1, v_j) H(tail without v_j) f."""
+    if not vectors:
+        return f
+    head, tail = vectors[0], vectors[1:]
+    inner = _monomial_on(tail, f, q)
+    out = create(head, inner) + annihilate(head, inner)
+    weight = 1.0
+    for j, t in enumerate(tail):
+        pairing = (head[..., None, :] @ t[..., :, None])[..., 0, 0]
+        out = out - _monomial_on(tail[:j] + tail[j + 1 :], f, q).scale(weight * pairing)
+        weight *= q
+    return out
+
+
+def _max_entry(p: dict) -> np.ndarray:
+    """Largest kernel entry magnitude, per row of the batch."""
+    return functools.reduce(np.maximum, (np.max(np.abs(k), axis=(-2, -1)) for k in p.values()))
 
 
 def _wick_correspondence(ctx: QContext, draws: list) -> list[float]:
-    """The vacuum map turns the Wick product into the graded tensor product,
-    and orthogonal monomials land on their kernels.  Polynomials are dicts of
-    words, so each draw is checked on its own."""
-    values = []
-    for p1, p2, vectors, fs, gs in draws:
-        left = vacuum_vector(wick_mul_poly(p1, p2, ctx.q), ctx)
-        right = graded_tensor(vacuum_vector(p1, ctx), vacuum_vector(p2, ctx))
-        worst = (left - right).euclidean_norm() / max(1.0, right.euclidean_norm())
+    """The vacuum map turns the Wick product into the graded tensor product;
+    orthogonal monomials land on their kernels, act on the Fock space as the
+    recursion run through create and annihilate does, and multiply as their
+    joint argument list.  The polynomials of all draws stack; the monomials
+    stack by argument count."""
+    if not draws:
+        return []
+    q = ctx.q
+    p1, p2, vectors, fs, gs, f = zip(*draws)
+    p1, p2 = ({key: np.stack([p[key] for p in ps]) for key in ps[0]} for ps in (p1, p2))
+    left = vacuum_vector(wick_mul_poly(p1, p2, q), ctx)
+    right = graded_tensor(vacuum_vector(p1, ctx), vacuum_vector(p2, ctx))
+    worst = (left - right).euclidean_norm() / np.maximum(1.0, right.euclidean_norm())
 
-        target = GradedVector(ctx, {len(vectors): elementary_tensor(vectors)})
-        mono_gap = vacuum_vector(wick_monomial(vectors, ctx.q), ctx) - target
-        worst = max(worst, mono_gap.euclidean_norm() / max(1.0, target.euclidean_norm()))
+    for rows, vs in _groups(vectors):
+        mono = wick_monomial(vs, q)
+        target = [GradedVector(ctx, {len(vs): elementary_tensor(vectors[i])}) for i in rows]
+        target = GradedVector.stack(target)
+        gap = (vacuum_vector(mono, ctx) - target).euclidean_norm()
+        f_rows = GradedVector.stack([f[i] for i in rows])
+        ops = _monomial_on(vs, f_rows, q)
+        action = (apply_to_fock(mono, f_rows) - ops).euclidean_norm()
+        worst[rows] = np.maximum.reduce([
+            worst[rows],
+            gap / np.maximum(1.0, target.euclidean_norm()),
+            action / np.maximum(1.0, ops.euclidean_norm()),
+        ])
+    for rows, f_args, g_args in _groups(fs, gs):
+        product = wick_mul_poly(wick_monomial(f_args, q), wick_monomial(g_args, q), q)
+        joint = wick_monomial(f_args + g_args, q)
+        coeff_gap = _max_entry(add_scaled(product, joint, -1.0))
+        worst[rows] = np.maximum(worst[rows], coeff_gap / np.maximum(1.0, _max_entry(joint)))
+    return worst.tolist()
 
-        product = wick_mul_poly(wick_monomial(fs, ctx.q), wick_monomial(gs, ctx.q), ctx.q)
-        joint = wick_monomial(fs + gs, ctx.q)
-        coeff_scale = max(1.0, max(abs(c) for c in joint.terms.values()))
-        values.append(max(worst, product.max_coeff_diff(joint) / coeff_scale))
-    return values
+
+def _groups(*columns):
+    """Draw indices grouped by their argument counts in columns (lists of
+    argument lists, one per draw), with each column's arguments stacked."""
+    groups: dict[tuple, list[int]] = {}
+    for i, key in enumerate(zip(*(map(len, col) for col in columns))):
+        groups.setdefault(key, []).append(i)
+    for rows in groups.values():
+        yield rows, *([np.stack(arg) for arg in zip(*(col[i] for i in rows))] for col in columns)
 
 
-def _x_power_polynomial(k: int, q: float) -> WickPolynomial:
-    """The k-th ordinary power of the single-mode field, normal-ordered."""
-    e = basis_vector(1, 0)
-    poly = WickPolynomial.identity()
-    for _ in range(k):
-        poly = field_mul(e, poly, q)
-    return poly
-
-
-def x_coefficients(poly: WickPolynomial, degree: int, q: float) -> list[float]:
-    """Write a single-mode polynomial as sum c_k x^k by peeling the unique
-    pure-creator word of each degree from the top down."""
-    coeffs = [0.0] * (degree + 1)
-    residue = poly
-    e = (1.0,)
-    for k in range(degree, -1, -1):
-        c = residue.coefficient(NormalWord(creators=(e,) * k))
+def x_coefficients(poly: dict, powers: list[dict]) -> list[float]:
+    """Write a single-mode polynomial as sum c_k x^k, where powers[k] is x^k,
+    the k-th ordinary power of the field normal-ordered, by peeling the pure
+    creator kernel of each degree from the top down."""
+    coeffs = [0.0] * len(powers)
+    for k in reversed(range(len(powers))):
+        c = float(poly[(k, 0)][0, 0]) if (k, 0) in poly else 0.0
         coeffs[k] = c
         if c != 0.0:
-            residue = residue.minus_scaled(_x_power_polynomial(k, q), c)
+            poly = add_scaled(poly, powers[k], -c)
     return coeffs
 
 
@@ -438,18 +481,22 @@ def _hermite(ctx: QContext, tolerance: float) -> tuple[list[float], dict, tuple]
     """Single-mode reduction: the monomial recursion is the deformed Hermite
     three-term recurrence, and its q -> 1 limit is the classical one."""
     e = basis_vector(1, 0)
-    recurrence = [WickPolynomial.identity(), WickPolynomial.field(e)]
+    recurrence = [wick_monomial([], ctx.q), wick_monomial([e], ctx.q)]
     for n in range(1, 7):
         step = field_mul(e, recurrence[n], ctx.q)
-        recurrence.append(step.minus_scaled(recurrence[n - 1], q_integer(n, ctx.q)))
+        recurrence.append(add_scaled(step, recurrence[n - 1], -q_integer(n, ctx.q)))
     values = [
-        wick_monomial([e] * n, ctx.q).max_coeff_diff(recurrence[n]) for n in range(7)
+        float(_max_entry(add_scaled(wick_monomial([e] * n, ctx.q), recurrence[n], -1.0)))
+        for n in range(7)
     ]
 
     q_near_one = 1.0 - 1e-6
+    powers = [wick_monomial([], q_near_one)]
+    for _ in range(6):
+        powers.append(field_mul(e, powers[-1], q_near_one))
     classical_worst = 0.0
     for n in range(7):
-        coeffs = x_coefficients(wick_monomial([e] * n, q_near_one), n, q_near_one)
+        coeffs = x_coefficients(wick_monomial([e] * n, q_near_one), powers[: n + 1])
         hermite = hermite_coefficients(n)
         for k in range(n + 1):
             target = float(hermite[k]) if k < len(hermite) else 0.0

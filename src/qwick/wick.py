@@ -1,300 +1,116 @@
-"""Normal-ordered word algebra and the Wick product.
+"""Wick polynomials as tensor kernels, the Wick product, and vacuum moments.
 
-A normal word is a string of creation operators followed by a string of
-annihilation operators; the empty word is the identity.  A polynomial is a
-finite real combination of normal words.  Term identity is structural: the
-argument vectors are compared entrywise with zero tolerance, so merging is
-exact and deterministic (dict insertion order).
+A Wick polynomial is a dict {(m, k): kernel}: the bidegree (m, k) counts m
+creator slots, then k annihilator slots, and the kernel has shape
+batch + (d**m, d**k), each axis row-major over its slots as in fock.  The
+word c a^+(c_1)..a^+(c_m) a^-(a_1)..a^-(a_k) is multilinear in its
+arguments, so it adds c (c_1 (x) .. (x) c_m) (x) (a_1 (x) .. (x) a_k) at
+(m, k).  An absent bidegree is zero; the identity is {(0, 0): [[1.0]]}.
 
-The Wick product concatenates creator and annihilator strings and picks up
-the factor q^(k*m), where m counts annihilators of the left factor and k
-creators of the right one.  The ordinary operator product is also available:
-it normal-orders by repeatedly exchanging an annihilator past a creator,
-which costs a factor q and a scalar contraction term.
+The Wick product puts q^(k1*m2) K1 (x) K2 at (m1+m2, k1+k2), slots
+C1 C2 | A1 A2: the creators of the right factor jump the annihilators of
+the left.  Every product is elementwise or a stacked matmul, so a batch
+gives each row bit for bit.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .fock import (
     GradedVector,
     QContext,
-    annihilate,
     as_one_particle,
     batch_value,
     contract,
-    create,
-    json_numbers,
-    json_value,
     tensor_product,
-    unique_keys,
 )
 from .qcombinatorics import crossing_polynomial
 
 
-def _as_vec_tuple(v) -> tuple[float, ...]:
-    arr = np.asarray(v, dtype=float).reshape(-1)
-    if not np.isfinite(arr).all():
-        raise ValueError("word arguments must have finite entries")
-    return tuple(arr.tolist())
+def _put(p: dict, key: tuple[int, int], kernel: np.ndarray) -> None:
+    p[key] = p[key] + kernel if key in p else kernel
 
 
-class NormalWord(NamedTuple):
-    """a^+(f_1)...a^+(f_n) a^-(g_1)...a^-(g_m) stored as argument tuples.
-
-    A named tuple, so it hashes and compares in C; it equals the plain tuple
-    (creators, annihilators)."""
-
-    creators: tuple[tuple[float, ...], ...] = ()
-    annihilators: tuple[tuple[float, ...], ...] = ()
-
-    @classmethod
-    def build(cls, creators: Iterable = (), annihilators: Iterable = ()) -> "NormalWord":
-        return cls(
-            tuple(_as_vec_tuple(v) for v in creators),
-            tuple(_as_vec_tuple(v) for v in annihilators),
-        )
-
-    @property
-    def n_creators(self) -> int:
-        return len(self.creators)
-
-    @property
-    def n_annihilators(self) -> int:
-        return len(self.annihilators)
+def add_scaled(p: dict, r: dict, c) -> dict:
+    """p + c r, bidegree by bidegree; c is a float or an array that
+    broadcasts against the kernels (batch + (1, 1))."""
+    out = dict(p)
+    for key, kernel in r.items():
+        _put(out, key, c * kernel)
+    return out
 
 
-IDENTITY_WORD = NormalWord()
-
-
-@dataclass(frozen=True, eq=False)
-class WickPolynomial:
-    """Finite real combination of normal words; zero coefficients are dropped,
-    and a coefficient that is not finite is rejected."""
-
-    terms: dict[NormalWord, float]
-
-    def __post_init__(self):
-        clean = {w: float(c) for w, c in self.terms.items() if c != 0.0}
-        if not all(map(math.isfinite, clean.values())):
-            raise ValueError("polynomial coefficients must be finite")
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def _of(cls, terms: dict[NormalWord, float]) -> "WickPolynomial":
-        """An algebra result: terms maps words to Python float sums made here.
-        Zero sums are dropped and only finiteness is checked, so an overflow
-        still raises."""
-        clean = {w: c for w, c in terms.items() if c != 0.0}
-        if not all(map(math.isfinite, clean.values())):
-            raise ValueError("polynomial coefficients must be finite")
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "terms", clean)
-        return poly
-
-    @classmethod
-    def identity(cls) -> "WickPolynomial":
-        return cls._of({IDENTITY_WORD: 1.0})
-
-    @classmethod
-    def from_word(cls, word: NormalWord, coeff: float = 1.0) -> "WickPolynomial":
-        return cls({word: coeff})
-
-    @classmethod
-    def creator(cls, phi) -> "WickPolynomial":
-        return cls.from_word(NormalWord.build(creators=[phi]))
-
-    @classmethod
-    def annihilator(cls, phi) -> "WickPolynomial":
-        return cls.from_word(NormalWord.build(annihilators=[phi]))
-
-    @classmethod
-    def field(cls, phi) -> "WickPolynomial":
-        """The field operator a^+(phi) + a^-(phi)."""
-        phi_t = (_as_vec_tuple(phi),)
-        return cls._of({NormalWord(phi_t, ()): 1.0, NormalWord((), phi_t): 1.0})
-
-    def __add__(self, other: "WickPolynomial") -> "WickPolynomial":
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, 0.0) + c
-        return WickPolynomial._of(terms)
-
-    def __sub__(self, other: "WickPolynomial") -> "WickPolynomial":
-        return self.minus_scaled(other, 1.0)
-
-    def minus_scaled(self, other: "WickPolynomial", c: float) -> "WickPolynomial":
-        """self - c * other in one merge: each sum is c_self - c * c_other,
-        bit for bit what `self - other.scale(c)` gives, in its term order."""
-        c = float(c)
-        terms = dict(self.terms)
-        for w, v in other.terms.items():
-            terms[w] = terms.get(w, 0.0) - c * v
-        return WickPolynomial._of(terms)
-
-    def scale(self, c: float) -> "WickPolynomial":
-        c = float(c)
-        return WickPolynomial._of({w: c * v for w, v in self.terms.items()})
-
-    def max_creators(self) -> int:
-        return max((w.n_creators for w in self.terms), default=0)
-
-    def coefficient(self, word: NormalWord) -> float:
-        return self.terms.get(word, 0.0)
-
-    def max_coeff_diff(self, other: "WickPolynomial") -> float:
-        keys = set(self.terms) | set(other.terms)
-        return max(
-            (abs(self.coefficient(w) - other.coefficient(w)) for w in keys),
-            default=0.0,
-        )
-
-    # -- JSON wire format: {"terms":[{"coeff","creators","annihilators"}]} --
-
-    def to_json_dict(self) -> dict:
-        return {
-            "terms": [
-                {
-                    "coeff": c,
-                    "creators": [list(v) for v in w.creators],
-                    "annihilators": [list(v) for v in w.annihilators],
-                }
-                for w, c in self.terms.items()
-            ]
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "WickPolynomial":
-        data = json_value(data, dict, "polynomial file")
-        terms: dict[NormalWord, float] = {}
-        lengths = set()  # of the argument vectors: one for the whole polynomial
-        for k, item in enumerate(json_value(data["terms"], list, "polynomial terms")):
-            item = json_value(item, dict, f"polynomial term {k}")
-            coeff = json_value(item["coeff"], float, f"polynomial term {k} coeff")
-            sides = []
-            for side in ("creators", "annihilators"):
-                what = f"polynomial term {k} {side}"
-                vectors = json_value(item[side], list, what)
-                sides.append([json_numbers(v, f"{what} argument") for v in vectors])
-                lengths.update(map(len, vectors))
-            if 0 in lengths or len(lengths) > 1:
-                raise ValueError(
-                    f"polynomial term {k}: arguments must be non-empty and of one length, "
-                    f"got lengths {sorted(lengths)}"
-                )
-            word = NormalWord.build(*sides)
-            terms[word] = terms.get(word, 0.0) + float(coeff)
-        return cls(terms)
-
-    @classmethod
-    def from_json(cls, text: str) -> "WickPolynomial":
-        return cls.from_json_dict(json.loads(text, object_pairs_hook=unique_keys))
-
-
-# ---------------------------------------------------------------------------
-# Wick product
-# ---------------------------------------------------------------------------
-
-
-def wick_mul(u: NormalWord, v: NormalWord, q: float) -> tuple[float, NormalWord]:
-    """Normal-ordered product of two words: concatenate creator and
-    annihilator strings and pay q^(k*m) for the k creators of v that jump the
-    m annihilators of u."""
-    exponent = v.n_creators * u.n_annihilators
-    word = NormalWord(u.creators + v.creators, u.annihilators + v.annihilators)
-    return float(q) ** exponent, word
-
-
-def wick_mul_poly(p1: WickPolynomial, p2: WickPolynomial, q: float) -> WickPolynomial:
-    """Bilinear extension of the word-level Wick product, merged exactly."""
+def wick_mul_poly(p1: dict, p2: dict, q: float) -> dict:
+    """Wick product: q^(k1*m2) K1 (x) K2 at (m1+m2, k1+k2), slots C1 C2 | A1 A2,
+    as one broadcast elementwise product per pair of bidegrees."""
     q = float(q)
-    terms: dict[NormalWord, float] = {}
-    for u, cu in p1.terms.items():
-        for v, cv in p2.terms.items():
-            coeff, word = wick_mul(u, v, q)
-            terms[word] = terms.get(word, 0.0) + cu * cv * coeff
-    return WickPolynomial._of(terms)
+    out: dict = {}
+    for (m1, k1), a in p1.items():
+        for (m2, k2), b in p2.items():
+            block = a[..., :, None, :, None] * b[..., None, :, None, :]
+            shape = block.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
+            _put(out, (m1 + m2, k1 + k2), q ** (k1 * m2) * block.reshape(shape))
+    return out
 
 
-def adjoint(p: WickPolynomial) -> WickPolynomial:
-    """Word-wise adjoint: reverse and swap the creator and annihilator strings."""
-    terms: dict[NormalWord, float] = {}
-    for w, c in p.terms.items():
-        flipped = NormalWord(tuple(reversed(w.annihilators)), tuple(reversed(w.creators)))
-        terms[flipped] = terms.get(flipped, 0.0) + c
-    return WickPolynomial._of(terms)
+def field_mul(phi, p: dict, q: float) -> dict:
+    """Ordinary operator product (a^+(phi) + a^-(phi)) P, normal-ordered.
 
-
-def field_mul(phi, p: WickPolynomial, q: float) -> WickPolynomial:
-    """Ordinary operator product (a^+(phi) + a^-(phi)) * p, normal-ordered.
-
-    Pushing a^-(phi) past the creators (h_1, ..., h_k) of a word yields the
-    contraction sum over dropped slots, weighted q^(i-1) (phi, h_i), plus the
-    fully exchanged word weighted q^k.
+    Each kernel K at (m, k) gives phi (x) K at (m+1, k) (creation), the
+    contraction of phi with creator slot i weighted q^i at (m-1, k), and
+    q^m K with phi as the first annihilator slot at (m, k+1).  phi has
+    shape batch + (d,), its batch broadcasting against the kernels'.
     """
-    return _field_mul(_as_vec_tuple(phi), p, float(q))
+    phi = as_one_particle(phi, np.shape(phi)[-1])
+    d = phi.shape[-1]
+    out: dict = {}
+    for (m, k), kernel in p.items():
+        flat = kernel.reshape(kernel.shape[:-2] + (-1,))  # slots C | A as one tensor
+        created = tensor_product(phi, flat)
+        batch = created.shape[:-1]
+        _put(out, (m + 1, k), created.reshape(batch + (d ** (m + 1), d**k)))
+        if m:
+            contracted = contract(phi, flat, m, q)
+            _put(out, (m - 1, k), contracted.reshape(batch + (d ** (m - 1), d**k)))
+        _put(out, (m, k + 1), q**m * tensor_product(phi[..., None, :], kernel))
+    return out
 
 
-def _field_mul(phi_t: tuple[float, ...], p: WickPolynomial, q: float) -> WickPolynomial:
-    """field_mul for a validated argument tuple; each distinct creator is
-    paired with phi once per call."""
-    phi_arr = np.asarray(phi_t)
-    pairings: dict[tuple[float, ...], float] = {}
-    terms: dict[NormalWord, float] = {}
-
-    def put(word: NormalWord, coeff: float) -> None:
-        terms[word] = terms.get(word, 0.0) + coeff
-
-    for w, c in p.terms.items():
-        put(NormalWord((phi_t,) + w.creators, w.annihilators), c)
-        weight = 1.0
-        for i, h in enumerate(w.creators):
-            pairing = pairings.get(h)
-            if pairing is None:
-                pairing = pairings[h] = float(phi_arr @ np.asarray(h))
-            dropped = w.creators[:i] + w.creators[i + 1 :]
-            put(NormalWord(dropped, w.annihilators), c * weight * pairing)
-            weight *= q
-        put(NormalWord(w.creators, (phi_t,) + w.annihilators), c * weight)
-    return WickPolynomial._of(terms)
-
-
-def wick_monomial(vectors: Sequence, q: float) -> WickPolynomial:
+def wick_monomial(vectors: Sequence, q: float) -> dict:
     """The degree-n orthogonal monomial in the field variables, built by the
     contraction recursion: multiply by the field of the first argument and
     subtract the monomials of the one-slot contractions of the tail.
 
     In a single mode this reproduces the q-deformed Hermite three-term
-    recurrence.  Each argument is validated once, and each sub-list of the
-    arguments the recursion reaches (keyed by its index tuple) is built once
-    per call.
+    recurrence.  The arguments have shape batch + (d,) and are validated once;
+    each sub-list of them the recursion reaches is built once per call, equal
+    arguments counting as one (a sub-list is keyed by the first index of each
+    of its arguments' values).  No arguments give the identity.
     """
     q = float(q)
-    vecs = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
-    args = [_as_vec_tuple(v) for v in vecs]
-    memo: dict[tuple[int, ...], WickPolynomial] = {(): WickPolynomial.identity()}
+    dim = np.shape(vectors[0])[-1] if len(vectors) else 1
+    vecs = [as_one_particle(v, dim) for v in vectors]
+    batch = np.broadcast_shapes(*(v.shape[:-1] for v in vecs))
+    first: dict = {}
+    value_of = [first.setdefault((v.shape, v.tobytes()), i) for i, v in enumerate(vecs)]
+    memo: dict[tuple[int, ...], dict] = {(): {(0, 0): np.ones(batch + (1, 1))}}
 
-    def monomial(idx: tuple[int, ...]) -> WickPolynomial:
-        if idx in memo:
-            return memo[idx]
+    def monomial(idx: tuple[int, ...]) -> dict:
+        key = tuple(value_of[i] for i in idx)
+        if key in memo:
+            return memo[key]
         head, tail = idx[0], idx[1:]
-        result = _field_mul(args[head], monomial(tail), q)
+        result = field_mul(vecs[head], monomial(tail), q)
         weight = 1.0
         for j, t in enumerate(tail):
-            pairing = float(vecs[head] @ vecs[t])
-            if pairing != 0.0:
-                result = result.minus_scaled(monomial(tail[:j] + tail[j + 1 :]), weight * pairing)
+            pairing = vecs[head][..., None, :] @ vecs[t][..., :, None]  # batch + (1, 1)
+            result = add_scaled(result, monomial(tail[:j] + tail[j + 1 :]), -weight * pairing)
             weight *= q
-        memo[idx] = result
+        memo[key] = result
         return result
 
     return monomial(tuple(range(len(vecs))))
@@ -305,40 +121,46 @@ def wick_monomial(vectors: Sequence, q: float) -> WickPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def apply_word(word: NormalWord, f: GradedVector) -> GradedVector:
-    """Compose the word's operators right to left (annihilators first)."""
-    current = f
-    for g in reversed(word.annihilators):
-        current = annihilate(np.asarray(g), current)
-    for phi in reversed(word.creators):
-        current = create(np.asarray(phi), current)
-    return current
+def apply_to_fock(p: dict, f: GradedVector) -> GradedVector:
+    """P as an operator on f (ordinary products, no Wick factor): a word's
+    annihilators act first, then its creators, and what lands above the
+    truncation is dropped, as `create` drops it.  tables[k][n] holds
+    a^-(e_(a_1))..a^-(e_(a_k)) f_n for every basis index tuple A as rows,
+    shape batch + (d**k, d**(n-k)); the kernel at (m, k) times it is the
+    result at degree m + n - k."""
+    ctx = f.ctx
+    eye = np.eye(ctx.dim)[:, None, :]  # e_j as a batch of d one-particle rows
+    tables = [{n: arr[..., None, :] for n, arr in f.components.items()}]
+    for k in range(max((k for _, k in p), default=0)):
+        tables.append({})
+        for n, table in tables[k].items():
+            if n > k:
+                rows = contract(eye, table[..., None, :, :], n - k, ctx.q)
+                tables[k + 1][n] = rows.reshape(rows.shape[:-3] + (-1, ctx.dim ** (n - k - 1)))
+    comps: dict = {}
+    for (m, k), kernel in p.items():
+        for n, table in tables[k].items():
+            if m + n - k <= ctx.max_degree:
+                out = kernel @ table
+                _put(comps, m + n - k, out.reshape(out.shape[:-2] + (-1,)))
+    return GradedVector._of(ctx, dict(sorted(comps.items())))
 
 
-def apply_to_fock(p: WickPolynomial, f: GradedVector) -> GradedVector:
-    """Evaluate the polynomial as an operator (ordinary products, no Wick
-    factor) on a graded vector."""
-    out = GradedVector.zero(f.ctx)
-    for w, c in p.terms.items():
-        out = out + apply_word(w, f).scale(c)
-    return out
-
-
-def vacuum_vector(p: WickPolynomial, ctx: QContext) -> GradedVector:
-    """P applied to the vacuum.  a^-(g) annihilates the vacuum, so only the
-    words without annihilators are applied; every word must still create
-    within N and have arguments of length d."""
-    overflow = p.max_creators()
-    if overflow > ctx.max_degree:
-        raise ValueError(
-            f"truncation overflow: a word creates degree {overflow} "
-            f"but max_degree is {ctx.max_degree}"
-        )
-    lengths = {len(g) for w in p.terms for g in w.annihilators} - {ctx.dim}
-    if lengths:
-        raise ValueError(f"one-particle vector must have length {ctx.dim}, got {sorted(lengths)}")
-    creators_only = {w: c for w, c in p.terms.items() if not w.annihilators}
-    return apply_to_fock(WickPolynomial._of(creators_only), GradedVector.vacuum(ctx))
+def vacuum_vector(p: dict, ctx: QContext) -> GradedVector:
+    """P applied to the vacuum: a^-(g) annihilates it, so degree m is the
+    (m, 0) kernel.  Every kernel must still create within N and have the
+    shape of its bidegree at dimension d."""
+    comps = {}
+    for (m, k), kernel in sorted(p.items()):
+        if m > ctx.max_degree:
+            raise ValueError(
+                f"truncation overflow: a word creates degree {m} but max_degree is {ctx.max_degree}"
+            )
+        if kernel.shape[-2:] != (ctx.dim**m, ctx.dim**k):
+            raise ValueError(f"one-particle vector must have length {ctx.dim}: kernel {(m, k)}")
+        if k == 0:
+            comps[m] = kernel[..., 0].copy()
+    return GradedVector._of(ctx, comps)
 
 
 # Highest order `compute moments` accepts: the Jacobi-matrix test certifies

@@ -30,8 +30,8 @@ ROWS = 4
 
 def _same_row(batched: GradedVector, i: int, row: GradedVector) -> bool:
     """Row i of a batched vector equals row, entry for entry."""
-    return batched.degrees() == row.degrees() and all(
-        np.array_equal(batched.components[n][i], row.components[n]) for n in row.degrees()
+    return batched.components.keys() == row.components.keys() and all(
+        np.array_equal(batched.components[n][i], row.components[n]) for n in row.components
     )
 
 
@@ -59,7 +59,7 @@ def test_stack_rows_are_the_vectors(batch):
 
 def test_apply_pq_and_contract_rows(batch):
     ctx, fs, _, f, _, phis, _ = batch
-    for n in f.degrees():
+    for n in f.components:
         out = apply_pq(n, f.components[n], ctx)
         for i, row in enumerate(fs):
             assert np.array_equal(out[i], apply_pq(n, row.components[n], ctx))
@@ -141,12 +141,20 @@ def test_suite_check_rows_match_single_draws(name, cfg):
 @pytest.mark.parametrize("name", ["vage", "theorem43"])
 @pytest.mark.parametrize("trials", [1, 2])
 def test_scale_suites_run_streams_without_trials(name, trials):
+    # a pair that ran no trial reports no ratio and never supplies the
+    # report's max_ratio and bound: vage at one trial once reported 0.0
+    # against the bound of the empty pair (4, 1)
     cfg = RunConfig(trials=trials)
     assert cfg.scales == DEFAULT_SCALES
     report = run_suite(name, cfg)
     assert report.trials == trials and report.passed
-    tops = [record["max_ratio"] for record in report.params["per_scale"]]
-    assert tops[trials:] == [0.0] * (3 - trials)  # the streams that drew nothing
+    per_scale = report.params["per_scale"]
+    assert [record["max_ratio"] for record in per_scale[trials:]] == [None] * (3 - trials)
+    ran = per_scale[:trials]
+    assert all(record["max_ratio"] > 0.0 for record in ran)
+    bounds = [record.get("bound", record.get("c1")) for record in ran]
+    worst = max(range(trials), key=lambda k: ran[k]["max_ratio"] - bounds[k])
+    assert (report.max_ratio, report.bound) == (ran[worst]["max_ratio"], bounds[worst])
 
 
 BATCHED = [

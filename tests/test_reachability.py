@@ -7,6 +7,7 @@ warmed by other tests hides a call.  Code that no CLI path reaches and no
 entry below names makes the test fail: delete it, or name it here.
 """
 
+import ast
 import inspect
 import json
 import os
@@ -16,9 +17,6 @@ import types
 from pathlib import Path
 
 TRACER_LAYER = "bench/tracer.py wraps it by name (LAYERS)"
-VECTOR_FILE = "vector-file helper the tests use; compute reads and writes the dict form"
-ALGEBRA = "polynomial algebra of the two-route tests in tests/test_wick.py"
-FILE_FORMAT = "file format no CLI command reads or writes; its boundary tests keep it"
 
 # qualified name -> why it stays in src/qwick although no CLI path enters it
 NEVER_ENTERED = {
@@ -27,22 +25,6 @@ NEVER_ENTERED = {
     "fock._operator_matrix": "builds creation_matrix and annihilation_matrix",
     "fock.degree_offsets": "block offsets of creation_matrix and annihilation_matrix",
     "wick.moment": TRACER_LAYER,
-    "fock.GradedVector.degrees": VECTOR_FILE,
-    "fock.GradedVector.to_json": VECTOR_FILE,
-    "fock.GradedVector.from_json": VECTOR_FILE,
-    "wick.adjoint": ALGEBRA,
-    "wick.WickPolynomial.from_word": ALGEBRA,
-    "wick.WickPolynomial.creator": ALGEBRA,
-    "wick.WickPolynomial.annihilator": ALGEBRA,
-    "wick.WickPolynomial.__add__": ALGEBRA,
-    "wick.WickPolynomial.__sub__": ALGEBRA,
-    "wick.WickPolynomial.scale": ALGEBRA,
-    "wick.WickPolynomial.to_json_dict": FILE_FORMAT,
-    "wick.WickPolynomial.to_json": FILE_FORMAT,
-    "wick.WickPolynomial.from_json_dict": FILE_FORMAT,
-    "wick.WickPolynomial.from_json": FILE_FORMAT,
-    "series.SeriesSpec.to_json_dict": FILE_FORMAT,
-    "series.SeriesSpec.from_json_dict": FILE_FORMAT,
 }
 
 
@@ -133,6 +115,47 @@ def test_every_src_function_is_reached_or_pinned(tmp_path):
     assert traced["codes"] == [0] * len(traced["codes"])
     assert traced["functions"] > 100  # the walk found the package
     assert sorted(traced["never"]) == sorted(NEVER_ENTERED)
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_lookups() -> list[tuple[str, str, bool]]:
+    """(module, function, needs cache_info) for every qwick function the
+    bench names: the LAYERS table of bench/tracer.py, and the attributes of
+    the qwick modules bench/child.py imports, whose cache_info it reads.
+    Both files are parsed, not imported."""
+    lookups = []
+    tracer = ast.parse((BENCH / "tracer.py").read_text())
+    for node in ast.walk(tracer):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", "") == "LAYERS" for t in node.targets):
+            for module, table in zip(node.value.keys, node.value.values):
+                lookups += [(module.value, key.value, False) for key in table.keys]
+    child = ast.parse((BENCH / "child.py").read_text())
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(child)
+        if isinstance(node, ast.ImportFrom) and node.module == "qwick"
+        for alias in node.names
+    }
+    for node in ast.walk(child):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            lookups.append((node.value.id, node.attr, True))
+    return lookups
+
+
+def test_every_function_the_bench_names_resolves():
+    # a renamed or deleted function would otherwise fail only the traced
+    # bench run, as an AttributeError in Tracer.install
+    import importlib
+
+    lookups = _bench_lookups()
+    assert len(lookups) > 20 and any(needs for _, _, needs in lookups)  # the parse found both
+    for module, name, needs_cache in lookups:
+        fn = getattr(importlib.import_module(f"qwick.{module}"), name, None)
+        assert callable(fn), f"{module}.{name}"
+        if needs_cache:
+            assert callable(getattr(fn, "cache_info", None)), f"{module}.{name}"
 
 
 if __name__ == "__main__":

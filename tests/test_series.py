@@ -33,7 +33,6 @@ def test_series_spec_validation():
         SeriesSpec((math.inf,), 1.0)
     spec = SeriesSpec((1.0, 1.0, 1.0), 1.0)
     assert spec.fitted_constant(0.5) == 1.0
-    assert SeriesSpec.from_json_dict(spec.to_json_dict()) == spec
 
 
 def test_certificate_invariants():
@@ -227,10 +226,10 @@ def test_wick_inverse_recursion_matches_power_sum(dim, top, q):
     for _ in range(10):
         f = _dyadic_vector(ctx, rng)
         got, want = wick_inverse(f), _wick_inverse_power_sum(f)
-        assert got.degrees() == want.degrees()
+        assert sorted(got.components) == sorted(want.components)
         # dyadic data keeps both routes exact, so the entries are equal; only
         # the sign of a zero may differ, as the routes add in another order
-        for n in got.degrees():
+        for n in got.components:
             assert np.array_equal(got.component(n), want.component(n))
         g = _generic_vector(ctx, rng)
         gap = (wick_inverse(g) - _wick_inverse_power_sum(g)).max_abs()
@@ -240,7 +239,7 @@ def test_wick_inverse_recursion_matches_power_sum(dim, top, q):
 def test_wick_inverse_skips_unreached_degrees():
     ctx = QContext(0.5, 2, 5)
     f = GradedVector(ctx, {0: [2.0], 2: [1.0, 0.0, 0.0, 1.0]})
-    assert wick_inverse(f).degrees() == [0, 2, 4]
+    assert sorted(wick_inverse(f).components) == [0, 2, 4]
 
 
 def test_wick_inverse_vacuum():

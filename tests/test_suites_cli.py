@@ -248,11 +248,11 @@ def test_cli_compute_wick_mul_neutral(tmp_path, capsys):
     f = GradedVector(ctx, {0: [2.0], 1: [0.5, -1.5], 3: np.arange(8.0).tolist()})
     omega = GradedVector.vacuum(ctx)
     fpath, opath = tmp_path / "f.json", tmp_path / "omega.json"
-    fpath.write_text(f.to_json())
-    opath.write_text(omega.to_json())
+    fpath.write_text(json.dumps(f.to_json_dict()))
+    opath.write_text(json.dumps(omega.to_json_dict()))
     out = tmp_path / "result.json"
     assert cli.main(["compute", "wick-mul", str(opath), str(fpath), "--out", str(out)]) == 0
-    result = GradedVector.from_json(out.read_text())
+    result = GradedVector.from_json_dict(json.loads(out.read_text()))
     assert (result - f).max_abs() == 0.0
 
 
@@ -263,17 +263,17 @@ def test_cli_compute_wick_inv_and_exp(tmp_path):
     ctx = QContext(0.3, 1, 5)
     f = GradedVector(ctx, {0: [1.0], 1: [0.5]})
     fpath = tmp_path / "f.json"
-    fpath.write_text(f.to_json())
+    fpath.write_text(json.dumps(f.to_json_dict()))
     inv_path = tmp_path / "inv.json"
     assert cli.main(["compute", "wick-inv", str(fpath), "--out", str(inv_path)]) == 0
-    inv = GradedVector.from_json(inv_path.read_text())
+    inv = GradedVector.from_json_dict(json.loads(inv_path.read_text()))
     assert (graded_tensor(f, inv) - GradedVector.vacuum(ctx)).max_abs() == 0.0
 
     exp_path = tmp_path / "exp.json"
     zpath = tmp_path / "z.json"
-    zpath.write_text(GradedVector(ctx, {1: [0.5]}).to_json())
+    zpath.write_text(json.dumps(GradedVector(ctx, {1: [0.5]}).to_json_dict()))
     assert cli.main(["compute", "wick-exp", str(zpath), "--out", str(exp_path)]) == 0
-    exp = GradedVector.from_json(exp_path.read_text())
+    exp = GradedVector.from_json_dict(json.loads(exp_path.read_text()))
     assert exp.component(2)[0] == pytest.approx(0.125, abs=1e-15)
 
 
@@ -282,7 +282,7 @@ def test_cli_compute_wick_inv_zero_vacuum_is_config_error(tmp_path, capsys):
 
     ctx = QContext(0.5, 2, 3)
     zpath = tmp_path / "z.json"
-    zpath.write_text(GradedVector(ctx, {1: [1.0, 0.0]}).to_json())
+    zpath.write_text(json.dumps(GradedVector(ctx, {1: [1.0, 0.0]}).to_json_dict()))
     assert cli.main(["compute", "wick-inv", str(zpath)]) == 2
     assert "vacuum component" in capsys.readouterr().err
 
@@ -294,7 +294,7 @@ def test_cli_compute_norm(tmp_path, capsys):
     e1, e2 = basis_vector(2, 0), basis_vector(2, 1)
     f = GradedVector(ctx, {2: elementary_tensor([e1, e2])})
     fpath = tmp_path / "f.json"
-    fpath.write_text(f.to_json())
+    fpath.write_text(json.dumps(f.to_json_dict()))
     assert (
         cli.main(["compute", "norm", str(fpath), "--side", "dual", "--r", "1", "--alpha", "0"])
         == 0
@@ -359,7 +359,7 @@ def test_cli_wick_exp_names_its_scale_parameter(tmp_path, capsys):
     from qwick.fock import GradedVector, QContext
 
     zpath = tmp_path / "z.json"
-    zpath.write_text(GradedVector(QContext(0.3, 1, 3), {1: [0.5]}).to_json())
+    zpath.write_text(json.dumps(GradedVector(QContext(0.3, 1, 3), {1: [0.5]}).to_json_dict()))
     for s in ("0.5", "nan"):
         assert cli.main(["compute", "wick-exp", str(zpath), "--s", s]) == 2
         captured = capsys.readouterr()
@@ -383,7 +383,7 @@ def test_cli_norm_scale_preconditions(flags, message, tmp_path, capsys):
     from qwick.fock import GradedVector, QContext
 
     path = tmp_path / "f.json"
-    path.write_text(GradedVector.vacuum(QContext(0.5, 2, 3)).to_json())
+    path.write_text(json.dumps(GradedVector.vacuum(QContext(0.5, 2, 3)).to_json_dict()))
     assert cli.main(["compute", "norm", str(path), *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -15,8 +15,6 @@ from hypothesis import strategies as st
 
 import qwick.cli as cli
 from qwick.fock import GradedVector, QContext
-from qwick.series import SeriesSpec
-from qwick.wick import NormalWord, WickPolynomial
 
 # finite floats, with -0.0 and subnormals among them
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -39,43 +37,19 @@ def vectors(draw) -> GradedVector:
     return GradedVector(QContext(draw(Q), dim, max_degree), comps)
 
 
-@st.composite
-def polynomials(draw) -> WickPolynomial:
-    dim = draw(st.integers(1, 3))
-    arguments = st.lists(st.lists(ENTRY, min_size=dim, max_size=dim), max_size=2)
-    terms = {}
-    for _ in range(draw(st.integers(0, 4))):
-        word = NormalWord.build(draw(arguments), draw(arguments))
-        terms[word] = draw(ENTRY)
-    return WickPolynomial(terms)
-
-
 @FEW
 @given(vectors())
 def test_graded_vector_round_trip_is_bit_exact(f):
-    g = GradedVector.from_json(f.to_json())
+    # the path compute takes: the dict form as JSON text, read back by the CLI
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.json"
+        path.write_text(json.dumps(f.to_json_dict()))
+        g = GradedVector.from_json_dict(cli._load_json(str(path)))
     assert _bits([g.ctx.q]) == _bits([f.ctx.q])
     assert (g.ctx.dim, g.ctx.max_degree) == (f.ctx.dim, f.ctx.max_degree)
-    assert f.degrees() == g.degrees()
-    for n in f.degrees():
+    assert list(f.components) == list(g.components)
+    for n in f.components:
         assert _bits(f.component(n)) == _bits(g.component(n))
-
-
-@FEW
-@given(polynomials())
-def test_wick_polynomial_round_trip_is_bit_exact(p):
-    # repr gives each double its own text, so equal text means equal bits
-    text = p.to_json()
-    assert WickPolynomial.from_json(text).to_json() == text
-
-
-@FEW
-@given(st.lists(ENTRY, max_size=6), st.floats(min_value=5e-324, allow_infinity=False))
-def test_series_spec_round_trip_is_bit_exact(coefficients, radius):
-    spec = SeriesSpec(tuple(coefficients), radius)
-    again = SeriesSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
-    assert _bits(again.coefficients) == _bits(spec.coefficients)
-    assert _bits([again.radius]) == _bits([spec.radius])
 
 
 FAULTS = (
@@ -159,7 +133,7 @@ def test_compute_rejects_malformed_vector_before_output(f, fault, bad_entry, ope
     with tempfile.TemporaryDirectory() as tmp:
         bad, good = Path(tmp) / "bad.json", Path(tmp) / "good.json"
         bad.write_text(text)
-        good.write_text(f.to_json())
+        good.write_text(json.dumps(f.to_json_dict()))
         inputs = [str(bad), str(good)] if operation[0] == "wick-mul" else [str(bad)]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -292,53 +266,3 @@ def test_moments_phi_must_be_a_flat_number_list(phi):
         code, out, err = _run(["compute", "moments", "--phi", str(path), "--order", "2"])
     assert (code, out) == (2, "")
     assert err.startswith("error:")
-
-
-# -- polynomial and series files: the vector file's checks ------------------
-
-TERM = {"coeff": 1.5, "creators": [[1.0, 0.5]], "annihilators": [[0.25, -1.0]]}
-# each once read as a polynomial: np.asarray took "1.5" and true as numbers and
-# flattened nested arguments, float() took a string or bool coefficient and
-# raised OverflowError on a huge integer, and iterating an object of terms
-# raised TypeError
-POLYNOMIAL_FAULTS = {
-    "string-and-bool-entries": ({"terms": [{**TERM, "creators": [["1.5", True]]}]}, "creators"),
-    "nested-argument": ({"terms": [{**TERM, "creators": [[[1.0], [0.5]]]}]}, "creators"),
-    "ragged-in-a-term": ({"terms": [{**TERM, "annihilators": [[0.25]]}]}, "length"),
-    "ragged-across-terms": ({"terms": [TERM, {**TERM, "creators": [[1.0, 0.5, 0.0]]}]}, "length"),
-    "empty-argument": ({"terms": [{**TERM, "creators": [[]]}]}, "non-empty"),
-    "string-coeff": ({"terms": [{**TERM, "coeff": "2"}]}, "coeff"),
-    "bool-coeff": ({"terms": [{**TERM, "coeff": True}]}, "coeff"),
-    "terms-object": ({"terms": {}}, "terms"),
-    "term-list": ({"terms": [[1.5]]}, "term 0"),
-    "huge-int-coeff": ({"terms": [{**TERM, "coeff": HUGE}]}, "coeff"),
-    "huge-int-entry": ({"terms": [{**TERM, "annihilators": [[HUGE, 1]]}]}, "annihilators"),
-}
-
-
-@pytest.mark.parametrize("fault", sorted(POLYNOMIAL_FAULTS))
-def test_polynomial_file_faults_raise_value_error_naming_the_field(fault):
-    data, field = POLYNOMIAL_FAULTS[fault]
-    with pytest.raises(ValueError, match=field):
-        WickPolynomial.from_json(json.dumps(data))
-
-
-# float() once took "2" and true as a radius and coefficient; a nested
-# coefficient raised TypeError and a huge integer OverflowError
-SERIES_FAULTS = {
-    "string-radius": ({"coefficients": [1.0], "radius": "2"}, "radius"),
-    "bool-radius": ({"coefficients": [1.0], "radius": True}, "radius"),
-    "string-coefficient": ({"coefficients": ["1.0"], "radius": 2.0}, "coefficients"),
-    "bool-coefficient": ({"coefficients": [1.0, False], "radius": 2.0}, "coefficients"),
-    "nested-coefficient": ({"coefficients": [[1.0]], "radius": 2.0}, "coefficients"),
-    "coefficient-object": ({"coefficients": {"0": 1.0}, "radius": 2.0}, "coefficients"),
-    "huge-int-radius": ({"coefficients": [1.0], "radius": HUGE}, "radius"),
-    "huge-int-coefficient": ({"coefficients": [HUGE], "radius": 2.0}, "coefficients"),
-}
-
-
-@pytest.mark.parametrize("fault", sorted(SERIES_FAULTS))
-def test_series_spec_faults_raise_value_error_naming_the_field(fault):
-    data, field = SERIES_FAULTS[fault]
-    with pytest.raises(ValueError, match=field):
-        SeriesSpec.from_json_dict(json.loads(json.dumps(data)))
