@@ -1,7 +1,8 @@
 """Batch entry point: run verification suites and compute on stored vectors.
 
 Exit codes: 0 success / all checks pass, 1 a suite reported violations,
-2 usage, config, parse, or precondition errors.
+2 usage, config, parse, or precondition errors, or a problem too large to
+allocate.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def _cmd_wick_inv(args: argparse.Namespace) -> int:
 
 def _cmd_wick_exp(args: argparse.Namespace) -> int:
     vec = GradedVector.from_json_dict(_load_json(args.input))
-    _json_out(wick_exp(vec, s=args.s).to_json_dict(), args.out)
+    _json_out(wick_exp(vec).to_json_dict(), args.out)
     return 0
 
 
@@ -240,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = ops.add_parser("wick-exp", help="tensor exponential")
     exp.add_argument("input")
-    exp.add_argument("--s", type=float, default=1.0)
     exp.add_argument("--out", default=None)
     exp.set_defaults(func=_cmd_wick_exp)
 
@@ -264,6 +264,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: too large to allocate: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

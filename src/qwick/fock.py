@@ -374,6 +374,12 @@ def symmetrize(t, n: int, dim: int, q: float) -> np.ndarray:
     return t.reshape(lead + (-1,))
 
 
+def symmetrizer_matrix(n: int, dim: int, q: float) -> np.ndarray:
+    """The degree-n symmetrizer as a dense (dim**n, dim**n) matrix, built by
+    the kernel from identity columns."""
+    return symmetrize(np.eye(dim**n), n, dim, q).T
+
+
 @functools.lru_cache(maxsize=None)
 def _pq_cached(n: int, dim: int, q: float) -> np.ndarray:
     """The kernel on identity columns: row j is P e_j, so t @ mat is P t."""
@@ -554,5 +560,5 @@ def pq_spectrum(n: int, ctx: QContext) -> tuple[float, float]:
     size = ctx.dim**n
     if size > EIGENSOLVER_CAP:
         raise ValueError(f"eigensolver capped at dimension {EIGENSOLVER_CAP}, got {size}")
-    eigs = np.linalg.eigvalsh(symmetrize(np.eye(size), n, ctx.dim, ctx.q).T)
+    eigs = np.linalg.eigvalsh(symmetrizer_matrix(n, ctx.dim, ctx.q))
     return float(eigs[0]), float(eigs[-1])

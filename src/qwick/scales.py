@@ -29,7 +29,7 @@ from .fock import (
     batch_value,
     fock_norm,
     require_same_context,
-    symmetrize,
+    symmetrizer_matrix,
     tensor_product,
 )
 from .qcombinatorics import q_binomial, q_factorial
@@ -247,6 +247,5 @@ def saturating_dual_partner(f_test: GradedVector, r: float, alpha: float) -> Gra
     for n, comp in f_test.components.items():
         weighted = comp * _weight_power(weights, n)
         scale = r**n * q_factorial(n, aq) ** alpha
-        pq = symmetrize(np.eye(ctx.dim**n), n, ctx.dim, ctx.q).T
-        comps[n] = scale * np.linalg.solve(pq, weighted)
+        comps[n] = scale * np.linalg.solve(symmetrizer_matrix(n, ctx.dim, ctx.q), weighted)
     return GradedVector(ctx, comps)

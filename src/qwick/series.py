@@ -4,8 +4,10 @@ The submultiplicativity bound sqrt(r/(r-s)) makes powers of a graded vector
 grow at most geometrically once the s-scale norm sits strictly inside the
 series' convergence radius; the certificate records one working (s, r) pair,
 the s-scale norm and the resulting contraction factor (its gap to the radius
-is spec.radius - norm_s).  On a truncation, the tensor inverse of a vector
-with nonzero vacuum component is a finite degree recursion and exact.
+is spec.radius - norm_s).  That is the untruncated argument, which the series
+suite checks.  On a truncation the tensor exponential and the tensor inverse
+need no certificate: a vector without vacuum component is nilpotent there, so
+both are finite sums and exact.
 """
 
 from __future__ import annotations
@@ -71,23 +73,22 @@ class ConvergenceCertificate:
             raise ValueError("certificate requires contraction < 1")
 
 
-def certify_radius(f: GradedVector, spec: SeriesSpec, s: float = 1.0) -> ConvergenceCertificate:
+def certify_radius(f: GradedVector, spec: SeriesSpec) -> ConvergenceCertificate:
     """Find a scale pair under which the power series of f converges, for
     each row of a batched f.
 
-    Grows s geometrically until the s-scale norm drops inside the radius and
-    some r on the grid s * {1.1, ..., 8} yields a contraction below the 1%
-    margin; the vacuum component must already be inside the radius or no
-    amount of smoothing helps.
+    Grows s geometrically from 1, the bottom of the scale, until the s-scale
+    norm drops inside the radius and some r on the grid s * {1.1, ..., 8}
+    yields a contraction below the 1% margin; the vacuum component must
+    already be inside the radius or no amount of smoothing helps.
     """
-    if not s >= 1.0:
-        raise ValueError(f"requires s >= 1, got {s}")
     vacuum_part = batch_value(np.abs(f.component(0)[..., 0]))
     if not np.all(vacuum_part < spec.radius):
         raise ValueError(
             "series argument requires the vacuum component strictly inside "
             f"the convergence radius: |{batch_value(np.max(vacuum_part))}| >= {spec.radius}"
         )
+    s = 1.0
     pending = np.ones(np.shape(vacuum_part), dtype=bool)
     fields = {name: np.zeros(pending.shape) for name in ("s", "norm_s", "r", "contraction")}
     while s <= SCALE_CAP and pending.any():
@@ -140,31 +141,21 @@ def wick_series(f: GradedVector, spec: SeriesSpec, cert: ConvergenceCertificate)
     return result
 
 
-def wick_exp(f: GradedVector, s: float = 1.0) -> GradedVector:
-    """sum f^(x n) / n! to the tail tolerance; any finite radius certifies the
-    exponential, so take norm_s + 1."""
-    if not s >= 1.0:
-        raise ValueError(f"requires s >= 1, got {s}")
-    norm_s = f_dual_norm(f, s, 2.0)
-    radius = norm_s + 1.0
-    # enough factorial coefficients that the certified tail is already tiny:
-    # sum_{n > M} b^n / n! <= b^(M+1)/(M+1)! * e^b for the contraction bound b
-    b = radius  # the per-term bound never exceeds the radius itself
-    terms = 1
-    tail = b * math.exp(b)
-    while tail >= TAIL_TOL * 1e-3 and terms < 400:
-        terms += 1
-        tail *= b / terms
-    if tail >= TAIL_TOL * 1e-3:
-        raise ValueError(f"tail bound did not reach {TAIL_TOL} within 400 terms")
-    coeffs = []
-    fact = 1.0
-    for n in range(terms + 1):
-        if n > 0:
-            fact *= n
-        coeffs.append(1.0 / fact)
-    spec = SeriesSpec(tuple(coeffs), radius)
-    return wick_series(f, spec, certify_radius(f, spec, s))
+def wick_exp(f: GradedVector) -> GradedVector:
+    """Tensor exponential, per row of a batched f:
+
+        exp(f) = e^(f_0) sum_{k=0..N} D^k / k!,   D = f - f_0 Omega.
+
+    D has no vacuum component, so D^k starts at degree k and vanishes past
+    the cutoff N: the sum is finite and exact on the truncation.  N graded
+    products."""
+    ctx = f.ctx
+    defect = GradedVector._of(ctx, {n: arr for n, arr in f.components.items() if n >= 1})
+    result = term = GradedVector.vacuum(ctx)
+    for k in range(1, ctx.max_degree + 1):
+        term = graded_tensor(term, defect).scale(1.0 / k)
+        result = result + term
+    return result.scale(np.exp(f.component(0)[..., 0]))
 
 
 def wick_inverse(f: GradedVector) -> GradedVector:

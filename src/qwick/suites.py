@@ -36,7 +36,7 @@ from .fock import (
     pq_matrix,
     pq_spectrum,
     q_inner,
-    symmetrize,
+    symmetrizer_matrix,
 )
 from .qcombinatorics import (
     PERMUTATION_CAP,
@@ -298,8 +298,8 @@ def _positivity(ctx: QContext, tolerance: float) -> tuple[list[float], dict, tup
         if hi > q_factorial(n, ctx.q) + tolerance:
             plain_weight_exceeded.append(n)
         if n <= ORACLE_DEGREE:
-            kernel = symmetrize(np.eye(ctx.dim**n), n, ctx.dim, ctx.q)
-            gap = np.max(np.abs(kernel.T - pq_matrix(n, ctx.dim, ctx.q)))
+            kernel = symmetrizer_matrix(n, ctx.dim, ctx.q)
+            gap = np.max(np.abs(kernel - pq_matrix(n, ctx.dim, ctx.q)))
             oracle_gap = max(oracle_gap, float(gap) / q_factorial(n, abs(ctx.q)))
     extra = {
         "degrees": degrees,
@@ -653,7 +653,7 @@ GEOMETRIC_SERIES = SeriesSpec((1.0,) * 40, 1.0)
 def _series(ctx: QContext, f: GradedVector) -> list[float]:
     """Radius certification and geometric decay of certified power series."""
     f = f.scale(0.5 / f_dual_norm(f, 1.0, 2.0))  # s-scale norm 0.5 against radius 1
-    cert = certify_radius(f, GEOMETRIC_SERIES, 1.0)
+    cert = certify_radius(f, GEOMETRIC_SERIES)
     # each draw's powers are measured at its own r; draws share r in practice
     rs = cert.r.tolist()
     norms: dict[float, list] = {r: [] for r in rs}

@@ -222,7 +222,7 @@ def test_criterion_8_wick_series():
     rng = np.random.default_rng(88)
     f = GradedVector.random(ctx, rng)
     f = f.scale(0.5 / f_dual_norm(f, 1.0, 2.0))
-    cert = certify_radius(f, SeriesSpec((1.0,) * 30, 1.0), 1.0)
+    cert = certify_radius(f, SeriesSpec((1.0,) * 30, 1.0))
     cert_ok = (
         cert.contraction < 1.0
         and cert.r > cert.s / (1.0 - (cert.norm_s / 1.0) ** 2)

@@ -19,7 +19,7 @@ from qwick.fock import (
     q_inner,
 )
 from qwick.scales import default_hplus_weights, f_dual_norm, g_norm, graded_tensor, vage_ratio
-from qwick.series import wick_inverse
+from qwick.series import wick_exp, wick_inverse
 from qwick.suites import DEFAULT_SCALES, SUITE_NAMES, SUITES, RunConfig, _trial_rng, run_suite
 from qwick.wick import moments
 
@@ -87,6 +87,7 @@ def test_vector_kernel_rows(batch):
     vectors = [
         (graded_tensor(f, g), [graded_tensor(a, b) for a, b in zip(fs, gs)]),
         (wick_inverse(f), [wick_inverse(a) for a in fs]),
+        (wick_exp(f), [wick_exp(a) for a in fs]),
         (create(phis, f), [create(p, a) for p, a in zip(phis, fs)]),
         (annihilate(phis, f), [annihilate(p, a) for p, a in zip(phis, fs)]),
     ]

@@ -6,8 +6,10 @@ import pytest
 from qwick.fock import GradedVector, QContext, basis_vector
 from qwick.scales import f_dual_norm, graded_tensor
 from qwick.series import (
+    TAIL_TOL,
     ConvergenceCertificate,
     SeriesSpec,
+    _tail_bound,
     certify_radius,
     wick_exp,
     wick_inverse,
@@ -85,7 +87,7 @@ def test_certify_radius_frozen_example():
     rng = np.random.default_rng(2)
     f = GradedVector.random(ctx, rng)
     f = f.scale(0.5 / f_dual_norm(f, 1.0, 2.0))
-    cert = certify_radius(f, SeriesSpec((1.0,) * 30, 1.0), 1.0)
+    cert = certify_radius(f, SeriesSpec((1.0,) * 30, 1.0))
     assert cert.s == 1.0
     assert cert.norm_s == pytest.approx(0.5, rel=1e-12)
     assert cert.r == pytest.approx(1.5)
@@ -96,7 +98,7 @@ def test_certify_radius_frozen_example():
 def test_certify_radius_scalar_argument():
     ctx = QContext(0.5, 2, 4)
     f = GradedVector(ctx, {0: [0.25]})
-    cert = certify_radius(f, SeriesSpec((1.0,) * 10, 1.0), 1.0)
+    cert = certify_radius(f, SeriesSpec((1.0,) * 10, 1.0))
     assert cert.contraction < 1.0
 
 
@@ -104,7 +106,7 @@ def test_certify_radius_rejects_large_vacuum_part():
     ctx = QContext(0.5, 2, 4)
     f = GradedVector(ctx, {0: [2.0]})
     with pytest.raises(ValueError):
-        certify_radius(f, SeriesSpec((1.0,) * 10, 1.0), 1.0)
+        certify_radius(f, SeriesSpec((1.0,) * 10, 1.0))
 
 
 def test_certify_radius_grows_s():
@@ -117,7 +119,7 @@ def test_certify_radius_grows_s():
     comps = dict(f.components)
     comps[0] = np.array([0.1])
     f = GradedVector(ctx, comps)
-    cert = certify_radius(f, SeriesSpec((1.0,) * 10, 1.0), 1.0)
+    cert = certify_radius(f, SeriesSpec((1.0,) * 10, 1.0))
     assert cert.s > 1.0
     assert cert.contraction < 1.0
 
@@ -127,7 +129,7 @@ def test_wick_series_identity_function():
     rng = np.random.default_rng(4)
     f = GradedVector.random(ctx, rng)
     f = f.scale(0.5 / f_dual_norm(f, 1.0, 2.0))
-    cert = certify_radius(f, SeriesSpec((0.0, 1.0), 1.0), 1.0)
+    cert = certify_radius(f, SeriesSpec((0.0, 1.0), 1.0))
     out = wick_series(f, SeriesSpec((0.0, 1.0), 1.0), cert)
     assert (out - f).max_abs() == 0.0
 
@@ -137,7 +139,7 @@ def test_wick_series_geometric_single_mode():
     ctx = QContext(0.5, 1, 6)
     f = GradedVector(ctx, {1: [0.5]})
     spec = SeriesSpec((1.0,) * 20, 1.0)
-    cert = certify_radius(f, spec, 1.0)
+    cert = certify_radius(f, spec)
     out = wick_series(f, spec, cert)
     for k in range(ctx.max_degree + 1):
         assert out.component(k)[0] == 0.5**k  # exact: dyadic data
@@ -185,6 +187,38 @@ def test_wick_exp_homomorphism_single_mode():
         wick_exp(GradedVector(ctx, {1: a * e})), wick_exp(GradedVector(ctx, {1: b * e}))
     )
     assert (left - right).max_abs() <= 1e-10
+
+
+EXP_TERMS = 120
+
+
+def _certified_exp(f: GradedVector) -> GradedVector:
+    """Oracle for wick_exp: the exponential series summed until its certified
+    tail drops below TAIL_TOL.  Any finite radius certifies it; one well past
+    the norm keeps the contraction small, so the tail gets there within
+    EXP_TERMS terms."""
+    coeffs = [1.0]
+    for n in range(1, EXP_TERMS):
+        coeffs.append(coeffs[-1] / n)
+    spec = SeriesSpec(tuple(coeffs), 8.0 * f_dual_norm(f, 1.0, 2.0) + 1.0)
+    cert = certify_radius(f, spec)
+    # the sum stopped on its certificate, not because the coefficients ran out
+    assert _tail_bound(spec, cert.contraction, EXP_TERMS - 1) < TAIL_TOL
+    return wick_series(f, spec, cert)
+
+
+@pytest.mark.parametrize("q", Q_GRID)
+@pytest.mark.parametrize("dim,top", ((1, 6), (2, 4), (3, 3)))
+def test_wick_exp_matches_certified_series(dim, top, q):
+    ctx = QContext(q, dim, top)
+    rng = np.random.default_rng([dim, top])
+    for vacuum_part in (0.0, 0.5, -0.5, 3.0):
+        comps = {n: 0.3 * rng.standard_normal(dim**n) for n in range(1, top + 1)}
+        comps[0] = np.array([vacuum_part])
+        f = GradedVector(ctx, comps)
+        got = wick_exp(f)
+        assert sorted(got.components) == list(range(top + 1))
+        assert (got - _certified_exp(f)).max_abs() <= TAIL_TOL * got.max_abs()
 
 
 def _wick_inverse_power_sum(f: GradedVector) -> GradedVector:

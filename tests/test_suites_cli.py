@@ -355,16 +355,30 @@ def test_cli_moments_oracle_overflow_fails_before_output(tmp_path, capsys):
     assert "not finite" in captured.err
 
 
-def test_cli_wick_exp_names_its_scale_parameter(tmp_path, capsys):
-    from qwick.fock import GradedVector, QContext
+@pytest.mark.parametrize("vacuum_part", (13.0, 200.0))
+def test_cli_wick_exp_any_vacuum_part(vacuum_part, tmp_path, capsys):
+    # exp(a Omega + t e) = e^a sum_k t^k e^(x k) / k!: no radius to certify
+    fpath = tmp_path / "f.json"
+    vec = {"q": 0.5, "dim": 1, "max_degree": 3, "components": {"0": [vacuum_part], "1": [0.5]}}
+    fpath.write_text(json.dumps(vec))
+    assert cli.main(["compute", "wick-exp", str(fpath)]) == 0
+    out = GradedVector.from_json_dict(json.loads(capsys.readouterr().out))
+    for k in range(4):
+        want = math.exp(vacuum_part) * 0.5**k / math.factorial(k)
+        assert out.component(k)[0] == pytest.approx(want, rel=1e-15)
 
-    zpath = tmp_path / "z.json"
-    zpath.write_text(json.dumps(GradedVector(QContext(0.3, 1, 3), {1: [0.5]}).to_json_dict()))
-    for s in ("0.5", "nan"):
-        assert cli.main(["compute", "wick-exp", str(zpath), "--s", s]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"requires s >= 1, got {s}" in captured.err
+
+def test_cli_wick_exp_keeps_components_below_the_tail_tolerance(tmp_path, capsys):
+    fpath = tmp_path / "f.json"
+    vec = {"q": 0.5, "dim": 2, "max_degree": 4, "components": {"1": [1e-7, 0.0]}}
+    fpath.write_text(json.dumps(vec))
+    assert cli.main(["compute", "wick-exp", str(fpath)]) == 0
+    out = GradedVector.from_json_dict(json.loads(capsys.readouterr().out))
+    assert sorted(out.components) == [0, 1, 2, 3, 4]
+    for k in range(5):
+        want = np.zeros(2**k)
+        want[0] = 1e-7**k / math.factorial(k)  # e_1 (x) ... (x) e_1 sits at index 0
+        np.testing.assert_allclose(out.component(k), want, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize(
@@ -406,19 +420,53 @@ def test_cli_verify_past_degree_eight(capsys):
     assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
-def test_console_script_runs():
-    # the child finds the same qwick as this process, installed or not
+def _run_cli(argv, extra_env=(), **kwargs) -> subprocess.CompletedProcess:
+    """Run the CLI in a child interpreter, which finds the same qwick as this
+    process, installed or not."""
     src = str(Path(qwick.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    result = subprocess.run(
-        [sys.executable, "-m", "qwick.cli", "verify", "--suite", "hermite", "--trials", "1"],
-        capture_output=True,
-        text=True,
-        env=env,
+    env.update(extra_env)
+    return subprocess.run(
+        [sys.executable, "-m", "qwick.cli", *argv], capture_output=True, text=True, env=env, **kwargs
     )
+
+
+def test_console_script_runs():
+    result = _run_cli(["verify", "--suite", "hermite", "--trials", "1"])
     assert result.returncode == 0
     assert json.loads(result.stdout)["pass"] is True
+
+
+ADDRESS_SPACE_LIMIT = 512 << 20  # bytes; numpy loads within it, the inputs below do not fit
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, ADDRESS_SPACE_LIMIT))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        pytest.param(
+            ["verify", "--suite", "adjointness", "--max-degree", "40", "--trials", "1"],
+            id="verify-degree-40",
+        ),
+        # dim ** (order // 2) is 1 here, so the eigensolver cap lets it through
+        pytest.param(["compute", "moments", "--dim", "10000000000", "--order", "1"], id="moments-dim-1e10"),
+    ),
+)
+def test_cli_out_of_memory_is_a_usage_error(argv):
+    # the address-space limit makes the allocation fail before it touches memory;
+    # one BLAS thread keeps the import's own reservations under the limit
+    result = _run_cli(
+        argv, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, preexec_fn=_limit_address_space
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: too large to allocate")
 
 
 def test_readme_library_example_runs():
