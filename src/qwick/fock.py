@@ -48,8 +48,8 @@ EIGENSOLVER_CAP = 4096  # largest d**n for dense spectral probes
 # largest d**n for which apply_pq memoizes the dense P: below it a cached
 # matvec beats the kernel, above it the kernel wins and skips the matrix
 MATRIX_CACHE_CAP = 512
-# largest stacked block commutation_residual hands to one SVD, in bytes: the
-# blocks of all trials of a stream at d = 2, degree 5 fit, at degree 7 four
+# largest array, in bytes, that commutation_residual builds for one slice of
+# its trials: all trials of a stream fit at d = 2, degree 5, at degree 7 four
 STACK_BYTES = 1 << 20
 
 
@@ -376,7 +376,11 @@ def symmetrize(t, n: int, dim: int, q: float) -> np.ndarray:
 
 def symmetrizer_matrix(n: int, dim: int, q: float) -> np.ndarray:
     """The degree-n symmetrizer as a dense (dim**n, dim**n) matrix, built by
-    the kernel from identity columns."""
+    the kernel from identity columns.  Up to MATRIX_CACHE_CAP it is the
+    memoized, read-only matrix apply_pq multiplies by; above, a fresh one
+    that no cache keeps alive."""
+    if dim**n <= MATRIX_CACHE_CAP:
+        return _pq_cached(n, dim, q).T
     return symmetrize(np.eye(dim**n), n, dim, q).T
 
 
@@ -406,9 +410,11 @@ def apply_pq(n: int, t, ctx: QContext) -> np.ndarray:
 
 
 def q_inner(f: GradedVector, g: GradedVector):
-    """Twisted scalar product: sum over degrees of (P f_n, g_n)."""
+    """Twisted scalar product: sum over degrees of (P f_n, g_n); zeros of
+    the batch shape when f and g share no degree."""
     require_same_context(f, g)
-    total = 0.0
+    comps = (*f.components.values(), *g.components.values())
+    total = np.zeros(np.broadcast_shapes(*(arr.shape[:-1] for arr in comps)))
     for n in sorted(set(f.components) & set(g.components)):
         sym = apply_pq(n, f.components[n], f.ctx)
         total = total + (sym[..., None, :] @ g.components[n][..., :, None])[..., 0, 0]
@@ -510,8 +516,31 @@ def annihilation_matrix(phi, ctx: QContext) -> np.ndarray:
     return _operator_matrix(ctx, -1, lambda n, cols: contract(phi, cols, n, ctx.q))
 
 
+def wedge_norm(phi, psi):
+    """|phi ^ psi| per row of the batch, as sqrt(sum_{j,k} (phi_j psi_k -
+    phi_k psi_j)^2 / 2) summed by a stacked matmul.  Unlike
+    sqrt(|phi|^2 |psi|^2 - (phi, psi)^2) it keeps its relative accuracy on a
+    near-parallel pair, and it is exactly 0 when psi is +-phi or d = 1."""
+    outer = phi[..., :, None] * psi[..., None, :]
+    minors = (outer - outer.swapaxes(-1, -2)).reshape(outer.shape[:-2] + (-1,))
+    return np.sqrt((minors[..., None, :] @ minors[..., :, None])[..., 0, 0] / 2)
+
+
+def swap_constant(n: int, dim: int, q: float) -> float:
+    """c_n: the 2-norm, on degree n, of e_2 (x) M_(e_1) - e_1 (x) M_(e_2),
+    where M_x = contract(x, ., n, q); 0 when dim = 1 or n = 0.  Built by the
+    kernels on identity columns and taken by one SVD."""
+    if dim == 1 or n == 0:
+        return 0.0
+    cols = np.eye(dim**n)
+    e1, e2 = basis_vector(dim, 0), basis_vector(dim, 1)
+    term = tensor_product(e2, contract(e1, cols, n, q))
+    term -= tensor_product(e1, contract(e2, cols, n, q))
+    return float(np.linalg.norm(term, 2))
+
+
 def commutation_residual(phi, psi, ctx: QContext) -> tuple:
-    """Operator norms, on degrees <= N-1, of
+    """Residual norms, on degrees <= N-1, of
 
         a^-(phi) a^+(psi) - q a^+(psi') a^-(phi') - (phi, psi) Id
 
@@ -519,6 +548,19 @@ def commutation_residual(phi, psi, ctx: QContext) -> tuple:
     term, the rule under which the operators genuinely commute; swapped trades
     the arguments to a^+(phi) a^-(psi), a variant whose residual is generally
     nonzero and is reported rather than reconciled.
+
+    The exchange residual vanishes in exact arithmetic, so its blocks hold
+    only rounding.  They are built by the kernels on identity columns, degree
+    by degree (the products are block diagonal), for as many trials at a time
+    as keep the largest array of a slice within STACK_BYTES, and each trial
+    reports the largest Frobenius norm of its blocks: an upper bound on the
+    operator 2-norm, so the check is no looser than the 2-norm's.
+
+    The swapped residual on degree n is q (psi (x) M_phi - phi (x) M_psi)
+    with M_x = contract(x, ., n, q).  It is linear in the bivector phi ^ psi
+    and the kernels are O(d)-equivariant, so its 2-norm is exactly
+    |q| |phi ^ psi| c_n (swap_constant), with one SVD per degree per call
+    and none per trial.
     """
     if ctx.max_degree < 1:
         raise ValueError("commutation probe needs max_degree >= 1")
@@ -526,33 +568,29 @@ def commutation_residual(phi, psi, ctx: QContext) -> tuple:
     batch = phi.shape[:-1]
     phi = phi.reshape(-1, 1, ctx.dim)  # one row per trial, broadcast over the block's rows
     psi = psi.reshape(-1, 1, ctx.dim)
-    pairing = phi @ psi.swapaxes(-1, -2)
+    pairing = (phi @ psi.swapaxes(-1, -2))[:, 0]
     q = ctx.q
-    worst = np.zeros((2, len(phi)))
-    # the products are block diagonal per degree, so probe degree by degree;
-    # row j of each block is the operator applied to the basis tensor e_j.
-    # Both variants' blocks share one stacked SVD, taken over as many trials
-    # at a time as keep it within STACK_BYTES; the largest singular value is
-    # the 2-norm.  The terms are built in place, so a slice's peak memory
-    # stays a small multiple of its stack.
+    worst = np.zeros(len(phi))
+    # row j of each block is the operator applied to the basis tensor e_j
     for n in range(ctx.max_degree):
-        cols = np.eye(ctx.dim**n)
-        step = max(1, STACK_BYTES // (2 * cols.nbytes))
+        size = ctx.dim**n
+        cols = np.eye(size)
+        # psi (x) cols, d (d^n)^2 entries per trial, is a slice's largest array
+        step = max(1, STACK_BYTES // (ctx.dim * cols.nbytes))
         for lo in range(0, len(phi), step):
             rows = slice(lo, lo + step)
-            block = contract(phi[rows], tensor_product(psi[rows], cols), n + 1, q)
-            stack = np.empty((2,) + block.shape)
-            for term, (plus_vec, minus_vec) in zip(stack, ((psi, phi), (phi, psi))):
-                term[...] = block
-                if n > 0:
-                    weighted = tensor_product(plus_vec[rows], contract(minus_vec[rows], cols, n, q))
-                    weighted *= q
-                    term -= weighted
-            del block
-            stack -= pairing[rows] * cols
-            top = np.linalg.svd(stack, compute_uv=False).max(axis=-1)
-            worst[:, rows] = np.maximum(worst[:, rows], top)
-    return batch_value(worst[0].reshape(batch)), batch_value(worst[1].reshape(batch))
+            term = contract(phi[rows], tensor_product(psi[rows], cols), n + 1, q)
+            if n > 0:
+                weighted = tensor_product(psi[rows], contract(phi[rows], cols, n, q))
+                weighted *= q
+                term -= weighted
+            flat = term.reshape(len(term), 1, -1)
+            flat[:, 0, :: size + 1] -= pairing[rows]  # the diagonal of each block
+            frobenius = np.sqrt(flat @ flat.swapaxes(-1, -2))[:, 0, 0]
+            worst[rows] = np.maximum(worst[rows], frobenius)
+    top = max(swap_constant(n, ctx.dim, q) for n in range(ctx.max_degree))
+    swapped = abs(q) * top * wedge_norm(phi[:, 0], psi[:, 0])
+    return batch_value(worst.reshape(batch)), batch_value(swapped.reshape(batch))
 
 
 def pq_spectrum(n: int, ctx: QContext) -> tuple[float, float]:

@@ -9,8 +9,9 @@ depend on execution order, splits the trials evenly over the configured scale
 pairs, checks each stream's draws in one call, builds the shared params and
 records the violations.  A check stacks its draws into one batch and makes
 one kernel call where a trial made one, each row computed bit for bit as
-alone; commutation's dense blocks go to the SVD at most fock.STACK_BYTES at a
-time.  Adding a suite means adding one entry to the table.
+alone; commutation builds its exchange blocks at most fock.STACK_BYTES at a
+time and takes their Frobenius norms, and takes no SVD per trial.  Adding a
+suite means adding one entry to the table.
 """
 
 from __future__ import annotations

@@ -107,6 +107,17 @@ def test_commutation_and_moment_rows(batch):
             assert (both.value[i], both.oracle_value[i]) == (alone.value, alone.oracle_value)
 
 
+def test_commutation_rows_with_one_trial_per_slice(batch, monkeypatch):
+    ctx, _, _, _, _, phis, psis = batch
+    stacked = commutation_residual(phis, psis, ctx)
+    monkeypatch.setattr(fock, "STACK_BYTES", 1)  # every slice holds one trial
+    sliced = commutation_residual(phis, psis, ctx)
+    for both, alone in zip(stacked, sliced):
+        assert both.tolist() == alone.tolist()
+    for i in range(ROWS):
+        assert (sliced[0][i], sliced[1][i]) == commutation_residual(phis[i], psis[i], ctx)
+
+
 def test_unbatched_norms_are_floats():
     ctx = QContext(0.5, 2, 3)
     f = GradedVector.random(ctx, np.random.default_rng(0))

@@ -22,6 +22,7 @@ from qwick.fock import (
     pq_spectrum,
     q_inner,
     tensor_product,
+    wedge_norm,
 )
 from qwick.qcombinatorics import inversions, q_factorial
 from qwick.scales import graded_tensor
@@ -306,23 +307,68 @@ def test_contract_matches_tensordot_oracle(dim, n, lead, q):
     assert gap <= 1e-15 * np.linalg.norm(phi) * np.linalg.norm(t)
 
 
-@pytest.mark.parametrize("dim,top", ((2, 6), (2, 8), (3, 6)))
-def test_commutation_stacked_svd_is_the_two_norm(dim, top):
-    """Both variants share one stacked SVD per degree; it must give exactly
-    what np.linalg.norm(term, 2) gives for each variant on its own."""
-    ctx = QContext(-0.7, dim, top)
-    rng = np.random.default_rng(dim * top)
-    phi, psi = rng.standard_normal(dim), rng.standard_normal(dim)
-    want = [0.0, 0.0]
-    for n in range(top):
-        cols = np.eye(dim**n)
-        block = contract(phi, tensor_product(psi, cols), n + 1, ctx.q)
+def _commutation_oracle(phi, psi, ctx):
+    """(exchange, swapped) as the largest dense 2-norm over degrees < N, one
+    SVD per degree, variant and pair."""
+    q, want = ctx.q, [0.0, 0.0]
+    for n in range(ctx.max_degree):
+        cols = np.eye(ctx.dim**n)
+        block = contract(phi, tensor_product(psi, cols), n + 1, q)
         for k, (plus_vec, minus_vec) in enumerate(((psi, phi), (phi, psi))):
             term = block
             if n > 0:
-                term = term - ctx.q * tensor_product(plus_vec, contract(minus_vec, cols, n, ctx.q))
+                term = term - q * tensor_product(plus_vec, contract(minus_vec, cols, n, q))
             want[k] = max(want[k], float(np.linalg.norm(term - float(phi @ psi) * cols, 2)))
-    assert commutation_residual(phi, psi, ctx) == tuple(want)
+    return want
+
+
+def _swap_constant_oracle(ctx):
+    """max over degrees < N of the 2-norm of e_2 (x) M_(e_1) - e_1 (x) M_(e_2),
+    with M_x built by the tensordot oracle."""
+    if ctx.dim == 1:
+        return 0.0
+    e1, e2 = basis_vector(ctx.dim, 0), basis_vector(ctx.dim, 1)
+    top = 0.0
+    for n in range(1, ctx.max_degree):
+        cols = np.eye(ctx.dim**n)
+        term = np.kron(_contract_tensordot(e1, cols, n, ctx.q), e2)
+        term -= np.kron(_contract_tensordot(e2, cols, n, ctx.q), e1)
+        top = max(top, float(np.linalg.norm(term, 2)))
+    return top
+
+
+@pytest.mark.parametrize("q", Q_GRID)
+@pytest.mark.parametrize("dim,top", ((1, 6), (2, 6), (3, 6)))
+def test_commutation_matches_dense_svd_oracle(dim, top, q):
+    """The exchange value is a Frobenius bound: at least the dense 2-norm and
+    still within the tolerance.  The swapped value is |q| |phi ^ psi| max c_n,
+    the dense 2-norm up to rounding, and exactly 0 when d = 1, q = 0 or
+    psi = +-phi."""
+    ctx = QContext(q, dim, top)
+    rng = np.random.default_rng([dim, top])
+    phi = rng.standard_normal(dim)
+    pairs = [(phi, rng.standard_normal(dim)), (phi, 0.5 * rng.standard_normal(dim))]
+    pairs += [(phi, phi), (phi, -phi)]
+    c_top = _swap_constant_oracle(ctx)
+    for k, (a, b) in enumerate(pairs):
+        exchange, swapped = commutation_residual(a, b, ctx)
+        want_exchange, want_swapped = _commutation_oracle(a, b, ctx)
+        assert want_exchange <= exchange <= 1e-12
+        size = np.linalg.norm(a) * np.linalg.norm(b)
+        if dim == 1 or q == 0.0 or k >= 2:
+            # the dense block holds only rounding here
+            assert swapped == 0.0 and want_swapped <= 1e-12 * size
+        else:
+            assert swapped > 1e-3
+            assert abs(swapped - want_swapped) <= 1e-14 * abs(q) * c_top * size
+
+
+def test_wedge_norm_keeps_accuracy_near_parallel():
+    phi = np.array([1.0, 0.0, 0.0])
+    psi = np.array([1.0, 1e-9, -2e-9])
+    # |phi ^ psi| = |phi x psi| = sqrt(5) 1e-9, to rounding of the inputs
+    assert wedge_norm(phi, psi) == pytest.approx(np.sqrt(5.0) * 1e-9, rel=1e-15)
+    assert wedge_norm(phi, -3.0 * phi) == 0.0
 
 
 def test_kernel_results_skip_revalidation(monkeypatch):

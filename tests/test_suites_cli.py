@@ -11,6 +11,7 @@ import pytest
 
 import qwick
 import qwick.cli as cli
+from qwick import fock
 from qwick.fock import GradedVector
 from qwick.scales import vage_ratio
 from qwick.suites import (
@@ -209,6 +210,29 @@ def test_cli_verify_exit_one_on_violation(monkeypatch, capsys):
     )
     monkeypatch.setattr(cli, "run_suite", lambda name, cfg: failing)
     assert cli.main(["verify", "--suite", "vage"]) == 1
+
+
+def test_commutation_catches_a_broken_kernel(monkeypatch, capsys):
+    # slot i of the contraction carries weight q^i (1 + 1e-9): the exchange
+    # blocks must show it, though both sides of the identity use the kernel
+    contract = fock.contract
+    monkeypatch.setattr(
+        fock, "contract", lambda phi, t, n, q: contract(phi, t, n, q) * (1.0 + 1e-9)
+    )
+    report = run_suite("commutation", RunConfig(trials=8))
+    assert report.violations and not report.passed
+    assert cli.main(["verify", "--suite", "commutation", "--trials", "8"]) == 1
+
+
+def test_cli_adjointness_without_shared_degrees(tmp_path, capsys):
+    # at max_degree 0, creation and annihilation leave nothing in common with
+    # the other argument, so each side of the pairing is a batch of zeros
+    csv_path = tmp_path / "rows.csv"
+    args = ["verify", "--suite", "adjointness", "--max-degree", "0", "--trials", "2"]
+    assert cli.main(args + ["--csv", str(csv_path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["trials"], data["max_residual"], data["pass"]) == (2, 0.0, True)
+    assert csv_path.read_text().splitlines() == ["trial,value", "0,0.0", "1,0.0"]
 
 
 def test_cli_config_file_with_flag_override(tmp_path, capsys):
