@@ -17,10 +17,10 @@ them take the same batch: a GradedVector's components may have shape
 batch + (d**n,) (`GradedVector.stack`), a one-particle argument shape
 batch + (d,), and a scalar result then has the batch shape.  A batched call
 computes row i bit for bit as the unbatched call on row i would, so every
-product over the last axis is a stacked matmul (`a[..., None, :] @ b`),
-which sums each row as the 1-D product does; a plain gemm, einsum or sum
-may sum in another order.  An unbatched call is the batch-shape-() case and
-returns a float.
+product over the last axis is elementwise (the contraction's d multiply-adds)
+or a stacked matmul (`a[..., None, :] @ b`), which sums each row as the 1-D
+product does; a plain gemm, einsum or sum may sum in another order.  An
+unbatched call is the batch-shape-() case and returns a float.
 
 Vectors are validated where they enter: the public GradedVector constructor
 (which JSON files, the CLI and the suites' draws go through) checks degrees,
@@ -190,10 +190,10 @@ class GradedVector:
     @classmethod
     def _of(cls, ctx: QContext, comps: dict[int, np.ndarray]) -> "GradedVector":
         """A kernel result: comps maps int degrees to flat float arrays of the
-        right lengths that nothing else writes (fresh arrays, or another
-        vector's components).  They are marked read-only but neither copied
-        nor reshaped, and only finiteness is checked, so an overflow still
-        raises."""
+        right lengths that nothing else writes (fresh arrays or slices of
+        one, or another vector's components).  They are marked read-only but
+        neither copied nor reshaped, and only finiteness is checked, so an
+        overflow still raises."""
         for n, arr in comps.items():
             if not np.isfinite(arr).all():
                 raise ValueError(f"degree-{n} component entries must be finite")
@@ -225,8 +225,16 @@ class GradedVector:
 
     @classmethod
     def random(cls, ctx: QContext, rng: np.random.Generator) -> "GradedVector":
-        """Independent standard-normal entries in every degree up to the cutoff."""
-        return cls(ctx, {n: rng.standard_normal(ctx.dim**n) for n in range(ctx.max_degree + 1)})
+        """Independent standard-normal entries in every degree up to the cutoff,
+        degree by degree from one draw: the same numbers and generator state
+        as one draw per degree."""
+        sizes = [ctx.dim**n for n in range(ctx.max_degree + 1)]
+        flat = rng.standard_normal(sum(sizes))
+        comps, start = {}, 0
+        for n, size in enumerate(sizes):
+            comps[n] = flat[start : start + size]
+            start += size
+        return cls._of(ctx, comps)
 
     def component(self, n: int) -> np.ndarray:
         if n in self.components:
@@ -367,9 +375,12 @@ def symmetrize(t, n: int, dim: int, q: float) -> np.ndarray:
         return t.copy()
     for m in range(n, 1, -1):
         cube = t.reshape((-1,) + (dim,) * m)
-        acc = cube
+        # acc + q^k * moved, term by term, through one scratch buffer per level
+        acc = cube.copy()
+        scratch = np.empty_like(cube)
         for k in range(1, m):
-            acc = acc + q**k * np.moveaxis(cube, k + 1, 1)
+            np.multiply(np.moveaxis(cube, k + 1, 1), q**k, out=scratch)
+            acc += scratch
         t = acc
     return t.reshape(lead + (-1,))
 
@@ -438,17 +449,19 @@ def contract(phi, t, n: int, q: float) -> np.ndarray:
     A tensor of higher degree is contracted in its first n slots only, and
     its remaining slots pass through.
 
-    Slot i is one matmul: the tensor viewed as (..., d**i, d, rest) is a
-    stack of d x rest matrices, and phi as a row contracts their rows,
-    leaving the remaining slots in row-major order."""
+    Slot i is sum_j phi_j view[..., j, :] with the tensor viewed as
+    (..., d**i, d, rest): d strided multiply-adds, elementwise, that leave
+    the remaining slots in row-major order."""
     t = np.asarray(t, dtype=float)
     d = phi.shape[-1]
-    row = phi[..., None, None, :]
+    coef = [phi[..., j, None, None] for j in range(d)]
     weight = 1.0
     for i in range(n):
         view = t.reshape(t.shape[:-1] + (d**i, d, -1))
-        slot = row @ view
-        slot = slot.reshape(slot.shape[:-3] + (-1,))
+        slot = coef[0] * view[..., 0, :]
+        for j in range(1, d):
+            slot += coef[j] * view[..., j, :]
+        slot = slot.reshape(slot.shape[:-2] + (-1,))
         slot *= weight
         if i == 0:
             out = np.zeros(slot.shape)

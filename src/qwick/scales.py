@@ -123,7 +123,13 @@ def graded_tensor(f: GradedVector, g: GradedVector) -> GradedVector:
             if n > f.ctx.max_degree:
                 continue
             block = tensor_product(fi, gj)
-            comps[n] = comps[n] + block if n in comps else block
+            total = comps.get(n)
+            if total is None:
+                comps[n] = block
+            elif total.shape == block.shape:
+                total += block  # every sum is a fresh tensor_product result
+            else:
+                comps[n] = total + block  # an unbatched sum meets a batched block
     return GradedVector._of(f.ctx, comps)
 
 

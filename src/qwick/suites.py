@@ -690,6 +690,7 @@ SUITES = {
             "rule": "exchange form: the weighted term swaps operators, keeps arguments",
         },
         aside="argument_swapped_variant_max_residual",
+        degree=lambda n: max(n, 1),
     ),
     "positivity": Suite(1e-10, fixed=_positivity, shared=("q", "dim")),
     "adjointness": Suite(1e-12, _adjointness_draw, _adjointness),

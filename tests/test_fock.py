@@ -21,6 +21,7 @@ from qwick.fock import (
     pq_matrix,
     pq_spectrum,
     q_inner,
+    symmetrize,
     tensor_product,
     wedge_norm,
 )
@@ -43,6 +44,21 @@ def test_context_validation():
         QContext(0.5, 0, 3)
     with pytest.raises(ValueError):
         QContext(0.5, 2, -1)
+
+
+@pytest.mark.parametrize("dim,top", ((1, 0), (1, 5), (2, 0), (2, 6), (3, 4)))
+def test_random_is_one_draw_per_degree(dim, top):
+    # one draw of every degree's entries gives the numbers and the generator
+    # state of one draw per degree, so seeded trials are unchanged
+    ctx = QContext(0.5, dim, top)
+    for seed in range(40):
+        rng, per_degree = np.random.default_rng(seed), np.random.default_rng(seed)
+        vec = GradedVector.random(ctx, rng)
+        assert sorted(vec.components) == list(range(top + 1))
+        for n in range(top + 1):
+            assert np.array_equal(vec.components[n], per_degree.standard_normal(dim**n))
+            assert not vec.components[n].flags.writeable
+        assert rng.bit_generator.state == per_degree.bit_generator.state
 
 
 def test_graded_vector_shapes():
@@ -115,6 +131,35 @@ def test_pq_matrix_matches_per_permutation_oracle_bit_for_bit(q):
             got, want = pq_matrix(n, dim, q), _pq_matrix_oracle(n, dim, q)
             assert np.array_equal(got, want), (dim, n)
             assert np.array_equal(np.signbit(got), np.signbit(want)), (dim, n)
+
+
+def _symmetrize_out_of_place(t, n, dim, q):
+    """The factorized symmetrizer with a fresh array per term, as the kernel
+    once summed: the in-place kernel does the same operations."""
+    t = np.asarray(t, dtype=float)
+    lead = t.shape[:-1]
+    if n <= 1:
+        return t.copy()
+    for m in range(n, 1, -1):
+        cube = t.reshape((-1,) + (dim,) * m)
+        acc = cube
+        for k in range(1, m):
+            acc = acc + q**k * np.moveaxis(cube, k + 1, 1)
+        t = acc
+    return t.reshape(lead + (-1,))
+
+
+@pytest.mark.parametrize("q", (-0.7, 0.0, 0.5))
+@pytest.mark.parametrize("dim,n", ((1, 6), (2, 0), (2, 1), (2, 2), (2, 8), (3, 5), (4, 4)))
+@pytest.mark.parametrize("lead", ((), (3,)))
+def test_symmetrize_matches_out_of_place_sum_bit_for_bit(lead, dim, n, q):
+    t = np.random.default_rng([dim, n, len(lead)]).standard_normal(lead + (dim**n,))
+    before = t.copy()
+    got = symmetrize(t, n, dim, q)
+    assert np.array_equal(got, _symmetrize_out_of_place(t, n, dim, q))
+    assert np.array_equal(t, before)  # the input is never written
+    eye = np.eye(dim**n)
+    assert np.array_equal(symmetrize(eye, n, dim, q), _symmetrize_out_of_place(eye, n, dim, q))
 
 
 def test_apply_pq_past_degree_eight():
@@ -304,6 +349,28 @@ def test_contract_matches_tensordot_oracle(dim, n, lead, q):
     got = contract(phi, t, n, q)
     assert got.shape == lead + (dim ** (n - 1),)
     gap = np.max(np.abs(got - _contract_tensordot(phi, t, n, q)))
+    assert gap <= 1e-15 * np.linalg.norm(phi) * np.linalg.norm(t)
+
+    # a batch of phi, shape (3, 1, d), against a batch of tensors, as the
+    # commutation blocks pass them: every row is bit for bit the unbatched call
+    phis = rng.standard_normal((3, 1, dim))
+    ts = rng.standard_normal((2, dim**n))
+    got = contract(phis, ts, n, q)
+    assert got.shape == (3, 2, dim ** (n - 1))
+    for i, k in itertools.product(range(3), range(2)):
+        row = contract(phis[i, 0], ts[k], n, q)
+        assert np.array_equal(got[i, k], row)
+        gap = np.max(np.abs(row - _contract_tensordot(phis[i, 0], ts[k], n, q)))
+        assert gap <= 1e-15 * np.linalg.norm(phis[i, 0]) * np.linalg.norm(ts[k])
+
+    # a tensor of degree n + 1, as field_mul passes: its last slot passes
+    # through, so the oracle takes that slot as a batch axis
+    t = rng.standard_normal(lead + (dim ** (n + 1),))
+    got = contract(phi, t, n, q)
+    assert got.shape == lead + (dim**n,)
+    last_first = np.swapaxes(t.reshape(lead + (dim**n, dim)), -1, -2)
+    want = np.swapaxes(_contract_tensordot(phi, last_first, n, q), -1, -2)
+    gap = np.max(np.abs(got - want.reshape(got.shape)))
     assert gap <= 1e-15 * np.linalg.norm(phi) * np.linalg.norm(t)
 
 

@@ -112,6 +112,38 @@ def test_graded_tensor_associative_exact_on_integer_tensors():
         assert (left - right).max_abs() == 0.0
 
 
+def _graded_tensor_out_of_place(f, g):
+    """graded_tensor with a fresh array per sum, as it once added."""
+    comps = {}
+    for i, fi in f.components.items():
+        for j, gj in g.components.items():
+            n = i + j
+            if n <= f.ctx.max_degree:
+                block = np.asarray(fi)[..., :, None] * np.asarray(gj)[..., None, :]
+                block = block.reshape(block.shape[:-2] + (-1,))
+                comps[n] = comps[n] + block if n in comps else block
+    return comps
+
+
+@pytest.mark.parametrize("dim,top", ((1, 5), (2, 0), (2, 1), (2, 6), (3, 4)))
+def test_graded_tensor_matches_out_of_place_sum_bit_for_bit(dim, top):
+    ctx = QContext(0.5, dim, top)
+    rng = np.random.default_rng([dim, top])
+    draws = [GradedVector.random(ctx, rng) for _ in range(4)]
+    f, g = draws[0], draws[1]
+    batch = GradedVector.stack(draws[:3])
+    # an unbatched top degree ahead of a batched vacuum part: the first block
+    # of degree top has no batch, a later one has
+    vacua = GradedVector.stack([GradedVector(ctx, {0: [c]}) for c in (0.5, -2.0, 3.0)])
+    mixed = GradedVector(ctx, {top: rng.standard_normal(dim**top)}) + vacua
+    for left, right in ((f, g), (batch, g), (f, batch), (batch, batch), (mixed, g), (mixed, batch)):
+        got = graded_tensor(left, right).components
+        want = _graded_tensor_out_of_place(left, right)
+        assert got.keys() == want.keys()
+        for n, arr in want.items():
+            assert np.array_equal(got[n], arr)
+
+
 def test_graded_tensor_truncates():
     ctx = QContext(0.5, 2, 2)
     f = GradedVector(ctx, {2: np.ones(4)})

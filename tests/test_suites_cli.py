@@ -235,6 +235,25 @@ def test_cli_adjointness_without_shared_degrees(tmp_path, capsys):
     assert csv_path.read_text().splitlines() == ["trial,value", "0,0.0", "1,0.0"]
 
 
+@pytest.mark.parametrize(
+    "flags,commutation_degree",
+    (
+        (["--dim", "1"], 6),
+        (["--max-degree", "0"], 1),
+        (["--max-degree", "1"], 1),
+        (["--max-degree", "2"], 2),
+    ),
+)
+def test_cli_all_suites_on_tiny_configs(flags, commutation_degree, capsys):
+    # d = 1 and N <= 1 are the degenerate shapes of the kernels; commutation
+    # needs a degree to act on, so at N = 0 it runs at degree 1
+    assert cli.main(["verify", "--suite", "all", "--trials", "3", *flags]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert [r["suite"] for r in reports] == list(SUITE_NAMES)
+    assert all(r["pass"] and r["trials"] > 0 for r in reports)
+    assert reports[0]["params"]["max_degree"] == commutation_degree
+
+
 def test_cli_config_file_with_flag_override(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"q": -0.5, "trials": 7, "seed": 3, "dim": 2}))
