@@ -26,7 +26,7 @@ from .fock import (
 )
 from .scales import default_hplus_weights, f_dual_norm, g_norm, graded_tensor
 from .series import wick_exp, wick_inverse
-from .suites import SUITE_NAMES, Report, RunConfig, run_suite
+from .suites import SUITE_NAMES, Report, RunConfig, run_suite, suite_context
 from .wick import MAX_MOMENT_ORDER, moments
 
 COMPUTE_COMMANDS = ("moments", "wick-mul", "wick-inv", "wick-exp", "norm")
@@ -98,6 +98,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     if args.csv and len(names) != 1:
         raise ValueError("csv export needs a single suite")
+    for name in names:
+        suite_context(name, cfg)
     reports: list[Report] = []
     for name in names:
         report = run_suite(name, cfg)

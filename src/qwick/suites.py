@@ -189,7 +189,8 @@ class Suite:
     `params` holds constant extra params, `shared` the shared params the
     report keeps, and `degree` maps the configured truncation degree to the
     suite's.  With `aside` set, a check gives (value, aside) per draw and the
-    report's `aside` param is the largest aside.
+    report's `aside` param is the largest aside.  `degree_cap`, when set, is
+    the largest truncation degree at which the suite's check is sound.
     """
 
     tolerance: float
@@ -202,6 +203,22 @@ class Suite:
     shared: tuple[str, ...] = ("q", "dim", "max_degree")
     degree: Callable[[int], int] = lambda n: n
     aside: str = ""
+    degree_cap: int | None = None
+
+
+def suite_context(name: str, cfg: RunConfig) -> QContext:
+    """The truncation suite `name` runs at under `cfg`.  Raises ValueError
+    for an unknown suite or a degree past the suite's cap, so a caller can
+    check every suite it will run before the first one starts."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    suite = SUITES[name]
+    ctx = cfg.context(suite.degree(cfg.max_degree))
+    if suite.degree_cap is not None and ctx.max_degree > suite.degree_cap:
+        raise ValueError(
+            f"suite {name} needs max_degree <= {suite.degree_cap}, got {ctx.max_degree}"
+        )
+    return ctx
 
 
 def run_suite(name: str, cfg: RunConfig) -> Report:
@@ -209,10 +226,8 @@ def run_suite(name: str, cfg: RunConfig) -> Report:
     across the streams of a scale suite, and on a tie of margins the first
     scale pair supplies the report's max_ratio and bound; a pair that ran no
     trial reports max_ratio null and supplies neither."""
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    ctx = suite_context(name, cfg)
     suite = SUITES[name]
-    ctx = cfg.context(suite.degree(cfg.max_degree))
     shared = {"q": cfg.q, "dim": cfg.dim, "max_degree": ctx.max_degree}
     params = {key: shared[key] for key in suite.shared}
     params.update(tolerance=suite.tolerance, **suite.params)
@@ -285,23 +300,26 @@ def _commutation(ctx: QContext, phi: np.ndarray, psi: np.ndarray) -> list[tuple[
 
 def _positivity(ctx: QContext, tolerance: float) -> tuple[list[float], dict, tuple]:
     """The symmetrizer is strictly positive; its norm is the |q|-factorial.
-    Up to ORACLE_DEGREE the factorized kernel must also match the sum over
-    all permutations, entry by entry relative to that norm."""
+    The norm's excess over [n]_|q|! and over the plain [n]_q! is measured
+    relative to [n]_|q|!, which grows geometrically with n.  Up to
+    ORACLE_DEGREE the factorized kernel must also match the sum over all
+    permutations, entry by entry relative to that norm."""
     degrees = [n for n in range(ctx.max_degree + 1) if ctx.dim**n <= EIGENSOLVER_CAP]
     values = []
     plain_weight_exceeded = []
     oracle_gap = 0.0
     for n in degrees:
         lo, hi = pq_spectrum(n, ctx)
+        norm = q_factorial(n, abs(ctx.q))
         value = 0.0 if lo > 0.0 else math.inf  # strict positivity
-        value = max(value, hi - q_factorial(n, abs(ctx.q)))
+        value = max(value, (hi - norm) / norm)
         values.append(max(0.0, value))
-        if hi > q_factorial(n, ctx.q) + tolerance:
+        if (hi - q_factorial(n, ctx.q)) / norm > tolerance:
             plain_weight_exceeded.append(n)
         if n <= ORACLE_DEGREE:
             kernel = symmetrizer_matrix(n, ctx.dim, ctx.q)
             gap = np.max(np.abs(kernel - pq_matrix(n, ctx.dim, ctx.q)))
-            oracle_gap = max(oracle_gap, float(gap) / q_factorial(n, abs(ctx.q)))
+            oracle_gap = max(oracle_gap, float(gap) / norm)
     extra = {
         "degrees": degrees,
         "max_eig_exceeds_plain_q_factorial_at": plain_weight_exceeded,
@@ -614,20 +632,29 @@ def _duality_findings(ctx: QContext, side) -> tuple[dict, tuple]:
     return {"saturation_gap": saturation_gap}, ((saturation_gap, 1e-9),)
 
 
-def _random_dyadic_vector(ctx: QContext, rng: np.random.Generator) -> GradedVector:
-    """Entries are small dyadic rationals and the vacuum part a power of two,
-    so every tensor operation on them is exact in floating point."""
-    comps = {
-        n: rng.integers(-16, 17, size=ctx.dim**n).astype(float) / 8.0
-        for n in range(ctx.max_degree + 1)
-    }
+# the largest degree at which the inverse suite's exact family stays exact
+EXACT_INVERSE_DEGREE = 53
+
+
+def _random_exact_vector(ctx: QContext, rng: np.random.Generator) -> GradedVector:
+    """f = 2^e (+-Omega + h), with e in -2..2 and h's entries in {-1, 0, 1}.
+
+    Every g_n of its inverse is 2^-e times integers of size at most 2^(n-1),
+    and every partial sum that wick_inverse and the check graded_tensor(f, g)
+    form is an integer of size at most 2^n.  So both are exact in floating
+    point for max_degree <= EXACT_INVERSE_DEGREE = 53."""
+    power = 2.0 ** float(rng.integers(-2, 3))
     sign = 1.0 if rng.integers(0, 2) == 0 else -1.0
-    comps[0] = np.array([sign * 2.0 ** float(rng.integers(-2, 3))])
+    comps = {
+        n: power * rng.integers(-1, 2, size=ctx.dim**n).astype(float)
+        for n in range(1, ctx.max_degree + 1)
+    }
+    comps[0] = np.array([sign * power])
     return GradedVector(ctx, comps)
 
 
 def _inverse_draw(ctx: QContext, rng: np.random.Generator) -> tuple[GradedVector, GradedVector]:
-    f = _random_dyadic_vector(ctx, rng)
+    f = _random_exact_vector(ctx, rng)
     g_comps = {n: rng.standard_normal(ctx.dim**n) for n in range(1, ctx.max_degree + 1)}
     z = float(rng.standard_normal())
     g_comps[0] = np.array([math.copysign(1.0 + abs(z), z)])  # well away from zero
@@ -729,7 +756,8 @@ SUITES = {
         1e-12,
         _inverse_draw,
         _inverse,
-        params={"exact_family": "dyadic entries, power-of-two vacuum part"},
+        params={"exact_family": "power of two times (+-vacuum + entries in {-1, 0, 1})"},
+        degree_cap=EXACT_INVERSE_DEGREE,
     ),
     "series": Suite(1e-9, _one_vector, _series, params={"radius": 1.0, "target_norm": 0.5}),
 }

@@ -13,13 +13,16 @@ import qwick
 import qwick.cli as cli
 from qwick import fock
 from qwick.fock import GradedVector
-from qwick.scales import vage_ratio
+from qwick.scales import graded_tensor, vage_ratio
+from qwick.series import wick_inverse
 from qwick.suites import (
     DEFAULT_SCALES,
+    EXACT_INVERSE_DEGREE,
     SUITE_NAMES,
     SUITES,
     Report,
     RunConfig,
+    _random_exact_vector,
     _trial_rng,
     run_suite,
 )
@@ -242,6 +245,9 @@ def test_cli_adjointness_without_shared_degrees(tmp_path, capsys):
         (["--max-degree", "0"], 1),
         (["--max-degree", "1"], 1),
         (["--max-degree", "2"], 2),
+        # [n]_|q|! outgrows an absolute tolerance on the symmetrizer's norm
+        (["--dim", "1", "--max-degree", "24"], 24),
+        (["--dim", "1", "--q", "0.9", "--max-degree", "12"], 12),
     ),
 )
 def test_cli_all_suites_on_tiny_configs(flags, commutation_degree, capsys):
@@ -252,6 +258,22 @@ def test_cli_all_suites_on_tiny_configs(flags, commutation_degree, capsys):
     assert [r["suite"] for r in reports] == list(SUITE_NAMES)
     assert all(r["pass"] and r["trials"] > 0 for r in reports)
     assert reports[0]["params"]["max_degree"] == commutation_degree
+
+
+def test_cli_inverse_stays_exact_at_degree_eleven(capsys):
+    # past the degree where dyadic k/8 entries stay exact; this family must cancel
+    assert cli.main(["verify", "--suite", "inverse", "--trials", "3", "--max-degree", "11"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] and report["trials"] == 3
+
+
+@pytest.mark.parametrize("dim,max_degree", ((1, EXACT_INVERSE_DEGREE), (2, 12), (3, 7)))
+def test_inverse_exact_family_cancels_up_to_its_cap(dim, max_degree):
+    ctx = fock.QContext(0.5, dim, max_degree)
+    vacuum = GradedVector.vacuum(ctx)
+    for i in range(4):
+        f = _random_exact_vector(ctx, np.random.default_rng([4, i]))
+        assert (graded_tensor(f, wick_inverse(f)) - vacuum).max_abs() == 0.0
 
 
 def test_cli_config_file_with_flag_override(tmp_path, capsys):
@@ -363,6 +385,8 @@ def test_cli_bad_input_file_is_config_error(tmp_path, capsys):
         (["verify", "--suite", "vage", "--scales", "inf:1"], "inf > r > s >= 1"),
         (["verify", "--suite", "all", "--trials", "2", "--csv", "x.csv"], "single suite"),
         (["verify", "--suite", "macmahon", "--seed", "-1"], "seed >= 0"),
+        (["verify", "--suite", "inverse", "--dim", "1", "--max-degree", "54"], "max_degree <= 53"),
+        (["verify", "--suite", "all", "--dim", "1", "--max-degree", "54"], "max_degree <= 53"),
     ),
 )
 def test_cli_precondition_fails_before_output(argv, message, capsys):
@@ -463,22 +487,74 @@ def test_cli_verify_past_degree_eight(capsys):
     assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
-def _run_cli(argv, extra_env=(), **kwargs) -> subprocess.CompletedProcess:
-    """Run the CLI in a child interpreter, which finds the same qwick as this
-    process, installed or not."""
+def _run_python(args, extra_env=(), **kwargs) -> subprocess.CompletedProcess:
+    """Run a child interpreter, which finds the same qwick as this process,
+    installed or not; an `extra_env` value of None removes that variable."""
     src = str(Path(qwick.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    env.update(extra_env)
-    return subprocess.run(
-        [sys.executable, "-m", "qwick.cli", *argv], capture_output=True, text=True, env=env, **kwargs
-    )
+    for key, value in dict(extra_env).items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, **kwargs)
+
+
+def _run_cli(argv, extra_env=(), **kwargs) -> subprocess.CompletedProcess:
+    return _run_python(["-m", "qwick.cli", *argv], extra_env, **kwargs)
 
 
 def test_console_script_runs():
     result = _run_cli(["verify", "--suite", "hermite", "--trials", "1"])
     assert result.returncode == 0
     assert json.loads(result.stdout)["pass"] is True
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+NO_THREAD_SETTING = dict.fromkeys(BLAS_THREAD_VARIABLES)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["verify", "--suite", "positivity", "--max-degree", "8"],
+        ["verify", "--suite", "duality", "--dim", "3", "--max-degree", "5", "--q", "-0.7",
+         "--seed", "2", "--trials", "30"],
+    ),
+    ids=("positivity", "duality"),
+)
+def test_reports_do_not_depend_on_the_core_count(argv):
+    # threaded OpenBLAS rounds these two reports by the host's core count
+    unset = _run_cli(argv, NO_THREAD_SETTING)
+    one_thread = _run_cli(argv, {**NO_THREAD_SETTING, "OPENBLAS_NUM_THREADS": "1"})
+    assert unset.returncode == one_thread.returncode == 0
+    assert unset.stdout == one_thread.stdout
+
+
+ENVIRON_PROBE = """
+import ctypes, os
+before = dict(os.environ)
+import qwick
+getenv = ctypes.CDLL(None).getenv
+getenv.argtypes, getenv.restype = [ctypes.c_char_p], ctypes.c_char_p
+assert dict(os.environ) == before, "os.environ changed"
+assert getenv(b"OPENBLAS_NUM_THREADS") == os.environb.get(b"OPENBLAS_NUM_THREADS")
+"""
+
+
+@pytest.mark.parametrize("preset", (None, "3"), ids=("unset", "caller-set"))
+def test_import_leaves_the_environment_unchanged(preset):
+    result = _run_python(["-c", ENVIRON_PROBE], {**NO_THREAD_SETTING, "OPENBLAS_NUM_THREADS": preset})
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_import_starts_no_blas_worker():
+    probe = "import os, qwick; print(len(os.listdir('/proc/self/task')))"
+    result = _run_python(["-c", probe], NO_THREAD_SETTING)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "1"
 
 
 ADDRESS_SPACE_LIMIT = 512 << 20  # bytes; numpy loads within it, the inputs below do not fit
