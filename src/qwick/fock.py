@@ -529,16 +529,6 @@ def annihilation_matrix(phi, ctx: QContext) -> np.ndarray:
     return _operator_matrix(ctx, -1, lambda n, cols: contract(phi, cols, n, ctx.q))
 
 
-def wedge_norm(phi, psi):
-    """|phi ^ psi| per row of the batch, as sqrt(sum_{j,k} (phi_j psi_k -
-    phi_k psi_j)^2 / 2) summed by a stacked matmul.  Unlike
-    sqrt(|phi|^2 |psi|^2 - (phi, psi)^2) it keeps its relative accuracy on a
-    near-parallel pair, and it is exactly 0 when psi is +-phi or d = 1."""
-    outer = phi[..., :, None] * psi[..., None, :]
-    minors = (outer - outer.swapaxes(-1, -2)).reshape(outer.shape[:-2] + (-1,))
-    return np.sqrt((minors[..., None, :] @ minors[..., :, None])[..., 0, 0] / 2)
-
-
 def swap_constant(n: int, dim: int, q: float) -> float:
     """c_n: the 2-norm, on degree n, of e_2 (x) M_(e_1) - e_1 (x) M_(e_2),
     where M_x = contract(x, ., n, q); 0 when dim = 1 or n = 0.  Built by the
@@ -552,28 +542,26 @@ def swap_constant(n: int, dim: int, q: float) -> float:
     return float(np.linalg.norm(term, 2))
 
 
-def commutation_residual(phi, psi, ctx: QContext) -> tuple:
-    """Residual norms, on degrees <= N-1, of
+def commutation_residual(phi, psi, ctx: QContext):
+    """Residual norm, on degrees <= N-1, of
 
-        a^-(phi) a^+(psi) - q a^+(psi') a^-(phi') - (phi, psi) Id
+        a^-(phi) a^+(psi) - q a^+(psi) a^-(phi) - (phi, psi) Id,
 
-    as (exchange, swapped).  exchange has a^+(psi) a^-(phi) as the weighted
-    term, the rule under which the operators genuinely commute; swapped trades
-    the arguments to a^+(phi) a^-(psi), a variant whose residual is generally
-    nonzero and is reported rather than reconciled.
+    the exchange form: the weighted term swaps the operators and keeps the
+    arguments, the rule under which they genuinely commute.
 
-    The exchange residual vanishes in exact arithmetic, so its blocks hold
-    only rounding.  They are built by the kernels on identity columns, degree
-    by degree (the products are block diagonal), for as many trials at a time
-    as keep the largest array of a slice within STACK_BYTES, and each trial
+    The residual vanishes in exact arithmetic, so its blocks hold only
+    rounding.  They are built by the kernels on identity columns, degree by
+    degree (the products are block diagonal), for as many trials at a time as
+    keep the largest array of a slice within STACK_BYTES, and each trial
     reports the largest Frobenius norm of its blocks: an upper bound on the
     operator 2-norm, so the check is no looser than the 2-norm's.
 
-    The swapped residual on degree n is q (psi (x) M_phi - phi (x) M_psi)
-    with M_x = contract(x, ., n, q).  It is linear in the bivector phi ^ psi
-    and the kernels are O(d)-equivariant, so its 2-norm is exactly
-    |q| |phi ^ psi| c_n (swap_constant), with one SVD per degree per call
-    and none per trial.
+    Trading the arguments instead, to q a^+(phi) a^-(psi), leaves
+    q (psi (x) M_phi - phi (x) M_psi) on degree n, with M_x = contract(x, .,
+    n, q).  It is linear in the bivector phi ^ psi and the kernels are
+    O(d)-equivariant, so its 2-norm is exactly |q| |phi ^ psi| c_n
+    (swap_constant) and needs no probe per pair.
     """
     if ctx.max_degree < 1:
         raise ValueError("commutation probe needs max_degree >= 1")
@@ -601,9 +589,7 @@ def commutation_residual(phi, psi, ctx: QContext) -> tuple:
             flat[:, 0, :: size + 1] -= pairing[rows]  # the diagonal of each block
             frobenius = np.sqrt(flat @ flat.swapaxes(-1, -2))[:, 0, 0]
             worst[rows] = np.maximum(worst[rows], frobenius)
-    top = max(swap_constant(n, ctx.dim, q) for n in range(ctx.max_degree))
-    swapped = abs(q) * top * wedge_norm(phi[:, 0], psi[:, 0])
-    return batch_value(worst.reshape(batch)), batch_value(swapped.reshape(batch))
+    return batch_value(worst.reshape(batch))
 
 
 def pq_spectrum(n: int, ctx: QContext) -> tuple[float, float]:

@@ -162,16 +162,19 @@ def embedding_residual(
 
 
 def estimate_c1(r: float, s: float, alpha: float, ctx: QContext) -> float:
-    """A finite constant valid for the test-side product bound
+    """A constant valid for the test-side product bound
 
         ||F (x) G||_(r, alpha)  <=  C1 ||F||_(s, alpha) ||G||_(s, alpha),
         1 <= r < s.
 
     Built from the midpoint geometric majorization: with r1 = (r+s)/2 and
     z = (r1/s)^(1/alpha), C1 = sqrt(C2 * B^alpha) where C2 bounds
-    (n+1) (r/r1)^n and B = (1-z)^(-1) prod_i (1 - z |q|^i)^(-1).  The infinite
-    product is truncated once z |q|^i < 1e-16 and the dropped tail is covered
-    by exp(2 * remaining geometric mass), so the returned constant stays valid.
+    (n+1) (r/r1)^n and B = (1-z)^(-1) prod_i (1 - z |q|^i)^(-1).  C2 is the
+    larger value at the integer neighbours of the peak x = -1/ln(r/r1) - 1 of
+    the log-concave (x+1) (r/r1)^x.  The infinite product is truncated once
+    z |q|^i < 1e-16 and the dropped tail is covered by exp(2 * remaining
+    geometric mass), so the returned constant stays valid.  It is inf once
+    it overflows, and when r/r1 rounds to 1.
     """
     if not 1.0 <= r < s:
         raise ValueError("requires 1 <= r < s")
@@ -180,28 +183,24 @@ def estimate_c1(r: float, s: float, alpha: float, ctx: QContext) -> float:
     r1 = (r + s) / 2.0
     z = (r1 / s) ** (1.0 / alpha)
     rho = r / r1
-    c2 = 1.0
-    n = 0
-    term = 1.0
-    while True:
-        n += 1
-        term *= rho
-        value = (n + 1) * term
-        c2 = max(c2, value)
-        if value < c2 and rho * (n + 2) / (n + 1) < 1.0:
-            break
+    if rho >= 1.0:
+        return math.inf
+    peak = max(0, math.floor(-1.0 / math.log(rho) - 1.0))
+    c2 = max((n + 1) * rho**n for n in (peak, peak + 1))
     aq = abs(ctx.q)
     b = 1.0 / (1.0 - z)  # geometric series in z
     factor = z  # z * |q|^i, starting at i = 0
     while factor >= 1e-16:
         b /= 1.0 - factor
-        if aq == 0.0:
-            factor = 0.0
-        else:
-            factor *= aq
+        if b == math.inf:
+            return math.inf
+        factor *= aq
     if aq > 0.0:
         b *= math.exp(2.0 * factor / (1.0 - aq))  # dropped tail: -log(1-x) <= 2x
-    return float(math.sqrt(c2 * b**alpha))
+    try:
+        return math.sqrt(c2 * b**alpha)
+    except OverflowError:
+        return math.inf
 
 
 def lemma53_residual(f, g, ctx: QContext, m: int, n: int) -> float:
@@ -223,13 +222,13 @@ def lemma53_residual(f, g, ctx: QContext, m: int, n: int) -> float:
     return max(0.0, lhs - rhs)
 
 
-def vage_ratio(f: GradedVector, g: GradedVector, r: float, s: float) -> tuple[float, float]:
+def vage_ratio(f: GradedVector, g: GradedVector, r: float, s: float):
     """Asymmetric submultiplicativity on the dual scale at exponent -2:
 
         ||F (x) G||_r  <=  sqrt(r / (r - s)) ||F||_s ||G||_r,   r > s >= 1,
 
     where the subscript is the reciprocal degree-weight parameter.  Returns
-    (ratio, bound); the caller compares them.
+    the ratio of the two sides; the caller compares it with the bound.
     """
     if not s >= 1.0 or not r > s:
         raise ValueError("requires r > s >= 1")
@@ -237,7 +236,7 @@ def vage_ratio(f: GradedVector, g: GradedVector, r: float, s: float) -> tuple[fl
     if np.any(denom == 0.0):
         raise ValueError("zero denominator: both factors must be nonzero")
     ratio = f_dual_norm(graded_tensor(f, g), r, 2.0) / denom
-    return batch_value(ratio), float(math.sqrt(r / (r - s)))
+    return batch_value(ratio)
 
 
 def saturating_dual_partner(f_test: GradedVector, r: float, alpha: float) -> GradedVector:

@@ -7,11 +7,11 @@ and findings.  The runner does the rest for every suite: it draws trial i's
 inputs from a generator seeded by (seed, stream key, i), so results do not
 depend on execution order, splits the trials evenly over the configured scale
 pairs, checks each stream's draws in one call, builds the shared params and
-records the violations.  A check stacks its draws into one batch and makes
-one kernel call where a trial made one, each row computed bit for bit as
-alone; commutation builds its exchange blocks at most fock.STACK_BYTES at a
-time and takes their Frobenius norms, and takes no SVD per trial.  Adding a
-suite means adding one entry to the table.
+records the violations.  A check gives one float per draw: it stacks its
+draws into one batch and makes one kernel call where a trial made one, each
+row computed bit for bit as alone; commutation builds its exchange blocks at
+most fock.STACK_BYTES at a time and takes their Frobenius norms, and takes no
+SVD per trial.  Adding a suite means adding one entry to the table.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .fock import (
     pq_matrix,
     pq_spectrum,
     q_inner,
+    swap_constant,
     symmetrizer_matrix,
 )
 from .qcombinatorics import (
@@ -188,9 +189,8 @@ class Suite:
 
     `params` holds constant extra params, `shared` the shared params the
     report keeps, and `degree` maps the configured truncation degree to the
-    suite's.  With `aside` set, a check gives (value, aside) per draw and the
-    report's `aside` param is the largest aside.  `degree_cap`, when set, is
-    the largest truncation degree at which the suite's check is sound.
+    suite's; it raises ValueError for a degree at which the suite's check is
+    not sound.
     """
 
     tolerance: float
@@ -202,8 +202,6 @@ class Suite:
     params: dict = field(default_factory=dict)
     shared: tuple[str, ...] = ("q", "dim", "max_degree")
     degree: Callable[[int], int] = lambda n: n
-    aside: str = ""
-    degree_cap: int | None = None
 
 
 def suite_context(name: str, cfg: RunConfig) -> QContext:
@@ -212,20 +210,15 @@ def suite_context(name: str, cfg: RunConfig) -> QContext:
     check every suite it will run before the first one starts."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    suite = SUITES[name]
-    ctx = cfg.context(suite.degree(cfg.max_degree))
-    if suite.degree_cap is not None and ctx.max_degree > suite.degree_cap:
-        raise ValueError(
-            f"suite {name} needs max_degree <= {suite.degree_cap}, got {ctx.max_degree}"
-        )
-    return ctx
+    return cfg.context(SUITES[name].degree(cfg.max_degree))
 
 
 def run_suite(name: str, cfg: RunConfig) -> Report:
     """Run the suite `name` of the table at `cfg`.  Trial indices continue
-    across the streams of a scale suite, and on a tie of margins the first
-    scale pair supplies the report's max_ratio and bound; a pair that ran no
-    trial reports max_ratio null and supplies neither."""
+    across the streams of a scale suite, and on a tie of margins (all -inf
+    when every bound is infinite) the first scale pair that ran supplies the
+    report's max_ratio and bound; a pair that ran no trial reports max_ratio
+    null and supplies neither."""
     ctx = suite_context(name, cfg)
     suite = SUITES[name]
     shared = {"q": cfg.q, "dim": cfg.dim, "max_degree": ctx.max_degree}
@@ -256,13 +249,10 @@ def run_suite(name: str, cfg: RunConfig) -> Report:
             values += [max(0.0, ratio - limit) for ratio in outputs]
             top = max(outputs, default=None)  # a pair that ran no trial has none
             per_scale.append({**record, "max_ratio": top})
-            if top is not None and top - limit > worst_margin:
+            if top is not None and (max_ratio is None or top - limit > worst_margin):
                 worst_margin, max_ratio, bound = top - limit, top, limit
         if suite.pair:
             extra["per_scale"] = per_scale
-        if suite.aside:
-            extra[suite.aside] = max(b for _, b in values)
-            values = [a for a, _ in values]
     params.update(extra)
     violations = [
         {"trial": i, "value": v} for i, v in enumerate(values) if not v <= suite.tolerance
@@ -291,11 +281,17 @@ def _unit_pair(ctx: QContext, rng: np.random.Generator) -> tuple[np.ndarray, np.
 
 
 @_stacked
-def _commutation(ctx: QContext, phi: np.ndarray, psi: np.ndarray) -> list[tuple[float, float]]:
-    """a^- a^+ = q a^+ a^- + pairing, on degrees below the truncation edge;
-    the aside is the residual of the argument-swapped variant."""
-    exchange, swapped = commutation_residual(phi, psi, ctx)
-    return list(zip(exchange.tolist(), swapped.tolist()))
+def _commutation(ctx: QContext, phi: np.ndarray, psi: np.ndarray) -> list[float]:
+    """a^- a^+ = q a^+ a^- + pairing, on degrees below the truncation edge."""
+    return commutation_residual(phi, psi, ctx).tolist()
+
+
+def _commutation_findings(ctx: QContext, side) -> tuple[dict, tuple]:
+    """Documented finding: trading the arguments instead of the operators
+    leaves a residual of 2-norm |q| |phi ^ psi| c_n on degree n, so over unit
+    pairs its supremum is |q| max_n c_n, reached at every orthonormal pair."""
+    top = max(swap_constant(n, ctx.dim, ctx.q) for n in range(ctx.max_degree))
+    return {"argument_swapped_variant_max_residual": abs(ctx.q) * top}, ()
 
 
 def _positivity(ctx: QContext, tolerance: float) -> tuple[list[float], dict, tuple]:
@@ -601,8 +597,7 @@ def _vage_pair(ctx: QContext, r: float, s: float, alpha: float):
 
     @_stacked
     def check(ctx: QContext, f: GradedVector, g: GradedVector) -> list[float]:
-        ratio, _ = vage_ratio(f, g, r, s)
-        return ratio.tolist()
+        return vage_ratio(f, g, r, s).tolist()
 
     return f"vage:{r}:{s}", {"r": r, "s": s, "bound": bound}, bound, check
 
@@ -634,6 +629,12 @@ def _duality_findings(ctx: QContext, side) -> tuple[dict, tuple]:
 
 # the largest degree at which the inverse suite's exact family stays exact
 EXACT_INVERSE_DEGREE = 53
+
+
+def _inverse_degree(n: int) -> int:
+    if n > EXACT_INVERSE_DEGREE:
+        raise ValueError(f"suite inverse needs max_degree <= {EXACT_INVERSE_DEGREE}, got {n}")
+    return n
 
 
 def _random_exact_vector(ctx: QContext, rng: np.random.Generator) -> GradedVector:
@@ -716,7 +717,7 @@ SUITES = {
             "normalization": "unit test vectors",
             "rule": "exchange form: the weighted term swaps operators, keeps arguments",
         },
-        aside="argument_swapped_variant_max_residual",
+        findings=_commutation_findings,
         degree=lambda n: max(n, 1),
     ),
     "positivity": Suite(1e-10, fixed=_positivity, shared=("q", "dim")),
@@ -757,7 +758,7 @@ SUITES = {
         _inverse_draw,
         _inverse,
         params={"exact_family": "power of two times (+-vacuum + entries in {-1, 0, 1})"},
-        degree_cap=EXACT_INVERSE_DEGREE,
+        degree=_inverse_degree,
     ),
     "series": Suite(1e-9, _one_vector, _series, params={"radius": 1.0, "target_norm": 0.5}),
 }

@@ -23,11 +23,11 @@ from qwick.fock import (
     q_inner,
     symmetrize,
     tensor_product,
-    wedge_norm,
 )
 from qwick.qcombinatorics import inversions, q_factorial
 from qwick.scales import graded_tensor
 from qwick.series import wick_inverse
+from qwick.suites import SUITES
 from qwick.wick import apply_to_fock
 
 Q_GRID = (-0.9, -0.5, 0.0, 0.3, 0.5, 0.9)
@@ -404,38 +404,58 @@ def _swap_constant_oracle(ctx):
     return top
 
 
+def _swapped_finding(ctx):
+    """The commutation suite's finding on the argument-swapped variant."""
+    findings, side_checks = SUITES["commutation"].findings(ctx, None)
+    assert side_checks == ()
+    return findings["argument_swapped_variant_max_residual"]
+
+
 @pytest.mark.parametrize("q", Q_GRID)
 @pytest.mark.parametrize("dim,top", ((1, 6), (2, 6), (3, 6)))
 def test_commutation_matches_dense_svd_oracle(dim, top, q):
     """The exchange value is a Frobenius bound: at least the dense 2-norm and
-    still within the tolerance.  The swapped value is |q| |phi ^ psi| max c_n,
-    the dense 2-norm up to rounding, and exactly 0 when d = 1, q = 0 or
-    psi = +-phi."""
+    still within the tolerance.  The swapped variant's dense 2-norm is
+    |q| |phi ^ psi| max c_n, so at most |phi| |psi| times the finding, and
+    only rounding when d = 1, q = 0 or psi = +-phi."""
     ctx = QContext(q, dim, top)
     rng = np.random.default_rng([dim, top])
     phi = rng.standard_normal(dim)
     pairs = [(phi, rng.standard_normal(dim)), (phi, 0.5 * rng.standard_normal(dim))]
     pairs += [(phi, phi), (phi, -phi)]
-    c_top = _swap_constant_oracle(ctx)
+    finding = _swapped_finding(ctx)
     for k, (a, b) in enumerate(pairs):
-        exchange, swapped = commutation_residual(a, b, ctx)
+        exchange = commutation_residual(a, b, ctx)
         want_exchange, want_swapped = _commutation_oracle(a, b, ctx)
         assert want_exchange <= exchange <= 1e-12
         size = np.linalg.norm(a) * np.linalg.norm(b)
         if dim == 1 or q == 0.0 or k >= 2:
             # the dense block holds only rounding here
-            assert swapped == 0.0 and want_swapped <= 1e-12 * size
+            assert want_swapped <= 1e-12 * size
         else:
-            assert swapped > 1e-3
-            assert abs(swapped - want_swapped) <= 1e-14 * abs(q) * c_top * size
+            assert 1e-3 < want_swapped <= (1 + 1e-14) * finding * size
 
 
-def test_wedge_norm_keeps_accuracy_near_parallel():
-    phi = np.array([1.0, 0.0, 0.0])
-    psi = np.array([1.0, 1e-9, -2e-9])
-    # |phi ^ psi| = |phi x psi| = sqrt(5) 1e-9, to rounding of the inputs
-    assert wedge_norm(phi, psi) == pytest.approx(np.sqrt(5.0) * 1e-9, rel=1e-15)
-    assert wedge_norm(phi, -3.0 * phi) == 0.0
+@pytest.mark.parametrize("q", Q_GRID)
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_commutation_finding_is_the_swapped_supremum(dim, q):
+    """The finding is |q| max c_n: the swapped variant's dense 2-norm at the
+    orthonormal pair (e_1, e_2), an upper bound on it at random unit pairs,
+    and 0 when d = 1 or q = 0."""
+    ctx = QContext(q, dim, 5)
+    finding = _swapped_finding(ctx)
+    assert finding == pytest.approx(abs(q) * _swap_constant_oracle(ctx), rel=1e-14)
+    if dim == 1 or q == 0.0:
+        assert finding == 0.0
+        return
+    e1, e2 = basis_vector(dim, 0), basis_vector(dim, 1)
+    assert _commutation_oracle(e1, e2, ctx)[1] == pytest.approx(finding, rel=1e-14)
+    rng = np.random.default_rng([dim, 7])
+    for _ in range(10):
+        phi, psi = rng.standard_normal(dim), rng.standard_normal(dim)
+        phi /= np.linalg.norm(phi)
+        psi /= np.linalg.norm(psi)
+        assert _commutation_oracle(phi, psi, ctx)[1] <= (1 + 1e-14) * finding
 
 
 def test_kernel_results_skip_revalidation(monkeypatch):
@@ -460,10 +480,10 @@ def test_kernel_results_skip_revalidation(monkeypatch):
 
 
 def test_commutation_examples():
-    assert commutation_residual([1.0], [1.0], QContext(0.5, 1, 4))[0] <= 1e-12
+    assert commutation_residual([1.0], [1.0], QContext(0.5, 1, 4)) <= 1e-12
     # free case with orthogonal vectors: a^- a^+ alone must vanish on the pairing
     ctx0 = QContext(0.0, 2, 3)
-    assert commutation_residual(basis_vector(2, 0), basis_vector(2, 1), ctx0)[0] <= 1e-12
+    assert commutation_residual(basis_vector(2, 0), basis_vector(2, 1), ctx0) <= 1e-12
 
 
 @pytest.mark.parametrize("q", Q_GRID)
@@ -476,7 +496,7 @@ def test_commutation_random_grid(q, dim):
         psi = rng.standard_normal(dim)
         phi /= np.linalg.norm(phi)
         psi /= np.linalg.norm(psi)
-        assert commutation_residual(phi, psi, ctx)[0] <= 1e-12
+        assert commutation_residual(phi, psi, ctx) <= 1e-12
 
 
 def test_commutation_variant_form_differs():
@@ -485,9 +505,9 @@ def test_commutation_variant_form_differs():
     ctx = QContext(-0.9, 3, 4)
     rng = np.random.default_rng(0)
     phi, psi = rng.standard_normal(3), rng.standard_normal(3)
-    exchange, swapped = commutation_residual(phi, psi, ctx)
-    assert exchange <= 1e-12
-    assert swapped > 1e-2
+    assert commutation_residual(phi, psi, ctx) <= 1e-12
+    assert _commutation_oracle(phi, psi, ctx)[1] > 1e-2
+    assert _swapped_finding(ctx) > 1e-2
 
 
 @pytest.mark.parametrize("q", Q_GRID)
