@@ -8,6 +8,7 @@ allocate.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -24,13 +25,20 @@ from .fock import (
     json_value,
     unique_keys,
 )
-from .scales import default_hplus_weights, f_dual_norm, g_norm, graded_tensor
+from .scales import WEIGHT_BASES, default_hplus_weights, f_dual_norm, g_norm, graded_tensor
 from .series import wick_exp, wick_inverse
 from .suites import SUITE_NAMES, Report, RunConfig, run_suite, suite_context
 from .wick import MAX_MOMENT_ORDER, moments
 
-COMPUTE_COMMANDS = ("moments", "wick-mul", "wick-inv", "wick-exp", "norm")
-CONFIG_KEYS = ("q", "dim", "max_degree", "trials", "seed", "scales")
+# verify's settings, in RunConfig's order, each typed by its default: every
+# field is a flag (`--max-degree` for max_degree), a config key and an override
+SETTINGS = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
+# compute's vector -> vector operations: name -> (function, input names, help)
+VECTOR_OPS = {
+    "wick-mul": (graded_tensor, ("left", "right"), "graded tensor product of two stored vectors"),
+    "wick-inv": (wick_inverse, ("input",), "tensor-multiplicative inverse"),
+    "wick-exp": (wick_exp, ("input",), "tensor exponential"),
+}
 
 
 def _json_out(data: dict | list, path: str | None, allow_nan: bool = False) -> None:
@@ -59,37 +67,30 @@ def _parse_scales(text: str) -> tuple[tuple[float, float, float], ...]:
     return tuple(_scale_pair(chunk.split(":")) for chunk in text.split(","))
 
 
+def _config_value(name: str, value):
+    """A config file's value of setting name, with the type its flag gives."""
+    if name == "scales":
+        pairs = json_value(value, list, "config scales")
+        return tuple(_scale_pair(json_numbers(p, "config scale pair")) for p in pairs)
+    kind = SETTINGS[name]
+    return kind(json_value(value, kind, f"config {name}"))
+
+
 def _config_file(path: str) -> dict:
     """The settings of a JSON config file, with the types the flags give."""
     data = json_value(_load_json(path), dict, "config file")
-    unknown = sorted(set(data) - set(CONFIG_KEYS))
+    unknown = sorted(set(data) - set(SETTINGS))
     if unknown:
-        raise ValueError(f"unknown config key {unknown[0]!r}; known: {', '.join(CONFIG_KEYS)}")
-    settings: dict = {}
-    for key in ("dim", "max_degree", "trials", "seed"):
-        if key in data:
-            settings[key] = json_value(data[key], int, f"config {key}")
-    if "q" in data:
-        settings["q"] = float(json_value(data["q"], float, "config q"))
-    if "scales" in data:
-        pairs = json_value(data["scales"], list, "config scales")
-        settings["scales"] = tuple(_scale_pair(json_numbers(p, "config scale pair")) for p in pairs)
-    return settings
+        raise ValueError(f"unknown config key {unknown[0]!r}; known: {', '.join(SETTINGS)}")
+    return {name: _config_value(name, data[name]) for name in SETTINGS if name in data}
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
     settings = _config_file(args.config) if args.config else {}
-    for key, value in (
-        ("q", args.q),
-        ("dim", args.dim),
-        ("max_degree", args.max_degree),
-        ("trials", args.trials),
-        ("seed", args.seed),
-    ):
+    for name in SETTINGS:
+        value = getattr(args, name)
         if value is not None:
-            settings[key] = value
-    if args.scales is not None:
-        settings["scales"] = _parse_scales(args.scales)
+            settings[name] = _parse_scales(value) if name == "scales" else value
     return RunConfig(**settings)
 
 
@@ -152,22 +153,10 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_wick_mul(args: argparse.Namespace) -> int:
-    left = GradedVector.from_json_dict(_load_json(args.left))
-    right = GradedVector.from_json_dict(_load_json(args.right))
-    _json_out(graded_tensor(left, right).to_json_dict(), args.out)
-    return 0
-
-
-def _cmd_wick_inv(args: argparse.Namespace) -> int:
-    vec = GradedVector.from_json_dict(_load_json(args.input))
-    _json_out(wick_inverse(vec).to_json_dict(), args.out)
-    return 0
-
-
-def _cmd_wick_exp(args: argparse.Namespace) -> int:
-    vec = GradedVector.from_json_dict(_load_json(args.input))
-    _json_out(wick_exp(vec).to_json_dict(), args.out)
+def _cmd_vector_op(args: argparse.Namespace) -> int:
+    function, inputs, _ = VECTOR_OPS[args.operation]
+    vectors = [GradedVector.from_json_dict(_load_json(getattr(args, name))) for name in inputs]
+    _json_out(function(*vectors).to_json_dict(), args.out)
     return 0
 
 
@@ -208,12 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
-    verify.add_argument("--q", type=float, default=None)
-    verify.add_argument("--dim", type=int, default=None)
-    verify.add_argument("--max-degree", type=int, default=None)
-    verify.add_argument("--trials", type=int, default=None)
-    verify.add_argument("--seed", type=int, default=None)
-    verify.add_argument("--scales", default=None, help="R:S:ALPHA pairs, comma separated")
+    for name, kind in SETTINGS.items():
+        flag = "--" + name.replace("_", "-")
+        if name == "scales":  # parsed by _build_config, so a bad spec is a config error
+            verify.add_argument(flag, help="R:S:ALPHA pairs, comma separated")
+        else:
+            verify.add_argument(flag, type=kind)
     verify.add_argument("--config", default=None, help="JSON config file; flags override")
     verify.add_argument("--out", default=None, help="write the JSON report here")
     verify.add_argument("--csv", default=None, help="write per-trial values here")
@@ -230,28 +219,19 @@ def build_parser() -> argparse.ArgumentParser:
     moments.add_argument("--out", default=None)
     moments.set_defaults(func=_cmd_moments)
 
-    mul = ops.add_parser("wick-mul", help="graded tensor product of two stored vectors")
-    mul.add_argument("left")
-    mul.add_argument("right")
-    mul.add_argument("--out", default=None)
-    mul.set_defaults(func=_cmd_wick_mul)
-
-    inv = ops.add_parser("wick-inv", help="tensor-multiplicative inverse")
-    inv.add_argument("input")
-    inv.add_argument("--out", default=None)
-    inv.set_defaults(func=_cmd_wick_inv)
-
-    exp = ops.add_parser("wick-exp", help="tensor exponential")
-    exp.add_argument("input")
-    exp.add_argument("--out", default=None)
-    exp.set_defaults(func=_cmd_wick_exp)
+    for name, (_, inputs, text) in VECTOR_OPS.items():
+        op = ops.add_parser(name, help=text)
+        for input_name in inputs:
+            op.add_argument(input_name)
+        op.add_argument("--out", default=None)
+        op.set_defaults(func=_cmd_vector_op)
 
     norm = ops.add_parser("norm", help="weighted scale norm of a stored vector")
     norm.add_argument("input")
     norm.add_argument("--side", choices=("test", "dual"), default="dual")
     norm.add_argument("--r", type=float, default=1.0)
     norm.add_argument("--alpha", type=float, default=2.0)
-    norm.add_argument("--weight-base", choices=("q", "abs_q"), default="abs_q")
+    norm.add_argument("--weight-base", choices=WEIGHT_BASES, default="abs_q")
     norm.add_argument("--weights", choices=("none", "default"), default="none")
     norm.add_argument("--out", default=None)
     norm.set_defaults(func=_cmd_norm)

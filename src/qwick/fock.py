@@ -37,12 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcombinatorics import (
-    PERMUTATION_CAP,
-    check_deformation,
-    inversions,
-    q_factorial,
-)
+from .qcombinatorics import PERMUTATION_CAP, check_deformation, inversions
 
 EIGENSOLVER_CAP = 4096  # largest d**n for dense spectral probes
 # largest d**n for which apply_pq memoizes the dense P: below it a cached
@@ -336,10 +331,6 @@ def pq_matrix(n: int, dim: int, q: float) -> np.ndarray:
     size = dim**n
     if size > EIGENSOLVER_CAP:
         raise ValueError(f"dense symmetrizer capped at dimension {EIGENSOLVER_CAP}")
-    if n <= 1 or dim == 1:
-        mat = np.eye(size) * (q_factorial(n, q) if dim == 1 else 1.0)
-        mat.flags.writeable = False
-        return mat
     # digit k of every flat index, most significant first
     digits = np.empty((n, size), dtype=np.intp)
     idx = np.arange(size)

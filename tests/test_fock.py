@@ -125,9 +125,10 @@ def _pq_matrix_oracle(n: int, dim: int, q: float) -> np.ndarray:
 
 @pytest.mark.parametrize("q", (-0.7, 0.0, 0.5))
 def test_pq_matrix_matches_per_permutation_oracle_bit_for_bit(q):
-    # each cell sums its q**inv in permutation order, also across chunks
-    for dim, top in ((2, 7), (3, 6), (4, 4)):
-        for n in range(2, top + 1):
+    # each cell sums its q**inv in permutation order, also across chunks,
+    # and d = 1 and n <= 1 enumerate like every other input
+    for dim, top in ((1, 8), (2, 7), (3, 6), (4, 4)):
+        for n in range(top + 1):
             got, want = pq_matrix(n, dim, q), _pq_matrix_oracle(n, dim, q)
             assert np.array_equal(got, want), (dim, n)
             assert np.array_equal(np.signbit(got), np.signbit(want)), (dim, n)

@@ -1,5 +1,6 @@
 """Reachability guard: every function in src/qwick is entered by some
-`verify` or `compute` path, or is named below with the reason it stays.
+`verify` or `compute` path, or is named below with the reason it stays, and
+every module-level name assigned in src/qwick is read somewhere.
 
 The traced run happens in a fresh interpreter (run this file as a script with
 a work directory), so functions that run only at import count and no cache
@@ -117,7 +118,45 @@ def test_every_src_function_is_reached_or_pinned(tmp_path):
     assert sorted(traced["never"]) == sorted(NEVER_ENTERED)
 
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+
+
+def _module_level(nodes):
+    """The statements of a module body, through if/try/with/loop blocks but
+    not into function or class bodies."""
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        yield node
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from _module_level(getattr(node, field, []))
+
+
+def test_every_module_level_name_is_read():
+    # a constant nothing reads, such as a table the CLI no longer consults,
+    # is dead code the function trace cannot see
+    read = set()
+    for folder in ("src", "tests", "bench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    assigned = []  # (module.name, name)
+    for path in sorted((ROOT / "src" / "qwick").glob("*.py")):
+        for node in _module_level(ast.parse(path.read_text()).body):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                assigned += [
+                    (f"{path.stem}.{name.id}", name.id)
+                    for target in targets
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name)
+                ]
+    assert len(assigned) > 20  # the walk found the package's constants
+    assert [qualified for qualified, name in assigned if name not in read] == []
 
 
 def _bench_lookups() -> list[tuple[str, str, bool]]:

@@ -2,7 +2,9 @@
 malformed vector file makes `compute` exit 2 before writing anything, and a
 `verify --config` file gives the report of the same flags or exits 2."""
 
+import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import tempfile
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 import qwick.cli as cli
 from qwick.fock import GradedVector, QContext
+from qwick.suites import RunConfig
 
 # finite floats, with -0.0 and subnormals among them
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -202,6 +205,31 @@ def test_config_file_gives_the_report_of_its_flags(cfg, suite):
     from_flags = _run(["verify", "--suite", suite, *_flags(cfg)])
     assert from_file[0] == 0
     assert from_file == from_flags
+
+
+# one value per RunConfig field, each away from the field's default
+ONE_KEY = {"q": 0.25, "dim": 3, "max_degree": 3, "trials": 4, "seed": 7, "scales": [[3, 1.5, 1.5]]}
+
+
+def test_verify_options_are_the_run_config_fields():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    verify = commands.choices["verify"]
+    options = {opt for action in verify._actions for opt in action.option_strings}
+    fields = {"--" + f.name.replace("_", "-") for f in dataclasses.fields(RunConfig)}
+    assert options == fields | {"--suite", "--config", "--out", "--csv", "-h", "--help"}
+    assert set(ONE_KEY) == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+@pytest.mark.parametrize("key", sorted(ONE_KEY))
+def test_each_config_key_gives_the_stdout_of_its_flag(key):
+    # the property test above samples subsets of keys, so it can miss one
+    cfg = {key: ONE_KEY[key]}
+    from_file = _verify_with_config(cfg, "theorem43")
+    from_flags = _run(["verify", "--suite", "theorem43", *_flags(cfg)])
+    assert from_file[0] == 0
+    assert from_file == from_flags
+    assert from_file[1] != _run(["verify", "--suite", "theorem43"])[1]  # the key took effect
 
 
 INF, NAN = float("inf"), float("nan")  # JSON's Infinity and NaN extensions
