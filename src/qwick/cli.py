@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -240,6 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Everything imported before main (numpy, the stdlib, qwick: about 21.6k
+    # GC-tracked objects) lives until exit.  At shutdown CPython's full
+    # collections would find it all as cyclic garbage and free it object by
+    # object, about 40 ms of each one-shot call; frozen, it is left to the OS,
+    # and exit takes about 10 ms (2-vCPU x86_64 VM).  Once per process, so an
+    # in-process caller of main does not freeze a growing heap on every call.
+    if not gc.get_freeze_count():
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -14,7 +14,7 @@ import qwick.cli as cli
 from qwick import fock
 from qwick.fock import GradedVector
 from qwick.scales import graded_tensor, vage_ratio
-from qwick.series import wick_inverse
+from qwick.series import wick_exp, wick_inverse
 from qwick.suites import (
     DEFAULT_SCALES,
     EXACT_INVERSE_DEGREE,
@@ -531,6 +531,61 @@ def test_console_script_runs():
     result = _run_cli(["verify", "--suite", "hermite", "--trials", "1"])
     assert result.returncode == 0
     assert json.loads(result.stdout)["pass"] is True
+
+
+FREEZE_PROBE = """
+import gc
+import qwick.cli
+assert gc.get_freeze_count() == 0, "import froze the heap"
+argv = ["compute", "moments", "--order", "2"]
+assert qwick.cli.main(argv) == 0
+frozen = gc.get_freeze_count()
+assert frozen > 0, "main froze nothing"
+live = [{"entry": [i]} for i in range(10000)]
+assert qwick.cli.main(argv) == 0
+assert gc.get_freeze_count() == frozen, "a second main froze again"
+"""
+
+
+def test_main_freezes_the_heap_once_per_process():
+    result = _run_python(["-c", FREEZE_PROBE])
+    assert result.returncode == 0, result.stderr
+
+
+def test_cli_stdout_through_a_pipe_arrives_whole(tmp_path):
+    # about 600 KB, more than a pipe buffer, written while teardown skips the frozen heap
+    rng = np.random.default_rng(4)
+    ctx = fock.QContext(0.5, 4, 7)
+    vec = GradedVector(ctx, {n: (0.01 * rng.standard_normal(4**n)).tolist() for n in range(8)})
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(vec.to_json_dict()))
+    result = _run_cli(["compute", "wick-exp", str(path)])
+    assert result.returncode == 0, result.stderr
+    stored = GradedVector.from_json_dict(json.loads(path.read_text()))
+    expected = json.dumps(wick_exp(stored).to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert len(expected) > 1 << 19
+    assert result.stdout == expected
+
+
+def test_cli_report_and_csv_files_arrive_whole(tmp_path):
+    out, csv = tmp_path / "report.json", tmp_path / "trials.csv"
+    result = _run_cli(["verify", "--suite", "vage", "--trials", "5", "--out", str(out), "--csv", str(csv)])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == ""
+    report = run_suite("vage", RunConfig(trials=5))
+    expected = json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=True) + "\n"
+    assert out.read_bytes() == expected.encode()
+    expected_csv = tmp_path / "expected.csv"
+    report.write_csv(str(expected_csv))
+    assert csv.read_bytes() == expected_csv.read_bytes()
+
+
+def test_cli_usage_error_reaches_stderr():
+    too_deep = str(EXACT_INVERSE_DEGREE + 1)
+    result = _run_cli(["verify", "--suite", "inverse", "--dim", "1", "--max-degree", too_deep])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.endswith("\n")
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
