@@ -3,14 +3,16 @@
 Everything in this module is pure and deterministic.  Shuffles are produced
 as (positions, inversions) tuples in lexicographic order, so any report
 built on that stream is reproducible run to run.  The crossing polynomial of
-pair partitions is counted by a Dyck-path transfer with no enumeration; the
-pair-partition enumeration it is checked against lives in the tests.
+pair partitions is summed from the Touchard-Riordan closed form with no
+enumeration; the pair-partition enumeration it is checked against lives in
+the tests.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Iterator, Sequence
 
 # Enumeration caps keep brute-force suites under a minute at desk scale.
@@ -114,40 +116,25 @@ def crossing_polynomial(n: int) -> list[int]:
     sums to (2n-1)!!, and starts at the Catalan number (the non-crossing count).
     Coefficients are exact integers.
 
-    This is the fast route: Flajolet's continued fraction (Discrete Math. 32
-    (1980)) counts the same polynomial as Dyck paths of length 2n whose
-    down-step from height h carries [h]_q = 1 + q + ... + q^(h-1), summed by
-    a transfer over (step, height) on integer coefficient lists.  There is no
-    cap; the tests check it against an enumeration of pair partitions.
+    This is the fast route, the Touchard-Riordan formula (Riordan, Math. Comp.
+    29 (1975)): sum_k c_k q^k is (1-q)^(-n) times
+    sum_j (-1)^j (C(2n, n-j) - C(2n, n+j+1)) q^(j(j+1)/2), summed as one
+    prefix sum per factor 1/(1-q) and cut at degree C(n,2).  C(2n, n+j+1) is
+    C(2n, n-j-1) mirrored, so it is 0 at j = n.  There is no cap; the tests
+    check it against an enumeration of pair partitions.
+
+    >>> crossing_polynomial(3)
+    [5, 6, 3, 1]
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    paths = [[1]]  # paths[h]: the weighted paths of the steps so far ending at height h
-    for step in range(1, 2 * n + 1):
-        top = min(step, 2 * n - step)  # higher paths cannot return to 0 in time
-        nxt: list[list[int]] = [[] for _ in range(top + 1)]
-        for h, poly in enumerate(paths):
-            if h < top:
-                _add_into(nxt[h + 1], poly)
-            if 0 < h <= top + 1:
-                _add_into(nxt[h - 1], _times_q_integer(poly, h))
-        paths = nxt
-    return paths[0]
-
-
-def _add_into(acc: list[int], poly: list[int]) -> None:
-    acc.extend([0] * (len(poly) - len(acc)))
-    for j, c in enumerate(poly):
-        acc[j] += c
-
-
-def _times_q_integer(poly: list[int], h: int) -> list[int]:
-    """poly * [h]_q: coefficient j is the sum of poly[j-h+1 .. j]."""
-    out, window = [], 0
-    for j in range(len(poly) + h - 1):
-        if j < len(poly):
-            window += poly[j]
-        if j >= h:
-            window -= poly[j - h]
-        out.append(window)
-    return out
+    top = math.comb(n, 2)
+    series = [0] * (top + 1)
+    for j in range(n + 1):
+        degree = j * (j + 1) // 2
+        if degree <= top:  # every j < n, and j = 0 at n = 0
+            ballot = math.comb(2 * n, n - j) - math.comb(2 * n, n + j + 1)
+            series[degree] = (-1) ** j * ballot
+    for _ in range(n):
+        series = list(itertools.accumulate(series))
+    return series

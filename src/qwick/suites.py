@@ -476,15 +476,13 @@ def x_coefficients(poly: dict, powers: list[dict]) -> list[float]:
 
 
 def hermite_coefficients(n: int) -> list[int]:
-    """Probabilists' Hermite coefficients from the integer three-term recurrence."""
-    polys = [[1], [0, 1]]
-    for k in range(1, n):
-        prev, cur = polys[k - 1], polys[k]
-        nxt = [0] + cur
-        for i, c in enumerate(prev):
-            nxt[i] -= k * c
-        polys.append(nxt)
-    return polys[n]
+    """Probabilists' Hermite coefficients, lowest power first, from the explicit
+    sum He_n = sum_m (-1)^m n! / (m! (n-2m)! 2^m) x^(n-2m)."""
+    coeffs = [0] * (n + 1)
+    for m in range(n // 2 + 1):
+        magnitude = math.factorial(n) // (math.factorial(m) * math.factorial(n - 2 * m) * 2**m)
+        coeffs[n - 2 * m] = (-1) ** m * magnitude
+    return coeffs
 
 
 def _hermite(ctx: QContext, tolerance: float) -> tuple[list[float], dict, tuple]:
@@ -508,9 +506,7 @@ def _hermite(ctx: QContext, tolerance: float) -> tuple[list[float], dict, tuple]
     classical_worst = 0.0
     for n in range(7):
         coeffs = x_coefficients(wick_monomial([e] * n, q_near_one), powers[: n + 1])
-        hermite = hermite_coefficients(n)
-        for k in range(n + 1):
-            target = float(hermite[k]) if k < len(hermite) else 0.0
+        for k, target in enumerate(map(float, hermite_coefficients(n))):
             classical_worst = max(
                 classical_worst, abs(coeffs[k] - target) / max(1.0, abs(target))
             )
@@ -530,10 +526,14 @@ def _two_vectors(ctx: QContext, rng: np.random.Generator) -> tuple[GradedVector,
     return GradedVector.random(ctx, rng), GradedVector.random(ctx, rng)
 
 
+EMBEDDING_R, EMBEDDING_ALPHA, EMBEDDING_WEIGHT_BASE = 1.0, 2.0, "abs_q"
+
+
 @_stacked
 def _embedding(ctx: QContext, f: GradedVector) -> list[float]:
     """The |q|-weighted test scale dominates the center norm."""
-    residual = embedding_residual(f, 1.0, 2.0, default_hplus_weights(ctx.dim))
+    weights = default_hplus_weights(ctx.dim)
+    residual = embedding_residual(f, EMBEDDING_R, EMBEDDING_ALPHA, weights, EMBEDDING_WEIGHT_BASE)
     return (residual / np.maximum(1.0, fock_norm(f))).tolist()
 
 
@@ -550,9 +550,12 @@ def _embedding_findings(ctx: QContext, side) -> tuple[dict, tuple]:
     return {"plain_q_weight_failure_residual": residual}, ()
 
 
+LEMMA53_DEGREES = range(1, 4)
+
+
 def _lemma53_draw(ctx: QContext, rng: np.random.Generator) -> tuple:
-    m = int(rng.integers(1, 4))
-    n = int(rng.integers(1, 4))
+    m = int(rng.integers(LEMMA53_DEGREES.start, LEMMA53_DEGREES.stop))
+    n = int(rng.integers(LEMMA53_DEGREES.start, LEMMA53_DEGREES.stop))
     return m, n, rng.standard_normal(ctx.dim**m), rng.standard_normal(ctx.dim**n)
 
 
@@ -739,10 +742,14 @@ SUITES = {
         _one_vector,
         _embedding,
         findings=_embedding_findings,
-        params={"alpha": 2.0, "r": 1.0, "weight_base": "abs_q"},
+        params={"alpha": EMBEDDING_ALPHA, "r": EMBEDDING_R, "weight_base": EMBEDDING_WEIGHT_BASE},
     ),
     "lemma53": Suite(
-        1e-9, _lemma53_draw, _lemma53, params={"degrees": "1..3"}, shared=("q", "dim")
+        1e-9,
+        _lemma53_draw,
+        _lemma53,
+        params={"degrees": f"{LEMMA53_DEGREES[0]}..{LEMMA53_DEGREES[-1]}"},
+        shared=("q", "dim"),
     ),
     "theorem43": Suite(1e-9, _two_vectors, pair=_theorem43_pair),
     "vage": Suite(1e-9, _two_vectors, pair=_vage_pair),

@@ -1,3 +1,4 @@
+import doctest
 import itertools
 import math
 from dataclasses import dataclass
@@ -5,6 +6,7 @@ from typing import Iterator, Sequence
 
 import pytest
 
+from qwick import qcombinatorics
 from qwick.qcombinatorics import (
     PERMUTATION_CAP,
     crossing_polynomial,
@@ -210,7 +212,7 @@ def _crossings_by_interleaving(blocks):
     return crossings
 
 
-@pytest.mark.parametrize("n", range(0, 21))
+@pytest.mark.parametrize("n", range(0, 41))
 def test_crossing_polynomial_against_independent_enumeration(n):
     if n <= 3:  # permutation-based oracle is factorial-cost
         oracle_counts = {}
@@ -225,6 +227,10 @@ def test_crossing_polynomial_against_independent_enumeration(n):
     assert counts[0] == catalan_number(n)
     assert len(counts) - 1 == math.comb(n, 2)
     assert counts[-1] == 1
+    # two chords cross in one of the three ways to match their four endpoints,
+    # so a pair partition has C(n,2)/3 crossings on average: this pins the middle
+    crossings = sum(k * c for k, c in enumerate(counts))
+    assert 3 * crossings == double_factorial_odd(n) * math.comb(n, 2)
 
 
 @pytest.mark.parametrize("n", range(0, 7))
@@ -244,6 +250,13 @@ def test_crossing_polynomial_frozen_values():
         crossing_polynomial(-1)
     with pytest.raises(ValueError):  # the enumeration oracle keeps its cap
         next(enumerate_pair_partitions(7))
+
+
+def test_module_doctests_pass():
+    """The `>>>` examples in the module's docstrings; pytest does not collect them."""
+    results = doctest.testmod(qcombinatorics)
+    assert results.failed == 0
+    assert results.attempted >= 4
 
 
 def test_pair_partition_invariants():

@@ -24,6 +24,7 @@ from qwick.suites import (
     RunConfig,
     _random_exact_vector,
     _trial_rng,
+    hermite_coefficients,
     run_suite,
     suite_context,
 )
@@ -148,6 +149,17 @@ def test_vage_report_per_scale_bounds():
     assert report.bound == pytest.approx(math.sqrt(2.0))
     assert report.max_ratio <= report.bound + 1e-9
     assert report.params["per_scale"][0]["r"] == 2.0
+
+
+def test_hermite_coefficients_follow_the_three_term_recurrence():
+    """He_(n+1) = x He_n - n He_(n-1), from He_0 = 1 and He_1 = x."""
+    assert hermite_coefficients(0) == [1]
+    assert hermite_coefficients(1) == [0, 1]
+    assert hermite_coefficients(4) == [3, 0, -6, 0, 1]
+    for n in range(1, 29):
+        times_x = [0] + hermite_coefficients(n)
+        lower = hermite_coefficients(n - 1) + [0, 0]
+        assert hermite_coefficients(n + 1) == [a - n * b for a, b in zip(times_x, lower)]
 
 
 def test_trial_replays_from_suite_key_and_index():
