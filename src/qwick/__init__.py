@@ -60,12 +60,12 @@ from .series import (
 )
 from .suites import Report, RunConfig, run_suite
 from .wick import (
-    MomentReport,
     add_scaled,
     apply_to_fock,
     field_mul,
     moment,
     moments,
+    pairing_moments,
     vacuum_vector,
     wick_monomial,
     wick_mul_poly,

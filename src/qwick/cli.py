@@ -19,17 +19,17 @@ import numpy as np
 from .fock import (
     EIGENSOLVER_CAP,
     GradedVector,
-    QContext,
     as_one_particle,
     basis_vector,
     json_numbers,
     json_value,
     unique_keys,
 )
+from .qcombinatorics import check_deformation
 from .scales import WEIGHT_BASES, default_hplus_weights, f_dual_norm, g_norm, graded_tensor
 from .series import wick_exp, wick_inverse
 from .suites import SUITE_NAMES, Report, RunConfig, run_suite, suite_context
-from .wick import MAX_MOMENT_ORDER, moments
+from .wick import MAX_MOMENT_ORDER, moments, pairing_moments
 
 # verify's settings, in RunConfig's order, each typed by its default: every
 # field is a flag (`--max-degree` for max_degree), a config key and an override
@@ -124,25 +124,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_moments(args: argparse.Namespace) -> int:
     if not 0 <= args.order <= MAX_MOMENT_ORDER:
         raise ValueError(f"--order must be in 0..{MAX_MOMENT_ORDER}, got {args.order}")
-    dim, phi = args.dim, None
+    phi = None
     if args.phi:
         phi = np.asarray(json_numbers(_load_json(args.phi), "--phi"), dtype=float)
-        dim = phi.size
-    ctx = QContext(args.q, dim, max(1, (args.order + 1) // 2))
+    dim = args.dim if args.dim is not None else 2 if phi is None else phi.size
+    check_deformation(args.q)
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
     if dim ** (args.order // 2) > EIGENSOLVER_CAP:
         raise ValueError(
             f"--order {args.order} at dim {dim} walks tensors of {dim}**{args.order // 2} "
             f"entries, more than {EIGENSOLVER_CAP}"
         )
     phi = basis_vector(dim, 0) if phi is None else as_one_particle(phi, dim)
+    values, oracle = moments(phi, args.order, args.q), pairing_moments(phi, args.order, args.q)
     rows = [
-        {
-            "k": report.order,
-            "value": report.value,
-            "oracle": report.oracle_value,
-            "residual": report.residual,
-        }
-        for report in moments(phi, args.order, ctx)
+        {"k": k, "value": value, "oracle": exact, "residual": abs(value - exact)}
+        for k, (value, exact) in enumerate(zip(values.tolist(), oracle.tolist()))
     ]
     if not all(math.isfinite(v) for row in rows for v in row.values()):
         raise ValueError("moments are not finite; scale --phi down")
@@ -214,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     moments = ops.add_parser("moments", help="vacuum moments against the pairing oracle")
     moments.add_argument("--q", type=float, default=0.5)
-    moments.add_argument("--dim", type=int, default=2)
+    moments.add_argument("--dim", type=int, default=None, help="default: 2 or the --phi length")
     moments.add_argument("--order", type=int, default=8)
     moments.add_argument("--phi", default=None, help="JSON list with the test vector")
     moments.add_argument("--out", default=None)

@@ -222,8 +222,11 @@ def lemma53_residual(f, g, ctx: QContext, m: int, n: int) -> float:
     return max(0.0, lhs - rhs)
 
 
+VAGE_ALPHA = 2.0  # the exponent at which the vage bound holds
+
+
 def vage_ratio(f: GradedVector, g: GradedVector, r: float, s: float):
-    """Asymmetric submultiplicativity on the dual scale at exponent -2:
+    """Asymmetric submultiplicativity on the dual scale at exponent -VAGE_ALPHA:
 
         ||F (x) G||_r  <=  sqrt(r / (r - s)) ||F||_s ||G||_r,   r > s >= 1,
 
@@ -232,10 +235,10 @@ def vage_ratio(f: GradedVector, g: GradedVector, r: float, s: float):
     """
     if not s >= 1.0 or not r > s:
         raise ValueError("requires r > s >= 1")
-    denom = f_dual_norm(f, s, 2.0) * f_dual_norm(g, r, 2.0)
+    denom = f_dual_norm(f, s, VAGE_ALPHA) * f_dual_norm(g, r, VAGE_ALPHA)
     if np.any(denom == 0.0):
         raise ValueError("zero denominator: both factors must be nonzero")
-    ratio = f_dual_norm(graded_tensor(f, g), r, 2.0) / denom
+    ratio = f_dual_norm(graded_tensor(f, g), r, VAGE_ALPHA) / denom
     return batch_value(ratio)
 
 

@@ -47,6 +47,7 @@ from .qcombinatorics import (
     q_integer,
 )
 from .scales import (
+    VAGE_ALPHA,
     default_hplus_weights,
     embedding_residual,
     estimate_c1,
@@ -63,6 +64,7 @@ from .wick import (
     apply_to_fock,
     field_mul,
     moments,
+    pairing_moments,
     vacuum_vector,
     wick_monomial,
     wick_mul_poly,
@@ -358,12 +360,11 @@ def _moments(ctx: QContext, phi: np.ndarray) -> list[float]:
     # each row's |phi| by the dot product np.linalg.norm takes, so a row keeps
     # the bits it has as a lone draw
     scale = np.maximum(1.0, np.sqrt((phi[:, None, :] @ phi[:, :, None])[:, 0, 0]))
+    top = _moment_orders(ctx)
+    walked, paired = moments(phi, top, ctx.q), pairing_moments(phi, top, ctx.q)
     worst = np.zeros(len(phi))
-    for k, report in enumerate(moments(phi, _moment_orders(ctx), ctx)):
-        if k % 2 == 0:
-            ratio = report.residual / np.abs(report.oracle_value)
-        else:
-            ratio = np.abs(report.value) / scale**k
+    for k, (value, oracle) in enumerate(zip(walked, paired)):
+        ratio = np.abs(value - oracle) / np.abs(oracle) if k % 2 == 0 else np.abs(value) / scale**k
         worst = np.maximum(worst, ratio)
     return worst.tolist()
 
@@ -591,14 +592,15 @@ def _theorem43_pair(ctx: QContext, big: float, small: float, alpha: float):
 
 
 def _vage_pair(ctx: QContext, r: float, s: float, alpha: float):
-    """Asymmetric submultiplicativity on the dual scale at exponent -2."""
+    """Asymmetric submultiplicativity on the dual scale at exponent
+    -VAGE_ALPHA, whatever the pair's configured alpha."""
     bound = math.sqrt(r / (r - s))
 
     @_stacked
     def check(ctx: QContext, f: GradedVector, g: GradedVector) -> list[float]:
         return vage_ratio(f, g, r, s).tolist()
 
-    return f"vage:{r}:{s}", {"r": r, "s": s, "bound": bound}, bound, check
+    return f"vage:{r}:{s}", {"r": r, "s": s, "alpha": VAGE_ALPHA, "bound": bound}, bound, check
 
 
 DUALITY_R, DUALITY_ALPHA = 2.0, 2.0

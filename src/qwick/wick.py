@@ -15,7 +15,6 @@ gives each row bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,11 +23,10 @@ from .fock import (
     GradedVector,
     QContext,
     as_one_particle,
-    batch_value,
     contract,
     tensor_product,
 )
-from .qcombinatorics import crossing_polynomial
+from .qcombinatorics import check_deformation, crossing_polynomial
 
 
 def _put(p: dict, key: tuple[int, int], kernel: np.ndarray) -> None:
@@ -168,76 +166,63 @@ def vacuum_vector(p: dict, ctx: QContext) -> GradedVector:
 MAX_MOMENT_ORDER = 40
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """One order's moment, both ways; value and oracle_value have the batch
-    shape of phi."""
-
-    order: int
-    value: float
-    oracle_value: float
-
-    @property
-    def residual(self) -> float:
-        return batch_value(np.abs(self.value - self.oracle_value))
-
-
-def moments(phi, top: int, ctx: QContext) -> list[MomentReport]:
-    """Vacuum moments of orders 0..top of the field operator of phi (shape
-    batch + (d,): one walk serves every row), each computed two independent
-    ways.
-
-    value (the fast route): one walk of the vacuum, top steps under creation
-    plus annihilation by phi on per-degree arrays; the moment of order k is
-    the degree-0 entry after step k.  A component that can no longer return
-    to degree 0 by step top is dropped, which leaves every earlier readout
-    bit for bit as a walk of its own length would give it.  A closed 0 -> 0
-    walk of k steps climbs at most floor(k/2) levels, so the walk is exact
-    once max_degree covers that.
-    oracle: ||phi||^k times the crossing polynomial of pair partitions of k
-    points evaluated at q, zero for odd k.  The integer polynomial is
-    evaluated exactly at the rational value of the double q, once per order,
-    and rounded once, since the float sum cancels for q < 0 at high order.
-    """
+def _moment_args(phi, top: int, q: float) -> tuple[np.ndarray, float]:
     if top < 0:
         raise ValueError("moment order must be nonnegative")
-    if ctx.max_degree < top // 2:
-        raise ValueError(
-            f"moment of order {top} needs max_degree >= {top // 2}, got {ctx.max_degree}"
-        )
-    phi = as_one_particle(phi, ctx.dim)
+    if np.shape(phi)[-1:] in ((), (0,)):
+        raise ValueError(f"one-particle vector must have an entry, got shape {np.shape(phi)}")
+    return as_one_particle(phi, np.shape(phi)[-1]), check_deformation(q)
+
+
+def moments(phi, top: int, q: float) -> np.ndarray:
+    """Vacuum moments of orders 0..top of the field operator of phi (shape
+    batch + (d,)), shape (top + 1,) + batch: one walk of the vacuum, top
+    steps under creation plus annihilation by phi on per-degree arrays, read
+    at degree 0 after each step.  A component that can no longer return to
+    degree 0 by step top is dropped, which leaves every earlier readout bit
+    for bit as a walk of its own length would give it, and bounds the walk
+    at degree top // 2."""
+    phi, q = _moment_args(phi, top, q)
     batch = phi.shape[:-1]
-    norm_sq = (phi[..., None, :] @ phi[..., :, None]).reshape(-1).tolist()
-    num, den = float(ctx.q).as_integer_ratio()
-    ones = batch_value(np.ones(batch))
-    reports = [MomentReport(0, ones, ones)]
+    out = np.zeros((top + 1,) + batch)
+    out[0] = 1.0
     walk = {0: np.ones(batch + (1,))}  # degree -> component of the vacuum walked so far
     for step in range(1, top + 1):
-        reach = min(ctx.max_degree, top - step)  # higher degrees cannot return to 0
         nxt: dict[int, np.ndarray] = {}
         for n, arr in walk.items():
-            if n < reach:
+            if n < top - step:  # higher degrees cannot return to 0
                 nxt[n + 1] = tensor_product(phi, arr) + nxt.get(n + 1, 0.0)
-            if 0 < n <= reach + 1:
-                nxt[n - 1] = contract(phi, arr, n, ctx.q) + nxt.get(n - 1, 0.0)
+            if n:
+                nxt[n - 1] = contract(phi, arr, n, q) + nxt.get(n - 1, 0.0)
         walk = nxt
-        value = batch_value(walk[0][..., 0] if 0 in walk else np.zeros(batch))
-        oracle = [0.0] * len(norm_sq)
-        if step % 2 == 0:
-            coeffs = crossing_polynomial(step // 2)
-            top_power = len(coeffs) - 1
-            exact = sum(c * num**j * den ** (top_power - j) for j, c in enumerate(coeffs))
-            polynomial = exact / den**top_power
-            # numpy's power gives inf where a float's raises OverflowError; a
-            # scalar power per row, since an array power may round otherwise
-            oracle = [float(np.float64(x) ** (step // 2) * polynomial) for x in norm_sq]
-        reports.append(MomentReport(step, value, batch_value(np.reshape(oracle, batch))))
-    return reports
+        if 0 in walk:
+            out[step] = walk[0][..., 0]
+    return out
 
 
-def moment(phi, k: int, ctx: QContext) -> MomentReport:
-    """k-th vacuum moment of the field operator of phi, two independent ways:
-    the last row of `moments(phi, k, ctx)`, whose vacuum walk is the fast
-    route and whose crossing polynomial is the oracle.  To read several
-    orders of one phi, call `moments` once: it walks the vacuum once."""
-    return moments(phi, k, ctx)[k]
+def pairing_moments(phi, top: int, q: float) -> np.ndarray:
+    """The oracle of `moments`, sharing no code with its walk: ||phi||^k times
+    the crossing polynomial of pair partitions of k points evaluated at q,
+    zero for odd k.  The integer polynomial is evaluated exactly at the
+    rational value of the double q, once per order, and rounded once, since
+    the float sum cancels for q < 0 at high order."""
+    phi, q = _moment_args(phi, top, q)
+    norm_sq = (phi[..., None, :] @ phi[..., :, None]).reshape(-1).tolist()
+    num, den = q.as_integer_ratio()
+    out = np.zeros((top + 1, len(norm_sq)))
+    for k in range(0, top + 1, 2):
+        coeffs = crossing_polynomial(k // 2)
+        top_power = len(coeffs) - 1
+        exact = sum(c * num**j * den ** (top_power - j) for j, c in enumerate(coeffs))
+        polynomial = exact / den**top_power
+        # numpy's power gives inf where a float's raises OverflowError; a
+        # scalar power per row, since an array power may round otherwise
+        out[k] = [float(np.float64(x) ** (k // 2) * polynomial) for x in norm_sq]
+    return out.reshape((top + 1,) + phi.shape[:-1])
+
+
+def moment(phi, k: int, q: float):
+    """k-th vacuum moment of the field operator of phi: the last entry of
+    `moments(phi, k, q)`.  To read several orders of one phi, call `moments`
+    once: it walks the vacuum once."""
+    return moments(phi, k, q)[k]

@@ -21,7 +21,7 @@ from qwick.fock import (
 from qwick.scales import default_hplus_weights, f_dual_norm, g_norm, graded_tensor, vage_ratio
 from qwick.series import wick_exp, wick_inverse
 from qwick.suites import DEFAULT_SCALES, SUITE_NAMES, SUITES, RunConfig, _trial_rng, run_suite
-from qwick.wick import moments
+from qwick.wick import moments, pairing_moments
 
 SHAPES = ((1, 5), (2, 6), (3, 4))
 QS = (-0.7, 0.0, 0.5)
@@ -101,10 +101,11 @@ def test_commutation_and_moment_rows(batch):
     exchange = commutation_residual(phis, psis, ctx)
     for i in range(ROWS):
         assert exchange[i] == commutation_residual(phis[i], psis[i], ctx)
-    walked = moments(phis, 2 * ctx.max_degree, ctx)
-    for i in range(ROWS):
-        for both, alone in zip(walked, moments(phis[i], 2 * ctx.max_degree, ctx)):
-            assert (both.value[i], both.oracle_value[i]) == (alone.value, alone.oracle_value)
+    top = 2 * ctx.max_degree
+    for route in (moments, pairing_moments):
+        stacked = route(phis, top, ctx.q)
+        for i in range(ROWS):
+            assert stacked[:, i].tobytes() == route(phis[i], top, ctx.q).tobytes()
 
 
 def test_commutation_rows_with_one_trial_per_slice(batch, monkeypatch):

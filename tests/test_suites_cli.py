@@ -151,6 +151,15 @@ def test_vage_report_per_scale_bounds():
     assert report.params["per_scale"][0]["r"] == 2.0
 
 
+def test_scale_records_name_the_exponent_each_suite_checks(tmp_path):
+    # vage's bound holds at exponent 2 only; theorem43 runs at the configured one
+    for name, alpha in (("vage", 2.0), ("theorem43", 3.0)):
+        out = tmp_path / f"{name}.json"
+        argv = ["verify", "--suite", name, "--scales", "2:1:3", "--trials", "2", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert [p["alpha"] for p in json.loads(out.read_text())["params"]["per_scale"]] == [alpha]
+
+
 def test_hermite_coefficients_follow_the_three_term_recurrence():
     """He_(n+1) = x He_n - n He_(n-1), from He_0 = 1 and He_1 = x."""
     assert hermite_coefficients(0) == [1]
@@ -428,6 +437,21 @@ def test_cli_precondition_fails_before_output(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("out", (False, True))
+def test_cli_moments_dim_must_match_phi(out, tmp_path, capsys):
+    phi = tmp_path / "phi.json"
+    phi.write_text("[0.5, 0.25]")
+    argv = ["compute", "moments", "--dim", "3", "--phi", str(phi), "--order", "4"]
+    if out:
+        argv += ["--out", str(tmp_path / "moments.json")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must have length 3" in captured.err
+    assert not (tmp_path / "moments.json").exists()
+    assert cli.main(argv[:2] + argv[4:]) == 0  # without --dim, phi sets it
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")

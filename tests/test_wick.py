@@ -16,12 +16,12 @@ from qwick.fock import (
 from qwick.qcombinatorics import q_integer
 from qwick.wick import (
     MAX_MOMENT_ORDER,
-    MomentReport,
     add_scaled,
     apply_to_fock,
     field_mul,
     moment,
     moments,
+    pairing_moments,
     vacuum_vector,
     wick_monomial,
     wick_mul_poly,
@@ -591,58 +591,70 @@ def test_fourth_moment_value(q):
 
 
 def test_moment_odd_orders_vanish():
-    ctx = QContext(0.5, 2, 4)
     rng = np.random.default_rng(12)
     phi = rng.standard_normal(2)
     for k in (1, 3, 5, 7):
-        report = moment(phi, k, ctx)
-        assert report.value == 0.0
-        assert report.oracle_value == 0.0
+        assert moment(phi, k, 0.5) == 0.0
+        assert pairing_moments(phi, k, 0.5)[k] == 0.0
 
 
 @pytest.mark.parametrize("q", Q_GRID)
 def test_moment_against_crossing_oracle(q):
-    ctx = QContext(q, 2, 5)
     rng = np.random.default_rng(13)
     phi = rng.standard_normal(2)
+    walked, paired = moments(phi, 10, q), pairing_moments(phi, 10, q)
     for k in (0, 2, 4, 6, 8, 10):
-        report = moment(phi, k, ctx)
-        assert report.residual <= 1e-9 * abs(report.oracle_value)
+        assert abs(walked[k] - paired[k]) <= 1e-9 * abs(paired[k])
 
 
 def test_moment_frozen_values():
     e = basis_vector(2, 0)
-    report = moment(e, 6, QContext(0.5, 2, 3))
-    assert report.oracle_value == pytest.approx(8.875, abs=1e-15)  # 5 + 6q + 3q^2 + q^3
-    assert report.value == pytest.approx(8.875, abs=1e-12)
+    assert pairing_moments(e, 6, 0.5)[6] == pytest.approx(8.875, abs=1e-15)  # 5 + 6q + 3q^2 + q^3
+    assert moment(e, 6, 0.5) == pytest.approx(8.875, abs=1e-12)
     catalan = [1.0, 1.0, 2.0, 5.0, 14.0]
-    ctx0 = QContext(0.0, 2, 4)
     for n, expected in enumerate(catalan):
-        assert moment(e, 2 * n, ctx0).value == pytest.approx(expected, abs=1e-12)
+        assert moment(e, 2 * n, 0.0) == pytest.approx(expected, abs=1e-12)
 
 
 def test_moment_preconditions():
-    ctx = QContext(0.5, 2, 2)
-    with pytest.raises(ValueError):
-        moment(basis_vector(2, 0), 6, ctx)  # needs max_degree >= 3
-    with pytest.raises(ValueError):
-        moment(basis_vector(2, 0), -1, ctx)
+    for route in (moments, pairing_moments):
+        with pytest.raises(ValueError):
+            route(basis_vector(2, 0), -1, 0.5)
+        with pytest.raises(ValueError):
+            route(basis_vector(2, 0), 4, 1.0)  # |q| < 1
+        for phi in ([1.0, np.nan], [], 1.0):
+            with pytest.raises(ValueError):
+                route(phi, 4, 0.5)
     # past the 12 points the pair-partition enumeration stops at
-    report = moment(basis_vector(2, 0), 14, QContext(0.5, 2, 7))
-    assert report.residual <= 1e-13 * report.oracle_value
+    e = basis_vector(2, 0)
+    value, oracle = moment(e, 14, 0.5), pairing_moments(e, 14, 0.5)[14]
+    assert abs(value - oracle) <= 1e-13 * oracle
 
 
 @pytest.mark.parametrize("dim", (1, 2, 3))
 @pytest.mark.parametrize("q", (-0.7, 0.0, 0.5, 0.9))
 def test_moments_rows_equal_single_order_walks(dim, q):
-    ctx = QContext(q, dim, 4)
     phi = np.random.default_rng(14 + dim).standard_normal(dim)
-    reports = moments(phi, 8, ctx)
-    assert [r.order for r in reports] == list(range(9))
-    for k, report in enumerate(reports):
-        single = moment(phi, k, ctx)
-        assert np.float64(report.value).tobytes() == np.float64(single.value).tobytes()
-        assert report.oracle_value == single.oracle_value
+    walked, paired = moments(phi, 8, q), pairing_moments(phi, 8, q)
+    assert walked.shape == paired.shape == (9,)
+    for k in range(9):
+        assert walked[k].tobytes() == moment(phi, k, q).tobytes()
+        assert paired[k] == pairing_moments(phi, k, q)[k]
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3))
+@pytest.mark.parametrize("q", Q_GRID)
+def test_moments_equal_the_field_applied_to_the_vacuum(dim, q):
+    # the drop rule against create + annihilate on a space truncated at
+    # top // 2, the highest degree a closed walk of top steps reaches
+    phis = np.random.default_rng([17, dim]).standard_normal((4, dim))
+    for top in range(11):
+        walked = moments(phis, top, q)
+        w = GradedVector.vacuum(QContext(q, dim, top // 2))
+        for k in range(1, top + 1):
+            w = create(phis, w) + annihilate(phis, w)
+            assert (walked[k] == w.component(0)[..., 0]).all(), (top, k)
+        assert (walked[0] == 1.0).all()
 
 
 def _jacobi_moment(norm: float, k: int, q: float) -> float:
@@ -664,12 +676,11 @@ def test_moment_oracle_matches_jacobi_matrix_to_order_40(q):
     # the float sum of the crossing polynomial's terms is off by 3.7 relative
     # at q = -0.9, order 40; the oracle rounds once
     phi = np.array([-1.3])
-    for report in moments(phi, MAX_MOMENT_ORDER, QContext(q, 1, MAX_MOMENT_ORDER // 2)):
-        if report.order % 2:
-            continue
-        want = _jacobi_moment(1.3, report.order, q)
-        assert abs(report.oracle_value - want) <= 1e-13 * want
-        assert abs(report.value - want) <= 1e-13 * want
+    walked, paired = moments(phi, MAX_MOMENT_ORDER, q), pairing_moments(phi, MAX_MOMENT_ORDER, q)
+    for k in range(0, MAX_MOMENT_ORDER + 1, 2):
+        want = _jacobi_moment(1.3, k, q)
+        assert abs(paired[k] - want) <= 1e-13 * want
+        assert abs(walked[k] - want) <= 1e-13 * want
 
 
 def test_l2_inner_examples():
@@ -724,8 +735,3 @@ def test_l2_gram_matches_kernel_gram():
             kernel_g = elementary_tensor(gs)
             rhs = float(apply_pq(2, kernel_f, ctx) @ kernel_g)
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
-
-
-def test_moment_report_residual():
-    report = MomentReport(4, 2.5, 2.0)
-    assert report.residual == 0.5
