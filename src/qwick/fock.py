@@ -22,6 +22,10 @@ or a stacked matmul (`a[..., None, :] @ b`), which sums each row as the 1-D
 product does; a plain gemm, einsum or sum may sum in another order.  An
 unbatched call is the batch-shape-() case and returns a float.
 
+The q-commutation relation is create and annihilate composed on a vector
+(`commutation_residual`), with no matrix of its own; basis vectors and a
+degree's identity columns as the batch give the relation's blocks.
+
 Vectors are validated where they enter: the public GradedVector constructor
 (which JSON files, the CLI and the suites' draws go through) checks degrees,
 shapes and finiteness.  A kernel result is built from fresh arrays whose
@@ -43,9 +47,6 @@ EIGENSOLVER_CAP = 4096  # largest d**n for dense spectral probes
 # largest d**n for which apply_pq memoizes the dense P: below it a cached
 # matvec beats the kernel, above it the kernel wins and skips the matrix
 MATRIX_CACHE_CAP = 512
-# largest array, in bytes, that commutation_residual builds for one slice of
-# its trials: all trials of a stream fit at d = 2, degree 5, at degree 7 four
-STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -533,54 +534,23 @@ def swap_constant(n: int, dim: int, q: float) -> float:
     return float(np.linalg.norm(term, 2))
 
 
-def commutation_residual(phi, psi, ctx: QContext):
-    """Residual norm, on degrees <= N-1, of
+def commutation_residual(phi, psi, f: GradedVector):
+    """||R f|| / max(1, ||f||), in the Euclidean norm, for the exchange residual
 
-        a^-(phi) a^+(psi) - q a^+(psi) a^-(phi) - (phi, psi) Id,
+        R = a^-(phi) a^+(psi) - q a^+(psi) a^-(phi) - (phi, psi) Id,
 
-    the exchange form: the weighted term swaps the operators and keeps the
-    arguments, the rule under which they genuinely commute.
-
-    The residual vanishes in exact arithmetic, so its blocks hold only
-    rounding.  They are built by the kernels on identity columns, degree by
-    degree (the products are block diagonal), for as many trials at a time as
-    keep the largest array of a slice within STACK_BYTES, and each trial
-    reports the largest Frobenius norm of its blocks: an upper bound on the
-    operator 2-norm, so the check is no looser than the 2-norm's.
-
-    Trading the arguments instead, to q a^+(phi) a^-(psi), leaves
-    q (psi (x) M_phi - phi (x) M_psi) on degree n, with M_x = contract(x, .,
-    n, q).  It is linear in the bivector phi ^ psi and the kernels are
-    O(d)-equivariant, so its 2-norm is exactly |q| |phi ^ psi| c_n
-    (swap_constant) and needs no probe per pair.
+    which swaps the operators and keeps the arguments.  phi, psi and f may
+    carry a batch; a zero f gives 0.  R vanishes below the truncation, so for
+    an f with no degree-N component the value is rounding.  R is bilinear in
+    (phi, psi): a basis pair (e_i, e_j) with a degree's identity columns as f
+    gives the column norms of a block that fixes R for every pair.
     """
-    if ctx.max_degree < 1:
-        raise ValueError("commutation probe needs max_degree >= 1")
-    phi, psi = np.broadcast_arrays(as_one_particle(phi, ctx.dim), as_one_particle(psi, ctx.dim))
-    batch = phi.shape[:-1]
-    phi = phi.reshape(-1, 1, ctx.dim)  # one row per trial, broadcast over the block's rows
-    psi = psi.reshape(-1, 1, ctx.dim)
-    pairing = (phi @ psi.swapaxes(-1, -2))[:, 0]
-    q = ctx.q
-    worst = np.zeros(len(phi))
-    # row j of each block is the operator applied to the basis tensor e_j
-    for n in range(ctx.max_degree):
-        size = ctx.dim**n
-        cols = np.eye(size)
-        # psi (x) cols, d (d^n)^2 entries per trial, is a slice's largest array
-        step = max(1, STACK_BYTES // (ctx.dim * cols.nbytes))
-        for lo in range(0, len(phi), step):
-            rows = slice(lo, lo + step)
-            term = contract(phi[rows], tensor_product(psi[rows], cols), n + 1, q)
-            if n > 0:
-                weighted = tensor_product(psi[rows], contract(phi[rows], cols, n, q))
-                weighted *= q
-                term -= weighted
-            flat = term.reshape(len(term), 1, -1)
-            flat[:, 0, :: size + 1] -= pairing[rows]  # the diagonal of each block
-            frobenius = np.sqrt(flat @ flat.swapaxes(-1, -2))[:, 0, 0]
-            worst[rows] = np.maximum(worst[rows], frobenius)
-    return batch_value(worst.reshape(batch))
+    phi = as_one_particle(phi, f.ctx.dim)
+    psi = as_one_particle(psi, f.ctx.dim)
+    pairing = (phi[..., None, :] @ psi[..., :, None])[..., 0, 0]
+    exchanged = create(psi, annihilate(phi, f)).scale(f.ctx.q)
+    residual = annihilate(phi, create(psi, f)) - exchanged - f.scale(pairing)
+    return batch_value(residual.euclidean_norm() / np.maximum(1.0, f.euclidean_norm()))
 
 
 def pq_spectrum(n: int, ctx: QContext) -> tuple[float, float]:

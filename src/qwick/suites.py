@@ -277,22 +277,46 @@ def run_suite(name: str, cfg: RunConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _unit_pair(ctx: QContext, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    return _unit(rng.standard_normal(ctx.dim)), _unit(rng.standard_normal(ctx.dim))
+COMMUTATION_TOLERANCE = 1e-12
+
+
+def _commutation_draw(ctx: QContext, rng: np.random.Generator) -> tuple:
+    """A unit pair, then f standard normal on degrees < N: creation cuts nothing."""
+    phi, psi = _unit(rng.standard_normal(ctx.dim)), _unit(rng.standard_normal(ctx.dim))
+    f = GradedVector(ctx, {n: rng.standard_normal(ctx.dim**n) for n in range(ctx.max_degree)})
+    return phi, psi, f
 
 
 @_stacked
-def _commutation(ctx: QContext, phi: np.ndarray, psi: np.ndarray) -> list[float]:
-    """a^- a^+ = q a^+ a^- + pairing, on degrees below the truncation edge."""
-    return commutation_residual(phi, psi, ctx).tolist()
+def _commutation(ctx: QContext, phi: np.ndarray, psi: np.ndarray, f: GradedVector) -> list[float]:
+    """a^- a^+ = q a^+ a^- + pairing, on a vector below the truncation edge."""
+    return commutation_residual(phi, psi, f).tolist()
+
+
+def _basis_residuals(ctx: QContext) -> np.ndarray:
+    """Entry (i, j): the largest Frobenius norm, over degrees n < N, of the
+    exchange residual's block at (e_i, e_j), from commutation_residual on the
+    identity columns of degree n; the largest array is one d (d^n)^2 block."""
+    columns = [GradedVector._of(ctx, {n: np.eye(ctx.dim**n)}) for n in range(ctx.max_degree)]
+    out = np.zeros((ctx.dim, ctx.dim))
+    for i, j in np.ndindex(out.shape):
+        e_i, e_j = basis_vector(ctx.dim, i), basis_vector(ctx.dim, j)
+        out[i, j] = max(np.linalg.norm(commutation_residual(e_i, e_j, f)) for f in columns)
+    return out
 
 
 def _commutation_findings(ctx: QContext, side) -> tuple[dict, tuple]:
-    """Documented finding: trading the arguments instead of the operators
-    leaves a residual of 2-norm |q| |phi ^ psi| c_n on degree n, so over unit
-    pairs its supremum is |q| max_n c_n, reached at every orthonormal pair."""
+    """The exchange residual is bilinear in (phi, psi), so its blocks at the
+    d^2 basis pairs decide it for every pair; their largest Frobenius norm
+    is a side check, exactly 0 at q = +-0.5.  Documented finding: trading
+    the arguments instead leaves q (psi (x) M_phi - phi (x) M_psi) on degree
+    n, linear in phi ^ psi, and the kernels are O(d)-equivariant, so its
+    2-norm is |q| |phi ^ psi| c_n (swap_constant); over unit pairs its
+    supremum is |q| max_n c_n, reached at every orthonormal pair."""
     top = max(swap_constant(n, ctx.dim, ctx.q) for n in range(ctx.max_degree))
-    return {"argument_swapped_variant_max_residual": abs(ctx.q) * top}, ()
+    basis = float(_basis_residuals(ctx).max())
+    extra = {"argument_swapped_variant_max_residual": abs(ctx.q) * top, "basis_max_residual": basis}
+    return extra, ((basis, COMMUTATION_TOLERANCE),)
 
 
 def _positivity(ctx: QContext, tolerance: float) -> tuple[list[float], dict, tuple]:
@@ -715,11 +739,11 @@ def _series(ctx: QContext, f: GradedVector) -> list[float]:
 
 SUITES = {
     "commutation": Suite(
-        1e-12,
-        _unit_pair,
+        COMMUTATION_TOLERANCE,
+        _commutation_draw,
         _commutation,
         params={
-            "normalization": "unit test vectors",
+            "normalization": "unit phi, psi; ||R f|| / max(1, ||f||), f normal below degree N",
             "rule": "exchange form: the weighted term swaps operators, keeps arguments",
         },
         findings=_commutation_findings,

@@ -29,6 +29,13 @@ from .fock import (
 from .qcombinatorics import check_deformation, crossing_polynomial
 
 
+def _dimension(phi) -> int:
+    """d of phi, shape batch + (d,); a scalar or an empty vector has none."""
+    if np.shape(phi)[-1:] in ((), (0,)):
+        raise ValueError(f"one-particle vector must have an entry, got shape {np.shape(phi)}")
+    return np.shape(phi)[-1]
+
+
 def _put(p: dict, key: tuple[int, int], kernel: np.ndarray) -> None:
     p[key] = p[key] + kernel if key in p else kernel
 
@@ -63,7 +70,7 @@ def field_mul(phi, p: dict, q: float) -> dict:
     q^m K with phi as the first annihilator slot at (m, k+1).  phi has
     shape batch + (d,), its batch broadcasting against the kernels'.
     """
-    phi = as_one_particle(phi, np.shape(phi)[-1])
+    phi = as_one_particle(phi, _dimension(phi))
     d = phi.shape[-1]
     out: dict = {}
     for (m, k), kernel in p.items():
@@ -90,7 +97,7 @@ def wick_monomial(vectors: Sequence, q: float) -> dict:
     of its arguments' values).  No arguments give the identity.
     """
     q = float(q)
-    dim = np.shape(vectors[0])[-1] if len(vectors) else 1
+    dim = _dimension(vectors[0]) if len(vectors) else 1
     vecs = [as_one_particle(v, dim) for v in vectors]
     batch = np.broadcast_shapes(*(v.shape[:-1] for v in vecs))
     first: dict = {}
@@ -169,9 +176,7 @@ MAX_MOMENT_ORDER = 40
 def _moment_args(phi, top: int, q: float) -> tuple[np.ndarray, float]:
     if top < 0:
         raise ValueError("moment order must be nonnegative")
-    if np.shape(phi)[-1:] in ((), (0,)):
-        raise ValueError(f"one-particle vector must have an entry, got shape {np.shape(phi)}")
-    return as_one_particle(phi, np.shape(phi)[-1]), check_deformation(q)
+    return as_one_particle(phi, _dimension(phi)), check_deformation(q)
 
 
 def moments(phi, top: int, q: float) -> np.ndarray:

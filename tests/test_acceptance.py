@@ -43,7 +43,8 @@ def test_criterion_1_commutation():
                 psi = rng.standard_normal(dim)
                 phi /= np.linalg.norm(phi)
                 psi /= np.linalg.norm(psi)
-                worst = max(worst, commutation_residual(phi, psi, ctx))
+                f = GradedVector(ctx, {n: rng.standard_normal(dim**n) for n in range(4)})
+                worst = max(worst, commutation_residual(phi, psi, f))
                 trials += 1
     ok = worst <= tolerance
     _report(1, "commutation", ok, f"max residual {worst:.3e} <= 1e-12, {trials} trials")

@@ -97,25 +97,15 @@ def test_vector_kernel_rows(batch):
 
 
 def test_commutation_and_moment_rows(batch):
-    ctx, _, _, _, _, phis, psis = batch
-    exchange = commutation_residual(phis, psis, ctx)
+    ctx, fs, _, f, _, phis, psis = batch
+    exchange = commutation_residual(phis, psis, f)
     for i in range(ROWS):
-        assert exchange[i] == commutation_residual(phis[i], psis[i], ctx)
+        assert exchange[i] == commutation_residual(phis[i], psis[i], fs[i])
     top = 2 * ctx.max_degree
     for route in (moments, pairing_moments):
         stacked = route(phis, top, ctx.q)
         for i in range(ROWS):
             assert stacked[:, i].tobytes() == route(phis[i], top, ctx.q).tobytes()
-
-
-def test_commutation_rows_with_one_trial_per_slice(batch, monkeypatch):
-    ctx, _, _, _, _, phis, psis = batch
-    stacked = commutation_residual(phis, psis, ctx)
-    monkeypatch.setattr(fock, "STACK_BYTES", 1)  # every slice holds one trial
-    sliced = commutation_residual(phis, psis, ctx)
-    assert stacked.tolist() == sliced.tolist()
-    for i in range(ROWS):
-        assert sliced[i] == commutation_residual(phis[i], psis[i], ctx)
 
 
 def test_unbatched_norms_are_floats():

@@ -27,7 +27,7 @@ from qwick.fock import (
 from qwick.qcombinatorics import inversions, q_factorial
 from qwick.scales import graded_tensor
 from qwick.series import wick_inverse
-from qwick.suites import SUITES
+from qwick.suites import SUITES, _basis_residuals
 from qwick.wick import apply_to_fock
 
 Q_GRID = (-0.9, -0.5, 0.0, 0.3, 0.5, 0.9)
@@ -408,27 +408,36 @@ def _swap_constant_oracle(ctx):
 def _swapped_finding(ctx):
     """The commutation suite's finding on the argument-swapped variant."""
     findings, side_checks = SUITES["commutation"].findings(ctx, None)
-    assert side_checks == ()
+    assert side_checks == ((findings["basis_max_residual"], 1e-12),)
     return findings["argument_swapped_variant_max_residual"]
+
+
+def _below_edge(ctx, rng):
+    """A commutation trial's f: standard normal on degrees 0..N-1."""
+    return SUITES["commutation"].draw(ctx, rng)[2]
 
 
 @pytest.mark.parametrize("q", Q_GRID)
 @pytest.mark.parametrize("dim,top", ((1, 6), (2, 6), (3, 6)))
 def test_commutation_matches_dense_svd_oracle(dim, top, q):
-    """The exchange value is a Frobenius bound: at least the dense 2-norm and
-    still within the tolerance.  The swapped variant's dense 2-norm is
-    |q| |phi ^ psi| max c_n, so at most |phi| |psi| times the finding, and
-    only rounding when d = 1, q = 0 or psi = +-phi."""
+    """At each basis pair the exchange value is a Frobenius bound: at least
+    the dense 2-norm and still within the tolerance; a trial on a vector
+    below the edge holds only rounding.  The swapped variant's dense 2-norm
+    is |q| |phi ^ psi| max c_n, so at most |phi| |psi| times the finding,
+    and only rounding when d = 1, q = 0 or psi = +-phi."""
     ctx = QContext(q, dim, top)
+    basis = _basis_residuals(ctx)
+    for i, j in np.ndindex(basis.shape):
+        want_exchange = _commutation_oracle(basis_vector(dim, i), basis_vector(dim, j), ctx)[0]
+        assert want_exchange <= basis[i, j] <= 1e-12
     rng = np.random.default_rng([dim, top])
     phi = rng.standard_normal(dim)
     pairs = [(phi, rng.standard_normal(dim)), (phi, 0.5 * rng.standard_normal(dim))]
     pairs += [(phi, phi), (phi, -phi)]
     finding = _swapped_finding(ctx)
     for k, (a, b) in enumerate(pairs):
-        exchange = commutation_residual(a, b, ctx)
-        want_exchange, want_swapped = _commutation_oracle(a, b, ctx)
-        assert want_exchange <= exchange <= 1e-12
+        assert commutation_residual(a, b, _below_edge(ctx, rng)) <= 1e-12
+        want_swapped = _commutation_oracle(a, b, ctx)[1]
         size = np.linalg.norm(a) * np.linalg.norm(b)
         if dim == 1 or q == 0.0 or k >= 2:
             # the dense block holds only rounding here
@@ -481,10 +490,17 @@ def test_kernel_results_skip_revalidation(monkeypatch):
 
 
 def test_commutation_examples():
-    assert commutation_residual([1.0], [1.0], QContext(0.5, 1, 4)) <= 1e-12
+    rng = np.random.default_rng(5)
+    single = _below_edge(QContext(0.5, 1, 4), rng)
+    assert commutation_residual([1.0], [1.0], single) <= 1e-12
     # free case with orthogonal vectors: a^- a^+ alone must vanish on the pairing
     ctx0 = QContext(0.0, 2, 3)
-    assert commutation_residual(basis_vector(2, 0), basis_vector(2, 1), ctx0) <= 1e-12
+    e1, e2 = basis_vector(2, 0), basis_vector(2, 1)
+    assert commutation_residual(e1, e2, _below_edge(ctx0, rng)) <= 1e-12
+    # a zero vector has a zero residual, not 0 / 0
+    zero = GradedVector(ctx0, {0: [0.0], 1: [0.0, 0.0]})
+    assert commutation_residual(e1, e1, zero) == 0.0
+    assert commutation_residual(e1, e1, GradedVector.zero(ctx0)) == 0.0
 
 
 @pytest.mark.parametrize("q", Q_GRID)
@@ -497,7 +513,7 @@ def test_commutation_random_grid(q, dim):
         psi = rng.standard_normal(dim)
         phi /= np.linalg.norm(phi)
         psi /= np.linalg.norm(psi)
-        assert commutation_residual(phi, psi, ctx) <= 1e-12
+        assert commutation_residual(phi, psi, _below_edge(ctx, rng)) <= 1e-12
 
 
 def test_commutation_variant_form_differs():
@@ -506,7 +522,7 @@ def test_commutation_variant_form_differs():
     ctx = QContext(-0.9, 3, 4)
     rng = np.random.default_rng(0)
     phi, psi = rng.standard_normal(3), rng.standard_normal(3)
-    assert commutation_residual(phi, psi, ctx) <= 1e-12
+    assert commutation_residual(phi, psi, _below_edge(ctx, rng)) <= 1e-12
     assert _commutation_oracle(phi, psi, ctx)[1] > 1e-2
     assert _swapped_finding(ctx) > 1e-2
 

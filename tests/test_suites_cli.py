@@ -270,6 +270,47 @@ def test_commutation_catches_a_broken_kernel(monkeypatch, capsys):
     assert cli.main(["verify", "--suite", "commutation", "--trials", "8"]) == 1
 
 
+def _reversed_contract(phi, t, n, q):
+    """contract with slot i weighted q^(n-1-i) in place of q^i."""
+    t = np.asarray(t, dtype=float)
+    d = phi.shape[-1]
+    out = 0.0
+    for i in range(n):
+        view = t.reshape(t.shape[:-1] + (d**i, d, -1))
+        slot = (phi[..., None, :, None] * view).sum(axis=-2)
+        out = out + q ** (n - 1 - i) * slot.reshape(slot.shape[:-2] + (-1,))
+    return out
+
+
+def test_commutation_sees_reversed_slot_weights(monkeypatch):
+    # the moments suite meets only symmetric tensors and cannot see slot
+    # order; the basis blocks and every single trial must
+    monkeypatch.setattr(fock, "contract", _reversed_contract)
+    report = run_suite("commutation", RunConfig())
+    tolerance, basis = report.params["tolerance"], report.params["basis_max_residual"]
+    assert basis > tolerance
+    assert {"trial": -1, "value": basis} in report.violations
+    assert report.trials == 500 and min(report.trial_values) > tolerance
+    assert len(report.violations) == report.trials + 1
+
+
+@pytest.mark.parametrize("dim,max_degree", ((2, 6), (3, 5), (2, 8)))
+def test_commutation_basis_blocks_cancel_exactly_at_dyadic_q(dim, max_degree):
+    # at q = +-0.5 every product and sum in the blocks is exact, so any
+    # deviation shows, down to one ulp; at q = 0.3 they only round
+    for q in (0.5, -0.5, 0.3):
+        cfg = RunConfig(q=q, dim=dim, max_degree=max_degree, trials=1)
+        basis = run_suite("commutation", cfg).params["basis_max_residual"]
+        assert basis == 0.0 if q != 0.3 else basis <= 1e-12
+
+
+def test_cli_commutation_at_the_north_star_config(capsys):
+    args = ["verify", "--suite", "commutation", "--dim", "3", "--max-degree", "6"]
+    assert cli.main(args) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["trials"] == 500 and report["params"]["basis_max_residual"] == 0.0
+
+
 def test_cli_adjointness_without_shared_degrees(tmp_path, capsys):
     # at max_degree 0, creation and annihilation leave nothing in common with
     # the other argument, so each side of the pairing is a batch of zeros

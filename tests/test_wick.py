@@ -631,6 +631,21 @@ def test_moment_preconditions():
     assert abs(value - oracle) <= 1e-13 * oracle
 
 
+@pytest.mark.parametrize("phi", (1.0, []), ids=("scalar", "empty"))
+def test_one_particle_vector_needs_an_entry_at_every_entry_point(phi):
+    # a scalar has no last axis to read d from, and an empty vector names a
+    # zero-dimensional field; neither is a one-particle vector
+    entry_points = (
+        lambda: moments(phi, 2, 0.5),
+        lambda: pairing_moments(phi, 2, 0.5),
+        lambda: field_mul(phi, IDENTITY, 0.5),
+        lambda: wick_monomial([phi], 0.5),
+    )
+    for call in entry_points:
+        with pytest.raises(ValueError, match="must have an entry"):
+            call()
+
+
 @pytest.mark.parametrize("dim", (1, 2, 3))
 @pytest.mark.parametrize("q", (-0.7, 0.0, 0.5, 0.9))
 def test_moments_rows_equal_single_order_walks(dim, q):
