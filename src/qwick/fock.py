@@ -10,15 +10,16 @@ The twisted scalar product on degree n is (P f, g) where P is the
 inversion-weighted sum of permutation actions on tensor factors.  One-particle
 vectors are plain length-d arrays.
 
-Creation, annihilation and P are each written once, as kernels on the last
-axis of an array whose leading axes are a batch; every dense operator matrix
-is derived by applying a kernel to identity columns.  The functions built on
-them take the same batch: a GradedVector's components may have shape
-batch + (d**n,) (`GradedVector.stack`), a one-particle argument shape
-batch + (d,), and a scalar result then has the batch shape.  A batched call
-computes row i bit for bit as the unbatched call on row i would, so every
-product over the last axis is elementwise (the contraction's d multiply-adds)
-or a stacked matmul (`a[..., None, :] @ b`), which sums each row as the 1-D
+Creation is `tensor_product`; annihilation and P are both `slot_sum`, the
+q-weighted slot move R_n, as P_n = (1 (x) P_(n-1)) R_n and a^-(phi) = phi on
+the front slot of R_n.  Each acts on the last axis of an array whose leading
+axes are a batch, and dense operator matrices are kernels on identity
+columns.  The functions built on them take the same batch: a GradedVector's
+components may have shape batch + (d**n,) (`GradedVector.stack`), a
+one-particle argument shape batch + (d,), and a scalar result then has the
+batch shape.  A batched call computes row i bit for bit as the unbatched
+call on row i would, so every product over the last axis is elementwise or a
+stacked matmul (`a[..., None, :] @ b`), which sums each row as the 1-D
 product does; a plain gemm, einsum or sum may sum in another order.  An
 unbatched call is the batch-shape-() case and returns a float.
 
@@ -354,27 +355,33 @@ def pq_matrix(n: int, dim: int, q: float) -> np.ndarray:
     return mat
 
 
+def slot_sum(t, n: int, dim: int, q: float) -> np.ndarray:
+    """R_n t = sum over k < n of q^k t with slot k moved to the front
+    (Bozejko and Speicher), on the first n slots of the last axis of t;
+    leading axes are a batch, and the slots after the n-th pass through.
+    The terms are added elementwise, one by one through one scratch buffer."""
+    t = np.asarray(t, dtype=float)
+    cube = t.reshape(t.shape[:-1] + (dim,) * n + (-1,))  # slot k is axis k - n - 1
+    acc = cube.copy()
+    scratch = np.empty_like(cube)
+    for k in range(1, n):
+        np.multiply(np.moveaxis(cube, k - n - 1, -n - 1), q**k, out=scratch)
+        acc += scratch
+    return acc.reshape(t.shape)
+
+
 def symmetrize(t, n: int, dim: int, q: float) -> np.ndarray:
     """The degree-n symmetrizer on the last axis of t (leading axes are a batch).
 
-    Uses the factorization P_n = (1 (x) P_(n-1)) R_n with R_n the sum over k of
-    q^k times moving slot k to the front, so the cost is O(n^2 d^n) and there is
-    no degree cap.  At level m the untouched leading slots join the batch.
+    Uses the factorization P_n = (1 (x) P_(n-1)) R_n, one slot_sum per level,
+    so the cost is O(n^2 d^n) and there is no degree cap.  At level m the
+    untouched leading slots join the batch.
     """
     t = np.asarray(t, dtype=float)
-    lead = t.shape[:-1]
-    if n <= 1:
-        return t.copy()
+    out = t if n > 1 else t.copy()
     for m in range(n, 1, -1):
-        cube = t.reshape((-1,) + (dim,) * m)
-        # acc + q^k * moved, term by term, through one scratch buffer per level
-        acc = cube.copy()
-        scratch = np.empty_like(cube)
-        for k in range(1, m):
-            np.multiply(np.moveaxis(cube, k + 1, 1), q**k, out=scratch)
-            acc += scratch
-        t = acc
-    return t.reshape(lead + (-1,))
+        out = slot_sum(out.reshape(-1, dim**m), m, dim, q)
+    return out.reshape(t.shape)
 
 
 def symmetrizer_matrix(n: int, dim: int, q: float) -> np.ndarray:
@@ -435,31 +442,14 @@ def fock_norm(f: GradedVector):
 
 def contract(phi, t, n: int, q: float) -> np.ndarray:
     """Annihilation kernel on the last axis of t (leading axes are a batch):
-    slot i of the degree-n tensor is contracted against phi with weight q^i.
-    phi has shape batch + (d,), its batch broadcasting against t's.
-    Creation needs no kernel of its own: it is tensor_product(phi, t).
-    A tensor of higher degree is contracted in its first n slots only, and
-    its remaining slots pass through.
-
-    Slot i is sum_j phi_j view[..., j, :] with the tensor viewed as
-    (..., d**i, d, rest): d strided multiply-adds, elementwise, that leave
-    the remaining slots in row-major order."""
-    t = np.asarray(t, dtype=float)
+    phi contracted with the front slot of slot_sum, so slot i of the
+    degree-n tensor meets phi with weight q^i.  phi has shape batch + (d,),
+    its batch broadcasting against t's.  A tensor of higher degree is
+    contracted in its first n slots only, and its remaining slots pass
+    through."""
     d = phi.shape[-1]
-    coef = [phi[..., j, None, None] for j in range(d)]
-    weight = 1.0
-    for i in range(n):
-        view = t.reshape(t.shape[:-1] + (d**i, d, -1))
-        slot = coef[0] * view[..., 0, :]
-        for j in range(1, d):
-            slot += coef[j] * view[..., j, :]
-        slot = slot.reshape(slot.shape[:-2] + (-1,))
-        slot *= weight
-        if i == 0:
-            out = np.zeros(slot.shape)
-        out += slot
-        weight *= q
-    return out
+    moved = slot_sum(t, n, d, q)
+    return (phi[..., None, :] @ moved.reshape(moved.shape[:-1] + (d, -1)))[..., 0, :]
 
 
 def create(phi, f: GradedVector) -> GradedVector:
@@ -523,14 +513,14 @@ def annihilation_matrix(phi, ctx: QContext) -> np.ndarray:
 
 def swap_constant(n: int, dim: int, q: float) -> float:
     """c_n: the 2-norm, on degree n, of e_2 (x) M_(e_1) - e_1 (x) M_(e_2),
-    where M_x = contract(x, ., n, q); 0 when dim = 1 or n = 0.  Built by the
-    kernels on identity columns and taken by one SVD."""
+    where M_(e_j) = contract(e_j, ., n, q) is row j of the front slot of
+    slot_sum; 0 when dim = 1 or n = 0.  Built by the kernels on identity
+    columns and taken by one SVD."""
     if dim == 1 or n == 0:
         return 0.0
-    cols = np.eye(dim**n)
-    e1, e2 = basis_vector(dim, 0), basis_vector(dim, 1)
-    term = tensor_product(e2, contract(e1, cols, n, q))
-    term -= tensor_product(e1, contract(e2, cols, n, q))
+    moved = slot_sum(np.eye(dim**n), n, dim, q).reshape(dim**n, dim, -1)
+    term = tensor_product(basis_vector(dim, 1), moved[:, 0])
+    term -= tensor_product(basis_vector(dim, 0), moved[:, 1])
     return float(np.linalg.norm(term, 2))
 
 

@@ -27,6 +27,7 @@ from .fock import (
     QContext,
     apply_pq,
     batch_value,
+    elementary_tensor,
     fock_norm,
     require_same_context,
     symmetrizer_matrix,
@@ -44,9 +45,7 @@ def default_hplus_weights(dim: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _weight_power(weights: tuple[float, ...], n: int) -> np.ndarray:
-    out = np.ones(1)
-    for _ in range(n):
-        out = tensor_product(weights, out)
+    out = elementary_tensor([weights] * n)
     out.flags.writeable = False
     return out
 

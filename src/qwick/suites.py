@@ -122,13 +122,21 @@ class Report:
     trial_values: list[float] = field(default_factory=list, repr=False)
 
     def to_json_dict(self) -> dict:
+        # theorem43's c1 overflows near |q| = 1: kept here for the margin and
+        # written null, since it bounds nothing and JSON has no number for it
+        params = dict(self.params)
+        if "per_scale" in params:
+            params["per_scale"] = [
+                {**rec, "c1": None} if rec.get("c1") == math.inf else rec
+                for rec in params["per_scale"]
+            ]
         return {
             "suite": self.suite,
-            "params": self.params,
+            "params": params,
             "trials": self.trials,
             "max_residual": self.max_residual,
             "max_ratio": self.max_ratio,
-            "bound": self.bound,
+            "bound": None if self.bound == math.inf else self.bound,
             "violations": self.violations,
             "pass": self.passed,
         }

@@ -24,6 +24,7 @@ from .fock import (
     QContext,
     as_one_particle,
     contract,
+    slot_sum,
     tensor_product,
 )
 from .qcombinatorics import check_deformation, crossing_polynomial
@@ -133,15 +134,15 @@ def apply_to_fock(p: dict, f: GradedVector) -> GradedVector:
     a^-(e_(a_1))..a^-(e_(a_k)) f_n for every basis index tuple A as rows,
     shape batch + (d**k, d**(n-k)); the kernel at (m, k) times it is the
     result at degree m + n - k."""
-    ctx = f.ctx
-    eye = np.eye(ctx.dim)[:, None, :]  # e_j as a batch of d one-particle rows
+    ctx, d = f.ctx, f.ctx.dim
     tables = [{n: arr[..., None, :] for n, arr in f.components.items()}]
     for k in range(max((k for _, k in p), default=0)):
         tables.append({})
         for n, table in tables[k].items():
             if n > k:
-                rows = contract(eye, table[..., None, :, :], n - k, ctx.q)
-                tables[k + 1][n] = rows.reshape(rows.shape[:-3] + (-1, ctx.dim ** (n - k - 1)))
+                moved = slot_sum(table, n - k, d, ctx.q)  # front-slot row j is a^-(e_j)
+                rows = np.moveaxis(moved.reshape(moved.shape[:-1] + (d, -1)), -2, -3)
+                tables[k + 1][n] = rows.reshape(rows.shape[:-3] + (-1, rows.shape[-1]))
     comps: dict = {}
     for (m, k), kernel in p.items():
         for n, table in tables[k].items():

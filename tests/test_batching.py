@@ -169,7 +169,7 @@ def test_batched_suites_make_as_many_kernel_calls_at_any_trial_count(monkeypatch
     """Wrap each kernel wherever qwick binds it and count its calls."""
     calls = {}
     modules = [m for name, m in list(sys.modules.items()) if name.startswith("qwick.")]
-    for fn in (scales.graded_tensor, fock.apply_pq, fock.contract):
+    for fn in (scales.graded_tensor, fock.apply_pq, fock.contract, fock.slot_sum):
 
         def counted(*args, _fn=fn, **kwargs):
             calls[_fn.__name__] = calls.get(_fn.__name__, 0) + 1
@@ -183,6 +183,7 @@ def test_batched_suites_make_as_many_kernel_calls_at_any_trial_count(monkeypatch
         counts = []
         for trials in (6, 60):
             calls.clear()
+            fock._pq_cached.cache_clear()  # both counts include the same cold builds
             run_suite(name, RunConfig(dim=2, max_degree=6, trials=trials))
             counts.append(dict(calls))
         assert counts[0] == counts[1], name

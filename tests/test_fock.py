@@ -375,6 +375,73 @@ def test_contract_matches_tensordot_oracle(dim, n, lead, q):
     assert gap <= 1e-15 * np.linalg.norm(phi) * np.linalg.norm(t)
 
 
+def _contract_elementwise(phi, t, n, q):
+    """The per-slot contract that slot_sum replaced, kept as its reference:
+    slot i is sum_j phi_j view[..., j, :] with the tensor viewed as
+    (..., d**i, d, rest), d strided multiply-adds weighted q^i."""
+    t = np.asarray(t, dtype=float)
+    d = phi.shape[-1]
+    coef = [phi[..., j, None, None] for j in range(d)]
+    weight = 1.0
+    for i in range(n):
+        view = t.reshape(t.shape[:-1] + (d**i, d, -1))
+        slot = coef[0] * view[..., 0, :]
+        for j in range(1, d):
+            slot += coef[j] * view[..., j, :]
+        slot = slot.reshape(slot.shape[:-2] + (-1,))
+        slot *= weight
+        if i == 0:
+            out = np.zeros(slot.shape)
+        out += slot
+        weight *= q
+    return out
+
+
+@pytest.mark.parametrize("q", (0.5, 0.3, -0.7, 0.9))
+@pytest.mark.parametrize("dim", (1, 2, 3, 4))
+def test_contract_matches_elementwise_reference(dim, q):
+    # slot_sum adds the weighted slots before phi meets them, the reference
+    # after, so they agree within a bound fixed from float64's eps: 4 n d eps
+    # times |phi| contracted with |t| at weights |q|^i, entry by entry
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng([dim, int(10 * q) + 10])
+    for n in range(1, 7):
+        phi, phis = rng.standard_normal(dim), rng.standard_normal((3, dim))
+        for trailing in (0, 1):  # slots past the n-th pass through, as field_mul passes them
+            t = rng.standard_normal(dim ** (n + trailing))
+            ts = rng.standard_normal((3, dim ** (n + trailing)))
+            for a, b in ((phi, t), (phis, ts), (phi, ts)):
+                got = contract(a, b, n, q)
+                want = _contract_elementwise(a, b, n, q)
+                bound = 4 * n * dim * eps * _contract_elementwise(np.abs(a), np.abs(b), n, abs(q))
+                assert got.shape == want.shape == b.shape[:-1] + (dim ** (n - 1 + trailing),)
+                assert np.all(np.abs(got - want) <= bound), (n, trailing, a.shape, b.shape)
+                for i in range(len(got) if got.ndim > 1 else 0):
+                    assert np.array_equal(got[i], contract(a[i] if a.ndim > 1 else a, b[i], n, q))
+
+
+@pytest.mark.parametrize("dim,q", ((1, 0.5), (2, -0.7), (3, 0.3), (4, 0.9)))
+def test_apply_to_fock_annihilators_are_annihilate(dim, q):
+    # a basis word of annihilators reads one row of apply_to_fock's tables,
+    # which pins their layout: row (i, j) is a^-(e_i) a^-(e_j), bit for bit
+    ctx = QContext(q, dim, 4)
+    rng = np.random.default_rng([dim, 61])
+    fs = [GradedVector.random(ctx, rng) for _ in range(3)]
+    for f in (*fs, GradedVector.stack(fs)):
+        for i in range(dim):
+            e_i = basis_vector(dim, i)
+            words = [({(0, 1): e_i[None, :]}, annihilate(e_i, f))]
+            for j in range(dim):
+                e_j = basis_vector(dim, j)
+                both = tensor_product(e_i, e_j)[None, :]
+                words.append(({(0, 2): both}, annihilate(e_i, annihilate(e_j, f))))
+            for word, want in words:
+                got = apply_to_fock(word, f)
+                assert got.components.keys() == want.components.keys()
+                for n, arr in want.components.items():
+                    assert np.array_equal(got.components[n], arr), (i, n)
+
+
 def _commutation_oracle(phi, psi, ctx):
     """(exchange, swapped) as the largest dense 2-norm over degrees < N, one
     SVD per degree, variant and pair."""

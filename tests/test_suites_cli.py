@@ -130,6 +130,20 @@ def test_all_infinite_bounds_still_name_a_ratio():
     assert report.passed
 
 
+def _refuse_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+@pytest.mark.parametrize("flags", (["--q", "0.9999"], ["--scales", "1.0000000000000002:1"]))
+def test_overflowed_c1_is_written_as_null(flags, capsys):
+    # a passing report stays strict JSON when estimate_c1 overflows
+    assert cli.main(["verify", "--suite", "theorem43", "--trials", "3", *flags]) == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert report["pass"] and report["bound"] is None and report["max_ratio"] > 0.0
+    per_scale = report["params"]["per_scale"]
+    assert per_scale and all(record["c1"] is None for record in per_scale)
+
+
 def test_positivity_reports_negative_q_finding():
     report = run_suite("positivity", RunConfig(q=-0.5, trials=1))
     assert report.passed
@@ -292,6 +306,35 @@ def test_commutation_sees_reversed_slot_weights(monkeypatch):
     assert {"trial": -1, "value": basis} in report.violations
     assert report.trials == 500 and min(report.trial_values) > tolerance
     assert len(report.violations) == report.trials + 1
+
+
+def _reversed_slot_sum(t, n, dim, q):
+    """slot_sum with slot k weighted q^(n-1-k) in place of q^k."""
+    t = np.asarray(t, dtype=float)
+    lead = t.shape[:-1]
+    cube = t.reshape(lead + (dim,) * n + (-1,))
+    moved = [q ** (n - 1 - k) * np.moveaxis(cube, len(lead) + k, len(lead)) for k in range(n)]
+    return sum(moved).reshape(lead + (-1,))
+
+
+def test_suites_see_reversed_weights_in_the_shared_kernel(monkeypatch):
+    # slot_sum builds both P and a^-, so adjointness, which pairs them,
+    # cannot see the kernel go wrong in both at once; positivity's
+    # enumeration oracle and the commutation relation guard it
+    monkeypatch.setattr(fock, "slot_sum", _reversed_slot_sum)
+    fock._pq_cached.cache_clear()
+    try:
+        cfg = RunConfig(trials=40)
+        positivity = run_suite("positivity", cfg)
+        commutation = run_suite("commutation", cfg)
+        adjointness = run_suite("adjointness", cfg)
+    finally:
+        fock._pq_cached.cache_clear()
+    assert not positivity.passed
+    assert round(positivity.params["permutation_sum_max_deviation"], 3) == 0.492
+    assert not commutation.passed
+    assert round(commutation.params["basis_max_residual"], 2) == 5.83
+    assert adjointness.passed and adjointness.max_residual < 1e-12
 
 
 @pytest.mark.parametrize("dim,max_degree", ((2, 6), (3, 5), (2, 8)))
