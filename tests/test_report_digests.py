@@ -1,0 +1,64 @@
+"""Report bytes are pinned: a fixed (config, seed) gives the same JSON report.
+
+Each digest is the sha256 of `json.dumps(report.to_json_dict(), indent=2,
+sort_keys=True)`, the text `qwick verify --out` writes for one suite.  A
+change that moves report bytes on purpose declares the move and updates the
+digests it moves in the same diff.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from qwick.suites import SUITE_NAMES, RunConfig, run_suite
+
+DEFAULT = RunConfig(trials=8, seed=0)
+NEGATIVE_Q = RunConfig(q=-0.7, dim=3, max_degree=4, trials=9, seed=0)
+
+DIGESTS = {
+    DEFAULT: {
+        "commutation": "0468cc77f8a5c881a3fc1fede4edd9dd11452e391b04b7d35722d8cc31037a60",
+        "positivity": "303cbac0a25ad280439657ee233920ae0866eca4a72f75c0468f80b97cd0d190",
+        "adjointness": "bcbc9eee16e3488e319dcf8df9540e30f083c29acc58b735d992f358be8e988a",
+        "macmahon": "4a0dc5a62f8fd1a16f0787cd5e0058a58f85e071d37240c24a758f1111f10ee6",
+        "moments": "725bc541d3ae3b0c1870814a280d880391e7f324341bbecdee68895bdf0e5b90",
+        "wick-correspondence": "8bfe401e474f5ab4801edcaa73e7c63ece50588443c19cb6216353d37d75b29d",
+        "hermite": "e90b3b10f39a443ec1ac9158022a399676b56317f77db6c61439931c8d09d8f1",
+        "embedding": "2563dca79a61b1709ec2ea48658dba3c988e16579741f3be80a8568503c2f6e2",
+        "lemma53": "83f6f8cc04b4448623a4e447980623d5de3134a50afee1d0b249d0ca2978928a",
+        "theorem43": "a891dd551531c6ca8100e5d3b1babceb1114efc7e58f7b3aaa92e56a164d547e",
+        "vage": "789a217441479b5f0ef6ede3073b37023ed931fe8cb6a6ba3c0cfec52981ad9e",
+        "duality": "30f94a67178cc950042684b51602c9009c6361ff6bf2bbad9bf9d5eead1f7e14",
+        "inverse": "89da02abdc32fb978da2ce1e5d7859adbf55e01534d01f1d5828520dbd83de58",
+        "series": "fd879e9fccfc5c25c555f74dc5f37d08cae5c402afcd7afe09a19b13a179af81",
+    },
+    NEGATIVE_Q: {
+        "commutation": "a3ddc74ba341595f5744e7e30bf9535a8f681c4d36630520a4ce0ca370a98909",
+        "positivity": "bbdb3188df4e22b163d67116d0a7573ea572454a2d560248326aafd73c8686f3",
+        "adjointness": "2224ab2d46e68e5198af2ef9642595312d08ff871ff813913821cc594530ff6d",
+        "macmahon": "e54a321e08cbe255e122d9846381bc36edaaf5a0946e8e140675409a04ace56c",
+        "moments": "a7c22ce046591152babb88a4def0aba5e5dcdceed8eb5b0b8b7d1e13624158ff",
+        "wick-correspondence": "1cbedbb25b84248f92469e7dbeddcece5bb02b98af9e3e40e4eeb33488050c36",
+        "hermite": "d0b5cd26d1a1de139fd4cb87fe2a114a9018dd831c3e46cdf0208d8135efbba3",
+        "embedding": "1641fa527e71b19f7d71a2360243c36bce3256d13b87a39ca33f1b29538148a4",
+        "lemma53": "214cea95c15fb74fc53cd95c0cb8d5b5a0beec924a38b606fa18c75272b0e0ab",
+        "theorem43": "115ee2605aad73ba65e24add6c5dfd35e1567c3b4bd20b610e20efc7d7b1c8c9",
+        "vage": "15d8edaf73b293b6936820936c1811590657409c0f4893540385e4fabf89bd17",
+        "duality": "05f5499cf137d030bf74f838e7fd66d14b55ad576f6de9db5d2df967119c8057",
+        "inverse": "4b49ce87430ef74e547538a8deb4d304437e2b5d32b3721979b106d1a0bb8642",
+        "series": "f1c08fb338d436ab8313f2ba8f5b991f95b40c3ca5e0c1e2562b08193aba7246",
+    },
+}
+
+
+def test_every_suite_has_a_digest_at_each_config():
+    for digests in DIGESTS.values():
+        assert tuple(digests) == SUITE_NAMES
+
+
+@pytest.mark.parametrize("cfg", DIGESTS, ids=("default", "negative-q"))
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_report_bytes_are_pinned(cfg, name):
+    text = json.dumps(run_suite(name, cfg).to_json_dict(), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[cfg][name]
