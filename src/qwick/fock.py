@@ -322,11 +322,7 @@ _PERM_CHUNK = 120
 def pq_matrix(n: int, dim: int, q: float) -> np.ndarray:
     """Dense matrix of the degree-n symmetrizer by enumerating all n!
     permutations; memoized per (n, dim, q).  An independent oracle for the
-    factorized kernel, capped at degree 8.
-
-    The cache is filled idempotently and entries are read-only, so concurrent
-    use is safe.
-    """
+    factorized kernel, capped at degree 8."""
     check_deformation(q)
     if n > PERMUTATION_CAP:
         raise ValueError(f"symmetrizer capped at degree {PERMUTATION_CAP}, got {n}")
@@ -359,15 +355,18 @@ def slot_sum(t, n: int, dim: int, q: float) -> np.ndarray:
     """R_n t = sum over k < n of q^k t with slot k moved to the front
     (Bozejko and Speicher), on the first n slots of the last axis of t;
     leading axes are a batch, and the slots after the n-th pass through.
-    The terms are added elementwise, one by one through one scratch buffer."""
+    The terms are added elementwise, one by one through one scratch buffer.
+    Slot k moves as a swap of two axes, the d**k slots before it and slot k
+    itself, so at most four axes are formed at any degree."""
     t = np.asarray(t, dtype=float)
-    cube = t.reshape(t.shape[:-1] + (dim,) * n + (-1,))  # slot k is axis k - n - 1
-    acc = cube.copy()
-    scratch = np.empty_like(cube)
+    lead = t.shape[:-1]
+    acc = t.copy()
+    scratch = np.empty(t.shape)
     for k in range(1, n):
-        np.multiply(np.moveaxis(cube, k - n - 1, -n - 1), q**k, out=scratch)
+        moved = t.reshape(lead + (dim**k, dim, -1)).swapaxes(-3, -2)
+        np.multiply(moved, q**k, out=scratch.reshape(lead + (dim, dim**k, -1)))
         acc += scratch
-    return acc.reshape(t.shape)
+    return acc
 
 
 def symmetrize(t, n: int, dim: int, q: float) -> np.ndarray:

@@ -70,14 +70,35 @@ def _scale_args(f: GradedVector, r: float, alpha: float, weights, weight_base: s
     return tuple(w), base
 
 
-def _weighted_norm_sq(t: np.ndarray, weights: tuple | None, n: int, invert: bool) -> np.ndarray:
-    """The squared weighted norm over the last axis, per row of the batch."""
-    if weights is None:
-        return (t[..., None, :] @ t[..., :, None])[..., 0, 0]
-    w = _weight_power(weights, n)
-    if invert:
-        w = 1.0 / w
-    return ((t * t)[..., None, :] @ w)[..., 0]
+def _degree_weight(n: int, r: float, alpha: float, base: float, sign: int = 1) -> float:
+    """r^n ([n]_base!)^alpha, or its reciprocal when sign = -1; a ValueError
+    naming the degree when that is not a finite double."""
+    try:
+        weight = r ** (sign * n) * q_factorial(n, base) ** (sign * alpha)
+    except OverflowError:
+        weight = math.inf
+    if not math.isfinite(weight):
+        raise ValueError(f"degree-{n} scale weight at r = {r}, alpha = {alpha} overflows a double")
+    return weight
+
+
+def _scale_norm(tensors, r: float, alpha: float, weights, base: float, sign: int):
+    """sqrt of the sum over (n, t) of t's squared norm under the one-particle
+    weights times the degree weight, both reciprocal when sign = -1, per row
+    of the batch; a ValueError when the sum is not a finite double."""
+    total = 0.0
+    with np.errstate(over="ignore"):  # an overflowed sum is reported below
+        for n, t in tensors:
+            weight = _degree_weight(n, r, alpha, base, sign)
+            if weights is None:
+                norm_sq = (t[..., None, :] @ t[..., :, None])[..., 0, 0]
+            else:
+                w = _weight_power(weights, n)
+                norm_sq = ((t * t)[..., None, :] @ (w if sign > 0 else 1.0 / w))[..., 0]
+            total = total + norm_sq * weight
+    if not np.all(np.isfinite(total)):
+        raise ValueError(f"scale norm at r = {r}, alpha = {alpha} overflows a double")
+    return batch_value(np.sqrt(total))
 
 
 def g_norm(
@@ -86,23 +107,15 @@ def g_norm(
     """Test-side norm: sqrt of sum over degrees of the weighted squared tensor
     norm times r^n ([n]_w!)^alpha."""
     weights, base = _scale_args(f, r, alpha, weights, weight_base)
-    total = 0.0
-    for n, comp in f.components.items():
-        weight = r**n * q_factorial(n, base) ** alpha
-        total = total + _weighted_norm_sq(comp, weights, n, invert=False) * weight
-    return batch_value(np.sqrt(total))
+    return _scale_norm(f.components.items(), r, alpha, weights, base, 1)
 
 
 def f_dual_norm(f: GradedVector, r: float, alpha: float, weights=None) -> float:
     """Dual-side norm: the symmetrized tensor measured with reciprocal
     one-particle weights, degree-weighted by r^(-n) ([n]_|q|!)^(-alpha)."""
     weights, aq = _scale_args(f, r, alpha, weights, "abs_q")
-    total = 0.0
-    for n, comp in f.components.items():
-        sym = apply_pq(n, comp, f.ctx)
-        weight = r ** (-n) * q_factorial(n, aq) ** (-alpha)
-        total = total + _weighted_norm_sq(sym, weights, n, invert=True) * weight
-    return batch_value(np.sqrt(total))
+    sym = ((n, apply_pq(n, comp, f.ctx)) for n, comp in f.components.items())
+    return _scale_norm(sym, r, alpha, weights, aq, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +266,6 @@ def saturating_dual_partner(f_test: GradedVector, r: float, alpha: float) -> Gra
     comps: dict[int, np.ndarray] = {}
     for n, comp in f_test.components.items():
         weighted = comp * _weight_power(weights, n)
-        scale = r**n * q_factorial(n, aq) ** alpha
+        scale = _degree_weight(n, r, alpha, aq)
         comps[n] = scale * np.linalg.solve(symmetrizer_matrix(n, ctx.dim, ctx.q), weighted)
     return GradedVector(ctx, comps)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import GradedVector, batch_value, tensor_product
-from .scales import f_dual_norm, graded_tensor
+from .scales import VAGE_ALPHA, f_dual_norm, graded_tensor
 
 TAIL_TOL = 1e-12  # a series stops once its certified tail bound drops below this
 R_GRID_FACTORS = (1.1, 1.25, 1.5, 2.0, 4.0, 8.0)
@@ -92,7 +92,7 @@ def certify_radius(f: GradedVector, spec: SeriesSpec) -> ConvergenceCertificate:
     pending = np.ones(np.shape(vacuum_part), dtype=bool)
     fields = {name: np.zeros(pending.shape) for name in ("s", "norm_s", "r", "contraction")}
     while s <= SCALE_CAP and pending.any():
-        norm_s = f_dual_norm(f, s, 2.0)
+        norm_s = f_dual_norm(f, s, VAGE_ALPHA)
         inside = pending & (norm_s < spec.radius)
         for factor in R_GRID_FACTORS:
             r = s * factor
@@ -133,7 +133,7 @@ def wick_series(f: GradedVector, spec: SeriesSpec, cert: ConvergenceCertificate)
         if n > 0:
             power = graded_tensor(power, f)
         if a != 0.0:
-            result = result + power.scale(a if live.all() else a * live)
+            result = result + power.scale(a * live)
         tails = [_tail_bound(spec, c, n) for c in contractions]
         live &= ~(np.reshape(tails, live.shape) < TAIL_TOL)
         if not live.any():

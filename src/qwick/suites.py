@@ -1,16 +1,16 @@
 """Seeded randomized verification suites with machine-readable reports.
 
 The suites form one table, `SUITES`, run by one runner, `run_suite`.  A table
-entry holds only the suite's own maths: what one trial draws, how a stream of
-draws is checked, its tolerance, its truncation degree, and its extra params
-and findings.  The runner does the rest for every suite: it draws trial i's
-inputs from a generator seeded by (seed, stream key, i), so results do not
-depend on execution order, splits the trials evenly over the configured scale
-pairs, checks each stream's draws in one call, builds the shared params and
-records the violations.  A check gives one float per draw: it stacks its
-draws into one batch and makes one kernel call where a trial made one, each
-row computed bit for bit as alone.  Adding a suite means adding one entry to
-the table.
+entry holds only the suite's own maths: its findings (the values, params and
+side checks that need no trial), what one trial draws, how a stream of draws
+is checked, its tolerance and its truncation degree.  The runner does the rest
+for every suite: it draws trial i's inputs from a generator seeded by
+(seed, stream key, i), so results do not depend on execution order, splits
+the trials evenly over the configured scale pairs, checks each nonempty
+stream's draws in one call, builds the shared params and records the
+violations.  A check gives one float per draw: it stacks its draws into one
+batch and makes one kernel call where a trial made one, each row computed bit
+for bit as alone.  Adding a suite means adding one entry to the table.
 """
 
 from __future__ import annotations
@@ -164,12 +164,10 @@ def _unit(v: np.ndarray) -> np.ndarray:
 def _stacked(check):
     """check(ctx, draws) from check(ctx, *columns): the draws' inputs are
     stacked position by position (graded vectors with GradedVector.stack,
-    arrays with np.stack), and no draws give no values."""
+    arrays with np.stack)."""
 
     @functools.wraps(check)
     def on_draws(ctx: QContext, draws: list) -> list:
-        if not draws:
-            return []
         columns = [
             GradedVector.stack(col) if isinstance(col[0], GradedVector) else np.stack(col)
             for col in zip(*draws)
@@ -179,36 +177,36 @@ def _stacked(check):
     return on_draws
 
 
+def _constant(**params) -> Callable:
+    """Findings that are constant params alone: no values, no side checks."""
+    return lambda ctx, side: ([], params, ())
+
+
 @dataclass(frozen=True)
 class Suite:
     """One row of the suite table.
 
-    A sampling suite gives `draw(ctx, rng)`, the inputs of one trial, and
-    `check(ctx, draws)`, the values of a list of draws, one per draw and each
-    the same as `check(ctx, [draw])` would give.  A scale suite gives `draw`
-    and `pair(ctx, r, s, alpha)`, called once per configured scale pair,
-    which returns the pair's stream key, its `per_scale` record, its bound
-    and a check computing ratios; a trial's value is how far its ratio
-    exceeds the bound.  A fixed suite gives `fixed(ctx, tolerance)`,
-    which draws no randomness and returns its whole value list, its extra
-    params and its side checks.  `findings(ctx, side)` returns a sampling
-    suite's computed params and side checks; `side(key)` is the generator of
-    side stream `{suite}:{key}`, index 0.  A side check is a (value, limit)
-    pair, recorded as trial -1 when the value is not within its limit.
-
-    `params` holds constant extra params, `shared` the shared params the
-    report keeps, and `degree` maps the configured truncation degree to the
-    suite's; it raises ValueError for a degree at which the suite's check is
-    not sound.
+    `findings(ctx, side)` draws no trial and returns a value list, the
+    suite's own params (constant or computed) and its side checks.
+    `side(key)` is the generator of side stream `{suite}:{key}`, index 0; a
+    side check is a (value, limit) pair, recorded as trial -1 when the value
+    is not within its limit.  A draw-free suite gives only findings.  A
+    sampling suite's findings give no values, and it adds `draw(ctx, rng)`,
+    the inputs of one trial, and either `check(ctx, draws)`, the values of a
+    nonempty list of draws, each the same as `check(ctx, [draw])` gives, or
+    `pair(ctx, r, s, alpha)`, called once per configured scale pair, which
+    returns the pair's stream key, its `per_scale` record, its bound and a
+    check computing ratios; a trial's value is how far its ratio exceeds the
+    bound.  `shared` names the shared params the report keeps; `degree` maps
+    the configured truncation degree to the suite's and raises ValueError
+    where the suite's check is not sound.
     """
 
     tolerance: float
     draw: Callable[[QContext, np.random.Generator], tuple] | None = None
     check: Callable[[QContext, list], list] | None = None
     pair: Callable[[QContext, float, float, float], tuple[str, dict, float, Callable]] | None = None
-    fixed: Callable[[QContext, float], tuple[list[float], dict, tuple]] | None = None
-    findings: Callable[[QContext, Callable], tuple[dict, tuple]] = lambda ctx, side: ({}, ())
-    params: dict = field(default_factory=dict)
+    findings: Callable[[QContext, Callable], tuple[list[float], dict, tuple]] = _constant()
     shared: tuple[str, ...] = ("q", "dim", "max_degree")
     degree: Callable[[int], int] = lambda n: n
 
@@ -223,7 +221,8 @@ def suite_context(name: str, cfg: RunConfig) -> QContext:
 
 
 def run_suite(name: str, cfg: RunConfig) -> Report:
-    """Run the suite `name` of the table at `cfg`.  Trial indices continue
+    """Run the suite `name` of the table at `cfg`: the values of its findings,
+    then those of its sampled streams, if it draws.  Trial indices continue
     across the streams of a scale suite, and on a tie of margins (all -inf
     when every bound is infinite) the first scale pair that ran supplies the
     report's max_ratio and bound; a pair that ran no trial reports max_ratio
@@ -232,37 +231,35 @@ def run_suite(name: str, cfg: RunConfig) -> Report:
     suite = SUITES[name]
     shared = {"q": cfg.q, "dim": cfg.dim, "max_degree": ctx.max_degree}
     params = {key: shared[key] for key in suite.shared}
-    params.update(tolerance=suite.tolerance, **suite.params)
+    values, extra, side_checks = suite.findings(
+        ctx, lambda key: _trial_rng(cfg.seed, f"{name}:{key}", 0)
+    )
+    params.update(tolerance=suite.tolerance, **extra)
     max_ratio = bound = None
-    if suite.fixed:
-        values, extra, side_checks = suite.fixed(ctx, suite.tolerance)
-    else:
-        extra, side_checks = suite.findings(
-            ctx, lambda key: _trial_rng(cfg.seed, f"{name}:{key}", 0)
-        )
+    if suite.draw:
         if suite.pair:
             streams = [suite.pair(ctx, *scale) for scale in cfg.scales]
         else:
             streams = [(name, {}, None, suite.check)]
         base, rest = divmod(cfg.trials, len(streams))
-        values, per_scale, start = [], [], 0
+        per_scale, start = [], 0
         worst_margin = -math.inf
         for k, (key, record, limit, check) in enumerate(streams):
             stop = start + base + (k < rest)
             draws = [suite.draw(ctx, _trial_rng(cfg.seed, key, i)) for i in range(start, stop)]
-            outputs = check(ctx, draws)
+            # a scale pair runs no trial when there are fewer trials than pairs
+            outputs = check(ctx, draws) if draws else []
             start = stop
             if limit is None:
                 values += outputs
                 continue
             values += [max(0.0, ratio - limit) for ratio in outputs]
-            top = max(outputs, default=None)  # a pair that ran no trial has none
+            top = max(outputs, default=None)
             per_scale.append({**record, "max_ratio": top})
             if top is not None and (max_ratio is None or top - limit > worst_margin):
                 worst_margin, max_ratio, bound = top - limit, top, limit
         if suite.pair:
-            extra["per_scale"] = per_scale
-    params.update(extra)
+            params["per_scale"] = per_scale
     violations = [
         {"trial": i, "value": v} for i, v in enumerate(values) if not v <= suite.tolerance
     ]
@@ -286,6 +283,7 @@ def run_suite(name: str, cfg: RunConfig) -> Report:
 
 
 COMMUTATION_TOLERANCE = 1e-12
+POSITIVITY_TOLERANCE = 1e-10
 
 
 def _commutation_draw(ctx: QContext, rng: np.random.Generator) -> tuple:
@@ -313,7 +311,7 @@ def _basis_residuals(ctx: QContext) -> np.ndarray:
     return out
 
 
-def _commutation_findings(ctx: QContext, side) -> tuple[dict, tuple]:
+def _commutation_findings(ctx: QContext, side) -> tuple[list, dict, tuple]:
     """The exchange residual is bilinear in (phi, psi), so its blocks at the
     d^2 basis pairs decide it for every pair; their largest Frobenius norm
     is a side check, exactly 0 at q = +-0.5.  Documented finding: trading
@@ -323,11 +321,16 @@ def _commutation_findings(ctx: QContext, side) -> tuple[dict, tuple]:
     supremum is |q| max_n c_n, reached at every orthonormal pair."""
     top = max(swap_constant(n, ctx.dim, ctx.q) for n in range(ctx.max_degree))
     basis = float(_basis_residuals(ctx).max())
-    extra = {"argument_swapped_variant_max_residual": abs(ctx.q) * top, "basis_max_residual": basis}
-    return extra, ((basis, COMMUTATION_TOLERANCE),)
+    params = {
+        "normalization": "unit phi, psi; ||R f|| / max(1, ||f||), f normal below degree N",
+        "rule": "exchange form: the weighted term swaps operators, keeps arguments",
+        "argument_swapped_variant_max_residual": abs(ctx.q) * top,
+        "basis_max_residual": basis,
+    }
+    return [], params, ((basis, COMMUTATION_TOLERANCE),)
 
 
-def _positivity(ctx: QContext, tolerance: float) -> tuple[list[float], dict, tuple]:
+def _positivity(ctx: QContext, side) -> tuple[list[float], dict, tuple]:
     """The symmetrizer is strictly positive; its norm is the |q|-factorial.
     The norm's excess over [n]_|q|! and over the plain [n]_q! is measured
     relative to [n]_|q|!, which grows geometrically with n.  Up to
@@ -343,7 +346,7 @@ def _positivity(ctx: QContext, tolerance: float) -> tuple[list[float], dict, tup
         value = 0.0 if lo > 0.0 else math.inf  # strict positivity
         value = max(value, (hi - norm) / norm)
         values.append(max(0.0, value))
-        if (hi - q_factorial(n, ctx.q)) / norm > tolerance:
+        if (hi - q_factorial(n, ctx.q)) / norm > POSITIVITY_TOLERANCE:
             plain_weight_exceeded.append(n)
         if n <= ORACLE_DEGREE:
             kernel = symmetrizer_matrix(n, ctx.dim, ctx.q)
@@ -354,7 +357,7 @@ def _positivity(ctx: QContext, tolerance: float) -> tuple[list[float], dict, tup
         "max_eig_exceeds_plain_q_factorial_at": plain_weight_exceeded,
         "permutation_sum_max_deviation": oracle_gap,
     }
-    return values, extra, ((oracle_gap, tolerance),)
+    return values, extra, ((oracle_gap, POSITIVITY_TOLERANCE),)
 
 
 def _adjointness_draw(ctx: QContext, rng: np.random.Generator) -> tuple:
@@ -371,7 +374,7 @@ def _adjointness(ctx: QContext, phi: np.ndarray, f: GradedVector, g: GradedVecto
     return (np.abs(lhs - rhs) / scale).tolist()
 
 
-def _macmahon(ctx: QContext, tolerance: float) -> tuple[list[float], dict, tuple]:
+def _macmahon(ctx: QContext, side) -> tuple[list[float], dict, tuple]:
     """Shuffle inversion statistic sums to the Gaussian binomial."""
     values = [
         macmahon_residual(m, n, ctx.q)
@@ -455,8 +458,6 @@ def _wick_correspondence(ctx: QContext, draws: list) -> list[float]:
     recursion run through create and annihilate does, and multiply as their
     joint argument list.  The polynomials of all draws stack; the monomials
     stack by argument count."""
-    if not draws:
-        return []
     q = ctx.q
     p1, p2, vectors, fs, gs, f = zip(*draws)
     p1, p2 = ({key: np.stack([p[key] for p in ps]) for key in ps[0]} for ps in (p1, p2))
@@ -518,7 +519,7 @@ def hermite_coefficients(n: int) -> list[int]:
     return coeffs
 
 
-def _hermite(ctx: QContext, tolerance: float) -> tuple[list[float], dict, tuple]:
+def _hermite(ctx: QContext, side) -> tuple[list[float], dict, tuple]:
     """Single-mode reduction: the monomial recursion is the deformed Hermite
     three-term recurrence, and its q -> 1 limit is the classical one."""
     e = basis_vector(1, 0)
@@ -570,17 +571,19 @@ def _embedding(ctx: QContext, f: GradedVector) -> list[float]:
     return (residual / np.maximum(1.0, fock_norm(f))).tolist()
 
 
-def _embedding_findings(ctx: QContext, side) -> tuple[dict, tuple]:
-    """Documented finding: with plain-q weights the same bound fails on
-    antisymmetric tensors even under the scale precondition."""
+def _embedding_findings(ctx: QContext, side) -> tuple[list, dict, tuple]:
+    """The scale checked, and a documented finding: with plain-q weights the
+    same bound fails on antisymmetric tensors even under the scale
+    precondition."""
+    params = {"alpha": EMBEDDING_ALPHA, "r": EMBEDDING_R, "weight_base": EMBEDDING_WEIGHT_BASE}
     if not (ctx.q < 0.0 and ctx.dim >= 2 and ctx.max_degree >= 2):
-        return {}, ()
+        return [], params, ()
     anti = np.zeros(ctx.dim**2)
     anti[1] = 1.0
     anti[ctx.dim] = -1.0
     r = max(1.0, 1.0 / (1.0 + ctx.q))
     residual = embedding_residual(GradedVector(ctx, {2: anti}), r, 2.0, weight_base="q")
-    return {"plain_q_weight_failure_residual": residual}, ()
+    return [], {**params, "plain_q_weight_failure_residual": residual}, ()
 
 
 LEMMA53_DEGREES = range(1, 4)
@@ -648,7 +651,7 @@ def _duality(ctx: QContext, f: GradedVector, g: GradedVector) -> list[float]:
     return (residual / np.maximum(1.0, product)).tolist()
 
 
-def _duality_findings(ctx: QContext, side) -> tuple[dict, tuple]:
+def _duality_findings(ctx: QContext, side) -> tuple[list, dict, tuple]:
     """One saturating pair: the bound is attained, not merely respected."""
     weights = default_hplus_weights(ctx.dim)
     f = GradedVector.random(ctx, side("saturate"))
@@ -657,7 +660,8 @@ def _duality_findings(ctx: QContext, side) -> tuple[dict, tuple]:
     test_norm = g_norm(f, DUALITY_R, DUALITY_ALPHA, weights)
     product = test_norm * f_dual_norm(partner, DUALITY_R, DUALITY_ALPHA, weights)
     saturation_gap = abs(pairing - product) / product
-    return {"saturation_gap": saturation_gap}, ((saturation_gap, 1e-9),)
+    params = {"r": DUALITY_R, "alpha": DUALITY_ALPHA, "saturation_gap": saturation_gap}
+    return [], params, ((saturation_gap, 1e-9),)
 
 
 # the largest degree at which the inverse suite's exact family stays exact
@@ -717,7 +721,7 @@ GEOMETRIC_SERIES = SeriesSpec((1.0,) * 40, SERIES_RADIUS)
 @_stacked
 def _series(ctx: QContext, f: GradedVector) -> list[float]:
     """Radius certification and geometric decay of certified power series."""
-    f = f.scale(SERIES_TARGET_NORM / f_dual_norm(f, 1.0, 2.0))
+    f = f.scale(SERIES_TARGET_NORM / f_dual_norm(f, 1.0, VAGE_ALPHA))
     cert = certify_radius(f, GEOMETRIC_SERIES)
     # each draw's powers are measured at its own r; draws share r in practice
     rs = cert.r.tolist()
@@ -726,7 +730,7 @@ def _series(ctx: QContext, f: GradedVector) -> list[float]:
     for n in range(1, 9):
         power = graded_tensor(power, f)
         for r, at_r in norms.items():
-            at_r.append(f_dual_norm(power, r, 2.0).tolist())
+            at_r.append(f_dual_norm(power, r, VAGE_ALPHA).tolist())
     # the identity series must reproduce its argument exactly
     identity = wick_series(f, SeriesSpec((0.0, 1.0), SERIES_RADIUS), cert)
     exact = ((identity - f).max_abs() == 0.0).tolist()
@@ -750,62 +754,46 @@ SUITES = {
         COMMUTATION_TOLERANCE,
         _commutation_draw,
         _commutation,
-        params={
-            "normalization": "unit phi, psi; ||R f|| / max(1, ||f||), f normal below degree N",
-            "rule": "exchange form: the weighted term swaps operators, keeps arguments",
-        },
         findings=_commutation_findings,
         degree=lambda n: max(n, 1),
     ),
-    "positivity": Suite(1e-10, fixed=_positivity, shared=("q", "dim")),
+    "positivity": Suite(POSITIVITY_TOLERANCE, findings=_positivity, shared=("q", "dim")),
     "adjointness": Suite(1e-12, _adjointness_draw, _adjointness),
-    "macmahon": Suite(1e-12, fixed=_macmahon, shared=("q",)),
+    "macmahon": Suite(1e-12, findings=_macmahon, shared=("q",)),
     "moments": Suite(
         1e-9,
         lambda ctx, rng: (rng.standard_normal(ctx.dim),),
         _moments,
-        findings=lambda ctx, side: ({"orders": _moment_orders(ctx)}, ()),
+        findings=lambda ctx, side: ([], {"orders": _moment_orders(ctx)}, ()),
         degree=lambda n: max(n, 1),
     ),
     "wick-correspondence": Suite(
         1e-10, _wick_correspondence_draw, _wick_correspondence, degree=lambda n: max(n, 4)
     ),
-    "hermite": Suite(1e-12, fixed=_hermite, shared=("q",)),
-    "embedding": Suite(
-        1e-12,
-        _one_vector,
-        _embedding,
-        findings=_embedding_findings,
-        params={"alpha": EMBEDDING_ALPHA, "r": EMBEDDING_R, "weight_base": EMBEDDING_WEIGHT_BASE},
-    ),
+    "hermite": Suite(1e-12, findings=_hermite, shared=("q",)),
+    "embedding": Suite(1e-12, _one_vector, _embedding, findings=_embedding_findings),
     "lemma53": Suite(
         1e-9,
         _lemma53_draw,
         _lemma53,
-        params={"degrees": f"{LEMMA53_DEGREES[0]}..{LEMMA53_DEGREES[-1]}"},
+        findings=_constant(degrees=f"{LEMMA53_DEGREES[0]}..{LEMMA53_DEGREES[-1]}"),
         shared=("q", "dim"),
     ),
     "theorem43": Suite(1e-9, _two_vectors, pair=_theorem43_pair),
     "vage": Suite(1e-9, _two_vectors, pair=_vage_pair),
-    "duality": Suite(
-        1e-10,
-        _two_vectors,
-        _duality,
-        findings=_duality_findings,
-        params={"r": DUALITY_R, "alpha": DUALITY_ALPHA},
-    ),
+    "duality": Suite(1e-10, _two_vectors, _duality, findings=_duality_findings),
     "inverse": Suite(
         1e-12,
         _inverse_draw,
         _inverse,
-        params={"exact_family": "power of two times (+-vacuum + entries in {-1, 0, 1})"},
+        findings=_constant(exact_family="power of two times (+-vacuum + entries in {-1, 0, 1})"),
         degree=_inverse_degree,
     ),
     "series": Suite(
         1e-9,
         _one_vector,
         _series,
-        params={"radius": SERIES_RADIUS, "target_norm": SERIES_TARGET_NORM},
+        findings=_constant(radius=SERIES_RADIUS, target_norm=SERIES_TARGET_NORM),
     ),
 }
 SUITE_NAMES = tuple(SUITES)

@@ -43,6 +43,23 @@ def test_norm_scale_validation():
         g_norm(f, 2.0, 2.0, None, "bad")
 
 
+def test_scale_overflow_is_a_value_error():
+    # a weight past a double once raised OverflowError, and a weighted sum
+    # past one warned and returned inf
+    f = GradedVector.random(QContext(0.5, 2, 3), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="degree-2 scale weight at r = 1e"):
+        g_norm(f, 1e200, 2.0)
+    with pytest.raises(ValueError, match="degree-2 scale weight at r = 1.0, alpha = -1e"):
+        f_dual_norm(f, 1.0, -1e308)
+    with pytest.raises(ValueError, match="degree-2 scale weight"):
+        saturating_dual_partner(f, 1e200, 2.0)
+    ctx = QContext(0.5, 2, 1)
+    with pytest.raises(ValueError, match="scale norm at r = 1e"):
+        g_norm(GradedVector(ctx, {1: [1.0, 1.0]}), 1e308, 2.0)
+    with pytest.raises(ValueError, match="scale norm at r = 1.0"):
+        f_dual_norm(GradedVector(ctx, {1: [1e154, 1e154]}), 1.0, 2.0)
+
+
 def test_g_norm_frozen_example():
     ctx = QContext(0.5, 2, 4)
     e = basis_vector(2, 0)

@@ -105,7 +105,7 @@ def test_commutation_reports_argument_swapped_variant():
     assert report.params["argument_swapped_variant_max_residual"] > 1e-3
 
 
-@pytest.mark.parametrize("name", [name for name in SUITE_NAMES if not SUITES[name].fixed])
+@pytest.mark.parametrize("name", [name for name in SUITE_NAMES if SUITES[name].draw])
 def test_checks_give_one_float_per_draw(name):
     cfg = RunConfig(trials=3, max_degree=4)
     suite = SUITES[name]
@@ -623,9 +623,45 @@ def test_cli_rejects_non_finite_vector(operation, tmp_path, capsys):
     assert "finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        pytest.param(["compute", "norm", "{vector}", "--side", "test", "--r", "1e150"], id="test-r"),
+        pytest.param(["compute", "norm", "{vector}", "--side", "dual", "--alpha=-1e308"], id="dual-alpha"),
+        pytest.param(["verify", "--suite", "theorem43", "--scales", "2:1:400", "--trials", "2"], id="alpha-400"),
+        pytest.param(["verify", "--suite", "theorem43", "--scales", "1e308:1", "--trials", "2"], id="r-1e308"),
+        pytest.param(
+            ["verify", "--suite", "theorem43", "--scales", "1e308:1", "--max-degree", "1", "--trials", "2"],
+            id="norm-sum",
+        ),
+    ),
+)
+def test_cli_scale_weight_overflow_is_a_usage_error(argv, tmp_path, capsys):
+    # r^n [n]!^alpha past a double once raised OverflowError, a traceback and
+    # exit 1; a finite weight whose weighted sum overflows once warned, and
+    # theorem43 then passed against an overflowed denominator
+    from qwick.fock import GradedVector, QContext
+
+    path = tmp_path / "f.json"
+    vector = GradedVector.random(QContext(0.5, 2, 4), np.random.default_rng(0))
+    path.write_text(json.dumps(vector.to_json_dict()))
+    assert cli.main([arg.format(vector=path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "overflows a double" in captured.err
+
+
 def test_cli_verify_past_degree_eight(capsys):
     code = cli.main(["verify", "--suite", "adjointness", "--max-degree", "9", "--trials", "5"])
     assert code == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+@pytest.mark.parametrize("suite", ("positivity", "commutation", "adjointness"))
+def test_cli_verify_past_numpy_axis_limit(suite, capsys):
+    # a degree-70 tensor once took 72 axes in slot_sum, past numpy's 64
+    argv = ["verify", "--suite", suite, "--dim", "1", "--max-degree", "70", "--trials", "5"]
+    assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
