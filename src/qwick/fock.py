@@ -18,10 +18,10 @@ columns.  The functions built on them take the same batch: a GradedVector's
 components may have shape batch + (d**n,) (`GradedVector.stack`), a
 one-particle argument shape batch + (d,), and a scalar result then has the
 batch shape.  A batched call computes row i bit for bit as the unbatched
-call on row i would, so every product over the last axis is elementwise or a
-stacked matmul (`a[..., None, :] @ b`), which sums each row as the 1-D
-product does; a plain gemm, einsum or sum may sum in another order.  An
-unbatched call is the batch-shape-() case and returns a float.
+call on row i would: row products are `np.vecdot`/`np.vecmat`; everything
+else is elementwise.  Those gufuncs sum each row as the 1-D product does,
+where a plain gemm, einsum or sum may sum in another order.  An unbatched
+call is the batch-shape-() case and returns a float.
 
 The q-commutation relation is create and annihilate composed on a vector
 (`commutation_residual`), with no matrix of its own; basis vectors and a
@@ -158,6 +158,16 @@ def elementary_tensor(vectors) -> np.ndarray:
     return out
 
 
+def _seal(comps: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """comps, its arrays marked read-only in place, or a ValueError naming
+    the first degree with an entry that is not finite."""
+    for n, arr in comps.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"degree-{n} component entries must be finite")
+        arr.flags.writeable = False
+    return comps
+
+
 @dataclass(frozen=True, eq=False)
 class GradedVector:
     """A degree-indexed family of dense tensors; absent degrees are zero."""
@@ -173,31 +183,22 @@ class GradedVector:
                 raise ValueError(
                     f"degree {n} outside truncation 0..{self.ctx.max_degree}"
                 )
-            arr = np.array(comp, dtype=float).reshape(-1)
-            if arr.shape != (self.ctx.dim**n,):
+            clean[n] = np.array(comp, dtype=float).reshape(-1)
+            if clean[n].shape != (self.ctx.dim**n,):
                 raise ValueError(
                     f"degree-{n} component must have length {self.ctx.dim ** n}"
                 )
-            if not np.isfinite(arr).all():
-                raise ValueError(f"degree-{n} component entries must be finite")
-            arr.flags.writeable = False
-            clean[n] = arr
-        object.__setattr__(self, "components", clean)
+        object.__setattr__(self, "components", _seal(clean))
 
     @classmethod
     def _of(cls, ctx: QContext, comps: dict[int, np.ndarray]) -> "GradedVector":
         """A kernel result: comps maps int degrees to flat float arrays of the
         right lengths that nothing else writes (fresh arrays or slices of
-        one, or another vector's components).  They are marked read-only but
-        neither copied nor reshaped, and only finiteness is checked, so an
-        overflow still raises."""
-        for n, arr in comps.items():
-            if not np.isfinite(arr).all():
-                raise ValueError(f"degree-{n} component entries must be finite")
-            arr.flags.writeable = False
+        one, or another vector's components).  They are sealed but neither
+        copied nor reshaped, so an overflow still raises."""
         vec = object.__new__(cls)
         object.__setattr__(vec, "ctx", ctx)
-        object.__setattr__(vec, "components", comps)
+        object.__setattr__(vec, "components", _seal(comps))
         return vec
 
     @classmethod
@@ -259,7 +260,7 @@ class GradedVector:
         """Per row of the batch."""
         total = 0.0
         for arr in self.components.values():
-            total = total + (arr[..., None, :] @ arr[..., :, None])[..., 0, 0]
+            total = total + np.vecdot(arr, arr)
         return batch_value(np.sqrt(total))
 
     def max_abs(self):
@@ -414,7 +415,7 @@ def apply_pq(n: int, t, ctx: QContext) -> np.ndarray:
     if t.shape[-1:] != (size,):
         raise ValueError(f"degree-{n} tensor must have length {size}")
     if size <= MATRIX_CACHE_CAP:
-        return (t[..., None, :] @ _pq_cached(n, ctx.dim, ctx.q))[..., 0, :]
+        return np.vecmat(t, _pq_cached(n, ctx.dim, ctx.q))
     return symmetrize(t, n, ctx.dim, ctx.q)
 
 
@@ -426,7 +427,7 @@ def q_inner(f: GradedVector, g: GradedVector):
     total = np.zeros(np.broadcast_shapes(*(arr.shape[:-1] for arr in comps)))
     for n in sorted(set(f.components) & set(g.components)):
         sym = apply_pq(n, f.components[n], f.ctx)
-        total = total + (sym[..., None, :] @ g.components[n][..., :, None])[..., 0, 0]
+        total = total + np.vecdot(sym, g.components[n])
     return batch_value(total)
 
 
@@ -448,7 +449,7 @@ def contract(phi, t, n: int, q: float) -> np.ndarray:
     through."""
     d = phi.shape[-1]
     moved = slot_sum(t, n, d, q)
-    return (phi[..., None, :] @ moved.reshape(moved.shape[:-1] + (d, -1)))[..., 0, :]
+    return np.vecmat(phi, moved.reshape(moved.shape[:-1] + (d, -1)))
 
 
 def create(phi, f: GradedVector) -> GradedVector:
@@ -536,7 +537,7 @@ def commutation_residual(phi, psi, f: GradedVector):
     """
     phi = as_one_particle(phi, f.ctx.dim)
     psi = as_one_particle(psi, f.ctx.dim)
-    pairing = (phi[..., None, :] @ psi[..., :, None])[..., 0, 0]
+    pairing = np.vecdot(phi, psi)
     exchanged = create(psi, annihilate(phi, f)).scale(f.ctx.q)
     residual = annihilate(phi, create(psi, f)) - exchanged - f.scale(pairing)
     return batch_value(residual.euclidean_norm() / np.maximum(1.0, f.euclidean_norm()))

@@ -70,7 +70,7 @@ def _scale_args(f: GradedVector, r: float, alpha: float, weights, weight_base: s
     return tuple(w), base
 
 
-def _degree_weight(n: int, r: float, alpha: float, base: float, sign: int = 1) -> float:
+def degree_weight(n: int, r: float, alpha: float, base: float, sign: int = 1) -> float:
     """r^n ([n]_base!)^alpha, or its reciprocal when sign = -1; a ValueError
     naming the degree when that is not a finite double."""
     try:
@@ -89,12 +89,12 @@ def _scale_norm(tensors, r: float, alpha: float, weights, base: float, sign: int
     total = 0.0
     with np.errstate(over="ignore"):  # an overflowed sum is reported below
         for n, t in tensors:
-            weight = _degree_weight(n, r, alpha, base, sign)
+            weight = degree_weight(n, r, alpha, base, sign)
             if weights is None:
-                norm_sq = (t[..., None, :] @ t[..., :, None])[..., 0, 0]
+                norm_sq = np.vecdot(t, t)
             else:
                 w = _weight_power(weights, n)
-                norm_sq = ((t * t)[..., None, :] @ (w if sign > 0 else 1.0 / w))[..., 0]
+                norm_sq = np.vecdot(t * t, w if sign > 0 else 1.0 / w)
             total = total + norm_sq * weight
     if not np.all(np.isfinite(total)):
         raise ValueError(f"scale norm at r = {r}, alpha = {alpha} overflows a double")
@@ -266,6 +266,6 @@ def saturating_dual_partner(f_test: GradedVector, r: float, alpha: float) -> Gra
     comps: dict[int, np.ndarray] = {}
     for n, comp in f_test.components.items():
         weighted = comp * _weight_power(weights, n)
-        scale = _degree_weight(n, r, alpha, aq)
+        scale = degree_weight(n, r, alpha, aq)
         comps[n] = scale * np.linalg.solve(symmetrizer_matrix(n, ctx.dim, ctx.q), weighted)
     return GradedVector(ctx, comps)

@@ -49,6 +49,7 @@ from .qcombinatorics import (
 from .scales import (
     VAGE_ALPHA,
     default_hplus_weights,
+    degree_weight,
     embedding_residual,
     estimate_c1,
     f_dual_norm,
@@ -122,17 +123,9 @@ class Report:
     trial_values: list[float] = field(default_factory=list, repr=False)
 
     def to_json_dict(self) -> dict:
-        # theorem43's c1 overflows near |q| = 1: kept here for the margin and
-        # written null, since it bounds nothing and JSON has no number for it
-        params = dict(self.params)
-        if "per_scale" in params:
-            params["per_scale"] = [
-                {**rec, "c1": None} if rec.get("c1") == math.inf else rec
-                for rec in params["per_scale"]
-            ]
         return {
             "suite": self.suite,
-            "params": params,
+            "params": self.params,
             "trials": self.trials,
             "max_residual": self.max_residual,
             "max_ratio": self.max_ratio,
@@ -213,11 +206,16 @@ class Suite:
 
 def suite_context(name: str, cfg: RunConfig) -> QContext:
     """The truncation suite `name` runs at under `cfg`.  Raises ValueError
-    for an unknown suite or a degree past the suite's cap, so a caller can
-    check every suite it will run before the first one starts."""
+    for an unknown suite, a degree past the suite's cap or a scale pair its
+    `pair` refuses, so a caller can check every suite it will run before the
+    first one starts."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    return cfg.context(SUITES[name].degree(cfg.max_degree))
+    suite = SUITES[name]
+    ctx = cfg.context(suite.degree(cfg.max_degree))
+    for scale in cfg.scales if suite.pair else ():
+        suite.pair(ctx, *scale)
+    return ctx
 
 
 def run_suite(name: str, cfg: RunConfig) -> Report:
@@ -394,7 +392,7 @@ def _moments(ctx: QContext, phi: np.ndarray) -> list[float]:
     oracle; one walk serves every draw."""
     # each row's |phi| by the dot product np.linalg.norm takes, so a row keeps
     # the bits it has as a lone draw
-    scale = np.maximum(1.0, np.sqrt((phi[:, None, :] @ phi[:, :, None])[:, 0, 0]))
+    scale = np.maximum(1.0, np.sqrt(np.vecdot(phi, phi)))
     top = _moment_orders(ctx)
     walked, paired = moments(phi, top, ctx.q), pairing_moments(phi, top, ctx.q)
     worst = np.zeros(len(phi))
@@ -441,7 +439,7 @@ def _monomial_on(vectors: list, f: GradedVector, q: float) -> GradedVector:
     out = create(head, inner) + annihilate(head, inner)
     weight = 1.0
     for j, t in enumerate(tail):
-        pairing = (head[..., None, :] @ t[..., :, None])[..., 0, 0]
+        pairing = np.vecdot(head, t)
         out = out - _monomial_on(tail[:j] + tail[j + 1 :], f, q).scale(weight * pairing)
         weight *= q
     return out
@@ -613,8 +611,14 @@ def _lemma53(ctx: QContext, draws: list) -> list[float]:
 def _theorem43_pair(ctx: QContext, big: float, small: float, alpha: float):
     """Test-side product bound with the explicitly computed constant.  The
     bound runs from a larger scale down to a smaller one, so each configured
-    (r, s) pair is used swapped."""
+    (r, s) pair is used swapped.  The degree weights the norms will take
+    depend on the config alone, so one that overflows raises here, before
+    any suite runs.  A c1 that overflows (near |q| = 1) bounds nothing: the
+    record writes it null, and the stream's limit keeps it for the margin."""
     r, s = small, big
+    for n in range(ctx.max_degree + 1):
+        for scale in (s, r):
+            degree_weight(n, scale, alpha, abs(ctx.q))
     c1 = estimate_c1(r, s, alpha, ctx)
     weights = default_hplus_weights(ctx.dim)
 
@@ -623,7 +627,8 @@ def _theorem43_pair(ctx: QContext, big: float, small: float, alpha: float):
         denom = g_norm(f, s, alpha, weights) * g_norm(g, s, alpha, weights)
         return (g_norm(graded_tensor(f, g), r, alpha, weights) / denom).tolist()
 
-    return f"theorem43:{r}", {"r": r, "s": s, "alpha": alpha, "c1": c1}, c1, check
+    record = {"r": r, "s": s, "alpha": alpha, "c1": None if c1 == math.inf else c1}
+    return f"theorem43:{r}", record, c1, check
 
 
 def _vage_pair(ctx: QContext, r: float, s: float, alpha: float):

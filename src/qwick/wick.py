@@ -9,8 +9,9 @@ arguments, so it adds c (c_1 (x) .. (x) c_m) (x) (a_1 (x) .. (x) a_k) at
 
 The Wick product puts q^(k1*m2) K1 (x) K2 at (m1+m2, k1+k2), slots
 C1 C2 | A1 A2: the creators of the right factor jump the annihilators of
-the left.  Every product is elementwise or a stacked matmul, so a batch
-gives each row bit for bit.
+the left.  Every product is elementwise, a row product (`np.vecdot`,
+`np.vecmat`) or the stacked matmul of a kernel with a table in
+`apply_to_fock`, so a batch gives each row bit for bit.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def wick_monomial(vectors: Sequence, q: float) -> dict:
         result = field_mul(vecs[head], monomial(tail), q)
         weight = 1.0
         for j, t in enumerate(tail):
-            pairing = vecs[head][..., None, :] @ vecs[t][..., :, None]  # batch + (1, 1)
+            pairing = np.vecdot(vecs[head], vecs[t])[..., None, None]  # batch + (1, 1)
             result = add_scaled(result, monomial(tail[:j] + tail[j + 1 :]), -weight * pairing)
             weight *= q
         memo[key] = result
@@ -213,7 +214,7 @@ def pairing_moments(phi, top: int, q: float) -> np.ndarray:
     rational value of the double q, once per order, and rounded once, since
     the float sum cancels for q < 0 at high order."""
     phi, q = _moment_args(phi, top, q)
-    norm_sq = (phi[..., None, :] @ phi[..., :, None]).reshape(-1).tolist()
+    norm_sq = np.vecdot(phi, phi).reshape(-1).tolist()
     num, den = q.as_integer_ratio()
     out = np.zeros((top + 1, len(norm_sq)))
     for k in range(0, top + 1, 2):

@@ -2,7 +2,9 @@
 row, for each kernel with a batch axis and for each suite's check; and a
 suite makes the same number of kernel calls whatever its trial count."""
 
+import ast
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,3 +189,31 @@ def test_batched_suites_make_as_many_kernel_calls_at_any_trial_count(monkeypatch
             counts.append(dict(calls))
         assert counts[0] == counts[1], name
         assert counts[0], name
+
+
+# products that may sum a row in another order than the 1-D product does
+REORDERING_PRODUCTS = {"dot", "matmul", "einsum", "inner", "tensordot"}
+# the stacked kernel-by-table product, each row summed as alone
+MATMUL_HOME = ("wick", "apply_to_fock")
+
+
+def test_row_products_are_vecdot_or_vecmat():
+    # a stacked matmul row product, or a gemm or einsum, gives a row other
+    # bits than np.vecdot / np.vecmat; only apply_to_fock's kernel @ table is
+    # a matrix product
+    src = Path(fock.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (path.stem, node.name) == MATMUL_HOME:
+                allowed = {id(sub) for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno} @")
+            elif isinstance(node, ast.Attribute) and node.attr in REORDERING_PRODUCTS:
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert found == []

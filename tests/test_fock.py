@@ -579,9 +579,30 @@ def test_kernel_results_skip_revalidation(monkeypatch):
     for result in results:
         assert result.components
         assert not any(arr.flags.writeable for arr in result.components.values())
-    big = GradedVector(ctx, {0: [1e200], 1: [1e200, 1e200]})
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-        graded_tensor(big, big)
+
+
+@pytest.mark.parametrize(
+    "build",
+    (
+        pytest.param(
+            lambda ctx, x: GradedVector(ctx, {0: [1.0], 1: [x, x], 2: [x * x] * 4, 3: [x * x] * 8}),
+            id="constructor",
+        ),
+        pytest.param(
+            lambda ctx, x: graded_tensor(*[GradedVector(ctx, {0: [1.0], 1: [x, x], 2: [x] * 4})] * 2),
+            id="graded-tensor",
+        ),
+    ),
+)
+def test_seal_names_the_first_non_finite_degree(build):
+    # the public constructor and a kernel result share one finiteness check
+    ctx = QContext(0.5, 2, 4)
+    vec = build(ctx, 1.0)
+    assert vec.components and not any(arr.flags.writeable for arr in vec.components.values())
+    # degrees 2 and up overflow; the error names degree 2
+    first = r"^degree-2 component entries must be finite$"
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=first):
+        build(ctx, 1e200)
 
 
 def test_commutation_examples():

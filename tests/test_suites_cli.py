@@ -123,7 +123,7 @@ def test_all_infinite_bounds_still_name_a_ratio():
     the first pair that ran supplies max_ratio and bound."""
     report = run_suite("theorem43", RunConfig(q=0.9999, trials=3))
     per_scale = report.params["per_scale"]
-    assert [p["c1"] for p in per_scale] == [math.inf] * 3
+    assert [p["c1"] for p in per_scale] == [None] * 3  # an overflowed c1 is written null
     assert report.max_ratio == per_scale[0]["max_ratio"]
     assert report.max_ratio is not None
     assert report.bound == math.inf
@@ -629,6 +629,7 @@ def test_cli_rejects_non_finite_vector(operation, tmp_path, capsys):
         pytest.param(["compute", "norm", "{vector}", "--side", "test", "--r", "1e150"], id="test-r"),
         pytest.param(["compute", "norm", "{vector}", "--side", "dual", "--alpha=-1e308"], id="dual-alpha"),
         pytest.param(["verify", "--suite", "theorem43", "--scales", "2:1:400", "--trials", "2"], id="alpha-400"),
+        pytest.param(["verify", "--suite", "all", "--scales", "2:1:400", "--trials", "2"], id="all-alpha-400"),
         pytest.param(["verify", "--suite", "theorem43", "--scales", "1e308:1", "--trials", "2"], id="r-1e308"),
         pytest.param(
             ["verify", "--suite", "theorem43", "--scales", "1e308:1", "--max-degree", "1", "--trials", "2"],
@@ -648,7 +649,16 @@ def test_cli_scale_weight_overflow_is_a_usage_error(argv, tmp_path, capsys):
     assert cli.main([arg.format(vector=path) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    # a weight fixed by the config alone fails before any suite reports
+    assert "[pass]" not in captured.err
     assert captured.err.startswith("error: ") and "overflows a double" in captured.err
+
+
+@pytest.mark.parametrize("suite", ("commutation", "vage"))
+def test_cli_scale_weight_overflow_only_stops_theorem43(suite, capsys):
+    # commutation reads no scale, and vage checks every pair at exponent 2
+    assert cli.main(["verify", "--suite", suite, "--scales", "2:1:400", "--trials", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
 def test_cli_verify_past_degree_eight(capsys):
