@@ -11,8 +11,8 @@ r^(-n) ([n]_|q|!)^(-alpha) and the reciprocal one-particle weights; its base
 is always |q|, since its factorial weights enter with a negative power and
 only the |q| family bounds the symmetrizer norm.  Both require r >= 1.  The
 graded tensor product, the embedding residual, the tensor-bound constant, the
-shuffle-binomial bound, the asymmetric submultiplicativity ratio and the dual
-partner that saturates the duality bound live here.
+shuffle-binomial bound, the asymmetric submultiplicativity ratio and the test
+vector that saturates the duality bound against a dual vector live here.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .fock import (
     elementary_tensor,
     fock_norm,
     require_same_context,
-    symmetrizer_matrix,
     tensor_product,
 )
 from .qcombinatorics import q_binomial, q_factorial
@@ -254,18 +253,15 @@ def vage_ratio(f: GradedVector, g: GradedVector, r: float, s: float):
     return batch_value(ratio)
 
 
-def saturating_dual_partner(f_test: GradedVector, r: float, alpha: float) -> GradedVector:
-    """The dual vector that turns the duality bound into an equality for the
-    given test vector under the default one-particle weights: degree by
-    degree, scale-weight the one-particle-weighted tensor and pull it back
-    through the symmetrizer (a dense solve against the kernel applied to
-    identity columns)."""
-    ctx = f_test.ctx
-    weights = tuple(default_hplus_weights(ctx.dim))
-    aq = abs(ctx.q)
+def saturating_dual_partner(g: GradedVector, r: float, alpha: float, weights=None) -> GradedVector:
+    """The test vector that turns the duality bound into an equality against
+    the dual vector g: degree by degree f_n = P g_n / (r^n ([n]_|q|!)^alpha
+    W_n), with W_n the one-particle weights on degree n (1 for None).  Then
+    <f, g>_q = (f, P g) = ||f||_test^2 = ||g||_dual^2, and the symmetrizer,
+    nearly singular as |q| -> 1, is applied, never inverted."""
+    weights, aq = _scale_args(g, r, alpha, weights, "abs_q")
     comps: dict[int, np.ndarray] = {}
-    for n, comp in f_test.components.items():
-        weighted = comp * _weight_power(weights, n)
-        scale = degree_weight(n, r, alpha, aq)
-        comps[n] = scale * np.linalg.solve(symmetrizer_matrix(n, ctx.dim, ctx.q), weighted)
-    return GradedVector(ctx, comps)
+    for n, comp in g.components.items():
+        w = 1.0 if weights is None else _weight_power(weights, n)
+        comps[n] = apply_pq(n, comp, g.ctx) / (degree_weight(n, r, alpha, aq) * w)
+    return GradedVector._of(g.ctx, comps)

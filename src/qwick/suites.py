@@ -2,8 +2,8 @@
 
 The suites form one table, `SUITES`, run by one runner, `run_suite`.  A table
 entry holds only the suite's own maths: its findings (the values, params and
-side checks that need no trial), what one trial draws, how a stream of draws
-is checked, its tolerance and its truncation degree.  The runner does the rest
+side checks set by the config alone), what one trial draws, how a stream of
+draws is checked, its tolerance and its truncation degree.  The runner does the rest
 for every suite: it draws trial i's inputs from a generator seeded by
 (seed, stream key, i), so results do not depend on execution order, splits
 the trials evenly over the configured scale pairs, checks each nonempty
@@ -172,19 +172,18 @@ def _stacked(check):
 
 def _constant(**params) -> Callable:
     """Findings that are constant params alone: no values, no side checks."""
-    return lambda ctx, side: ([], params, ())
+    return lambda ctx: ([], params, ())
 
 
 @dataclass(frozen=True)
 class Suite:
     """One row of the suite table.
 
-    `findings(ctx, side)` draws no trial and returns a value list, the
-    suite's own params (constant or computed) and its side checks.
-    `side(key)` is the generator of side stream `{suite}:{key}`, index 0; a
-    side check is a (value, limit) pair, recorded as trial -1 when the value
-    is not within its limit.  A draw-free suite gives only findings.  A
-    sampling suite's findings give no values, and it adds `draw(ctx, rng)`,
+    `findings(ctx)` draws nothing and returns a value list, the suite's own
+    params (constant or computed) and its side checks, all set by the config
+    alone; a side check is a (value, limit) pair, recorded as trial -1 when
+    the value is not within its limit.  A draw-free suite gives only
+    findings.  A sampling suite's findings give no values, and it adds `draw(ctx, rng)`,
     the inputs of one trial, and either `check(ctx, draws)`, the values of a
     nonempty list of draws, each the same as `check(ctx, [draw])` gives, or
     `pair(ctx, r, s, alpha)`, called once per configured scale pair, which
@@ -199,7 +198,7 @@ class Suite:
     draw: Callable[[QContext, np.random.Generator], tuple] | None = None
     check: Callable[[QContext, list], list] | None = None
     pair: Callable[[QContext, float, float, float], tuple[str, dict, float, Callable]] | None = None
-    findings: Callable[[QContext, Callable], tuple[list[float], dict, tuple]] = _constant()
+    findings: Callable[[QContext], tuple[list[float], dict, tuple]] = _constant()
     shared: tuple[str, ...] = ("q", "dim", "max_degree")
     degree: Callable[[int], int] = lambda n: n
 
@@ -229,9 +228,7 @@ def run_suite(name: str, cfg: RunConfig) -> Report:
     suite = SUITES[name]
     shared = {"q": cfg.q, "dim": cfg.dim, "max_degree": ctx.max_degree}
     params = {key: shared[key] for key in suite.shared}
-    values, extra, side_checks = suite.findings(
-        ctx, lambda key: _trial_rng(cfg.seed, f"{name}:{key}", 0)
-    )
+    values, extra, side_checks = suite.findings(ctx)
     params.update(tolerance=suite.tolerance, **extra)
     max_ratio = bound = None
     if suite.draw:
@@ -309,7 +306,7 @@ def _basis_residuals(ctx: QContext) -> np.ndarray:
     return out
 
 
-def _commutation_findings(ctx: QContext, side) -> tuple[list, dict, tuple]:
+def _commutation_findings(ctx: QContext) -> tuple[list, dict, tuple]:
     """The exchange residual is bilinear in (phi, psi), so its blocks at the
     d^2 basis pairs decide it for every pair; their largest Frobenius norm
     is a side check, exactly 0 at q = +-0.5.  Documented finding: trading
@@ -328,7 +325,7 @@ def _commutation_findings(ctx: QContext, side) -> tuple[list, dict, tuple]:
     return [], params, ((basis, COMMUTATION_TOLERANCE),)
 
 
-def _positivity(ctx: QContext, side) -> tuple[list[float], dict, tuple]:
+def _positivity(ctx: QContext) -> tuple[list[float], dict, tuple]:
     """The symmetrizer is strictly positive; its norm is the |q|-factorial.
     The norm's excess over [n]_|q|! and over the plain [n]_q! is measured
     relative to [n]_|q|!, which grows geometrically with n.  Up to
@@ -372,7 +369,7 @@ def _adjointness(ctx: QContext, phi: np.ndarray, f: GradedVector, g: GradedVecto
     return (np.abs(lhs - rhs) / scale).tolist()
 
 
-def _macmahon(ctx: QContext, side) -> tuple[list[float], dict, tuple]:
+def _macmahon(ctx: QContext) -> tuple[list[float], dict, tuple]:
     """Shuffle inversion statistic sums to the Gaussian binomial."""
     values = [
         macmahon_residual(m, n, ctx.q)
@@ -402,12 +399,12 @@ def _moments(ctx: QContext, phi: np.ndarray) -> list[float]:
     return worst.tolist()
 
 
-def _random_polynomial(rng: np.random.Generator, dim: int, max_terms: int = 3) -> dict:
-    """Up to max_terms random words with at most two creators and two
+def _random_polynomial(rng: np.random.Generator, dim: int) -> dict:
+    """Up to three random words with at most two creators and two
     annihilators, as kernels at every bidegree m, k <= 2 (zero where no word
     is), so that draws stack."""
     poly = {(m, k): np.zeros((dim**m, dim**k)) for m in range(3) for k in range(3)}
-    for _ in range(int(rng.integers(1, max_terms + 1))):
+    for _ in range(int(rng.integers(1, 4))):
         creators = [rng.standard_normal(dim) for _ in range(int(rng.integers(0, 3)))]
         annihilators = [rng.standard_normal(dim) for _ in range(int(rng.integers(0, 3)))]
         word = np.outer(elementary_tensor(creators), elementary_tensor(annihilators))
@@ -517,7 +514,7 @@ def hermite_coefficients(n: int) -> list[int]:
     return coeffs
 
 
-def _hermite(ctx: QContext, side) -> tuple[list[float], dict, tuple]:
+def _hermite(ctx: QContext) -> tuple[list[float], dict, tuple]:
     """Single-mode reduction: the monomial recursion is the deformed Hermite
     three-term recurrence, and its q -> 1 limit is the classical one."""
     e = basis_vector(1, 0)
@@ -569,7 +566,7 @@ def _embedding(ctx: QContext, f: GradedVector) -> list[float]:
     return (residual / np.maximum(1.0, fock_norm(f))).tolist()
 
 
-def _embedding_findings(ctx: QContext, side) -> tuple[list, dict, tuple]:
+def _embedding_findings(ctx: QContext) -> tuple[list, dict, tuple]:
     """The scale checked, and a documented finding: with plain-q weights the
     same bound fails on antisymmetric tensors even under the scale
     precondition."""
@@ -646,24 +643,28 @@ def _vage_pair(ctx: QContext, r: float, s: float, alpha: float):
 DUALITY_R, DUALITY_ALPHA = 2.0, 2.0
 
 
+def _pairing_and_product(f: GradedVector, g: GradedVector) -> tuple:
+    """|<f, g>_q| and ||f||_test ||g||_dual at the duality scale, per row."""
+    weights = default_hplus_weights(f.ctx.dim)
+    test_norm = g_norm(f, DUALITY_R, DUALITY_ALPHA, weights)
+    return np.abs(q_inner(f, g)), test_norm * f_dual_norm(g, DUALITY_R, DUALITY_ALPHA, weights)
+
+
 @_stacked
 def _duality(ctx: QContext, f: GradedVector, g: GradedVector) -> list[float]:
     """The dual-scale norm is the exact operator dual of the test norm."""
-    weights = default_hplus_weights(ctx.dim)
-    test_norm = g_norm(f, DUALITY_R, DUALITY_ALPHA, weights)
-    product = test_norm * f_dual_norm(g, DUALITY_R, DUALITY_ALPHA, weights)
-    residual = np.maximum(0.0, np.abs(q_inner(f, g)) - product)
-    return (residual / np.maximum(1.0, product)).tolist()
+    pairing, product = _pairing_and_product(f, g)
+    return (np.maximum(0.0, pairing - product) / np.maximum(1.0, product)).tolist()
 
 
-def _duality_findings(ctx: QContext, side) -> tuple[list, dict, tuple]:
-    """One saturating pair: the bound is attained, not merely respected."""
+def _duality_findings(ctx: QContext) -> tuple[list, dict, tuple]:
+    """One saturating pair: the bound is attained, not merely respected.  The
+    dual vector is fixed and generic (entry k of degree n is 1/(k+1))."""
+    degrees = range(ctx.max_degree + 1)
+    g = GradedVector(ctx, {n: 1.0 / np.arange(1, ctx.dim**n + 1) for n in degrees})
     weights = default_hplus_weights(ctx.dim)
-    f = GradedVector.random(ctx, side("saturate"))
-    partner = saturating_dual_partner(f, DUALITY_R, DUALITY_ALPHA)
-    pairing = abs(q_inner(f, partner))
-    test_norm = g_norm(f, DUALITY_R, DUALITY_ALPHA, weights)
-    product = test_norm * f_dual_norm(partner, DUALITY_R, DUALITY_ALPHA, weights)
+    f = saturating_dual_partner(g, DUALITY_R, DUALITY_ALPHA, weights)
+    pairing, product = _pairing_and_product(f, g)
     saturation_gap = abs(pairing - product) / product
     params = {"r": DUALITY_R, "alpha": DUALITY_ALPHA, "saturation_gap": saturation_gap}
     return [], params, ((saturation_gap, 1e-9),)
@@ -769,7 +770,7 @@ SUITES = {
         1e-9,
         lambda ctx, rng: (rng.standard_normal(ctx.dim),),
         _moments,
-        findings=lambda ctx, side: ([], {"orders": _moment_orders(ctx)}, ()),
+        findings=lambda ctx: ([], {"orders": _moment_orders(ctx)}, ()),
         degree=lambda n: max(n, 1),
     ),
     "wick-correspondence": Suite(

@@ -501,7 +501,7 @@ def _swap_constant_oracle(ctx):
 
 def _swapped_finding(ctx):
     """The commutation suite's finding on the argument-swapped variant."""
-    values, findings, side_checks = SUITES["commutation"].findings(ctx, None)
+    values, findings, side_checks = SUITES["commutation"].findings(ctx)
     assert values == []
     assert side_checks == ((findings["basis_max_residual"], 1e-12),)
     return findings["argument_swapped_variant_max_residual"]

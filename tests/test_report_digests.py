@@ -29,7 +29,7 @@ DIGESTS = {
         "lemma53": "83f6f8cc04b4448623a4e447980623d5de3134a50afee1d0b249d0ca2978928a",
         "theorem43": "a891dd551531c6ca8100e5d3b1babceb1114efc7e58f7b3aaa92e56a164d547e",
         "vage": "789a217441479b5f0ef6ede3073b37023ed931fe8cb6a6ba3c0cfec52981ad9e",
-        "duality": "30f94a67178cc950042684b51602c9009c6361ff6bf2bbad9bf9d5eead1f7e14",
+        "duality": "077fb830623368e3f632c0ea0ee38fc696f62130ec8869821a76cfde11285b04",
         "inverse": "89da02abdc32fb978da2ce1e5d7859adbf55e01534d01f1d5828520dbd83de58",
         "series": "fd879e9fccfc5c25c555f74dc5f37d08cae5c402afcd7afe09a19b13a179af81",
     },
@@ -45,7 +45,7 @@ DIGESTS = {
         "lemma53": "214cea95c15fb74fc53cd95c0cb8d5b5a0beec924a38b606fa18c75272b0e0ab",
         "theorem43": "115ee2605aad73ba65e24add6c5dfd35e1567c3b4bd20b610e20efc7d7b1c8c9",
         "vage": "15d8edaf73b293b6936820936c1811590657409c0f4893540385e4fabf89bd17",
-        "duality": "05f5499cf137d030bf74f838e7fd66d14b55ad576f6de9db5d2df967119c8057",
+        "duality": "99668e1e570d9af409a057a76b3ad51e63175c0ebcdc82baf566eb6d3357c8a6",
         "inverse": "4b49ce87430ef74e547538a8deb4d304437e2b5d32b3721979b106d1a0bb8642",
         "series": "f1c08fb338d436ab8313f2ba8f5b991f95b40c3ca5e0c1e2562b08193aba7246",
     },

@@ -11,8 +11,9 @@ from qwick.fock import (
     elementary_tensor,
     fock_norm,
     q_inner,
+    symmetrizer_matrix,
 )
-from qwick.qcombinatorics import q_binomial
+from qwick.qcombinatorics import q_binomial, q_factorial
 from qwick.scales import (
     default_hplus_weights,
     embedding_residual,
@@ -30,7 +31,7 @@ Q_GRID = (-0.9, -0.5, 0.0, 0.3, 0.5, 0.9)
 
 def test_norm_scale_validation():
     f = GradedVector.vacuum(QContext(0.5, 2, 3))
-    for norm in (g_norm, f_dual_norm):
+    for norm in (g_norm, f_dual_norm, saturating_dual_partner):
         with pytest.raises(ValueError, match="r must be >= 1"):
             norm(f, 0.5, 2.0)
         with pytest.raises(ValueError, match="r must be >= 1"):
@@ -389,10 +390,23 @@ def test_duality_trivial_and_saturating():
     vac = GradedVector.vacuum(ctx)
     product = g_norm(vac, 2.0, 2.0, weights) * f_dual_norm(vac, 2.0, 2.0, weights)
     assert np.maximum(0.0, np.abs(q_inner(vac, vac)) - product) == 0.0
-    rng = np.random.default_rng(12)
-    f = GradedVector.random(ctx, rng)
-    partner = saturating_dual_partner(f, 2.0, 2.0)
-    pairing = abs(q_inner(f, partner))
-    product = g_norm(f, 2.0, 2.0, weights) * f_dual_norm(partner, 2.0, 2.0, weights)
-    assert np.maximum(0.0, pairing - product) <= 1e-10
-    assert pairing == pytest.approx(product, rel=1e-12)  # the bound is attained
+    # the partner is built forward, so the bound is attained near |q| = 1 too,
+    # where the symmetrizer is nearly singular
+    for dim in (1, 2, 3):
+        for q in (-0.7, 0.9999):
+            ctx = QContext(q, dim, 4)
+            g = GradedVector.random(ctx, np.random.default_rng([dim, 12]))
+            for weights in (None, default_hplus_weights(dim)):
+                f = saturating_dual_partner(g, 2.0, 2.0, weights)
+                pairing = abs(q_inner(f, g))
+                product = g_norm(f, 2.0, 2.0, weights) * f_dual_norm(g, 2.0, 2.0, weights)
+                assert pairing == pytest.approx(product, rel=1e-12), (dim, q, weights)
+    # oracle: pulling f back through the dense symmetrizer recovers g
+    ctx = QContext(0.5, 2, 4)
+    weights = default_hplus_weights(2)
+    g = GradedVector.random(ctx, np.random.default_rng(13))
+    f = saturating_dual_partner(g, 2.0, 3.0, weights)
+    for n, f_n in f.components.items():
+        scale = 2.0**n * q_factorial(n, 0.5) ** 3.0 * elementary_tensor([weights] * n)
+        recovered = np.linalg.solve(symmetrizer_matrix(n, 2, 0.5), scale * f_n)
+        np.testing.assert_allclose(recovered, g.components[n], rtol=0, atol=1e-12)

@@ -62,7 +62,7 @@ def test_every_suite_passes_on_default_config(name):
 @pytest.mark.parametrize("q", (-0.9, -0.5, 0.0, 0.9))
 def test_suites_pass_across_q(q):
     cfg = RunConfig(q=q, trials=10, max_degree=5)
-    for name in ("commutation", "positivity", "moments", "vage", "inverse"):
+    for name in ("commutation", "positivity", "moments", "vage", "duality", "inverse"):
         report = run_suite(name, cfg)
         assert report.passed, (name, q, report.violations[:3])
 
@@ -132,6 +132,14 @@ def test_all_infinite_bounds_still_name_a_ratio():
 
 def _refuse_constant(token):
     raise ValueError(f"non-JSON token {token}")
+
+
+@pytest.mark.parametrize("q", ("0.99", "-0.999", "0.9999", "-0.9999"))
+def test_duality_saturates_near_unit_q(q, capsys):
+    # the saturating pair is built with the symmetrizer applied, not inverted,
+    # so its gap stays at rounding while the symmetrizer nears singularity
+    assert cli.main(["verify", "--suite", "duality", "--q", q, "--trials", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["saturation_gap"] < 1e-12
 
 
 @pytest.mark.parametrize("flags", (["--q", "0.9999"], ["--scales", "1.0000000000000002:1"]))
@@ -375,6 +383,8 @@ def test_cli_adjointness_without_shared_degrees(tmp_path, capsys):
         # [n]_|q|! outgrows an absolute tolerance on the symmetrizer's norm
         (["--dim", "1", "--max-degree", "24"], 24),
         (["--dim", "1", "--q", "0.9", "--max-degree", "12"], 12),
+        # the symmetrizer nears singularity; duality's saturating pair once failed here
+        (["--q", "0.99"], 6),
     ),
 )
 def test_cli_all_suites_on_tiny_configs(flags, commutation_degree, capsys):
