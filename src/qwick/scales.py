@@ -253,15 +253,15 @@ def vage_ratio(f: GradedVector, g: GradedVector, r: float, s: float):
     return batch_value(ratio)
 
 
-def saturating_dual_partner(g: GradedVector, r: float, alpha: float, weights=None) -> GradedVector:
+def saturating_dual_partner(g: GradedVector, r: float, alpha: float, weights) -> GradedVector:
     """The test vector that turns the duality bound into an equality against
     the dual vector g: degree by degree f_n = P g_n / (r^n ([n]_|q|!)^alpha
-    W_n), with W_n the one-particle weights on degree n (1 for None).  Then
-    <f, g>_q = (f, P g) = ||f||_test^2 = ||g||_dual^2, and the symmetrizer,
-    nearly singular as |q| -> 1, is applied, never inverted."""
+    W_n), with W_n the one-particle weights on degree n.  Then <f, g>_q =
+    (f, P g) = ||f||_test^2 = ||g||_dual^2, and the symmetrizer, nearly
+    singular as |q| -> 1, is applied, never inverted."""
     weights, aq = _scale_args(g, r, alpha, weights, "abs_q")
-    comps: dict[int, np.ndarray] = {}
-    for n, comp in g.components.items():
-        w = 1.0 if weights is None else _weight_power(weights, n)
-        comps[n] = apply_pq(n, comp, g.ctx) / (degree_weight(n, r, alpha, aq) * w)
+    comps = {
+        n: apply_pq(n, comp, g.ctx) / (degree_weight(n, r, alpha, aq) * _weight_power(weights, n))
+        for n, comp in g.components.items()
+    }
     return GradedVector._of(g.ctx, comps)

@@ -3,12 +3,12 @@
 The suites form one table, `SUITES`, run by one runner, `run_suite`.  A table
 entry holds only the suite's own maths: its findings (the values, params and
 side checks set by the config alone), what one trial draws, how a stream of
-draws is checked, its tolerance and its truncation degree.  The runner does the rest
-for every suite: it draws trial i's inputs from a generator seeded by
-(seed, stream key, i), so results do not depend on execution order, splits
-the trials evenly over the configured scale pairs, checks each nonempty
-stream's draws in one call, builds the shared params and records the
-violations.  A check gives one float per draw: it stacks its draws into one
+draws is checked, its tolerance and its truncation degree.  The runner does
+the rest for every suite: it draws trial i's inputs from a generator seeded
+by (seed, stream key, i), so results do not depend on execution order,
+splits the trials evenly over the configured scale pairs, checks each
+nonempty stream's draws in one call, builds the shared params and records
+the violations.  A check gives one float per draw: it stacks its draws into one
 batch and makes one kernel call where a trial made one, each row computed bit
 for bit as alone.  Adding a suite means adding one entry to the table.
 """
@@ -183,13 +183,13 @@ class Suite:
     params (constant or computed) and its side checks, all set by the config
     alone; a side check is a (value, limit) pair, recorded as trial -1 when
     the value is not within its limit.  A draw-free suite gives only
-    findings.  A sampling suite's findings give no values, and it adds `draw(ctx, rng)`,
-    the inputs of one trial, and either `check(ctx, draws)`, the values of a
-    nonempty list of draws, each the same as `check(ctx, [draw])` gives, or
-    `pair(ctx, r, s, alpha)`, called once per configured scale pair, which
-    returns the pair's stream key, its `per_scale` record, its bound and a
-    check computing ratios; a trial's value is how far its ratio exceeds the
-    bound.  `shared` names the shared params the report keeps; `degree` maps
+    findings.  A sampling suite's findings give no values, and it adds
+    `draw(ctx, rng)`, the inputs of one trial, and either `check(ctx,
+    draws)`, the values of a nonempty list of draws, each the same as
+    `check(ctx, [draw])` gives, or `pair(ctx, r, s, alpha)`, called once per
+    configured scale pair, which returns the pair's stream key, its
+    `per_scale` record, its bound and a check computing ratios; a trial's
+    value is how far its ratio exceeds the bound.  `shared` names the shared params the report keeps; `degree` maps
     the configured truncation degree to the suite's and raises ValueError
     where the suite's check is not sound.
     """
@@ -640,14 +640,16 @@ def _vage_pair(ctx: QContext, r: float, s: float, alpha: float):
     return f"vage:{r}:{s}", {"r": r, "s": s, "alpha": VAGE_ALPHA, "bound": bound}, bound, check
 
 
-DUALITY_R, DUALITY_ALPHA = 2.0, 2.0
+def _duality_scale(ctx: QContext) -> tuple:
+    """The duality suite's test scale: (r, alpha, one-particle weights)."""
+    return 2.0, 2.0, default_hplus_weights(ctx.dim)
 
 
 def _pairing_and_product(f: GradedVector, g: GradedVector) -> tuple:
     """|<f, g>_q| and ||f||_test ||g||_dual at the duality scale, per row."""
-    weights = default_hplus_weights(f.ctx.dim)
-    test_norm = g_norm(f, DUALITY_R, DUALITY_ALPHA, weights)
-    return np.abs(q_inner(f, g)), test_norm * f_dual_norm(g, DUALITY_R, DUALITY_ALPHA, weights)
+    r, alpha, weights = _duality_scale(f.ctx)
+    test_norm = g_norm(f, r, alpha, weights)
+    return np.abs(q_inner(f, g)), test_norm * f_dual_norm(g, r, alpha, weights)
 
 
 @_stacked
@@ -662,11 +664,11 @@ def _duality_findings(ctx: QContext) -> tuple[list, dict, tuple]:
     dual vector is fixed and generic (entry k of degree n is 1/(k+1))."""
     degrees = range(ctx.max_degree + 1)
     g = GradedVector(ctx, {n: 1.0 / np.arange(1, ctx.dim**n + 1) for n in degrees})
-    weights = default_hplus_weights(ctx.dim)
-    f = saturating_dual_partner(g, DUALITY_R, DUALITY_ALPHA, weights)
+    r, alpha, weights = _duality_scale(ctx)
+    f = saturating_dual_partner(g, r, alpha, weights)
     pairing, product = _pairing_and_product(f, g)
     saturation_gap = abs(pairing - product) / product
-    params = {"r": DUALITY_R, "alpha": DUALITY_ALPHA, "saturation_gap": saturation_gap}
+    params = {"r": r, "alpha": alpha, "saturation_gap": saturation_gap}
     return [], params, ((saturation_gap, 1e-9),)
 
 

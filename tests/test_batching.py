@@ -199,7 +199,30 @@ MATMUL_HOME = ("wick", "apply_to_fock")
 
 # dense solves: the symmetrizer is nearly singular as |q| -> 1, so src applies
 # it and never inverts it; a solve is a test oracle only
-DENSE_SOLVES = {"solve", "inv", "pinv", "lstsq"}
+DENSE_SOLVES = {"inv", "pinv", "lstsq"}
+
+
+def _is_dense_solve(name: str) -> bool:
+    # "solve" also covers cho_solve, lu_solve, solve_triangular, ...
+    return name in DENSE_SOLVES or "solve" in name
+
+
+def _dense_solves(tree: ast.AST) -> list[str]:
+    """The dense solves a module reaches, as an attribute or an imported
+    name.  A bare call `solve(a, b)` needs one of the two to bind its name
+    first, so `from numpy.linalg import solve` is caught at the import; bare
+    names are not matched, as locals such as `inv` are no solve."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rsplit(".", 1)[-1]
+        else:
+            continue
+        if _is_dense_solve(name):
+            found.append(f"{node.lineno} {name}")
+    return found
 
 
 def _src_trees():
@@ -209,13 +232,24 @@ def _src_trees():
 
 
 def test_no_dense_solve_in_src():
-    found = [
-        f"{path.name}:{node.lineno} .{node.attr}"
-        for path, tree in _src_trees()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in DENSE_SOLVES
-    ]
+    found = [f"{path.name}:{hit}" for path, tree in _src_trees() for hit in _dense_solves(tree)]
     assert found == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    (
+        "x = np.linalg.solve(a, b)",
+        "from numpy.linalg import solve\nx = solve(a, b)",
+        "from numpy.linalg import pinv as p",
+        "from scipy.linalg import cho_solve",
+        "import scipy.linalg.solve_triangular",
+        "x = scipy.linalg.lu_solve(lu, b)",
+        "lstsq = np.linalg.lstsq\nx = lstsq(a, b)",
+    ),
+)
+def test_the_dense_solve_guard_sees_every_spelling(source):
+    assert _dense_solves(ast.parse(source))
 
 
 def test_row_products_are_vecdot_or_vecmat():

@@ -31,11 +31,12 @@ Q_GRID = (-0.9, -0.5, 0.0, 0.3, 0.5, 0.9)
 
 def test_norm_scale_validation():
     f = GradedVector.vacuum(QContext(0.5, 2, 3))
+    ones = np.ones(2)
     for norm in (g_norm, f_dual_norm, saturating_dual_partner):
         with pytest.raises(ValueError, match="r must be >= 1"):
-            norm(f, 0.5, 2.0)
+            norm(f, 0.5, 2.0, ones)
         with pytest.raises(ValueError, match="r must be >= 1"):
-            norm(f, math.nan, 2.0)
+            norm(f, math.nan, 2.0, ones)
         with pytest.raises(ValueError, match="length 2"):
             norm(f, 1.0, 1.0, np.array([1.0]))
         with pytest.raises(ValueError, match="weights must be >= 1"):
@@ -53,7 +54,7 @@ def test_scale_overflow_is_a_value_error():
     with pytest.raises(ValueError, match="degree-2 scale weight at r = 1.0, alpha = -1e"):
         f_dual_norm(f, 1.0, -1e308)
     with pytest.raises(ValueError, match="degree-2 scale weight"):
-        saturating_dual_partner(f, 1e200, 2.0)
+        saturating_dual_partner(f, 1e200, 2.0, np.ones(2))
     ctx = QContext(0.5, 2, 1)
     with pytest.raises(ValueError, match="scale norm at r = 1e"):
         g_norm(GradedVector(ctx, {1: [1.0, 1.0]}), 1e308, 2.0)
@@ -390,13 +391,13 @@ def test_duality_trivial_and_saturating():
     vac = GradedVector.vacuum(ctx)
     product = g_norm(vac, 2.0, 2.0, weights) * f_dual_norm(vac, 2.0, 2.0, weights)
     assert np.maximum(0.0, np.abs(q_inner(vac, vac)) - product) == 0.0
-    # the partner is built forward, so the bound is attained near |q| = 1 too,
-    # where the symmetrizer is nearly singular
+    # the bound is attained at q = 0.9999 too, where the symmetrizer is
+    # nearly singular
     for dim in (1, 2, 3):
         for q in (-0.7, 0.9999):
             ctx = QContext(q, dim, 4)
             g = GradedVector.random(ctx, np.random.default_rng([dim, 12]))
-            for weights in (None, default_hplus_weights(dim)):
+            for weights in (np.ones(dim), default_hplus_weights(dim)):
                 f = saturating_dual_partner(g, 2.0, 2.0, weights)
                 pairing = abs(q_inner(f, g))
                 product = g_norm(f, 2.0, 2.0, weights) * f_dual_norm(g, 2.0, 2.0, weights)

@@ -383,7 +383,7 @@ def test_cli_adjointness_without_shared_degrees(tmp_path, capsys):
         # [n]_|q|! outgrows an absolute tolerance on the symmetrizer's norm
         (["--dim", "1", "--max-degree", "24"], 24),
         (["--dim", "1", "--q", "0.9", "--max-degree", "12"], 12),
-        # the symmetrizer nears singularity; duality's saturating pair once failed here
+        # the symmetrizer is nearly singular at |q| = 0.99
         (["--q", "0.99"], 6),
     ),
 )
