@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import gc
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -42,13 +44,46 @@ VECTOR_OPS = {
 }
 
 
+def _json_text(data, allow_nan: bool, newline: str = "\n") -> str:
+    """json.dumps(data, indent=2, sort_keys=True, allow_nan=allow_nan), byte
+    for byte, nested at the level newline sets ("\n" and two spaces a level).
+
+    json's indented encoder runs in Python, several calls per entry.  Here a
+    flat list of finite floats is one join of float.__repr__, the text that
+    encoder writes for each entry; a dict with string keys is written key by
+    key, to reach such lists; every other value goes to json.dumps whole (a
+    list of reports is one call, not one per leaf), so its bytes and its
+    ValueError for a value allow_nan refuses are json's own.  That text is
+    re-indented, which is safe since a JSON string never holds a raw newline."""
+    inner = newline + "  "
+    if isinstance(data, list) and data and set(map(type, data)) == {float}:
+        if all(map(math.isfinite, data)):
+            return "[" + inner + ("," + inner).join(map(float.__repr__, data)) + newline + "]"
+    elif isinstance(data, dict) and data and all(type(key) is str for key in data):
+        items = (json.dumps(k) + ": " + _json_text(data[k], allow_nan, inner) for k in sorted(data))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=allow_nan).replace("\n", newline)
+
+
 def _json_out(data: dict | list, path: str | None, allow_nan: bool = False) -> None:
-    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=allow_nan)
+    text = _json_text(data, allow_nan)
     if path:
         with open(path, "w") as handle:
             handle.write(text + "\n")
     else:
         print(text)
+
+
+def _check_destination(path: str) -> None:
+    """An OSError unless path names a file that can be written: not a
+    directory, in an existing writable directory, writable if it exists."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, "output is a directory", path)
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(errno.ENOENT, "output directory does not exist", folder)
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise PermissionError(errno.EACCES, "output is not writable", path)
 
 
 def _load_json(path: str) -> dict:
@@ -102,6 +137,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("csv export needs a single suite")
     for name in names:
         suite_context(name, cfg)
+    for path in (args.out, args.csv):
+        if path:
+            _check_destination(path)
     reports: list[Report] = []
     for name in names:
         report = run_suite(name, cfg)
@@ -144,11 +182,11 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     ]
     if not all(math.isfinite(v) for row in rows for v in row.values()):
         raise ValueError("moments are not finite; scale --phi down")
+    if args.out:
+        _json_out({"q": args.q, "phi": phi.tolist(), "moments": rows}, args.out)
     print("k  value  oracle  residual")
     for row in rows:
         print(f"{row['k']}  {row['value']!r}  {row['oracle']!r}  {row['residual']!r}")
-    if args.out:
-        _json_out({"q": args.q, "phi": phi.tolist(), "moments": rows}, args.out)
     return 0
 
 
@@ -168,7 +206,6 @@ def _cmd_norm(args: argparse.Namespace) -> int:
         raise ValueError("the dual side uses the abs_q weight base")
     else:
         value = f_dual_norm(vec, args.r, args.alpha, weights)
-    print(repr(value))
     if args.out:
         _json_out(
             {
@@ -181,6 +218,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
             },
             args.out,
         )
+    print(repr(value))
     return 0
 
 

@@ -252,21 +252,65 @@ def test_the_dense_solve_guard_sees_every_spelling(source):
     assert _dense_solves(ast.parse(source))
 
 
+def _nodes_outside(path: Path, tree: ast.AST, home: tuple[str, str]) -> list[ast.AST]:
+    """The nodes of a module's tree, less those of the function home names
+    as (module stem, function name)."""
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and (path.stem, node.name) == home:
+            inside |= {id(sub) for sub in ast.walk(node)}
+    return [node for node in ast.walk(tree) if id(node) not in inside]
+
+
 def test_row_products_are_vecdot_or_vecmat():
     # a stacked matmul row product, or a gemm or einsum, gives a row other
     # bits than np.vecdot / np.vecmat; only apply_to_fock's kernel @ table is
     # a matrix product
     found = []
     for path, tree in _src_trees():
-        allowed = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and (path.stem, node.name) == MATMUL_HOME:
-                allowed = {id(sub) for sub in ast.walk(node)}
-        for node in ast.walk(tree):
-            if id(node) in allowed:
-                continue
+        for node in _nodes_outside(path, tree, MATMUL_HOME):
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
                 found.append(f"{path.name}:{node.lineno} @")
             elif isinstance(node, ast.Attribute) and node.attr in REORDERING_PRODUCTS:
                 found.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert found == []
+
+
+# the one JSON writer: json's indented encoder runs in Python, several calls
+# per entry, so every file and stdout document goes through cli._json_text
+JSON_WRITER = ("cli", "_json_text")
+
+
+def _indented_json_calls(nodes) -> list[int]:
+    """The lines of the json.dump / json.dumps calls among nodes that pass
+    indent, or a ** mapping that may hold it."""
+    found = []
+    for node in nodes:
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("dump", "dumps") and any(k.arg in ("indent", None) for k in node.keywords):
+            found.append(node.lineno)
+    return found
+
+
+def test_json_is_indented_only_by_the_writer():
+    # the writer's own json.dumps call counts here if it is renamed or moved
+    found = []
+    for path, tree in _src_trees():
+        outside = _nodes_outside(path, tree, JSON_WRITER)
+        found += [f"{path.name}:{line}" for line in _indented_json_calls(outside)]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    (
+        "json.dumps(x, indent=2)",
+        "from json import dump\ndump(x, handle, sort_keys=True, indent=1)",
+        "json.dumps(x, **options)",
+    ),
+)
+def test_the_json_writer_guard_sees_every_spelling(source):
+    assert _indented_json_calls(ast.walk(ast.parse(source)))

@@ -1,16 +1,21 @@
 """Report bytes are pinned: a fixed (config, seed) gives the same JSON report.
 
-Each digest is the sha256 of `json.dumps(report.to_json_dict(), indent=2,
-sort_keys=True)`, the text `qwick verify --out` writes for one suite.  A
-change that moves report bytes on purpose declares the move and updates the
-digests it moves in the same diff.
+Each suite digest is the sha256 of `json.dumps(report.to_json_dict(),
+indent=2, sort_keys=True)`, the text `qwick verify --out` writes for one
+suite.  The CLI digests are the sha256 of the files `qwick verify --out` and
+`qwick compute ... --out` write, so they pin the writer as well.  A change
+that moves report bytes on purpose declares the move and updates the digests
+it moves in the same diff.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+import qwick.cli as cli
+from qwick.fock import GradedVector, QContext
 from qwick.suites import SUITE_NAMES, RunConfig, run_suite
 
 DEFAULT = RunConfig(trials=8, seed=0)
@@ -62,3 +67,47 @@ def test_every_suite_has_a_digest_at_each_config():
 def test_report_bytes_are_pinned(cfg, name):
     text = json.dumps(run_suite(name, cfg).to_json_dict(), indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[cfg][name]
+
+
+# each --out file, for `verify --suite all` at the default config and for
+# compute on seeded d=2, N=6 vectors (see _compute_inputs)
+CLI_DIGESTS = {
+    "verify": "cd6ad3bb3c0d2d22cd3017302bb6f0097e46f9db0fe7eb6b6d0405bab99bdc77",
+    "wick-mul": "c9e31af680d42805fe7ba3dd1b1f7275002e4eab3f624d60008232198a6339a0",
+    "wick-inv": "336639073f7f21503aac0509397fa0de0a990d31dcf3beb3ed2d5e61d9856f5c",
+    "wick-exp": "0b6529e494bb7ec549af73f74ea3b699ae7b81e26febaa6166c4d307dc88cd0a",
+    "norm": "765637e64ff92ae1ce63de7f5ef742006f51bc4c292189799697722968161d5c",
+    "moments": "d6d249a263e94684ceae73695a680e568eaa126257865720d57ed7cdd82b322a",
+}
+
+
+def _compute_inputs(folder) -> dict[str, str]:
+    """left.json and right.json, standard-normal vectors at q = 0.5, d = 2,
+    N = 6, and phi.json, a standard-normal one-particle vector, all seeded."""
+    rng = np.random.default_rng(26)
+    ctx = QContext(0.5, 2, 6)
+    files = {name: str(folder / f"{name}.json") for name in ("left", "right", "phi")}
+    for name in ("left", "right"):
+        vector = GradedVector.random(ctx, rng).to_json_dict()
+        (folder / f"{name}.json").write_text(json.dumps(vector))
+    (folder / "phi.json").write_text(json.dumps(rng.standard_normal(2).tolist()))
+    return files
+
+
+def _cli_argv(name: str, files: dict[str, str]) -> list[str]:
+    left, right, phi = files["left"], files["right"], files["phi"]
+    return {
+        "verify": ["verify", "--suite", "all"],
+        "wick-mul": ["compute", "wick-mul", left, right],
+        "wick-inv": ["compute", "wick-inv", left],
+        "wick-exp": ["compute", "wick-exp", left],
+        "norm": ["compute", "norm", left, "--side", "test", "--r", "2", "--weights", "default"],
+        "moments": ["compute", "moments", "--phi", phi, "--order", "10"],
+    }[name]
+
+
+@pytest.mark.parametrize("name", CLI_DIGESTS)
+def test_cli_file_bytes_are_pinned(name, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert cli.main(_cli_argv(name, _compute_inputs(tmp_path)) + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CLI_DIGESTS[name]

@@ -271,13 +271,53 @@ def test_cli_verify_exit_one_on_violation(monkeypatch, capsys):
         params={},
         trials=1,
         max_residual=1.0,
-        max_ratio=2.0,
+        max_ratio=math.inf,
         bound=1.0,
-        violations=[{"trial": 0, "value": 2.0}],
+        violations=[{"trial": 0, "value": math.inf}],
         passed=False,
     )
     monkeypatch.setattr(cli, "run_suite", lambda name, cfg: failing)
     assert cli.main(["verify", "--suite", "vage"]) == 1
+    # a failing suite's infinite value keeps JSON's extension
+    assert '"max_ratio": Infinity' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["compute", "norm", "IN", "--out", "OUT"],
+        ["compute", "moments", "--order", "4", "--out", "OUT"],
+        ["compute", "wick-inv", "IN", "--out", "OUT"],
+    ),
+    ids=("norm", "moments", "wick-inv"),
+)
+def test_cli_compute_prints_nothing_when_its_file_fails(argv, tmp_path, capsys):
+    vec = tmp_path / "f.json"
+    vec.write_text(json.dumps(GradedVector.vacuum(fock.QContext(0.5, 2, 3)).to_json_dict()))
+    out = tmp_path / "missing" / "out.json"
+    swap = {"IN": str(vec), "OUT": str(out)}
+    assert cli.main([swap.get(arg, arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ("--out", "--csv"))
+@pytest.mark.parametrize("where", ("missing-directory", "directory"))
+def test_cli_verify_checks_its_files_before_any_suite(flag, where, tmp_path, capsys):
+    bad = tmp_path / "missing" / "r.txt" if where == "missing-directory" else tmp_path
+    good = tmp_path / ("ok.csv" if flag == "--out" else "ok.json")
+    other = "--csv" if flag == "--out" else "--out"
+    argv = ["verify", "--suite", "macmahon", flag, str(bad), other, str(good)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")  # no suite's status line before it
+    assert not good.exists()
+    suite = "all" if flag == "--out" else "vage"  # --csv takes a single suite
+    assert cli.main(["verify", "--suite", suite, "--trials", "2", flag, str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_commutation_catches_a_broken_kernel(monkeypatch, capsys):

@@ -1,5 +1,6 @@
-"""Property tests for the JSON wire formats: round-trips are bit-exact, a
-malformed vector file makes `compute` exit 2 before writing anything, and a
+"""Property tests for the JSON wire formats: round-trips are bit-exact, the
+CLI writes the bytes of `json.dumps(indent=2, sort_keys=True)`, a malformed
+vector file makes `compute` exit 2 before writing anything, and a
 `verify --config` file gives the report of the same flags or exits 2."""
 
 import argparse
@@ -294,3 +295,57 @@ def test_moments_phi_must_be_a_flat_number_list(phi):
         code, out, err = _run(["compute", "moments", "--phi", str(path), "--order", "2"])
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+
+
+# the floats whose text is easy to get wrong: signed zero, the smallest
+# subnormal, the switches between positional and exponent form, and
+# fractions with no short decimal
+WRITER_EDGES = st.sampled_from([-0.0, 5e-324, 1e16, 1e-5, 0.1, 1 / 3])
+WRITER_FLOAT = st.one_of(st.floats(), WRITER_EDGES)
+WRITER_LEAF = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.text(),  # non-ASCII too, which json writes as \u escapes
+    WRITER_FLOAT,
+    WRITER_FLOAT.map(np.float64),
+    st.lists(WRITER_FLOAT),  # a flat float list, the writer's own case
+    st.lists(st.one_of(WRITER_FLOAT, st.integers(), st.booleans())),
+)
+PAYLOADS = st.recursive(
+    WRITER_LEAF,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        st.dictionaries(st.integers(), inner, max_size=3),  # keys json writes as text
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAYLOADS)
+@example({})
+@example([])
+@example({"a": {}, "b": [], "c": [[]]})
+@example([[-0.0, 5e-324, 1e16, 1e-5, 0.1, 1 / 3], [1.0, 2], [np.float64(0.1), 0.5]])
+@example({"x": [1.0, INF], "y": NAN, "\u00e9\u03c0": [True, None, "\u2603"]})
+def test_json_writer_writes_the_bytes_of_json_dumps(data):
+    for allow_nan in (True, False):
+        try:
+            want = json.dumps(data, indent=2, sort_keys=True, allow_nan=allow_nan)
+        except ValueError:
+            with pytest.raises(ValueError):
+                cli._json_text(data, allow_nan)
+        else:
+            assert cli._json_text(data, allow_nan) == want
+
+
+@pytest.mark.parametrize("data", ({"components": {"0": [1.0, INF]}}, [NAN], {"norm": -INF}))
+def test_json_writer_refuses_non_finite_without_writing(data, tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        cli._json_out(data, str(path))
+    assert not path.exists()
+    cli._json_out(data, str(path), allow_nan=True)
+    assert path.read_text() == json.dumps(data, indent=2, sort_keys=True) + "\n"
