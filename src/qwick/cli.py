@@ -30,7 +30,7 @@ from .fock import (
 from .qcombinatorics import check_deformation
 from .scales import WEIGHT_BASES, default_hplus_weights, f_dual_norm, g_norm, graded_tensor
 from .series import wick_exp, wick_inverse
-from .suites import SUITE_NAMES, Report, RunConfig, run_suite, suite_context
+from .suites import SUITE_NAMES, Report, RunConfig, run_suite, suite_streams
 from .wick import MAX_MOMENT_ORDER, moments, pairing_moments
 
 # verify's settings, in RunConfig's order, each typed by its default: every
@@ -136,7 +136,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.csv and len(names) != 1:
         raise ValueError("csv export needs a single suite")
     for name in names:
-        suite_context(name, cfg)
+        suite_streams(name, cfg)
     for path in (args.out, args.csv):
         if path:
             _check_destination(path)

@@ -61,9 +61,9 @@ class QContext:
     def __post_init__(self):
         check_deformation(self.q)
         if self.dim < 1:
-            raise ValueError("dim must be at least 1")
+            raise ValueError(f"context requires dim >= 1, got {self.dim}")
         if self.max_degree < 0:
-            raise ValueError("max_degree must be nonnegative")
+            raise ValueError(f"context requires max_degree >= 0, got {self.max_degree}")
 
 
 _JSON_TYPES = {

@@ -4,11 +4,12 @@ The suites form one table, `SUITES`, run by one runner, `run_suite`.  A table
 entry holds only the suite's own maths: its findings (the values, params and
 side checks set by the config alone), what one trial draws, how a stream of
 draws is checked, its tolerance and its truncation degree.  The runner does
-the rest for every suite: it draws trial i's inputs from a generator seeded
-by (seed, stream key, i), so results do not depend on execution order,
-splits the trials evenly over the configured scale pairs, checks each
-nonempty stream's draws in one call, builds the shared params and records
-the violations.  A check gives one float per draw: it stacks its draws into one
+the rest for every suite: `suite_streams` keys its sampled streams, one per
+configured scale pair for a scale suite, and splits the trials over them;
+trial i draws its inputs from a generator seeded by (seed, stream key, i), so
+results do not depend on execution order.  The runner checks each nonempty
+stream's draws in one call, builds the shared params and records the
+violations.  A check gives one float per draw: it stacks its draws into one
 batch and makes one kernel call where a trial made one, each row computed bit
 for bit as alone.  Adding a suite means adding one entry to the table.
 """
@@ -86,12 +87,7 @@ class RunConfig:
     scales: tuple[tuple[float, float, float], ...] = DEFAULT_SCALES
 
     def __post_init__(self):
-        if not -1.0 < self.q < 1.0:
-            raise ValueError("config requires |q| < 1")
-        if self.dim < 1:
-            raise ValueError("config requires dim >= 1")
-        if self.max_degree < 0:
-            raise ValueError("config requires max_degree >= 0")
+        self.context()  # checks q, dim and max_degree
         if self.trials < 1:
             raise ValueError("config requires trials >= 1")
         if self.seed < 0:
@@ -187,74 +183,79 @@ class Suite:
     `draw(ctx, rng)`, the inputs of one trial, and either `check(ctx,
     draws)`, the values of a nonempty list of draws, each the same as
     `check(ctx, [draw])` gives, or `pair(ctx, r, s, alpha)`, called once per
-    configured scale pair, which returns the pair's stream key, its
-    `per_scale` record, its bound and a check computing ratios; a trial's
-    value is how far its ratio exceeds the bound.  `shared` names the shared params the report keeps; `degree` maps
-    the configured truncation degree to the suite's and raises ValueError
-    where the suite's check is not sound.
+    configured scale pair, which returns the pair's `per_scale` record, its
+    bound and a check computing ratios; a trial's value is how far its ratio
+    exceeds the bound.  `shared` names the shared params the report keeps;
+    `degree` maps the configured truncation degree to the suite's and raises
+    ValueError where the suite's check is not sound.
     """
 
     tolerance: float
     draw: Callable[[QContext, np.random.Generator], tuple] | None = None
     check: Callable[[QContext, list], list] | None = None
-    pair: Callable[[QContext, float, float, float], tuple[str, dict, float, Callable]] | None = None
+    pair: Callable[[QContext, float, float, float], tuple[dict, float, Callable]] | None = None
     findings: Callable[[QContext], tuple[list[float], dict, tuple]] = _constant()
     shared: tuple[str, ...] = ("q", "dim", "max_degree")
     degree: Callable[[int], int] = lambda n: n
 
 
-def suite_context(name: str, cfg: RunConfig) -> QContext:
-    """The truncation suite `name` runs at under `cfg`.  Raises ValueError
-    for an unknown suite, a degree past the suite's cap or a scale pair its
-    `pair` refuses, so a caller can check every suite it will run before the
-    first one starts."""
+def suite_streams(name: str, cfg: RunConfig) -> tuple[QContext, list[tuple]]:
+    """The truncation suite `name` runs at under `cfg`, and its sampled
+    streams, each (key, trial indices, per_scale record or None, bound or
+    None, check); a draw-free suite has none.  The key is `name`, or
+    `name:r:s` per configured scale pair (r, s).  The trials split evenly
+    over the streams, earlier ones taking the remainder, and the indices run
+    on across them.  Raises ValueError for an unknown suite, a degree past
+    the suite's cap or a scale pair its `pair` refuses, so a caller can check
+    every suite it will run before the first one starts."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     suite = SUITES[name]
     ctx = cfg.context(suite.degree(cfg.max_degree))
-    for scale in cfg.scales if suite.pair else ():
-        suite.pair(ctx, *scale)
-    return ctx
+    if not suite.draw:
+        return ctx, []
+    if suite.pair:
+        parts = [(f"{name}:{r}:{s}", *suite.pair(ctx, r, s, a)) for r, s, a in cfg.scales]
+    else:
+        parts = [(name, None, None, suite.check)]
+    base, rest = divmod(cfg.trials, len(parts))
+    streams, start = [], 0
+    for k, (key, record, bound, check) in enumerate(parts):
+        stop = start + base + (k < rest)
+        streams.append((key, range(start, stop), record, bound, check))
+        start = stop
+    return ctx, streams
 
 
 def run_suite(name: str, cfg: RunConfig) -> Report:
     """Run the suite `name` of the table at `cfg`: the values of its findings,
-    then those of its sampled streams, if it draws.  Trial indices continue
-    across the streams of a scale suite, and on a tie of margins (all -inf
-    when every bound is infinite) the first scale pair that ran supplies the
-    report's max_ratio and bound; a pair that ran no trial reports max_ratio
-    null and supplies neither."""
-    ctx = suite_context(name, cfg)
+    then those of its `suite_streams`, in index order.  A stream with a bound
+    records its ratios' margins, and on a tie of margins (all -inf when every
+    bound is infinite) the first stream that ran supplies the report's
+    max_ratio and bound; a stream that ran no trial reports max_ratio null
+    and supplies neither."""
+    ctx, streams = suite_streams(name, cfg)
     suite = SUITES[name]
     shared = {"q": cfg.q, "dim": cfg.dim, "max_degree": ctx.max_degree}
     params = {key: shared[key] for key in suite.shared}
     values, extra, side_checks = suite.findings(ctx)
     params.update(tolerance=suite.tolerance, **extra)
     max_ratio = bound = None
-    if suite.draw:
-        if suite.pair:
-            streams = [suite.pair(ctx, *scale) for scale in cfg.scales]
-        else:
-            streams = [(name, {}, None, suite.check)]
-        base, rest = divmod(cfg.trials, len(streams))
-        per_scale, start = [], 0
-        worst_margin = -math.inf
-        for k, (key, record, limit, check) in enumerate(streams):
-            stop = start + base + (k < rest)
-            draws = [suite.draw(ctx, _trial_rng(cfg.seed, key, i)) for i in range(start, stop)]
-            # a scale pair runs no trial when there are fewer trials than pairs
-            outputs = check(ctx, draws) if draws else []
-            start = stop
-            if limit is None:
-                values += outputs
-                continue
-            values += [max(0.0, ratio - limit) for ratio in outputs]
-            top = max(outputs, default=None)
-            per_scale.append({**record, "max_ratio": top})
-            if top is not None and (max_ratio is None or top - limit > worst_margin):
-                worst_margin, max_ratio, bound = top - limit, top, limit
-        if suite.pair:
-            params["per_scale"] = per_scale
+    per_scale, worst_margin = [], -math.inf
+    for key, indices, record, limit, check in streams:
+        draws = [suite.draw(ctx, _trial_rng(cfg.seed, key, i)) for i in indices]
+        # a scale pair runs no trial when there are fewer trials than pairs
+        outputs = check(ctx, draws) if draws else []
+        if limit is None:
+            values += outputs
+            continue
+        values += [max(0.0, ratio - limit) for ratio in outputs]
+        top = max(outputs, default=None)
+        per_scale.append({**record, "max_ratio": top})
+        if top is not None and (max_ratio is None or top - limit > worst_margin):
+            worst_margin, max_ratio, bound = top - limit, top, limit
+    if per_scale:
+        params["per_scale"] = per_scale
     violations = [
         {"trial": i, "value": v} for i, v in enumerate(values) if not v <= suite.tolerance
     ]
@@ -609,13 +610,12 @@ def _theorem43_pair(ctx: QContext, big: float, small: float, alpha: float):
     """Test-side product bound with the explicitly computed constant.  The
     bound runs from a larger scale down to a smaller one, so each configured
     (r, s) pair is used swapped.  The degree weights the norms will take
-    depend on the config alone, so one that overflows raises here, before
-    any suite runs.  A c1 that overflows (near |q| = 1) bounds nothing: the
-    record writes it null, and the stream's limit keeps it for the margin."""
+    depend on the config alone, and the largest is at degree N and the larger
+    scale (r, alpha >= 1), so one that overflows raises here, before any
+    suite runs.  A c1 that overflows (near |q| = 1) bounds nothing: the
+    record writes it null, and the stream's bound keeps it for the margin."""
     r, s = small, big
-    for n in range(ctx.max_degree + 1):
-        for scale in (s, r):
-            degree_weight(n, scale, alpha, abs(ctx.q))
+    degree_weight(ctx.max_degree, s, alpha, abs(ctx.q))
     c1 = estimate_c1(r, s, alpha, ctx)
     weights = default_hplus_weights(ctx.dim)
 
@@ -624,8 +624,7 @@ def _theorem43_pair(ctx: QContext, big: float, small: float, alpha: float):
         denom = g_norm(f, s, alpha, weights) * g_norm(g, s, alpha, weights)
         return (g_norm(graded_tensor(f, g), r, alpha, weights) / denom).tolist()
 
-    record = {"r": r, "s": s, "alpha": alpha, "c1": None if c1 == math.inf else c1}
-    return f"theorem43:{r}", record, c1, check
+    return {"r": r, "s": s, "alpha": alpha, "c1": None if c1 == math.inf else c1}, c1, check
 
 
 def _vage_pair(ctx: QContext, r: float, s: float, alpha: float):
@@ -637,7 +636,7 @@ def _vage_pair(ctx: QContext, r: float, s: float, alpha: float):
     def check(ctx: QContext, f: GradedVector, g: GradedVector) -> list[float]:
         return vage_ratio(f, g, r, s).tolist()
 
-    return f"vage:{r}:{s}", {"r": r, "s": s, "alpha": VAGE_ALPHA, "bound": bound}, bound, check
+    return {"r": r, "s": s, "alpha": VAGE_ALPHA, "bound": bound}, bound, check
 
 
 def _duality_scale(ctx: QContext) -> tuple:

@@ -22,7 +22,15 @@ from qwick.fock import (
 )
 from qwick.scales import default_hplus_weights, f_dual_norm, g_norm, graded_tensor, vage_ratio
 from qwick.series import wick_exp, wick_inverse
-from qwick.suites import DEFAULT_SCALES, SUITE_NAMES, SUITES, RunConfig, _trial_rng, run_suite
+from qwick.suites import (
+    DEFAULT_SCALES,
+    SUITE_NAMES,
+    SUITES,
+    RunConfig,
+    _trial_rng,
+    run_suite,
+    suite_streams,
+)
 from qwick.wick import moments, pairing_moments
 
 SHAPES = ((1, 5), (2, 6), (3, 4))
@@ -119,14 +127,6 @@ def test_unbatched_norms_are_floats():
     assert type(q_inner(f, f)) is float
 
 
-def _checks(name: str, ctx: QContext, cfg: RunConfig) -> list:
-    """(stream key, check) of each stream of a sampling suite."""
-    suite = SUITES[name]
-    if suite.pair:
-        return [(key, check) for key, _, _, check in (suite.pair(ctx, *s) for s in cfg.scales)]
-    return [(name, suite.check)]
-
-
 SAMPLING = [name for name in SUITE_NAMES if SUITES[name].draw]
 
 
@@ -135,8 +135,8 @@ SAMPLING = [name for name in SUITE_NAMES if SUITES[name].draw]
     "cfg", [RunConfig(), RunConfig(q=-0.7, dim=3, max_degree=4)], ids=("default", "negq-d3")
 )
 def test_suite_check_rows_match_single_draws(name, cfg):
-    ctx = cfg.context(SUITES[name].degree(cfg.max_degree))
-    for key, check in _checks(name, ctx, cfg):
+    ctx, streams = suite_streams(name, cfg)
+    for key, _, _, _, check in streams:
         draws = [SUITES[name].draw(ctx, _trial_rng(3, key, i)) for i in range(5)]
         assert check(ctx, draws) == [check(ctx, [x])[0] for x in draws]
 

@@ -32,7 +32,7 @@ DIGESTS = {
         "hermite": "e90b3b10f39a443ec1ac9158022a399676b56317f77db6c61439931c8d09d8f1",
         "embedding": "2563dca79a61b1709ec2ea48658dba3c988e16579741f3be80a8568503c2f6e2",
         "lemma53": "83f6f8cc04b4448623a4e447980623d5de3134a50afee1d0b249d0ca2978928a",
-        "theorem43": "a891dd551531c6ca8100e5d3b1babceb1114efc7e58f7b3aaa92e56a164d547e",
+        "theorem43": "4e6d2ee4a3ecbbaf7b77ba683fa1f8e01932884bce6fe15b962aaca1147cc3b9",
         "vage": "789a217441479b5f0ef6ede3073b37023ed931fe8cb6a6ba3c0cfec52981ad9e",
         "duality": "077fb830623368e3f632c0ea0ee38fc696f62130ec8869821a76cfde11285b04",
         "inverse": "89da02abdc32fb978da2ce1e5d7859adbf55e01534d01f1d5828520dbd83de58",
@@ -48,7 +48,7 @@ DIGESTS = {
         "hermite": "d0b5cd26d1a1de139fd4cb87fe2a114a9018dd831c3e46cdf0208d8135efbba3",
         "embedding": "1641fa527e71b19f7d71a2360243c36bce3256d13b87a39ca33f1b29538148a4",
         "lemma53": "214cea95c15fb74fc53cd95c0cb8d5b5a0beec924a38b606fa18c75272b0e0ab",
-        "theorem43": "115ee2605aad73ba65e24add6c5dfd35e1567c3b4bd20b610e20efc7d7b1c8c9",
+        "theorem43": "114aa878b4829dc556057a909dee3696b885f94fe7c937e4aa5177289b672bf9",
         "vage": "15d8edaf73b293b6936820936c1811590657409c0f4893540385e4fabf89bd17",
         "duality": "99668e1e570d9af409a057a76b3ad51e63175c0ebcdc82baf566eb6d3357c8a6",
         "inverse": "4b49ce87430ef74e547538a8deb4d304437e2b5d32b3721979b106d1a0bb8642",
@@ -72,7 +72,7 @@ def test_report_bytes_are_pinned(cfg, name):
 # each --out file, for `verify --suite all` at the default config and for
 # compute on seeded d=2, N=6 vectors (see _compute_inputs)
 CLI_DIGESTS = {
-    "verify": "cd6ad3bb3c0d2d22cd3017302bb6f0097e46f9db0fe7eb6b6d0405bab99bdc77",
+    "verify": "20f85fb2dbe210c59232d4ec0cc149f2866cbf7b4084794fb340e8550a18c3bf",
     "wick-mul": "c9e31af680d42805fe7ba3dd1b1f7275002e4eab3f624d60008232198a6339a0",
     "wick-inv": "336639073f7f21503aac0509397fa0de0a990d31dcf3beb3ed2d5e61d9856f5c",
     "wick-exp": "0b6529e494bb7ec549af73f74ea3b699ae7b81e26febaa6166c4d307dc88cd0a",

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import qwick
 import qwick.cli as cli
 from qwick import fock
 from qwick.fock import GradedVector
-from qwick.scales import graded_tensor, vage_ratio
+from qwick.scales import graded_tensor
 from qwick.series import wick_exp, wick_inverse
 from qwick.suites import (
     DEFAULT_SCALES,
@@ -26,7 +27,7 @@ from qwick.suites import (
     _trial_rng,
     hermite_coefficients,
     run_suite,
-    suite_context,
+    suite_streams,
 )
 
 SMALL = RunConfig(trials=25)
@@ -108,11 +109,9 @@ def test_commutation_reports_argument_swapped_variant():
 @pytest.mark.parametrize("name", [name for name in SUITE_NAMES if SUITES[name].draw])
 def test_checks_give_one_float_per_draw(name):
     cfg = RunConfig(trials=3, max_degree=4)
-    suite = SUITES[name]
-    ctx = suite_context(name, cfg)
-    draws = [suite.draw(ctx, _trial_rng(cfg.seed, name, i)) for i in range(3)]
-    checks = [suite.pair(ctx, *scale)[-1] for scale in cfg.scales] if suite.pair else [suite.check]
-    for check in checks:
+    ctx, streams = suite_streams(name, cfg)
+    for key, _, _, _, check in streams:
+        draws = [SUITES[name].draw(ctx, _trial_rng(cfg.seed, key, i)) for i in range(3)]
         values = check(ctx, draws)
         assert len(values) == len(draws)
         assert all(type(value) is float for value in values)
@@ -194,30 +193,32 @@ def test_hermite_coefficients_follow_the_three_term_recurrence():
 
 
 def test_trial_replays_from_suite_key_and_index():
-    cfg = RunConfig(trials=6, seed=11)
-    for name in ("adjointness", "commutation"):
+    """Every trial of every sampling suite is rebuilt from (seed, stream key,
+    index) alone; each stream checks its rebuilt draws in one call, whose rows
+    are the values the draws get alone (test_batching).  At 2 trials the third
+    scale pair runs none, and at 7 the pairs split 3/2/2."""
+    configs = (RunConfig(), RunConfig(trials=2), RunConfig(trials=7, seed=4))
+    for cfg, name in itertools.product(configs, (n for n in SUITE_NAMES if SUITES[n].draw)):
         report = run_suite(name, cfg)
-        suite = SUITES[name]
-        ctx = cfg.context(suite.degree(cfg.max_degree))
-        inputs = suite.draw(ctx, _trial_rng(11, name, 3))
-        (value,) = suite.check(ctx, [inputs])
-        assert value == report.trial_values[3]
-
-
-def test_scale_trial_indices_continue_across_pairs():
-    cfg = RunConfig(trials=7, seed=4)  # split 3/2/2 over DEFAULT_SCALES
-    assert cfg.scales == DEFAULT_SCALES
-    report = run_suite("vage", cfg)
-    ctx = cfg.context()
-    ratios = []
-    for i in (3, 4):
-        rng = _trial_rng(4, "vage:4.0:1.0", i)
-        f = GradedVector.random(ctx, rng)
-        g = GradedVector.random(ctx, rng)
-        ratios.append(vage_ratio(f, g, 4.0, 1.0))
-    assert max(ratios) == report.params["per_scale"][1]["max_ratio"]
-    bound = math.sqrt(4.0 / 3.0)
-    assert report.trial_values[3:5] == [max(0.0, ratio - bound) for ratio in ratios]
+        ctx, streams = suite_streams(name, cfg)
+        keys = [key for key, *_ in streams]
+        assert len(set(keys)) == len(keys), keys
+        assert [i for _, indices, *_ in streams for i in indices] == list(range(cfg.trials))
+        records = iter(report.params.get("per_scale", ()))
+        for key, indices, record, bound, check in streams:
+            draws = [SUITES[name].draw(ctx, _trial_rng(cfg.seed, key, i)) for i in indices]
+            outputs = check(ctx, draws) if draws else []
+            if record is not None:
+                assert next(records) == {**record, "max_ratio": max(outputs, default=None)}
+                outputs = [max(0.0, ratio - bound) for ratio in outputs]
+            assert outputs == [report.trial_values[i] for i in indices], (name, key)
+        assert next(records, None) is None
+    _, streams = suite_streams("theorem43", configs[2])
+    assert [(key, list(indices)) for key, indices, *_ in streams] == [
+        ("theorem43:2.0:1.0", [0, 1, 2]),
+        ("theorem43:4.0:1.0", [3, 4]),
+        ("theorem43:1.5:1.2", [5, 6]),
+    ]
 
 
 # ---------------------------------------------------------------------------
