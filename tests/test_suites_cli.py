@@ -14,7 +14,7 @@ import qwick
 import qwick.cli as cli
 from qwick import fock
 from qwick.fock import GradedVector
-from qwick.scales import graded_tensor
+from qwick.scales import graded_tensor, vage_ratio
 from qwick.series import wick_exp, wick_inverse
 from qwick.suites import (
     DEFAULT_SCALES,
@@ -219,6 +219,22 @@ def test_trial_replays_from_suite_key_and_index():
         ("theorem43:4.0:1.0", [3, 4]),
         ("theorem43:1.5:1.2", [5, 6]),
     ]
+
+
+def test_scale_trial_indices_continue_across_pairs():
+    cfg = RunConfig(trials=7, seed=4)  # split 3/2/2 over DEFAULT_SCALES
+    assert cfg.scales == DEFAULT_SCALES
+    report = run_suite("vage", cfg)
+    ctx = cfg.context()
+    ratios = []
+    for i in (3, 4):
+        rng = _trial_rng(4, "vage:4.0:1.0", i)
+        f = GradedVector.random(ctx, rng)
+        g = GradedVector.random(ctx, rng)
+        ratios.append(vage_ratio(f, g, 4.0, 1.0))
+    assert max(ratios) == report.params["per_scale"][1]["max_ratio"]
+    bound = math.sqrt(4.0 / 3.0)
+    assert report.trial_values[3:5] == [max(0.0, ratio - bound) for ratio in ratios]
 
 
 # ---------------------------------------------------------------------------
