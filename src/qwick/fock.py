@@ -27,11 +27,9 @@ The q-commutation relation is create and annihilate composed on a vector
 (`commutation_residual`), with no matrix of its own; basis vectors and a
 degree's identity columns as the batch give the relation's blocks.
 
-Vectors are validated where they enter: the public GradedVector constructor
-(which JSON files, the CLI and the suites' draws go through) checks degrees,
-shapes and finiteness.  A kernel result is built from fresh arrays whose
-degrees and shapes hold by construction, so GradedVector._of checks only that
-its entries are finite.
+Vectors are validated where they enter, and every GradedVector's components
+are finite and read-only (sealed); see GradedVector for which constructor
+checks what.
 """
 
 from __future__ import annotations
@@ -170,7 +168,13 @@ def _seal(comps: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class GradedVector:
-    """A degree-indexed family of dense tensors; absent degrees are zero."""
+    """A degree-indexed family of dense tensors; absent degrees are zero.
+
+    Every component is finite and read-only, tested once where it is made:
+    the public constructor (JSON files, the CLI) checks degrees, shapes and
+    finiteness; `_of` tests each component of a kernel result; `random`
+    tests the one standard-normal draw it slices, which gives the numbers
+    of one draw per degree; `stack` relies on its rows' seals."""
 
     ctx: QContext
     components: dict[int, np.ndarray] = field(default_factory=dict)
@@ -191,27 +195,31 @@ class GradedVector:
         object.__setattr__(self, "components", _seal(clean))
 
     @classmethod
-    def _of(cls, ctx: QContext, comps: dict[int, np.ndarray]) -> "GradedVector":
+    def _of(cls, ctx: QContext, comps: dict[int, np.ndarray], sealed=False) -> "GradedVector":
         """A kernel result: comps maps int degrees to flat float arrays of the
         right lengths that nothing else writes (fresh arrays or slices of
-        one, or another vector's components).  They are sealed but neither
-        copied nor reshaped, so an overflow still raises."""
+        one, or another vector's components).  They are sealed, unless the
+        caller has (`sealed`), but neither copied nor reshaped, so an
+        overflow still raises."""
         vec = object.__new__(cls)
         object.__setattr__(vec, "ctx", ctx)
-        object.__setattr__(vec, "components", _seal(comps))
+        object.__setattr__(vec, "components", comps if sealed else _seal(comps))
         return vec
 
     @classmethod
     def stack(cls, vectors) -> "GradedVector":
         """Vectors of one context and one degree set as one batched vector:
-        row i of every component is vector i's."""
+        row i of every component is vector i's.  The rows are sealed, so
+        their copies are finite: the output is marked read-only, not tested."""
         first = vectors[0]
         for vec in vectors:
             require_same_context(first, vec)
             if vec.components.keys() != first.components.keys():
                 raise ValueError("stacked vectors must have the same degrees")
         comps = {n: np.stack([vec.components[n] for vec in vectors]) for n in first.components}
-        return cls._of(first.ctx, comps)
+        for arr in comps.values():
+            arr.flags.writeable = False
+        return cls._of(first.ctx, comps, sealed=True)
 
     @classmethod
     def vacuum(cls, ctx: QContext) -> "GradedVector":
@@ -222,17 +230,24 @@ class GradedVector:
         return cls._of(ctx, {})
 
     @classmethod
-    def random(cls, ctx: QContext, rng: np.random.Generator) -> "GradedVector":
-        """Independent standard-normal entries in every degree up to the cutoff,
-        degree by degree from one draw: the same numbers and generator state
-        as one draw per degree."""
-        sizes = [ctx.dim**n for n in range(ctx.max_degree + 1)]
-        flat = rng.standard_normal(sum(sizes))
+    def random(cls, ctx: QContext, rng: np.random.Generator, degrees=None) -> "GradedVector":
+        """Independent standard-normal entries in `degrees` (every degree up
+        to the cutoff by default), degree by degree in that order from one
+        draw: the same numbers and generator state as one draw per degree."""
+        degrees = range(ctx.max_degree + 1) if degrees is None else degrees
+        return cls._flat(ctx, rng.standard_normal(sum(ctx.dim**n for n in degrees)), degrees)
+
+    @classmethod
+    def _flat(cls, ctx: QContext, flat: np.ndarray, degrees) -> "GradedVector":
+        """flat, a fresh 1-D float array, cut into `degrees` in that order.
+        One finiteness test covers it, and its slices inherit its read-only
+        flag; a non-finite entry raises naming the first degree it is in."""
+        flat.flags.writeable = False
         comps, start = {}, 0
-        for n, size in enumerate(sizes):
-            comps[n] = flat[start : start + size]
-            start += size
-        return cls._of(ctx, comps)
+        for n in degrees:
+            comps[n] = flat[start : start + ctx.dim**n]
+            start += ctx.dim**n
+        return cls._of(ctx, comps, sealed=np.isfinite(flat).all())
 
     def component(self, n: int) -> np.ndarray:
         if n in self.components:

@@ -138,7 +138,9 @@ class Report:
 
 
 def _trial_rng(seed: int, key: str, index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, zlib.crc32(key.encode()), index])
+    # words below 2**32 as the uint32 entropy numpy would coerce the list to
+    words = [seed, zlib.crc32(key.encode()), index]
+    return np.random.default_rng(words if (seed | index) >> 32 else np.array(words, np.uint32))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -285,8 +287,7 @@ POSITIVITY_TOLERANCE = 1e-10
 def _commutation_draw(ctx: QContext, rng: np.random.Generator) -> tuple:
     """A unit pair, then f standard normal on degrees < N: creation cuts nothing."""
     phi, psi = _unit(rng.standard_normal(ctx.dim)), _unit(rng.standard_normal(ctx.dim))
-    f = GradedVector(ctx, {n: rng.standard_normal(ctx.dim**n) for n in range(ctx.max_degree)})
-    return phi, psi, f
+    return phi, psi, GradedVector.random(ctx, rng, range(ctx.max_degree))
 
 
 @_stacked
@@ -422,8 +423,7 @@ def _wick_correspondence_draw(ctx: QContext, rng: np.random.Generator) -> tuple:
     fs = [rng.standard_normal(ctx.dim) for _ in range(int(rng.integers(1, 3)))]
     gs = [rng.standard_normal(ctx.dim) for _ in range(int(rng.integers(1, 3)))]
     # degrees <= N - n, so that the monomial of vectors never leaves the truncation
-    f = {j: rng.standard_normal(ctx.dim**j) for j in range(ctx.max_degree - n + 1)}
-    return p1, p2, vectors, fs, gs, GradedVector(ctx, f)
+    return p1, p2, vectors, fs, gs, GradedVector.random(ctx, rng, range(ctx.max_degree - n + 1))
 
 
 def _monomial_on(vectors: list, f: GradedVector, q: float) -> GradedVector:
@@ -463,7 +463,7 @@ def _wick_correspondence(ctx: QContext, draws: list) -> list[float]:
 
     for rows, vs in _groups(vectors):
         mono = wick_monomial(vs, q)
-        target = [GradedVector(ctx, {len(vs): elementary_tensor(vectors[i])}) for i in rows]
+        target = [GradedVector._of(ctx, {len(vs): elementary_tensor(vectors[i])}) for i in rows]
         target = GradedVector.stack(target)
         gap = (vacuum_vector(mono, ctx) - target).euclidean_norm()
         f_rows = GradedVector.stack([f[i] for i in rows])
@@ -695,15 +695,15 @@ def _random_exact_vector(ctx: QContext, rng: np.random.Generator) -> GradedVecto
         for n in range(1, ctx.max_degree + 1)
     }
     comps[0] = np.array([sign * power])
-    return GradedVector(ctx, comps)
+    return GradedVector._of(ctx, comps)
 
 
 def _inverse_draw(ctx: QContext, rng: np.random.Generator) -> tuple[GradedVector, GradedVector]:
     f = _random_exact_vector(ctx, rng)
-    g_comps = {n: rng.standard_normal(ctx.dim**n) for n in range(1, ctx.max_degree + 1)}
-    z = float(rng.standard_normal())
-    g_comps[0] = np.array([math.copysign(1.0 + abs(z), z)])  # well away from zero
-    return f, GradedVector(ctx, g_comps)
+    degrees = (*range(1, ctx.max_degree + 1), 0)
+    flat = rng.standard_normal(sum(ctx.dim**n for n in degrees))
+    flat[-1] = math.copysign(1.0 + abs(flat[-1]), flat[-1])  # vacuum well away from zero
+    return f, GradedVector._flat(ctx, flat, degrees)
 
 
 @_stacked

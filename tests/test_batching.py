@@ -3,13 +3,15 @@ row, for each kernel with a batch axis and for each suite's check; and a
 suite makes the same number of kernel calls whatever its trial count."""
 
 import ast
+import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qwick import fock, scales
+from qwick import fock, scales, suites
 from qwick.fock import (
     GradedVector,
     QContext,
@@ -21,7 +23,7 @@ from qwick.fock import (
     q_inner,
 )
 from qwick.scales import default_hplus_weights, f_dual_norm, g_norm, graded_tensor, vage_ratio
-from qwick.series import wick_exp, wick_inverse
+from qwick.series import certify_radius, wick_exp, wick_inverse
 from qwick.suites import (
     DEFAULT_SCALES,
     SUITE_NAMES,
@@ -139,6 +141,89 @@ def test_suite_check_rows_match_single_draws(name, cfg):
     for key, _, _, _, check in streams:
         draws = [SUITES[name].draw(ctx, _trial_rng(3, key, i)) for i in range(5)]
         assert check(ctx, draws) == [check(ctx, [x])[0] for x in draws]
+
+
+@pytest.mark.parametrize("name", SAMPLING)
+def test_draws_and_their_batches_are_sealed(name, monkeypatch):
+    # a draw path that built a vector without its seal would leave a
+    # writable component here, in the draw or in a batch stacked from it
+    stacked = []
+    stack = GradedVector.stack.__func__
+
+    def recorded(cls, rows):
+        stacked.append(stack(cls, rows))
+        return stacked[-1]
+
+    monkeypatch.setattr(GradedVector, "stack", classmethod(recorded))
+    cfg = RunConfig(trials=3, q=-0.7, dim=3, max_degree=4)
+    ctx, streams = suite_streams(name, cfg)
+    vectors = []
+    for key, indices, _, _, check in streams:
+        draws = [SUITES[name].draw(ctx, _trial_rng(cfg.seed, key, i)) for i in indices]
+        vectors += [x for draw in draws for x in draw if isinstance(x, GradedVector)]
+        check(ctx, draws)
+    assert bool(stacked) == bool(vectors)
+    for vec in vectors + stacked:
+        assert vec.components
+        assert not any(arr.flags.writeable for arr in vec.components.values())
+
+
+def _series_draws(ctx: QContext) -> list:
+    return [SUITES["series"].draw(ctx, _trial_rng(1, "series", i)) for i in range(2)]
+
+
+def _certify_with(monkeypatch, **fields):
+    """Make the series suite's certify_radius give the real certificate with
+    `fields` replaced, each a list of one value per row of the batch."""
+
+    def patched(f, spec):
+        cert = vars(certify_radius(f, spec))
+        return SimpleNamespace(**{**cert, **{k: np.array(v) for k, v in fields.items()}})
+
+    monkeypatch.setattr(suites, "certify_radius", patched)
+
+
+def test_series_measures_each_draw_at_its_own_radius(monkeypatch):
+    # verify certifies every draw at (s, r) = (1, 1.5), so _series never
+    # keeps power norms at two radii; here the second draw moves to r = 2,
+    # and each row must still get the value it gets alone at its own r.  A
+    # contraction of 0.01 puts every value above the clip at 0.
+    ctx = RunConfig().context()
+    draws = _series_draws(ctx)
+
+    def alone(draw, r):
+        _certify_with(monkeypatch, r=[r], contraction=[0.01])
+        return suites._series(ctx, [draw])[0]
+
+    first, second = alone(draws[0], 1.5), alone(draws[1], 2.0)
+    assert 0.0 < first < math.inf and 0.0 < second < math.inf
+    assert second != alone(draws[1], 1.5)  # the radius matters
+    _certify_with(monkeypatch, r=[1.5, 2.0], contraction=[0.01, 0.01])
+    assert suites._series(ctx, draws) == [first, second]
+
+
+@pytest.mark.parametrize(
+    "fields",
+    (
+        # no contraction below 1 (the identity series then stops at once, so
+        # it is not exact either)
+        {"contraction": [1.5]},
+        # r <= s / (1 - norm_s^2) = 4/3: no room between the scales
+        {"r": [1.2], "contraction": [0.5]},
+    ),
+    ids=("contraction", "radius"),
+)
+def test_series_gives_inf_to_an_uncertified_draw(monkeypatch, fields):
+    ctx = RunConfig().context()
+    draws = _series_draws(ctx)
+    _certify_with(monkeypatch, **fields)
+    assert suites._series(ctx, draws[:1]) == [math.inf]
+    # beside a certified draw, which keeps the value it gets alone
+    certificate = {"r": [1.5], "contraction": [0.25]}
+    _certify_with(monkeypatch, **{k: certificate[k] for k in fields})
+    certified = suites._series(ctx, draws[1:])[0]
+    _certify_with(monkeypatch, **{k: v + certificate[k] for k, v in fields.items()})
+    assert suites._series(ctx, draws) == [math.inf, certified]
 
 
 @pytest.mark.parametrize("name", ["vage", "theorem43"])

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -581,28 +582,58 @@ def test_kernel_results_skip_revalidation(monkeypatch):
         assert not any(arr.flags.writeable for arr in result.components.values())
 
 
+class _Drawing:
+    """A generator stand-in whose one standard_normal call returns `entries`."""
+
+    def __init__(self, entries):
+        self.entries = entries
+
+    def standard_normal(self, size):
+        assert size == len(self.entries)
+        return np.array(self.entries, dtype=float)
+
+
+def _by_constructor(ctx, x):
+    return GradedVector(ctx, {0: [1.0], 1: [x, x], 2: [x * x] * 4, 3: [x * x] * 8})
+
+
 @pytest.mark.parametrize(
-    "build",
+    "build, bad, first",
     (
-        pytest.param(
-            lambda ctx, x: GradedVector(ctx, {0: [1.0], 1: [x, x], 2: [x * x] * 4, 3: [x * x] * 8}),
-            id="constructor",
-        ),
+        # degrees 2 and up overflow; the error names degree 2
+        pytest.param(_by_constructor, 1e200, 2, id="constructor"),
         pytest.param(
             lambda ctx, x: graded_tensor(*[GradedVector(ctx, {0: [1.0], 1: [x, x], 2: [x] * 4})] * 2),
+            1e200,
+            2,
             id="graded-tensor",
+        ),
+        # one flat draw of 31 entries, degrees 0-3 taking the first 15: a
+        # NaN only in the last, in degree 4
+        pytest.param(
+            lambda ctx, x: GradedVector.random(ctx, _Drawing([1.0] * 30 + [x])),
+            math.nan,
+            4,
+            id="flat-draw-top-degree",
+        ),
+        # stack tests nothing: its rows were sealed when they were made
+        pytest.param(
+            lambda ctx, x: GradedVector.stack([_by_constructor(ctx, 1.0), _by_constructor(ctx, x)]),
+            1e200,
+            2,
+            id="stack",
         ),
     ),
 )
-def test_seal_names_the_first_non_finite_degree(build):
-    # the public constructor and a kernel result share one finiteness check
+def test_seal_names_the_first_non_finite_degree(build, bad, first):
+    # every way a vector is made gives sealed components, and a non-finite
+    # entry raises naming the first degree it is in
     ctx = QContext(0.5, 2, 4)
     vec = build(ctx, 1.0)
     assert vec.components and not any(arr.flags.writeable for arr in vec.components.values())
-    # degrees 2 and up overflow; the error names degree 2
-    first = r"^degree-2 component entries must be finite$"
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match=first):
-        build(ctx, 1e200)
+    message = rf"^degree-{first} component entries must be finite$"
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+        build(ctx, bad)
 
 
 def test_commutation_examples():

@@ -10,10 +10,15 @@ it moves in the same diff.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qwick
 import qwick.cli as cli
 from qwick.fock import GradedVector, QContext
 from qwick.suites import SUITE_NAMES, RunConfig, run_suite
@@ -111,3 +116,27 @@ def test_cli_file_bytes_are_pinned(name, tmp_path, capsys):
     out = tmp_path / "out.json"
     assert cli.main(_cli_argv(name, _compute_inputs(tmp_path)) + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CLI_DIGESTS[name]
+
+
+# the --out file of `verify --suite all --seed 1` at each of the benchmark's
+# verify configs (bench/workloads.py), written as the benchmark writes it: by
+# a fresh interpreter with no BLAS thread setting, so that qwick loads numpy
+# with one OpenBLAS thread.  In this process numpy loaded first, and a
+# threaded eigvalsh rounds positivity's degree-8 spectrum by the core count.
+BENCH_VERIFY_DIGESTS = {
+    ("--trials", "40"): "bb16da920e727ae826ea336d259731aa796b367f15dadbfe358b830321cb78b3",
+    ("--max-degree", "8", "--trials", "12"):
+        "131773eb10ade332087b0a9b6709c82188fc7713184abec2f753e7e4ad78d6fc",
+}
+
+
+@pytest.mark.parametrize("config", BENCH_VERIFY_DIGESTS, ids=("verify-default", "verify-deep"))
+def test_bench_verify_file_bytes_are_pinned(config, tmp_path):
+    out = tmp_path / "report.json"
+    env = {k: v for k, v in os.environ.items() if k not in qwick._BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = str(Path(qwick.__file__).resolve().parents[1])
+    argv = ["verify", "--suite", "all", "--seed", "1", *config, "--out", str(out)]
+    cli_call = [sys.executable, "-m", "qwick.cli", *argv]
+    result = subprocess.run(cli_call, capture_output=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCH_VERIFY_DIGESTS[config]

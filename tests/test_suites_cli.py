@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,18 @@ def test_trial_replays_from_suite_key_and_index():
         ("theorem43:4.0:1.0", [3, 4]),
         ("theorem43:1.5:1.2", [5, 6]),
     ]
+
+
+@pytest.mark.parametrize("index", (0, 499))
+@pytest.mark.parametrize("key", ("vage", "theorem43:1.5:1.2"))
+@pytest.mark.parametrize("seed", (0, 1, 2**32 - 1, 2**32, 2**64 + 5))
+def test_trial_rng_is_the_readme_recipe(seed, key, index):
+    # seeds of one word go to numpy as uint32 entropy, longer ones as the list
+    ours = _trial_rng(seed, key, index)
+    recipe = np.random.default_rng([seed, zlib.crc32(key.encode()), index])
+    assert ours.bit_generator.state == recipe.bit_generator.state
+    assert np.array_equal(ours.standard_normal(64), recipe.standard_normal(64))
+    assert ours.bit_generator.state == recipe.bit_generator.state
 
 
 def test_scale_trial_indices_continue_across_pairs():
