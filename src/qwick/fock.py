@@ -13,23 +13,23 @@ vectors are plain length-d arrays.
 Creation is `tensor_product`; annihilation and P are both `slot_sum`, the
 q-weighted slot move R_n, as P_n = (1 (x) P_(n-1)) R_n and a^-(phi) = phi on
 the front slot of R_n.  Each acts on the last axis of an array whose leading
-axes are a batch, and dense operator matrices are kernels on identity
-columns.  The functions built on them take the same batch: a GradedVector's
-components may have shape batch + (d**n,) (`GradedVector.stack`), a
-one-particle argument shape batch + (d,), and a scalar result then has the
-batch shape.  A batched call computes row i bit for bit as the unbatched
-call on row i would: row products are `np.vecdot`/`np.vecmat`; everything
-else is elementwise.  Those gufuncs sum each row as the 1-D product does,
-where a plain gemm, einsum or sum may sum in another order.  An unbatched
-call is the batch-shape-() case and returns a float.
+axes are a batch.  The functions built on them take the same batch: a
+GradedVector's components may have shape batch + (d**n,)
+(`GradedVector.stack`), a one-particle argument shape batch + (d,), and a
+scalar result then has the batch shape.  A batched call computes row i bit
+for bit as the unbatched call on row i would: row products are
+`np.vecdot`/`np.vecmat`; everything else is elementwise.  Those gufuncs sum
+each row as the 1-D product does, where a plain gemm, einsum or sum may sum
+in another order.  An unbatched call is the batch-shape-() case and returns
+a float.
 
 The q-commutation relation is create and annihilate composed on a vector
 (`commutation_residual`), with no matrix of its own; basis vectors and a
-degree's identity columns as the batch give the relation's blocks.
+degree's identity columns as the batch give the relation's blocks, and the
+dense operator matrices are the two on the truncated space's identity.
 
-Vectors are validated where they enter, and every GradedVector's components
-are finite and read-only (sealed); see GradedVector for which constructor
-checks what.
+Vectors are validated where they enter, and a GradedVector's components are
+finite and read-only (sealed); see GradedVector for the one seal rule.
 """
 
 from __future__ import annotations
@@ -157,12 +157,14 @@ def elementary_tensor(vectors) -> np.ndarray:
 
 
 def _seal(comps: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """comps, its arrays marked read-only in place, or a ValueError naming
-    the first degree with an entry that is not finite."""
+    """comps, its writeable arrays tested and marked read-only in place, or
+    a ValueError naming the first degree with an entry that is not finite.
+    A read-only array is sealed already (see GradedVector)."""
     for n, arr in comps.items():
-        if not np.isfinite(arr).all():
-            raise ValueError(f"degree-{n} component entries must be finite")
-        arr.flags.writeable = False
+        if arr.flags.writeable:
+            if not np.isfinite(arr).all():
+                raise ValueError(f"degree-{n} component entries must be finite")
+            arr.flags.writeable = False
     return comps
 
 
@@ -170,11 +172,11 @@ def _seal(comps: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
 class GradedVector:
     """A degree-indexed family of dense tensors; absent degrees are zero.
 
-    Every component is finite and read-only, tested once where it is made:
-    the public constructor (JSON files, the CLI) checks degrees, shapes and
-    finiteness; `_of` tests each component of a kernel result; `random`
-    tests the one standard-normal draw it slices, which gives the numbers
-    of one draw per degree; `stack` relies on its rows' seals."""
+    Every component is finite and read-only (sealed), under one rule: an
+    array is sealed exactly when it is read-only, and qwick marks one so
+    only once its entries are known to be finite.  So `_seal` tests fresh
+    arrays and passes sealed ones through; the public constructor (JSON
+    files, the CLI) copies its input, so it checks every entry."""
 
     ctx: QContext
     components: dict[int, np.ndarray] = field(default_factory=dict)
@@ -195,22 +197,21 @@ class GradedVector:
         object.__setattr__(self, "components", _seal(clean))
 
     @classmethod
-    def _of(cls, ctx: QContext, comps: dict[int, np.ndarray], sealed=False) -> "GradedVector":
+    def _of(cls, ctx: QContext, comps: dict[int, np.ndarray]) -> "GradedVector":
         """A kernel result: comps maps int degrees to flat float arrays of the
         right lengths that nothing else writes (fresh arrays or slices of
-        one, or another vector's components).  They are sealed, unless the
-        caller has (`sealed`), but neither copied nor reshaped, so an
-        overflow still raises."""
+        one, or another vector's components).  They are sealed but neither
+        copied nor reshaped, so an overflow still raises."""
         vec = object.__new__(cls)
         object.__setattr__(vec, "ctx", ctx)
-        object.__setattr__(vec, "components", comps if sealed else _seal(comps))
+        object.__setattr__(vec, "components", _seal(comps))
         return vec
 
     @classmethod
     def stack(cls, vectors) -> "GradedVector":
         """Vectors of one context and one degree set as one batched vector:
         row i of every component is vector i's.  The rows are sealed, so
-        their copies are finite: the output is marked read-only, not tested."""
+        their copies are finite and are marked read-only, not tested."""
         first = vectors[0]
         for vec in vectors:
             require_same_context(first, vec)
@@ -219,7 +220,7 @@ class GradedVector:
         comps = {n: np.stack([vec.components[n] for vec in vectors]) for n in first.components}
         for arr in comps.values():
             arr.flags.writeable = False
-        return cls._of(first.ctx, comps, sealed=True)
+        return cls._of(first.ctx, comps)
 
     @classmethod
     def vacuum(cls, ctx: QContext) -> "GradedVector":
@@ -240,14 +241,16 @@ class GradedVector:
     @classmethod
     def _flat(cls, ctx: QContext, flat: np.ndarray, degrees) -> "GradedVector":
         """flat, a fresh 1-D float array, cut into `degrees` in that order.
-        One finiteness test covers it, and its slices inherit its read-only
-        flag; a non-finite entry raises naming the first degree it is in."""
-        flat.flags.writeable = False
+        One finiteness test covers it: when it passes, flat is marked
+        read-only and its slices inherit the flag; otherwise they stay
+        writeable, and `_seal` names the first degree with a bad entry."""
+        if np.isfinite(flat).all():
+            flat.flags.writeable = False
         comps, start = {}, 0
         for n in degrees:
             comps[n] = flat[start : start + ctx.dim**n]
             start += ctx.dim**n
-        return cls._of(ctx, comps, sealed=np.isfinite(flat).all())
+        return cls._of(ctx, comps)
 
     def component(self, n: int) -> np.ndarray:
         if n in self.components:
@@ -298,6 +301,8 @@ class GradedVector:
     @classmethod
     def from_json_dict(cls, data: dict) -> "GradedVector":
         data = json_value(data, dict, "vector file")
+        if missing := [k for k in ("q", "dim", "max_degree", "components") if k not in data]:
+            raise ValueError(f"vector file has no {missing[0]!r} key")
         ctx = QContext(
             json_value(data["q"], float, "vector q"),
             json_value(data["dim"], int, "vector dim"),
@@ -493,50 +498,36 @@ def annihilate(phi, f: GradedVector) -> GradedVector:
 # ---------------------------------------------------------------------------
 
 
-def degree_offsets(ctx: QContext) -> list[int]:
-    offsets = [0]
-    for n in range(ctx.max_degree + 1):
-        offsets.append(offsets[-1] + ctx.dim**n)
-    return offsets
-
-
-def _operator_matrix(ctx: QContext, shift: int, kernel) -> np.ndarray:
-    """Dense matrix of an operator that maps degree n to n + shift, from
-    kernel(n, columns) applied to the identity columns of every degree."""
-    offsets = degree_offsets(ctx)
-    size = offsets[-1]
-    if size > EIGENSOLVER_CAP:
-        raise ValueError(f"truncated space dimension {size} exceeds cap {EIGENSOLVER_CAP}")
-    mat = np.zeros((size, size))
-    for n in range(ctx.max_degree + 1):
-        m = n + shift
-        if 0 <= m <= ctx.max_degree:
-            block = kernel(n, np.eye(ctx.dim**n))
-            mat[offsets[m] : offsets[m + 1], offsets[n] : offsets[n + 1]] = block.T
-    return mat
+def _operator_matrix(ctx: QContext, operator) -> np.ndarray:
+    """Dense matrix of a linear operator on the truncated space: operator
+    applied to its identity columns, one batched GradedVector whose degree-n
+    component is the identity's degree-n column block."""
+    sizes = [ctx.dim**n for n in range(ctx.max_degree + 1)]
+    if sum(sizes) > EIGENSOLVER_CAP:
+        raise ValueError(f"truncated space dimension {sum(sizes)} exceeds cap {EIGENSOLVER_CAP}")
+    blocks = np.split(np.eye(sum(sizes)), np.cumsum(sizes[:-1]), axis=1)
+    image = operator(GradedVector._of(ctx, dict(enumerate(blocks)))).components
+    return np.hstack([image.get(n, np.zeros_like(b)) for n, b in enumerate(blocks)]).T
 
 
 def creation_matrix(phi, ctx: QContext) -> np.ndarray:
-    phi = as_one_particle(phi, ctx.dim)
-    return _operator_matrix(ctx, 1, lambda n, cols: tensor_product(phi, cols))
+    return _operator_matrix(ctx, lambda f: create(phi, f))
 
 
 def annihilation_matrix(phi, ctx: QContext) -> np.ndarray:
-    phi = as_one_particle(phi, ctx.dim)
-    return _operator_matrix(ctx, -1, lambda n, cols: contract(phi, cols, n, ctx.q))
+    return _operator_matrix(ctx, lambda f: annihilate(phi, f))
 
 
 def swap_constant(n: int, dim: int, q: float) -> float:
-    """c_n: the 2-norm, on degree n, of e_2 (x) M_(e_1) - e_1 (x) M_(e_2),
-    where M_(e_j) = contract(e_j, ., n, q) is row j of the front slot of
-    slot_sum; 0 when dim = 1 or n = 0.  Built by the kernels on identity
-    columns and taken by one SVD."""
+    """c_n: the 2-norm, on degree n, of e_2 (x) a^-(e_1) - e_1 (x) a^-(e_2),
+    the operators `create` and `annihilate` compose on the identity columns
+    of degree n; 0 when dim = 1 or n = 0.  Taken by one SVD."""
     if dim == 1 or n == 0:
         return 0.0
-    moved = slot_sum(np.eye(dim**n), n, dim, q).reshape(dim**n, dim, -1)
-    term = tensor_product(basis_vector(dim, 1), moved[:, 0])
-    term -= tensor_product(basis_vector(dim, 0), moved[:, 1])
-    return float(np.linalg.norm(term, 2))
+    cols = GradedVector._of(QContext(q, dim, n), {n: np.eye(dim**n)})
+    e1, e2 = basis_vector(dim, 0), basis_vector(dim, 1)
+    term = create(e2, annihilate(e1, cols)) - create(e1, annihilate(e2, cols))
+    return float(np.linalg.norm(term.components[n], 2))
 
 
 def commutation_residual(phi, psi, f: GradedVector):

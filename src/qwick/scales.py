@@ -64,8 +64,8 @@ def _scale_args(f: GradedVector, r: float, alpha: float, weights, weight_base: s
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.shape != (f.ctx.dim,):
         raise ValueError(f"weights must have length {f.ctx.dim}")
-    if not np.all(w >= 1.0):
-        raise ValueError("one-particle weights must be >= 1")
+    if not np.all((w >= 1.0) & (w < math.inf)):
+        raise ValueError("one-particle weights must be >= 1 and finite")
     return tuple(w), base
 
 
@@ -187,10 +187,10 @@ def estimate_c1(r: float, s: float, alpha: float, ctx: QContext) -> float:
     geometric mass), so the returned constant stays valid.  It is inf once
     it overflows, and when r/r1 rounds to 1.
     """
-    if not 1.0 <= r < s:
-        raise ValueError("requires 1 <= r < s")
-    if not alpha >= 1.0:
-        raise ValueError("requires alpha >= 1")
+    if not 1.0 <= r < s < math.inf:
+        raise ValueError("requires 1 <= r < s < inf")
+    if not 1.0 <= alpha < math.inf:
+        raise ValueError("requires finite alpha >= 1")
     r1 = (r + s) / 2.0
     z = (r1 / s) ** (1.0 / alpha)
     rho = r / r1
@@ -224,6 +224,8 @@ def lemma53_residual(f, g, ctx: QContext, m: int, n: int) -> float:
     g = np.asarray(g, dtype=float).reshape(-1)
     if f.size != ctx.dim**m or g.size != ctx.dim**n:
         raise ValueError("tensor lengths do not match the declared degrees")
+    if not (np.isfinite(f).all() and np.isfinite(g).all()):
+        raise ValueError("tensor entries must be finite")
     lhs = float(np.linalg.norm(apply_pq(m + n, tensor_product(f, g), ctx)))
     rhs = (
         q_binomial(m + n, m, abs(ctx.q))

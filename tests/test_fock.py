@@ -1,10 +1,13 @@
+import ast
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qwick
 from qwick.fock import (
     GradedVector,
     QContext,
@@ -16,7 +19,6 @@ from qwick.fock import (
     contract,
     create,
     creation_matrix,
-    degree_offsets,
     elementary_tensor,
     fock_norm,
     pq_matrix,
@@ -28,7 +30,7 @@ from qwick.fock import (
 )
 from qwick.qcombinatorics import inversions, q_factorial
 from qwick.scales import graded_tensor
-from qwick.series import wick_inverse
+from qwick.series import wick_exp, wick_inverse
 from qwick.suites import SUITES, _basis_residuals
 from qwick.wick import apply_to_fock
 
@@ -277,6 +279,11 @@ def _creation_block(phi, n, dim):
     return np.kron(np.reshape(phi, (dim, 1)), np.eye(dim ** (n - 1)))
 
 
+def _offsets(ctx):
+    """Where each degree's block starts in the truncated space, and its size."""
+    return [0, *itertools.accumulate(ctx.dim**n for n in range(ctx.max_degree + 1))]
+
+
 def _annihilation_block(phi, n, dim, q):
     """Kronecker-product oracle: degree n -> n-1 q-weighted contraction."""
     out = np.zeros((dim ** (n - 1), dim**n))
@@ -292,7 +299,7 @@ def _annihilation_block(phi, n, dim, q):
 def test_operator_matrices_match_kron_blocks(dim, top, q):
     ctx = QContext(q, dim, top)
     phi = np.random.default_rng(17).standard_normal(dim)
-    offsets = degree_offsets(ctx)
+    offsets = _offsets(ctx)
     plus, minus = creation_matrix(phi, ctx), annihilation_matrix(phi, ctx)
     want_plus, want_minus = np.zeros_like(plus), np.zeros_like(minus)
     for n in range(1, top + 1):
@@ -311,7 +318,7 @@ def _field_matrix(phi, ctx):
 def _gram_matrix(ctx):
     """Block-diagonal matrix of the twisted scalar product: apply_pq on the
     identity columns of each degree."""
-    offsets = degree_offsets(ctx)
+    offsets = _offsets(ctx)
     mat = np.zeros((offsets[-1], offsets[-1]))
     for n in range(ctx.max_degree + 1):
         lo, hi = offsets[n], offsets[n + 1]
@@ -353,7 +360,7 @@ def test_field_matrix_cap():
     ctx = QContext(0.5, 3, 8)
     with pytest.raises(ValueError):
         creation_matrix(basis_vector(3, 0), ctx)
-    assert degree_offsets(QContext(0.5, 2, 3))[-1] == 15
+    assert creation_matrix(basis_vector(2, 0), QContext(0.5, 2, 3)).shape == (15, 15)
 
 
 def _contract_tensordot(phi, t, n, q):
@@ -634,6 +641,64 @@ def test_seal_names_the_first_non_finite_degree(build, bad, first):
     message = rf"^degree-{first} component entries must be finite$"
     with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
         build(ctx, bad)
+
+
+# every function in src/qwick that sets an array's writeable flag: a
+# component is sealed exactly when it is read-only, so each site marks an
+# array only once its entries are known to be finite
+READ_ONLY_SITES = [
+    "fock.GradedVector._flat",
+    "fock.GradedVector.stack",
+    "fock._pq_cached",
+    "fock._seal",
+    "fock.pq_matrix",
+    "scales._weight_power",
+]
+
+
+def _read_only_sites(node, name):
+    """The qualified function name of every writeable assignment or setflags
+    call below node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _read_only_sites(child, f"{name}.{child.name}")
+            continue
+        targets = child.targets if isinstance(child, ast.Assign) else []
+        if any(getattr(target, "attr", None) == "writeable" for target in targets):
+            yield name
+        elif isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "setflags":
+            yield name
+        yield from _read_only_sites(child, name)
+
+
+def test_arrays_are_marked_read_only_only_at_known_sites():
+    sites = []
+    for path in sorted(Path(qwick.__file__).parent.glob("*.py")):
+        sites += _read_only_sites(ast.parse(path.read_text()), path.stem)
+    assert sorted(sites) == READ_ONLY_SITES
+
+
+@pytest.mark.parametrize(
+    "operation",
+    (
+        pytest.param(lambda f, g: f + g, id="add"),
+        pytest.param(lambda f, g: wick_exp(f), id="wick-exp"),
+    ),
+)
+def test_sealed_components_pass_through_untested(operation, monkeypatch):
+    # the seal tests fresh arrays only: an operand's untouched components,
+    # read-only already, are taken over without another finiteness test
+    ctx = QContext(0.5, 2, 4)
+    rng = np.random.default_rng(21)
+    f, g = GradedVector.random(ctx, rng), GradedVector.random(ctx, rng, [1, 2])
+    inputs = [*f.components.values(), *g.components.values()]
+    tested = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda x: tested.append(x) or isfinite(x))
+    result = operation(f, g)
+    assert tested
+    assert not any(np.shares_memory(x, arr) for x in tested for arr in inputs)
+    assert not any(arr.flags.writeable for arr in result.components.values())
 
 
 def test_commutation_examples():

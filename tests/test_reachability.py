@@ -24,7 +24,6 @@ NEVER_ENTERED = {
     "fock.creation_matrix": TRACER_LAYER,
     "fock.annihilation_matrix": TRACER_LAYER,
     "fock._operator_matrix": "builds creation_matrix and annihilation_matrix",
-    "fock.degree_offsets": "block offsets of creation_matrix and annihilation_matrix",
     "wick.moment": TRACER_LAYER,
 }
 

@@ -121,8 +121,8 @@ def test_cli_file_bytes_are_pinned(name, tmp_path, capsys):
 # the --out file of `verify --suite all --seed 1` at each of the benchmark's
 # verify configs (bench/workloads.py), written as the benchmark writes it: by
 # a fresh interpreter with no BLAS thread setting, so that qwick loads numpy
-# with one OpenBLAS thread.  In this process numpy loaded first, and a
-# threaded eigvalsh rounds positivity's degree-8 spectrum by the core count.
+# with one OpenBLAS thread.  A threaded eigvalsh rounds positivity's degree-8
+# spectrum by the core count.
 BENCH_VERIFY_DIGESTS = {
     ("--trials", "40"): "bb16da920e727ae826ea336d259731aa796b367f15dadbfe358b830321cb78b3",
     ("--max-degree", "8", "--trials", "12"):
@@ -130,13 +130,28 @@ BENCH_VERIFY_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("config", BENCH_VERIFY_DIGESTS, ids=("verify-default", "verify-deep"))
-def test_bench_verify_file_bytes_are_pinned(config, tmp_path):
-    out = tmp_path / "report.json"
+def _fresh_cli(argv: list[str]) -> None:
+    """Run qwick's CLI in a fresh interpreter with no BLAS thread setting."""
     env = {k: v for k, v in os.environ.items() if k not in qwick._BLAS_THREAD_VARIABLES}
     env["PYTHONPATH"] = str(Path(qwick.__file__).resolve().parents[1])
-    argv = ["verify", "--suite", "all", "--seed", "1", *config, "--out", str(out)]
     cli_call = [sys.executable, "-m", "qwick.cli", *argv]
     result = subprocess.run(cli_call, capture_output=True, env=env)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("config", BENCH_VERIFY_DIGESTS, ids=("verify-default", "verify-deep"))
+def test_bench_verify_file_bytes_are_pinned(config, tmp_path):
+    out = tmp_path / "report.json"
+    _fresh_cli(["verify", "--suite", "all", "--seed", "1", *config, "--out", str(out)])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCH_VERIFY_DIGESTS[config]
+
+
+def test_in_process_report_matches_the_cli_at_degree_8(tmp_path):
+    # the root conftest.py loads qwick, so numpy, with one OpenBLAS thread,
+    # as the CLI does; a threaded eigvalsh would round positivity's degree-8
+    # spectrum by the core count
+    argv = ["verify", "--suite", "positivity", "--seed", "1", "--max-degree", "8", "--trials", "12"]
+    here, fresh = tmp_path / "here.json", tmp_path / "fresh.json"
+    assert cli.main([*argv, "--out", str(here)]) == 0
+    _fresh_cli([*argv, "--out", str(fresh)])
+    assert here.read_bytes() == fresh.read_bytes()

@@ -45,6 +45,52 @@ def test_norm_scale_validation():
         g_norm(f, 2.0, 2.0, None, "bad")
 
 
+def _graded(ctx):
+    return GradedVector.random(ctx, np.random.default_rng(4))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    (
+        # inf >= 1 holds, so an infinite weight once measured its slot as 0
+        pytest.param(
+            lambda ctx: f_dual_norm(_graded(ctx), 2.0, 2.0, [math.inf, 1.0]),
+            "weights must be >= 1 and finite",
+            id="dual-norm-inf-weight",
+        ),
+        pytest.param(
+            lambda ctx: g_norm(_graded(ctx), 2.0, 2.0, [1.0, math.inf]),
+            "weights must be >= 1 and finite",
+            id="test-norm-inf-weight",
+        ),
+        pytest.param(
+            lambda ctx: saturating_dual_partner(_graded(ctx), 2.0, 2.0, [math.inf, 1.0]),
+            "weights must be >= 1 and finite",
+            id="dual-partner-inf-weight",
+        ),
+        # max(0.0, nan) is 0.0: a non-finite tensor once read as a bound that holds
+        pytest.param(
+            lambda ctx: lemma53_residual([math.nan, 1.0], [1.0, 1.0], ctx, 1, 1),
+            "entries must be finite",
+            id="lemma53-nan-f",
+        ),
+        pytest.param(
+            lambda ctx: lemma53_residual([1.0, 1.0], [1.0, -math.inf], ctx, 1, 1),
+            "entries must be finite",
+            id="lemma53-inf-g",
+        ),
+        # z = (r1/s)^(1/inf) = 1 once divided by zero
+        pytest.param(
+            lambda ctx: estimate_c1(1.0, 2.0, math.inf, ctx), "finite alpha", id="c1-inf-alpha"
+        ),
+        pytest.param(lambda ctx: estimate_c1(1.0, math.inf, 2.0, ctx), "s < inf", id="c1-inf-s"),
+    ),
+)
+def test_non_finite_scale_arguments_are_value_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(QContext(0.5, 2, 3))
+
+
 def test_scale_overflow_is_a_value_error():
     # a weight past a double once raised OverflowError, and a weighted sum
     # past one warned and returned inf

@@ -703,6 +703,19 @@ def test_cli_rejects_non_finite_vector(operation, tmp_path, capsys):
     assert "finite" in captured.err
 
 
+@pytest.mark.parametrize("key", ("q", "dim", "max_degree", "components"))
+def test_cli_vector_file_without_a_key_names_it(key, tmp_path, capsys):
+    # a missing key once printed only its KeyError text: "error: 'max_degree'"
+    vec = {"q": 0.5, "dim": 1, "max_degree": 2, "components": {"0": [1.0]}}
+    del vec[key]
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(vec))
+    assert cli.main(["compute", "norm", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: vector file has no {key!r} key\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     (
