@@ -8,7 +8,6 @@ allocate.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import errno
 import gc
 import json
@@ -35,7 +34,7 @@ from .wick import MAX_MOMENT_ORDER, moments, pairing_moments
 
 # verify's settings, in RunConfig's order, each typed by its default: every
 # field is a flag (`--max-degree` for max_degree), a config key and an override
-SETTINGS = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
+SETTINGS = {name: type(default) for name, default in RunConfig._field_defaults.items()}
 # compute's vector -> vector operations: name -> (function, input names, help)
 VECTOR_OPS = {
     "wick-mul": (graded_tensor, ("left", "right"), "graded tensor product of two stored vectors"),

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -48,20 +48,21 @@ EIGENSOLVER_CAP = 4096  # largest d**n for dense spectral probes
 MATRIX_CACHE_CAP = 512
 
 
-@dataclass(frozen=True)
-class QContext:
-    """Deformation parameter, one-particle dimension, truncation degree."""
+class QContext(namedtuple("QContext", "q dim max_degree")):
+    """Deformation parameter, one-particle dimension, truncation degree.
 
-    q: float
-    dim: int
-    max_degree: int
+    An immutable value: equal and equally hashed exactly when its three
+    fields are equal."""
 
-    def __post_init__(self):
-        check_deformation(self.q)
-        if self.dim < 1:
-            raise ValueError(f"context requires dim >= 1, got {self.dim}")
-        if self.max_degree < 0:
-            raise ValueError(f"context requires max_degree >= 0, got {self.max_degree}")
+    __slots__ = ()
+
+    def __new__(cls, q: float, dim: int, max_degree: int):
+        check_deformation(q)
+        if dim < 1:
+            raise ValueError(f"context requires dim >= 1, got {dim}")
+        if max_degree < 0:
+            raise ValueError(f"context requires max_degree >= 0, got {max_degree}")
+        return super().__new__(cls, q, dim, max_degree)
 
 
 _JSON_TYPES = {
@@ -168,9 +169,12 @@ def _seal(comps: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     return comps
 
 
-@dataclass(frozen=True, eq=False)
 class GradedVector:
     """A degree-indexed family of dense tensors; absent degrees are zero.
+
+    `ctx` is the QContext and `components` maps each present degree to its
+    flat tensor.  The attributes are read-only, and two vectors are equal
+    only when they are the same object.
 
     Every component is finite and read-only (sealed), under one rule: an
     array is sealed exactly when it is read-only, and qwick marks one so
@@ -178,23 +182,24 @@ class GradedVector:
     arrays and passes sealed ones through; the public constructor (JSON
     files, the CLI) copies its input, so it checks every entry."""
 
-    ctx: QContext
-    components: dict[int, np.ndarray] = field(default_factory=dict)
+    __slots__ = ("ctx", "components")
 
-    def __post_init__(self):
+    def __init__(self, ctx: QContext, components: dict | None = None):
         clean: dict[int, np.ndarray] = {}
-        for n, comp in self.components.items():
+        for n, comp in (components or {}).items():
             n = int(n)
-            if not 0 <= n <= self.ctx.max_degree:
-                raise ValueError(
-                    f"degree {n} outside truncation 0..{self.ctx.max_degree}"
-                )
+            if not 0 <= n <= ctx.max_degree:
+                raise ValueError(f"degree {n} outside truncation 0..{ctx.max_degree}")
             clean[n] = np.array(comp, dtype=float).reshape(-1)
-            if clean[n].shape != (self.ctx.dim**n,):
-                raise ValueError(
-                    f"degree-{n} component must have length {self.ctx.dim ** n}"
-                )
+            if clean[n].shape != (ctx.dim**n,):
+                raise ValueError(f"degree-{n} component must have length {ctx.dim ** n}")
+        object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "components", _seal(clean))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a GradedVector")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def _of(cls, ctx: QContext, comps: dict[int, np.ndarray]) -> "GradedVector":
@@ -500,14 +505,18 @@ def annihilate(phi, f: GradedVector) -> GradedVector:
 
 def _operator_matrix(ctx: QContext, operator) -> np.ndarray:
     """Dense matrix of a linear operator on the truncated space: operator
-    applied to its identity columns, one batched GradedVector whose degree-n
-    component is the identity's degree-n column block."""
+    applied to one degree's identity columns at a time, each degree of the
+    image placed as the block at its rows and that degree's columns."""
     sizes = [ctx.dim**n for n in range(ctx.max_degree + 1)]
     if sum(sizes) > EIGENSOLVER_CAP:
         raise ValueError(f"truncated space dimension {sum(sizes)} exceeds cap {EIGENSOLVER_CAP}")
-    blocks = np.split(np.eye(sum(sizes)), np.cumsum(sizes[:-1]), axis=1)
-    image = operator(GradedVector._of(ctx, dict(enumerate(blocks)))).components
-    return np.hstack([image.get(n, np.zeros_like(b)) for n, b in enumerate(blocks)]).T
+    starts = list(itertools.accumulate(sizes, initial=0))
+    mat = np.zeros((starts[-1], starts[-1]))
+    for m, size in enumerate(sizes):
+        image = operator(GradedVector._of(ctx, {m: np.eye(size)})).components
+        for n, block in image.items():
+            mat[starts[n] : starts[n + 1], starts[m] : starts[m + 1]] = block.T
+    return mat
 
 
 def creation_matrix(phi, ctx: QContext) -> np.ndarray:
@@ -521,13 +530,14 @@ def annihilation_matrix(phi, ctx: QContext) -> np.ndarray:
 def swap_constant(n: int, dim: int, q: float) -> float:
     """c_n: the 2-norm, on degree n, of e_2 (x) a^-(e_1) - e_1 (x) a^-(e_2),
     the operators `create` and `annihilate` compose on the identity columns
-    of degree n; 0 when dim = 1 or n = 0.  Taken by one SVD."""
+    of degree n; 0 when dim = 1 or n = 0.  e_1 and e_2 are one batch of two,
+    so the columns' slots move once.  Taken by one SVD."""
     if dim == 1 or n == 0:
         return 0.0
     cols = GradedVector._of(QContext(q, dim, n), {n: np.eye(dim**n)})
-    e1, e2 = basis_vector(dim, 0), basis_vector(dim, 1)
-    term = create(e2, annihilate(e1, cols)) - create(e1, annihilate(e2, cols))
-    return float(np.linalg.norm(term.components[n], 2))
+    e12 = np.eye(dim)[:2, None, :]  # row k is e_(k+1), against every column
+    terms = create(e12[::-1], annihilate(e12, cols)).components[n]
+    return float(np.linalg.norm(terms[0] - terms[1], 2))
 
 
 def commutation_residual(phi, psi, f: GradedVector):

@@ -52,8 +52,8 @@ def _weight_power(weights: tuple[float, ...], n: int) -> np.ndarray:
 def _scale_args(f: GradedVector, r: float, alpha: float, weights, weight_base: str):
     """Check the scale arguments both norms take; return the one-particle
     weights as a tuple (None for the plain norm) and the factorial base."""
-    if not r >= 1.0:
-        raise ValueError(f"scale parameter r must be >= 1, got {r}")
+    if not math.inf > r >= 1.0:
+        raise ValueError(f"scale parameter r must be >= 1 and finite, got {r}")
     if not math.isfinite(alpha):
         raise ValueError(f"scale exponent alpha must be finite, got {alpha}")
     if weight_base not in WEIGHT_BASES:

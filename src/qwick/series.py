@@ -13,7 +13,7 @@ both are finite sums and exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -26,21 +26,19 @@ CONTRACTION_MARGIN = 0.99
 SCALE_CAP = 2.0**20
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
+class SeriesSpec(namedtuple("SeriesSpec", "coefficients radius")):
     """A truncated power series sum a_n z^n with a declared absolute-
-    convergence radius."""
+    convergence radius: `coefficients` a_0, a_1, ... as a tuple of floats."""
 
-    coefficients: tuple[float, ...]
-    radius: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        coeffs = tuple(float(a) for a in self.coefficients)
-        object.__setattr__(self, "coefficients", coeffs)
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
+    def __new__(cls, coefficients, radius: float):
+        coeffs = tuple(float(a) for a in coefficients)
+        if not (radius > 0.0 and math.isfinite(radius)):
             raise ValueError("radius must be positive and finite")
         if any(not math.isfinite(a) for a in coeffs):
             raise ValueError("coefficients must be finite")
+        return super().__new__(cls, coeffs, radius)
 
     def fitted_constant(self, rho: float) -> float:
         """Smallest C with |a_n| <= C / rho^n over the supplied prefix."""
@@ -52,8 +50,7 @@ class SeriesSpec:
         return c
 
 
-@dataclass(frozen=True)
-class ConvergenceCertificate:
+class ConvergenceCertificate(namedtuple("ConvergenceCertificate", "s norm_s r contraction")):
     """One working scale pair for a series argument, or one per row of a
     batched argument (every field then has the batch shape).
 
@@ -61,16 +58,14 @@ class ConvergenceCertificate:
     norms to shrink geometrically.
     """
 
-    s: float
-    norm_s: float
-    r: float
-    contraction: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not np.all((self.r > self.s) & (self.s >= 1.0)):
+    def __new__(cls, s: float, norm_s: float, r: float, contraction: float):
+        if not np.all((r > s) & (s >= 1.0)):
             raise ValueError("certificate requires r > s >= 1")
-        if not np.all(self.contraction < 1.0):
+        if not np.all(contraction < 1.0):
             raise ValueError("certificate requires contraction < 1")
+        return super().__new__(cls, s, norm_s, r, contraction)
 
 
 def certify_radius(f: GradedVector, spec: SeriesSpec) -> ConvergenceCertificate:

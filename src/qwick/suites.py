@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import zlib
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Callable
 
 import numpy as np
@@ -69,6 +69,7 @@ from .wick import (
     pairing_moments,
     vacuum_vector,
     wick_monomial,
+    wick_monomial_tails,
     wick_mul_poly,
 )
 
@@ -77,16 +78,21 @@ DEFAULT_SCALES = ((2.0, 1.0, 2.0), (4.0, 1.0, 2.0), (1.5, 1.2, 2.0))
 ORACLE_DEGREE = 6
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    q: float = 0.5
-    dim: int = 2
-    max_degree: int = 6
-    trials: int = 500
-    seed: int = 1
-    scales: tuple[tuple[float, float, float], ...] = DEFAULT_SCALES
+class RunConfig(
+    namedtuple(
+        "RunConfig",
+        "q dim max_degree trials seed scales",
+        defaults=(0.5, 2, 6, 500, 1, DEFAULT_SCALES),
+    )
+):
+    """One verify run's settings: q, dim and max_degree for the context,
+    trials and seed for the draws, and scales, the (r, s, alpha) pairs the
+    scale suites run at.  Each field defaults to the headline config."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         self.context()  # checks q, dim and max_degree
         if self.trials < 1:
             raise ValueError("config requires trials >= 1")
@@ -99,6 +105,7 @@ class RunConfig:
                 raise ValueError(f"scale pair must satisfy inf > r > s >= 1, got ({r}, {s})")
             if not math.inf > alpha >= 1.0:
                 raise ValueError(f"scale exponent alpha must be finite and >= 1, got {alpha}")
+        return self
 
     def context(self, max_degree: int | None = None) -> QContext:
         return QContext(
@@ -106,17 +113,20 @@ class RunConfig:
         )
 
 
-@dataclass
-class Report:
-    suite: str
-    params: dict
-    trials: int
-    max_residual: float | None
-    max_ratio: float | None
-    bound: float | None
-    violations: list[dict]
-    passed: bool
-    trial_values: list[float] = field(default_factory=list, repr=False)
+class Report(
+    namedtuple(
+        "Report",
+        "suite params trials max_residual max_ratio bound violations passed trial_values",
+        defaults=((),),
+    )
+):
+    """One suite's outcome: its name and params, the number of values it
+    checked, the largest value (max_residual), the worst ratio and its bound
+    where the suite has one, the values past tolerance (violations, trial -1
+    for a side check) and whether there were none (passed).  trial_values
+    holds every value in trial order, for the CSV; the JSON report omits it."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -173,8 +183,13 @@ def _constant(**params) -> Callable:
     return lambda ctx: ([], params, ())
 
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(
+    namedtuple(
+        "Suite",
+        "tolerance draw check pair findings shared degree",
+        defaults=(None, None, None, _constant(), ("q", "dim", "max_degree"), lambda n: n),
+    )
+):
     """One row of the suite table.
 
     `findings(ctx)` draws nothing and returns a value list, the suite's own
@@ -192,13 +207,7 @@ class Suite:
     ValueError where the suite's check is not sound.
     """
 
-    tolerance: float
-    draw: Callable[[QContext, np.random.Generator], tuple] | None = None
-    check: Callable[[QContext, list], list] | None = None
-    pair: Callable[[QContext, float, float, float], tuple[dict, float, Callable]] | None = None
-    findings: Callable[[QContext], tuple[list[float], dict, tuple]] = _constant()
-    shared: tuple[str, ...] = ("q", "dim", "max_degree")
-    degree: Callable[[int], int] = lambda n: n
+    __slots__ = ()
 
 
 def suite_streams(name: str, cfg: RunConfig) -> tuple[QContext, list[tuple]]:
@@ -299,12 +308,17 @@ def _commutation(ctx: QContext, phi: np.ndarray, psi: np.ndarray, f: GradedVecto
 def _basis_residuals(ctx: QContext) -> np.ndarray:
     """Entry (i, j): the largest Frobenius norm, over degrees n < N, of the
     exchange residual's block at (e_i, e_j), from commutation_residual on the
-    identity columns of degree n; the largest array is one d (d^n)^2 block."""
+    identity columns of degree n.  One call per psi = e_j takes every phi = e_i
+    as a batch, so the largest array is d blocks of (d^n)^2; phi and psi are
+    never batched together, which would hold d^2 of them."""
     columns = [GradedVector._of(ctx, {n: np.eye(ctx.dim**n)}) for n in range(ctx.max_degree)]
+    basis = np.eye(ctx.dim)
     out = np.zeros((ctx.dim, ctx.dim))
-    for i, j in np.ndindex(out.shape):
-        e_i, e_j = basis_vector(ctx.dim, i), basis_vector(ctx.dim, j)
-        out[i, j] = max(np.linalg.norm(commutation_residual(e_i, e_j, f)) for f in columns)
+    for j, e_j in enumerate(basis):
+        for f in columns:
+            # row i of the batch is phi = e_i, against every column
+            blocks = commutation_residual(basis[:, None, :], e_j, f)
+            out[:, j] = np.maximum(out[:, j], [np.linalg.norm(block) for block in blocks])
     return out
 
 
@@ -519,23 +533,25 @@ def _hermite(ctx: QContext) -> tuple[list[float], dict, tuple]:
     """Single-mode reduction: the monomial recursion is the deformed Hermite
     three-term recurrence, and its q -> 1 limit is the classical one."""
     e = basis_vector(1, 0)
-    recurrence = [wick_monomial([], ctx.q), wick_monomial([e], ctx.q)]
-    for n in range(1, 7):
+    # entry n is the monomial of n copies of e, all from one recursion
+    monomials = wick_monomial_tails([e] * 6, ctx.q)[::-1]
+    recurrence = monomials[:2]
+    for n in range(1, 6):
         step = field_mul(e, recurrence[n], ctx.q)
         recurrence.append(add_scaled(step, recurrence[n - 1], -q_integer(n, ctx.q)))
     values = [
-        float(_max_entry(add_scaled(wick_monomial([e] * n, ctx.q), recurrence[n], -1.0)))
-        for n in range(7)
+        float(_max_entry(add_scaled(monomials[n], recurrence[n], -1.0))) for n in range(7)
     ]
 
     q_near_one = 1.0 - 1e-6
     classical_tolerance = 1e-4
-    powers = [wick_monomial([], q_near_one)]
+    classical = wick_monomial_tails([e] * 6, q_near_one)[::-1]
+    powers = classical[:1]
     for _ in range(6):
         powers.append(field_mul(e, powers[-1], q_near_one))
     classical_worst = 0.0
     for n in range(7):
-        coeffs = x_coefficients(wick_monomial([e] * n, q_near_one), powers[: n + 1])
+        coeffs = x_coefficients(classical[n], powers[: n + 1])
         for k, target in enumerate(map(float, hermite_coefficients(n))):
             classical_worst = max(
                 classical_worst, abs(coeffs[k] - target) / max(1.0, abs(target))

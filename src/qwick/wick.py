@@ -88,9 +88,18 @@ def field_mul(phi, p: dict, q: float) -> dict:
 
 
 def wick_monomial(vectors: Sequence, q: float) -> dict:
-    """The degree-n orthogonal monomial in the field variables, built by the
-    contraction recursion: multiply by the field of the first argument and
-    subtract the monomials of the one-slot contractions of the tail.
+    """The degree-n orthogonal monomial in the field variables: the first
+    entry of `wick_monomial_tails`."""
+    return wick_monomial_tails(vectors, q)[0]
+
+
+def wick_monomial_tails(vectors: Sequence, q: float) -> list[dict]:
+    """The orthogonal monomials of every tail of vectors: entry k is the
+    monomial of vectors[k:], the last one the identity, each with the batch
+    shape of all the arguments.  They come from one run of the contraction
+    recursion: multiply by the field of the first argument and subtract the
+    monomials of the one-slot contractions of the tail, so each tail is
+    built on the way to the whole list.
 
     In a single mode this reproduces the q-deformed Hermite three-term
     recurrence.  The arguments have shape batch + (d,) and are validated once;
@@ -120,7 +129,7 @@ def wick_monomial(vectors: Sequence, q: float) -> dict:
         memo[key] = result
         return result
 
-    return monomial(tuple(range(len(vecs))))
+    return [monomial(tuple(range(k, len(vecs)))) for k in range(len(vecs) + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def _certify_with(monkeypatch, **fields):
     `fields` replaced, each a list of one value per row of the batch."""
 
     def patched(f, spec):
-        cert = vars(certify_radius(f, spec))
+        cert = certify_radius(f, spec)._asdict()
         return SimpleNamespace(**{**cert, **{k: np.array(v) for k, v in fields.items()}})
 
     monkeypatch.setattr(suites, "certify_radius", patched)
@@ -399,3 +399,42 @@ def test_json_is_indented_only_by_the_writer():
 )
 def test_the_json_writer_guard_sees_every_spelling(source):
     assert _indented_json_calls(ast.walk(ast.parse(source)))
+
+
+# the value classes are namedtuples and a slotted GradedVector: importing
+# dataclasses costs every CLI call its import and one exec per class, and
+# _make and _replace build a namedtuple without running __new__'s checks
+UNCHECKED_BUILDERS = {"_make", "_replace"}
+
+
+def _dataclass_uses(tree: ast.AST) -> list[str]:
+    """The dataclasses imports and the _make / _replace calls of a module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias) and node.name.split(".")[0] == "dataclasses":
+            found.append(f"{node.lineno} import {node.name}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            found.append(f"{node.lineno} from dataclasses")
+        elif isinstance(node, ast.Attribute) and node.attr in UNCHECKED_BUILDERS:
+            found.append(f"{node.lineno} .{node.attr}")
+    return found
+
+
+def test_no_dataclass_or_unchecked_namedtuple_in_src():
+    found = [f"{path.name}:{hit}" for path, tree in _src_trees() for hit in _dataclass_uses(tree)]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    (
+        "import dataclasses",
+        "from dataclasses import dataclass",
+        "from dataclasses import field as f",
+        "import dataclasses as dc",
+        "cfg = cfg._replace(q=0.3)",
+        "ctx = QContext._make(values)",
+    ),
+)
+def test_the_dataclass_guard_sees_every_spelling(source):
+    assert _dataclass_uses(ast.parse(source))

@@ -2,6 +2,7 @@ import ast
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from qwick.fock import (
     pq_spectrum,
     q_inner,
     slot_sum,
+    swap_constant,
     symmetrize,
     tensor_product,
 )
@@ -363,6 +365,64 @@ def test_field_matrix_cap():
     assert creation_matrix(basis_vector(2, 0), QContext(0.5, 2, 3)).shape == (15, 15)
 
 
+def _whole_space_matrix(ctx, operator):
+    """The operator on every identity column of the truncated space at once,
+    as one batched vector: the dense builders' former route."""
+    sizes = [ctx.dim**n for n in range(ctx.max_degree + 1)]
+    blocks = np.split(np.eye(sum(sizes)), np.cumsum(sizes[:-1]), axis=1)
+    image = operator(GradedVector._of(ctx, dict(enumerate(blocks)))).components
+    return np.hstack([image.get(n, np.zeros_like(b)) for n, b in enumerate(blocks)]).T
+
+
+@pytest.mark.parametrize("q", (-0.7, 0.3, 0.9))
+@pytest.mark.parametrize("dim,top", ((1, 5), (2, 5), (3, 3)))
+def test_operator_matrices_by_degree_equal_the_whole_space_route(dim, top, q):
+    ctx = QContext(q, dim, top)
+    phi = np.random.default_rng([dim, top]).standard_normal(dim)
+    for build, operator in ((creation_matrix, create), (annihilation_matrix, annihilate)):
+        # equal, not the same bytes: the whole-space route writes
+        # phi_i * 0 = -0.0 in blocks the operator does not reach, where the
+        # builders leave +0.0
+        want = _whole_space_matrix(ctx, lambda f: operator(phi, f))
+        assert np.array_equal(build(phi, ctx), want)
+
+
+def test_operator_matrices_build_one_degree_at_a_time():
+    # a 1023 x 1023 matrix is 8 MiB; applying the operator to the whole
+    # space's identity at once peaked at 24 MiB, about three matrices
+    ctx = QContext(0.5, 2, 9)
+    phi = np.array([0.3, -0.7])
+    for build in (creation_matrix, annihilation_matrix):
+        tracemalloc.start()
+        try:
+            mat = build(phi, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mat.shape == (1023, 1023)
+        assert peak < 2 * mat.nbytes
+
+
+@pytest.mark.parametrize("q", (-0.7, 0.3, 0.5, 0.9))
+@pytest.mark.parametrize("dim", (2, 3))
+def test_batched_basis_findings_equal_one_call_per_pair(dim, q):
+    # swap_constant annihilates by e_1 and e_2 as one batch, and
+    # _basis_residuals takes every phi = e_i as a batch: bit for bit as one
+    # call per vector or per pair
+    ctx = QContext(q, dim, 6 if dim == 2 else 4)
+    e1, e2 = basis_vector(dim, 0), basis_vector(dim, 1)
+    for n in range(1, ctx.max_degree):
+        cols = GradedVector._of(QContext(q, dim, n), {n: np.eye(dim**n)})
+        term = create(e2, annihilate(e1, cols)) - create(e1, annihilate(e2, cols))
+        assert swap_constant(n, dim, q) == float(np.linalg.norm(term.components[n], 2))
+    columns = [GradedVector._of(ctx, {n: np.eye(dim**n)}) for n in range(ctx.max_degree)]
+    want = np.zeros((dim, dim))
+    for i, j in np.ndindex(want.shape):
+        e_i, e_j = basis_vector(dim, i), basis_vector(dim, j)
+        want[i, j] = max(np.linalg.norm(commutation_residual(e_i, e_j, f)) for f in columns)
+    assert _basis_residuals(ctx).tobytes() == want.tobytes()
+
+
 def _contract_tensordot(phi, t, n, q):
     """Oracle for contract: one tensordot over each slot of the n-cube."""
     t = np.asarray(t, dtype=float)
@@ -578,9 +638,9 @@ def test_kernel_results_skip_revalidation(monkeypatch):
     # 2 a^+((1, 0.5)) a^-((0.25, -1)) - 1 as kernels
     p = {(1, 1): 2.0 * np.outer([1.0, 0.5], [0.25, -1.0]), (0, 0): np.array([[-1.0]])}
     calls = []
-    original = GradedVector.__post_init__
+    original = GradedVector.__init__
     monkeypatch.setattr(
-        GradedVector, "__post_init__", lambda self: calls.append(1) or original(self)
+        GradedVector, "__init__", lambda self, *args: calls.append(1) or original(self, *args)
     )
     results = [wick_inverse(f), graded_tensor(f, g), apply_to_fock(p, f)]
     assert calls == []

@@ -24,6 +24,7 @@ NEVER_ENTERED = {
     "fock.creation_matrix": TRACER_LAYER,
     "fock.annihilation_matrix": TRACER_LAYER,
     "fock._operator_matrix": "builds creation_matrix and annihilation_matrix",
+    "fock.GradedVector.__setattr__": "refuses attribute assignment and deletion, which no path tries",
     "wick.moment": TRACER_LAYER,
 }
 

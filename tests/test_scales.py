@@ -37,6 +37,9 @@ def test_norm_scale_validation():
             norm(f, 0.5, 2.0, ones)
         with pytest.raises(ValueError, match="r must be >= 1"):
             norm(f, math.nan, 2.0, ones)
+        # inf^-n once weighted every dual degree >= 1 to zero
+        with pytest.raises(ValueError, match="r must be >= 1 and finite, got inf"):
+            norm(f, math.inf, 2.0, ones)
         with pytest.raises(ValueError, match="length 2"):
             norm(f, 1.0, 1.0, np.array([1.0]))
         with pytest.raises(ValueError, match="weights must be >= 1"):

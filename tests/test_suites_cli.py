@@ -676,6 +676,9 @@ def test_cli_wick_exp_keeps_components_below_the_tail_tolerance(tmp_path, capsys
         pytest.param(["--side", "dual", "--weight-base", "q"], "abs_q", id="dual-q-base"),
         pytest.param(["--side", "dual", "--r", "nan"], "r must be >= 1", id="dual-nan-r"),
         pytest.param(["--side", "test", "--r", "nan"], "r must be >= 1", id="test-nan-r"),
+        # the dual side once printed |f_0| and the test side blamed an overflow
+        pytest.param(["--side", "dual", "--r", "inf"], "r must be >= 1 and finite", id="dual-inf-r"),
+        pytest.param(["--side", "test", "--r", "inf"], "r must be >= 1 and finite", id="test-inf-r"),
         pytest.param(["--side", "dual", "--alpha", "nan"], "alpha must be finite", id="dual-nan-alpha"),
         pytest.param(["--side", "dual", "--alpha", "inf"], "alpha must be finite", id="dual-inf-alpha"),
         pytest.param(["--side", "test", "--alpha", "nan"], "alpha must be finite", id="test-nan-alpha"),

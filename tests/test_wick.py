@@ -24,6 +24,7 @@ from qwick.wick import (
     pairing_moments,
     vacuum_vector,
     wick_monomial,
+    wick_monomial_tails,
     wick_mul_poly,
 )
 
@@ -389,6 +390,24 @@ def test_wick_monomial_three_term_recurrence_exact(q):
         polys.append(add_scaled(field_mul(e, polys[n], q), polys[n - 1], -q_integer(n, q)))
     for n in range(7):
         assert gap(wick_monomial([e] * n, q), polys[n]) == 0.0  # exact
+
+
+@pytest.mark.parametrize("q", MONOMIAL_Q)
+def test_wick_monomial_tails_are_each_tails_monomial(q):
+    # one recursion gives every tail, bit for bit as its own call would;
+    # repeated, distinct and batched arguments, and no arguments at all
+    rng = np.random.default_rng(11)
+    e, phi, psi = single_mode(), rng.standard_normal(2), rng.standard_normal(2)
+    batch = rng.standard_normal((3, 2))
+    for vectors in ([e] * 6, [phi, psi, phi, psi], [batch, phi, batch], []):
+        tails = wick_monomial_tails(vectors, q)
+        assert len(tails) == len(vectors) + 1
+        for k, tail in enumerate(tails):
+            # a tail keeps the batch shape of all the arguments
+            alone = wick_monomial(vectors[k:], q)
+            wide = {key: np.broadcast_to(kernel, tail[key].shape) for key, kernel in alone.items()}
+            assert same_bits(tail, wide)
+        assert np.all(tails[-1][(0, 0)] == 1.0) and list(tails[-1]) == [(0, 0)]
 
 
 @pytest.mark.parametrize("q", Q_GRID)

@@ -5,7 +5,6 @@ vector file makes `compute` exit 2 before writing anything, and a
 
 import argparse
 import contextlib
-import dataclasses
 import io
 import json
 import tempfile
@@ -217,9 +216,9 @@ def test_verify_options_are_the_run_config_fields():
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     verify = commands.choices["verify"]
     options = {opt for action in verify._actions for opt in action.option_strings}
-    fields = {"--" + f.name.replace("_", "-") for f in dataclasses.fields(RunConfig)}
+    fields = {"--" + name.replace("_", "-") for name in RunConfig._fields}
     assert options == fields | {"--suite", "--config", "--out", "--csv", "-h", "--help"}
-    assert set(ONE_KEY) == {f.name for f in dataclasses.fields(RunConfig)}
+    assert set(ONE_KEY) == set(RunConfig._fields)
 
 
 @pytest.mark.parametrize("key", sorted(ONE_KEY))
