@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import namedtuple
 
 import numpy as np
 
-from .qcombinatorics import PERMUTATION_CAP, check_deformation, inversions
+from .qcombinatorics import PERMUTATION_CAP, check_deformation
 
 EIGENSOLVER_CAP = 4096  # largest d**n for dense spectral probes
 # largest d**n for which apply_pq memoizes the dense P: below it a cached
@@ -333,11 +334,22 @@ def require_same_context(f: GradedVector, g: GradedVector) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def _perm_actions(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """All permutations of n tensor slots with their inversion counts."""
-    return tuple(
-        (p, inversions(p)) for p in itertools.permutations(range(n))
-    )
+def _perm_actions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All n! permutations of n tensor slots as the rows of one (n!, n)
+    array, in `itertools.permutations` order, and their inversion counts.
+    In that order the first slot holds each value v for a block of (n-1)!
+    rows, v inversions each, and the other slots run through the
+    permutations of n - 1 slots in the same order; so the counts of degree m
+    are those of degree m - 1 tiled m times plus v repeated per block.  Both
+    arrays are shared by every caller, which only reads them."""
+    count = math.factorial(n)
+    perms = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(n))), np.intp, count * n
+    ).reshape(count, n)
+    inv = np.zeros(1, dtype=np.intp)
+    for m in range(2, n + 1):
+        inv = np.repeat(np.arange(m), len(inv)) + np.tile(inv, m)
+    return perms, inv
 
 
 # permutations per add.at in pq_matrix: bounds its (chunk, d**n) index arrays
@@ -348,7 +360,11 @@ _PERM_CHUNK = 120
 def pq_matrix(n: int, dim: int, q: float) -> np.ndarray:
     """Dense matrix of the degree-n symmetrizer by enumerating all n!
     permutations; memoized per (n, dim, q).  An independent oracle for the
-    factorized kernel, capped at degree 8."""
+    factorized kernel, capped at degree PERMUTATION_CAP (8) and at dimension
+    d**n <= EIGENSOLVER_CAP (4096); both caps raise before any allocation.
+    Chunk by chunk of `_perm_actions` rows, each permutation's flat gather
+    index is built from its digit columns and its weight q**inversions is
+    read from a table of Python float powers."""
     check_deformation(q)
     if n > PERMUTATION_CAP:
         raise ValueError(f"symmetrizer capped at degree {PERMUTATION_CAP}, got {n}")
@@ -361,15 +377,15 @@ def pq_matrix(n: int, dim: int, q: float) -> np.ndarray:
     for k in range(n):
         digits[k] = (idx // dim ** (n - 1 - k)) % dim
     mat = np.zeros((size, size))
-    actions = _perm_actions(n)
-    for start in range(0, len(actions), _PERM_CHUNK):
-        chunk = actions[start : start + _PERM_CHUNK]
-        perms = np.array([p for p, _ in chunk])
+    perms, inv = _perm_actions(n)
+    powers = np.array([q**k for k in range(n * (n - 1) // 2 + 1)])
+    for start in range(0, len(perms), _PERM_CHUNK):
+        chunk = perms[start : start + _PERM_CHUNK]
         # row m: the flat column index that permutation m sends each row to
         gather = np.zeros((len(chunk), size), dtype=np.intp)
         for k in range(n):
-            gather += digits[perms[:, k]] * dim ** (n - 1 - k)
-        weights = np.array([q**inv for _, inv in chunk])
+            gather += digits[chunk[:, k]] * dim ** (n - 1 - k)
+        weights = powers[inv[start : start + _PERM_CHUNK]]
         # add.at adds in index order, so each cell sums its weights in
         # permutation order, as one add per permutation would
         np.add.at(mat, (idx, gather), weights[:, None])
@@ -399,14 +415,21 @@ def symmetrize(t, n: int, dim: int, q: float) -> np.ndarray:
     """The degree-n symmetrizer on the last axis of t (leading axes are a batch).
 
     Uses the factorization P_n = (1 (x) P_(n-1)) R_n, one slot_sum per level,
-    so the cost is O(n^2 d^n) and there is no degree cap.  At level m the
-    untouched leading slots join the batch.
+    so the cost is O(n^2 d^n) and there is no degree cap.  The batch runs on
+    the trailing axis: one transposed copy in, every level's slot move passes
+    the batch through as slot_sum's trailing slots (the untouched leading
+    slots are its batch), and one transposed copy out.  So a small level still
+    moves contiguous runs as long as the batch, and each entry takes the same
+    operations in the same order as with the batch leading.  One row needs
+    neither copy; the result is always a fresh C-ordered array.
     """
     t = np.asarray(t, dtype=float)
-    out = t if n > 1 else t.copy()
+    if n <= 1:
+        return t.copy()
+    out = np.ascontiguousarray(t.reshape(-1, dim**n).T)
     for m in range(n, 1, -1):
-        out = slot_sum(out.reshape(-1, dim**m), m, dim, q)
-    return out.reshape(t.shape)
+        out = slot_sum(out.reshape(dim ** (n - m), -1), m, dim, q)
+    return np.ascontiguousarray(out.reshape(dim**n, -1).T).reshape(t.shape)
 
 
 def symmetrizer_matrix(n: int, dim: int, q: float) -> np.ndarray:
@@ -527,20 +550,25 @@ def annihilation_matrix(phi, ctx: QContext) -> np.ndarray:
     return _operator_matrix(ctx, lambda f: annihilate(phi, f))
 
 
-def swap_constant(n: int, dim: int, q: float) -> float:
+def swap_constant(n: int, dim: int, q: float, lowered: GradedVector | None = None) -> float:
     """c_n: the 2-norm, on degree n, of e_2 (x) a^-(e_1) - e_1 (x) a^-(e_2),
     the operators `create` and `annihilate` compose on the identity columns
-    of degree n; 0 when dim = 1 or n = 0.  e_1 and e_2 are one batch of two,
-    so the columns' slots move once.  Taken by one SVD."""
+    of degree n; 0 when dim = 1 or n = 0.  `lowered`, when given, is
+    `annihilate` of those columns by a batch whose rows 0 and 1 are e_1 and
+    e_2 (later rows are not read), in any context of degree >= n; otherwise
+    e_1 and e_2 annihilate them here as one batch of two, so the columns'
+    slots move once.  Taken by one SVD."""
     if dim == 1 or n == 0:
         return 0.0
-    cols = GradedVector._of(QContext(q, dim, n), {n: np.eye(dim**n)})
-    e12 = np.eye(dim)[:2, None, :]  # row k is e_(k+1), against every column
-    terms = create(e12[::-1], annihilate(e12, cols)).components[n]
+    if lowered is None:
+        cols = GradedVector._of(QContext(q, dim, n), {n: np.eye(dim**n)})
+        lowered = annihilate(np.eye(dim)[:2, None, :], cols)
+    # row k is e_2 then e_1, against every column of a^-(e_1) then a^-(e_2)
+    terms = tensor_product(np.eye(dim)[1::-1, None, :], lowered.components[n - 1][:2])
     return float(np.linalg.norm(terms[0] - terms[1], 2))
 
 
-def commutation_residual(phi, psi, f: GradedVector):
+def commutation_residual(phi, psi, f: GradedVector, lowered: GradedVector | None = None):
     """||R f|| / max(1, ||f||), in the Euclidean norm, for the exchange residual
 
         R = a^-(phi) a^+(psi) - q a^+(psi) a^-(phi) - (phi, psi) Id,
@@ -550,11 +578,15 @@ def commutation_residual(phi, psi, f: GradedVector):
     an f with no degree-N component the value is rounding.  R is bilinear in
     (phi, psi): a basis pair (e_i, e_j) with a degree's identity columns as f
     gives the column norms of a block that fixes R for every pair.
+    `lowered`, when given, is annihilate(phi, f), which does not depend on
+    psi, so one serves every psi; otherwise it is taken here.
     """
     phi = as_one_particle(phi, f.ctx.dim)
     psi = as_one_particle(psi, f.ctx.dim)
+    if lowered is None:
+        lowered = annihilate(phi, f)
     pairing = np.vecdot(phi, psi)
-    exchanged = create(psi, annihilate(phi, f)).scale(f.ctx.q)
+    exchanged = create(psi, lowered).scale(f.ctx.q)
     residual = annihilate(phi, create(psi, f)) - exchanged - f.scale(pairing)
     return batch_value(residual.euclidean_norm() / np.maximum(1.0, f.euclidean_norm()))
 

@@ -305,19 +305,29 @@ def _commutation(ctx: QContext, phi: np.ndarray, psi: np.ndarray, f: GradedVecto
     return commutation_residual(phi, psi, f).tolist()
 
 
-def _basis_residuals(ctx: QContext) -> np.ndarray:
+def _lowered_columns(ctx: QContext) -> list[tuple[GradedVector, GradedVector]]:
+    """For each degree n < N: its identity columns, and a^-(e_i) of them as
+    batch row i.  The annihilation does not depend on psi, so one per degree
+    serves every psi = e_j and the swap constant."""
+    basis = np.eye(ctx.dim)[:, None, :]  # row i is e_i, against every column
+    columns = (GradedVector._of(ctx, {n: np.eye(ctx.dim**n)}) for n in range(ctx.max_degree))
+    return [(f, annihilate(basis, f)) for f in columns]
+
+
+def _basis_residuals(ctx: QContext, lowered_columns: list | None = None) -> np.ndarray:
     """Entry (i, j): the largest Frobenius norm, over degrees n < N, of the
     exchange residual's block at (e_i, e_j), from commutation_residual on the
-    identity columns of degree n.  One call per psi = e_j takes every phi = e_i
+    identity columns of degree n and a^-(e_i) of them (`_lowered_columns`,
+    taken here when not given).  One call per psi = e_j takes every phi = e_i
     as a batch, so the largest array is d blocks of (d^n)^2; phi and psi are
     never batched together, which would hold d^2 of them."""
-    columns = [GradedVector._of(ctx, {n: np.eye(ctx.dim**n)}) for n in range(ctx.max_degree)]
+    if lowered_columns is None:
+        lowered_columns = _lowered_columns(ctx)
     basis = np.eye(ctx.dim)
     out = np.zeros((ctx.dim, ctx.dim))
-    for j, e_j in enumerate(basis):
-        for f in columns:
-            # row i of the batch is phi = e_i, against every column
-            blocks = commutation_residual(basis[:, None, :], e_j, f)
+    for f, lowered in lowered_columns:
+        for j, e_j in enumerate(basis):
+            blocks = commutation_residual(basis[:, None, :], e_j, f, lowered)
             out[:, j] = np.maximum(out[:, j], [np.linalg.norm(block) for block in blocks])
     return out
 
@@ -329,9 +339,14 @@ def _commutation_findings(ctx: QContext) -> tuple[list, dict, tuple]:
     the arguments instead leaves q (psi (x) M_phi - phi (x) M_psi) on degree
     n, linear in phi ^ psi, and the kernels are O(d)-equivariant, so its
     2-norm is |q| |phi ^ psi| c_n (swap_constant); over unit pairs its
-    supremum is |q| max_n c_n, reached at every orthonormal pair."""
-    top = max(swap_constant(n, ctx.dim, ctx.q) for n in range(ctx.max_degree))
-    basis = float(_basis_residuals(ctx).max())
+    supremum is |q| max_n c_n, reached at every orthonormal pair.  Both read
+    one annihilation of each degree's identity columns."""
+    lowered_columns = _lowered_columns(ctx)
+    top = max(
+        swap_constant(n, ctx.dim, ctx.q, lowered)
+        for n, (_, lowered) in enumerate(lowered_columns)
+    )
+    basis = float(_basis_residuals(ctx, lowered_columns).max())
     params = {
         "normalization": "unit phi, psi; ||R f|| / max(1, ||f||), f normal below degree N",
         "rule": "exchange form: the weighted term swaps operators, keeps arguments",

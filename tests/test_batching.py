@@ -276,6 +276,29 @@ def test_batched_suites_make_as_many_kernel_calls_at_any_trial_count(monkeypatch
         assert counts[0], name
 
 
+@pytest.mark.parametrize("dim,top", ((2, 6), (3, 4)))
+def test_commutation_findings_annihilate_each_degrees_columns_once(monkeypatch, dim, top):
+    """Wrap annihilate wherever qwick binds it and count its calls on a
+    degree's identity columns: the basis residuals at every psi and the swap
+    constant read one annihilation per degree."""
+    lowered = {}
+    modules = [m for name, m in list(sys.modules.items()) if name.startswith("qwick.")]
+    fn = fock.annihilate
+
+    def counted(phi, f):
+        [(n, arr)] = f.components.items()
+        if arr.shape == (dim**n, dim**n) and np.array_equal(arr, np.eye(dim**n)):
+            lowered[n] = lowered.get(n, 0) + 1
+        return fn(phi, f)
+
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, attr, counted)
+    SUITES["commutation"].findings(QContext(0.5, dim, top))
+    assert lowered == {n: 1 for n in range(top)}
+
+
 # products that may sum a row in another order than the 1-D product does
 REORDERING_PRODUCTS = {"dot", "matmul", "einsum", "inner", "tensordot"}
 # the stacked kernel-by-table product, each row summed as alone

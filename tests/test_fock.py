@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qwick
+from qwick import fock
 from qwick.fock import (
     GradedVector,
     QContext,
@@ -140,6 +141,28 @@ def test_pq_matrix_matches_per_permutation_oracle_bit_for_bit(q):
             assert np.array_equal(np.signbit(got), np.signbit(want)), (dim, n)
 
 
+def test_perm_actions_list_the_permutations_in_order_with_their_inversions():
+    for n in range(8):
+        perms, counts = fock._perm_actions(n)
+        assert perms.shape == (math.factorial(n), n)
+        assert [tuple(row) for row in perms.tolist()] == list(itertools.permutations(range(n)))
+        assert counts.tolist() == [inversions(p) for p in itertools.permutations(range(n))]
+
+
+@pytest.mark.parametrize("n,dim", ((9, 1), (9, 2), (7, 4), (8, 3), (5, 6)))
+def test_pq_matrix_caps_raise_before_allocating(n, dim):
+    # degree 9 is past the permutation cap, and d**n > 4096 past the
+    # dimension cap; either raises before the digits or the matrix exist
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="capped at"):
+            pq_matrix(n, dim, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 def _symmetrize_out_of_place(t, n, dim, q):
     """The factorized symmetrizer with a fresh array per term, as the kernel
     once summed: the in-place kernel does the same operations."""
@@ -158,13 +181,19 @@ def _symmetrize_out_of_place(t, n, dim, q):
 
 @pytest.mark.parametrize("q", (-0.7, 0.0, 0.5))
 @pytest.mark.parametrize("dim,n", ((1, 6), (2, 0), (2, 1), (2, 2), (2, 8), (3, 5), (4, 4)))
-@pytest.mark.parametrize("lead", ((), (3,)))
+@pytest.mark.parametrize("lead", ((), (3,), (2, 3), "wide"))
 def test_symmetrize_matches_out_of_place_sum_bit_for_bit(lead, dim, n, q):
+    if lead == "wide":
+        lead = (dim**n + 3,)  # a batch wider than the tensor
     t = np.random.default_rng([dim, n, len(lead)]).standard_normal(lead + (dim**n,))
     before = t.copy()
     got = symmetrize(t, n, dim, q)
     assert np.array_equal(got, _symmetrize_out_of_place(t, n, dim, q))
     assert np.array_equal(t, before)  # the input is never written
+    # the result is a fresh array, also for one row, where no level runs at
+    # n <= 1 and the batch transposes without a copy
+    for rows in (t, t.reshape(-1, dim**n)[:1]):
+        assert not np.shares_memory(symmetrize(rows, n, dim, q), rows)
     eye = np.eye(dim**n)
     assert np.array_equal(symmetrize(eye, n, dim, q), _symmetrize_out_of_place(eye, n, dim, q))
 

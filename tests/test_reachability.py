@@ -26,6 +26,7 @@ NEVER_ENTERED = {
     "fock._operator_matrix": "builds creation_matrix and annihilation_matrix",
     "fock.GradedVector.__setattr__": "refuses attribute assignment and deletion, which no path tries",
     "wick.moment": TRACER_LAYER,
+    "qcombinatorics.inversions": "a public scalar, and the tests' per-permutation oracle",
 }
 
 
