@@ -7,11 +7,14 @@ draws is checked, its tolerance and its truncation degree.  The runner does
 the rest for every suite: `suite_streams` keys its sampled streams, one per
 configured scale pair for a scale suite, and splits the trials over them;
 trial i draws its inputs from a generator seeded by (seed, stream key, i), so
-results do not depend on execution order.  The runner checks each nonempty
-stream's draws in one call, builds the shared params and records the
-violations.  A check gives one float per draw: it stacks its draws into one
-batch and makes one kernel call where a trial made one, each row computed bit
-for bit as alone.  Adding a suite means adding one entry to the table.
+results do not depend on execution order.  A draw only draws: it calls the
+generator (one call per array, fixed layouts in one call cut in draw order)
+and builds no tensor.  The runner checks each nonempty stream's draws in one
+call, builds the shared params and records the violations.  A check gives one
+float per draw: it builds every array it needs once for the stream, stacks
+its draws into one batch and makes one kernel call where a trial made one,
+each row computed bit for bit as alone.  Adding a suite means adding one
+entry to the table.
 """
 
 from __future__ import annotations
@@ -162,6 +165,18 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
+def _size(ctx: QContext, degrees) -> int:
+    """The number of entries of a graded vector on `degrees`."""
+    return sum(ctx.dim**n for n in degrees)
+
+
+def _graded_pair(ctx: QContext, flat: np.ndarray, degrees) -> tuple[GradedVector, GradedVector]:
+    """Two graded vectors on `degrees` cut from flat, a fresh 1-D array of
+    twice their size, in that order: as two draws of GradedVector.random."""
+    half = len(flat) // 2
+    return tuple(GradedVector._flat(ctx, part, degrees) for part in (flat[:half], flat[half:]))
+
+
 def _stacked(check):
     """check(ctx, draws) from check(ctx, *columns): the draws' inputs are
     stacked position by position (graded vectors with GradedVector.stack,
@@ -295,8 +310,9 @@ POSITIVITY_TOLERANCE = 1e-10
 
 def _commutation_draw(ctx: QContext, rng: np.random.Generator) -> tuple:
     """A unit pair, then f standard normal on degrees < N: creation cuts nothing."""
-    phi, psi = _unit(rng.standard_normal(ctx.dim)), _unit(rng.standard_normal(ctx.dim))
-    return phi, psi, GradedVector.random(ctx, rng, range(ctx.max_degree))
+    d, degrees = ctx.dim, range(ctx.max_degree)
+    flat = rng.standard_normal(2 * d + _size(ctx, degrees))
+    return _unit(flat[:d]), _unit(flat[d : 2 * d]), GradedVector._flat(ctx, flat[2 * d :], degrees)
 
 
 @_stacked
@@ -387,8 +403,9 @@ def _positivity(ctx: QContext) -> tuple[list[float], dict, tuple]:
 
 
 def _adjointness_draw(ctx: QContext, rng: np.random.Generator) -> tuple:
-    phi = _unit(rng.standard_normal(ctx.dim))
-    return phi, GradedVector.random(ctx, rng), GradedVector.random(ctx, rng)
+    d, degrees = ctx.dim, range(ctx.max_degree + 1)
+    flat = rng.standard_normal(d + 2 * _size(ctx, degrees))
+    return _unit(flat[:d]), *_graded_pair(ctx, flat[d:], degrees)
 
 
 @_stacked
@@ -430,46 +447,75 @@ def _moments(ctx: QContext, phi: np.ndarray) -> list[float]:
     return worst.tolist()
 
 
-def _random_polynomial(rng: np.random.Generator, dim: int) -> dict:
-    """Up to three random words with at most two creators and two
-    annihilators, as kernels at every bidegree m, k <= 2 (zero where no word
-    is), so that draws stack."""
-    poly = {(m, k): np.zeros((dim**m, dim**k)) for m in range(3) for k in range(3)}
+def _random_words(rng: np.random.Generator, dim: int) -> list[tuple]:
+    """Up to three random words, each (creators (m, d), annihilators (k, d),
+    coefficient) with m, k <= 2."""
+    words = []
     for _ in range(int(rng.integers(1, 4))):
-        creators = [rng.standard_normal(dim) for _ in range(int(rng.integers(0, 3)))]
-        annihilators = [rng.standard_normal(dim) for _ in range(int(rng.integers(0, 3)))]
-        word = np.outer(elementary_tensor(creators), elementary_tensor(annihilators))
-        key = (len(creators), len(annihilators))
-        poly[key] = poly[key] + float(rng.standard_normal()) * word
-    return poly
+        creators = rng.standard_normal((int(rng.integers(0, 3)), dim))
+        annihilators = rng.standard_normal((int(rng.integers(0, 3)), dim))
+        words.append((creators, annihilators, float(rng.standard_normal())))
+    return words
 
 
 def _wick_correspondence_draw(ctx: QContext, rng: np.random.Generator) -> tuple:
-    p1 = _random_polynomial(rng, ctx.dim)
-    p2 = _random_polynomial(rng, ctx.dim)
+    p1 = _random_words(rng, ctx.dim)
+    p2 = _random_words(rng, ctx.dim)
     n = int(rng.integers(1, min(4, ctx.max_degree) + 1))
-    vectors = [rng.standard_normal(ctx.dim) for _ in range(n)]
-    fs = [rng.standard_normal(ctx.dim) for _ in range(int(rng.integers(1, 3)))]
-    gs = [rng.standard_normal(ctx.dim) for _ in range(int(rng.integers(1, 3)))]
+    vectors = rng.standard_normal((n, ctx.dim))
+    fs = rng.standard_normal((int(rng.integers(1, 3)), ctx.dim))
+    gs = rng.standard_normal((int(rng.integers(1, 3)), ctx.dim))
     # degrees <= N - n, so that the monomial of vectors never leaves the truncation
     return p1, p2, vectors, fs, gs, GradedVector.random(ctx, rng, range(ctx.max_degree - n + 1))
+
+
+def _creator_kernels(ctx: QContext, polys: tuple) -> dict:
+    """The creator-only words (no annihilators) of a stream's polynomials,
+    each a list of words as `_random_words` draws them, as kernels at every
+    bidegree (m, 0), m <= 2, batched over the draws (zero where a draw has no
+    such word).  A word's kernel is its coefficient times its creators'
+    elementary tensor (the outer product with the empty annihilator product
+    (1,) changes no bit), and a draw's words at one bidegree add up in draw
+    order from zero.  One elementary_tensor call serves each creator count."""
+    words: dict[int, list] = {m: [] for m in range(3)}
+    for i, poly in enumerate(polys):
+        for creators, annihilators, c in poly:
+            if not len(annihilators):
+                words[len(creators)].append((i, creators, c))
+    kernels = {}
+    for m, group in words.items():
+        kernels[m, 0] = np.zeros((len(polys), ctx.dim**m, 1))
+        if group:
+            rows, creators, coeffs = zip(*group)
+            # the m creators of every word, argument j of each as one (words, d) array
+            args = np.concatenate(creators).reshape(len(group), m, ctx.dim).swapaxes(0, 1)
+            word = elementary_tensor(args)[..., None]
+            np.add.at(kernels[m, 0], list(rows), np.array(coeffs)[:, None, None] * word)
+    return kernels
 
 
 def _monomial_on(vectors: list, f: GradedVector, q: float) -> GradedVector:
     """The monomial recursion run as operators through create and annihilate:
     H(v_1..v_n) f = (a^+(v_1) + a^-(v_1)) H(tail) f minus, for the j-th tail
-    argument, q^(j-1) (v_1, v_j) H(tail without v_j) f."""
-    if not vectors:
-        return f
-    head, tail = vectors[0], vectors[1:]
-    inner = _monomial_on(tail, f, q)
-    out = create(head, inner) + annihilate(head, inner)
-    weight = 1.0
-    for j, t in enumerate(tail):
-        pairing = np.vecdot(head, t)
-        out = out - _monomial_on(tail[:j] + tail[j + 1 :], f, q).scale(weight * pairing)
-        weight *= q
-    return out
+    argument, q^(j-1) (v_1, v_j) H(tail without v_j) f.  Each sub-list of
+    argument positions is evaluated once per call."""
+    memo: dict[tuple[int, ...], GradedVector] = {(): f}
+
+    def on(idx: tuple[int, ...]) -> GradedVector:
+        if idx in memo:
+            return memo[idx]
+        head, tail = vectors[idx[0]], idx[1:]
+        inner = on(tail)
+        out = create(head, inner) + annihilate(head, inner)
+        weight = 1.0
+        for j, t in enumerate(tail):
+            pairing = np.vecdot(head, vectors[t])
+            out = out - on(tail[:j] + tail[j + 1 :]).scale(weight * pairing)
+            weight *= q
+        memo[idx] = out
+        return out
+
+    return on(tuple(range(len(vectors))))
 
 
 def _max_entry(p: dict) -> np.ndarray:
@@ -482,18 +528,19 @@ def _wick_correspondence(ctx: QContext, draws: list) -> list[float]:
     orthogonal monomials land on their kernels, act on the Fock space as the
     recursion run through create and annihilate does, and multiply as their
     joint argument list.  The polynomials of all draws stack; the monomials
-    stack by argument count."""
+    stack by argument count.  A^-(g) annihilates the vacuum, so only the
+    creator-only words (k = 0) of each factor reach it through the product,
+    and the vacuum identity multiplies those alone."""
     q = ctx.q
     p1, p2, vectors, fs, gs, f = zip(*draws)
-    p1, p2 = ({key: np.stack([p[key] for p in ps]) for key in ps[0]} for ps in (p1, p2))
+    p1, p2 = _creator_kernels(ctx, p1), _creator_kernels(ctx, p2)
     left = vacuum_vector(wick_mul_poly(p1, p2, q), ctx)
     right = graded_tensor(vacuum_vector(p1, ctx), vacuum_vector(p2, ctx))
     worst = (left - right).euclidean_norm() / np.maximum(1.0, right.euclidean_norm())
 
     for rows, vs in _groups(vectors):
         mono = wick_monomial(vs, q)
-        target = [GradedVector._of(ctx, {len(vs): elementary_tensor(vectors[i])}) for i in rows]
-        target = GradedVector.stack(target)
+        target = GradedVector._of(ctx, {len(vs): elementary_tensor(vs)})
         gap = (vacuum_vector(mono, ctx) - target).euclidean_norm()
         f_rows = GradedVector.stack([f[i] for i in rows])
         ops = _monomial_on(vs, f_rows, q)
@@ -504,21 +551,24 @@ def _wick_correspondence(ctx: QContext, draws: list) -> list[float]:
             action / np.maximum(1.0, ops.euclidean_norm()),
         ])
     for rows, f_args, g_args in _groups(fs, gs):
-        product = wick_mul_poly(wick_monomial(f_args, q), wick_monomial(g_args, q), q)
-        joint = wick_monomial(f_args + g_args, q)
+        # g's monomial is the tail of the joint list after f's arguments
+        tails = wick_monomial_tails(f_args + g_args, q)
+        joint = tails[0]
+        product = wick_mul_poly(wick_monomial(f_args, q), tails[len(f_args)], q)
         coeff_gap = _max_entry(add_scaled(product, joint, -1.0))
         worst[rows] = np.maximum(worst[rows], coeff_gap / np.maximum(1.0, _max_entry(joint)))
     return worst.tolist()
 
 
 def _groups(*columns):
-    """Draw indices grouped by their argument counts in columns (lists of
-    argument lists, one per draw), with each column's arguments stacked."""
+    """Draw indices grouped by their argument counts in columns (one
+    (count, d) argument array per draw), with each column's arguments
+    stacked: argument j of the group's draws as one (rows, d) array."""
     groups: dict[tuple, list[int]] = {}
     for i, key in enumerate(zip(*(map(len, col) for col in columns))):
         groups.setdefault(key, []).append(i)
     for rows in groups.values():
-        yield rows, *([np.stack(arg) for arg in zip(*(col[i] for i in rows))] for col in columns)
+        yield rows, *(list(np.stack([col[i] for i in rows], axis=1)) for col in columns)
 
 
 def x_coefficients(poly: dict, powers: list[dict]) -> list[float]:
@@ -584,7 +634,8 @@ def _one_vector(ctx: QContext, rng: np.random.Generator) -> tuple[GradedVector]:
 
 
 def _two_vectors(ctx: QContext, rng: np.random.Generator) -> tuple[GradedVector, GradedVector]:
-    return GradedVector.random(ctx, rng), GradedVector.random(ctx, rng)
+    degrees = range(ctx.max_degree + 1)
+    return _graded_pair(ctx, rng.standard_normal(2 * _size(ctx, degrees)), degrees)
 
 
 EMBEDDING_R, EMBEDDING_ALPHA, EMBEDDING_WEIGHT_BASE = 1.0, 2.0, "abs_q"
@@ -619,7 +670,8 @@ LEMMA53_DEGREES = range(1, 4)
 def _lemma53_draw(ctx: QContext, rng: np.random.Generator) -> tuple:
     m = int(rng.integers(LEMMA53_DEGREES.start, LEMMA53_DEGREES.stop))
     n = int(rng.integers(LEMMA53_DEGREES.start, LEMMA53_DEGREES.stop))
-    return m, n, rng.standard_normal(ctx.dim**m), rng.standard_normal(ctx.dim**n)
+    flat = rng.standard_normal(ctx.dim**m + ctx.dim**n)
+    return m, n, flat[: ctx.dim**m], flat[ctx.dim**m :]
 
 
 def _lemma53(ctx: QContext, draws: list) -> list[float]:
@@ -721,18 +773,18 @@ def _random_exact_vector(ctx: QContext, rng: np.random.Generator) -> GradedVecto
     point for max_degree <= EXACT_INVERSE_DEGREE = 53."""
     power = 2.0 ** float(rng.integers(-2, 3))
     sign = 1.0 if rng.integers(0, 2) == 0 else -1.0
-    comps = {
-        n: power * rng.integers(-1, 2, size=ctx.dim**n).astype(float)
-        for n in range(1, ctx.max_degree + 1)
-    }
-    comps[0] = np.array([sign * power])
-    return GradedVector._of(ctx, comps)
+    degrees = (*range(1, ctx.max_degree + 1), 0)
+    # one integers call: the same entries and generator state as one per degree
+    flat = np.empty(_size(ctx, degrees))
+    flat[:-1] = power * rng.integers(-1, 2, size=flat.size - 1).astype(float)
+    flat[-1] = sign * power
+    return GradedVector._flat(ctx, flat, degrees)
 
 
 def _inverse_draw(ctx: QContext, rng: np.random.Generator) -> tuple[GradedVector, GradedVector]:
     f = _random_exact_vector(ctx, rng)
     degrees = (*range(1, ctx.max_degree + 1), 0)
-    flat = rng.standard_normal(sum(ctx.dim**n for n in degrees))
+    flat = rng.standard_normal(_size(ctx, degrees))
     flat[-1] = math.copysign(1.0 + abs(flat[-1]), flat[-1])  # vacuum well away from zero
     return f, GradedVector._flat(ctx, flat, degrees)
 

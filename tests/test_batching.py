@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qwick import fock, scales, suites
+from qwick import fock, scales, suites, wick
 from qwick.fock import (
     GradedVector,
     QContext,
@@ -249,13 +249,15 @@ BATCHED = [
     "series", "inverse", "vage", "theorem43", "duality", "embedding", "adjointness",
     "commutation", "moments",
 ]
+KERNELS = (scales.graded_tensor, fock.apply_pq, fock.contract, fock.slot_sum)
 
 
-def test_batched_suites_make_as_many_kernel_calls_at_any_trial_count(monkeypatch):
-    """Wrap each kernel wherever qwick binds it and count its calls."""
+def _count_calls(monkeypatch, fns) -> dict:
+    """Wrap each of fns wherever qwick binds it; the dict returned counts
+    their calls by function name."""
     calls = {}
     modules = [m for name, m in list(sys.modules.items()) if name.startswith("qwick.")]
-    for fn in (scales.graded_tensor, fock.apply_pq, fock.contract, fock.slot_sum):
+    for fn in fns:
 
         def counted(*args, _fn=fn, **kwargs):
             calls[_fn.__name__] = calls.get(_fn.__name__, 0) + 1
@@ -265,15 +267,95 @@ def test_batched_suites_make_as_many_kernel_calls_at_any_trial_count(monkeypatch
             for attr, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def _suite_kernel_calls(calls: dict, name: str, trial_counts) -> list[dict]:
+    """The counted calls of one run of suite `name` at each trial count."""
+    counts = []
+    for trials in trial_counts:
+        calls.clear()
+        fock._pq_cached.cache_clear()  # every count includes the same cold builds
+        run_suite(name, RunConfig(dim=2, max_degree=6, trials=trials))
+        counts.append(dict(calls))
+    return counts
+
+
+def test_batched_suites_make_as_many_kernel_calls_at_any_trial_count(monkeypatch):
+    calls = _count_calls(monkeypatch, KERNELS)
     for name in BATCHED:
-        counts = []
-        for trials in (6, 60):
-            calls.clear()
-            fock._pq_cached.cache_clear()  # both counts include the same cold builds
-            run_suite(name, RunConfig(dim=2, max_degree=6, trials=trials))
-            counts.append(dict(calls))
+        counts = _suite_kernel_calls(calls, name, (6, 60))
         assert counts[0] == counts[1], name
         assert counts[0], name
+
+
+def test_wick_correspondence_makes_as_many_kernel_calls_at_any_trial_count(monkeypatch):
+    # its checks group draws by argument counts and creator counts, so it
+    # needs enough trials for every group to be drawn: 60 draw them all at
+    # the default config
+    builders = (fock.elementary_tensor, fock.tensor_product, fock.create, fock.annihilate)
+    products = (wick.wick_mul_poly, wick.field_mul, wick.apply_to_fock, wick.vacuum_vector)
+    calls = _count_calls(monkeypatch, KERNELS + builders + products)
+    counts = _suite_kernel_calls(calls, "wick-correspondence", (60, 240))
+    assert counts[0] == counts[1]
+    assert counts[0].keys() >= {"elementary_tensor", "wick_mul_poly", "apply_to_fock", "create"}
+
+
+class _CountedUfunc:
+    """A ufunc whose `at` calls are counted under `name`; everything else
+    passes through."""
+
+    def __init__(self, ufunc, name: str, calls: dict):
+        self._ufunc, self._name, self._calls = ufunc, name, calls
+
+    def at(self, *args):
+        self._calls[self._name] = self._calls.get(self._name, 0) + 1
+        return self._ufunc.at(*args)
+
+    def __call__(self, *args, **kwargs):
+        return self._ufunc(*args, **kwargs)
+
+    def __getattr__(self, attr):
+        return getattr(self._ufunc, attr)
+
+
+@pytest.mark.parametrize("name", SAMPLING)
+def test_draws_only_draw(name, monkeypatch):
+    """A draw calls the generator and builds no tensor: the products a
+    check needs are made by the check, once for the whole stream."""
+    cfg = RunConfig(q=-0.7, dim=3, max_degree=4)
+    ctx, streams = suite_streams(name, cfg)
+    with monkeypatch.context() as patched:
+        calls = _count_calls(patched, (fock.tensor_product, fock.elementary_tensor))
+        outer = np.outer
+
+        def counted_outer(*args, **kwargs):
+            calls["outer"] = calls.get("outer", 0) + 1
+            return outer(*args, **kwargs)
+
+        patched.setattr(np, "outer", counted_outer)
+        patched.setattr(np, "add", _CountedUfunc(np.add, "add.at", calls))
+        runs = []
+        for key, _, _, _, check in streams:
+            runs.append((check, [SUITES[name].draw(ctx, _trial_rng(1, key, i)) for i in range(20)]))
+        assert calls == {}
+        # the wrappers do see a check's calls
+        if name == "wick-correspondence":
+            for check, draws in runs:
+                check(ctx, draws)
+            assert calls.keys() >= {"tensor_product", "elementary_tensor", "add.at"}
+
+
+def test_monomial_on_evaluates_each_argument_sub_list_once(monkeypatch):
+    # from (v1..v4): the tail (v2, v3, v4), its sub-lists (v3, v4), (v2, v4)
+    # and (v2, v3), then (v4) and (v3): 7 creations, where a recursion
+    # without a memo makes 12
+    calls = _count_calls(monkeypatch, (fock.create,))
+    ctx = QContext(0.5, 2, 6)
+    rng = np.random.default_rng(4)
+    f = GradedVector.random(ctx, rng, range(3))
+    suites._monomial_on(list(rng.standard_normal((4, 2))), f, ctx.q)
+    assert calls == {"create": 7}
 
 
 @pytest.mark.parametrize("dim,top", ((2, 6), (3, 4)))

@@ -74,6 +74,36 @@ def test_report_bytes_are_pinned(cfg, name):
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[cfg][name]
 
 
+# wick-correspondence and inverse, the suites whose draws carry the most
+# structure (word lists, argument arrays, exact integer entries), at configs
+# the table above does not reach: a single mode near q = 1, q = 0 at d = 3,
+# and degree 8 at negative q, each with 30 trials
+DRAW_DIGESTS = {
+    (RunConfig(q=0.9, dim=1, max_degree=5, trials=30, seed=5), "wick-correspondence"):
+        "14859deb72356fa89d4a97020165aecf47eed27263bbf963f427e00c23fdf501",
+    (RunConfig(q=0.9, dim=1, max_degree=5, trials=30, seed=5), "inverse"):
+        "a4c5ead76dc6dcf1abb81ccc0ddc289fdca32dc8e4627b518592ef3429884976",
+    (RunConfig(q=0.0, dim=3, max_degree=5, trials=30, seed=5), "wick-correspondence"):
+        "7d899860d12ec0f1fe53149a0d99383bfb21750b7cf8339ea67b0bbfa47dd5f9",
+    (RunConfig(q=0.0, dim=3, max_degree=5, trials=30, seed=5), "inverse"):
+        "234ea99f7f3d3ba36c7be42dc207605e0186c10254fc0c7e016fbe69152e3e21",
+    (RunConfig(q=-0.7, dim=2, max_degree=8, trials=30, seed=5), "wick-correspondence"):
+        "ecda26ba9d99db2afd6381a3e52c67e1b7efc74ce8c59ce62fd97a4003650602",
+    (RunConfig(q=-0.7, dim=2, max_degree=8, trials=30, seed=5), "inverse"):
+        "4f7670836be69d9b54f1449d7b7c12dfbf7513ee0fd2b51252cde99ac7ae9e14",
+}
+
+
+@pytest.mark.parametrize(
+    "cfg,name",
+    DRAW_DIGESTS,
+    ids=lambda x: f"q{x.q}-d{x.dim}-n{x.max_degree}" if isinstance(x, RunConfig) else x,
+)
+def test_draw_heavy_report_bytes_are_pinned(cfg, name):
+    text = json.dumps(run_suite(name, cfg).to_json_dict(), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == DRAW_DIGESTS[cfg, name]
+
+
 # each --out file, for `verify --suite all` at the default config and for
 # compute on seeded d=2, N=6 vectors (see _compute_inputs)
 CLI_DIGESTS = {
