@@ -14,8 +14,8 @@ Creation is `tensor_product`; annihilation and P are both `slot_sum`, the
 q-weighted slot move R_n, as P_n = (1 (x) P_(n-1)) R_n and a^-(phi) = phi on
 the front slot of R_n.  Each acts on the last axis of an array whose leading
 axes are a batch.  The functions built on them take the same batch: a
-GradedVector's components may have shape batch + (d**n,)
-(`GradedVector.stack`), a one-particle argument shape batch + (d,), and a
+GradedVector's components may have shape batch + (d**n,) (`GradedVector._flat`
+cuts a block of rows so), a one-particle argument shape batch + (d,), and a
 scalar result then has the batch shape.  A batched call computes row i bit
 for bit as the unbatched call on row i would: row products are
 `np.vecdot`/`np.vecmat`; everything else is elementwise.  Those gufuncs sum
@@ -214,21 +214,6 @@ class GradedVector:
         return vec
 
     @classmethod
-    def stack(cls, vectors) -> "GradedVector":
-        """Vectors of one context and one degree set as one batched vector:
-        row i of every component is vector i's.  The rows are sealed, so
-        their copies are finite and are marked read-only, not tested."""
-        first = vectors[0]
-        for vec in vectors:
-            require_same_context(first, vec)
-            if vec.components.keys() != first.components.keys():
-                raise ValueError("stacked vectors must have the same degrees")
-        comps = {n: np.stack([vec.components[n] for vec in vectors]) for n in first.components}
-        for arr in comps.values():
-            arr.flags.writeable = False
-        return cls._of(first.ctx, comps)
-
-    @classmethod
     def vacuum(cls, ctx: QContext) -> "GradedVector":
         return cls._of(ctx, {0: np.ones(1)})
 
@@ -237,24 +222,26 @@ class GradedVector:
         return cls._of(ctx, {})
 
     @classmethod
-    def random(cls, ctx: QContext, rng: np.random.Generator, degrees=None) -> "GradedVector":
-        """Independent standard-normal entries in `degrees` (every degree up
-        to the cutoff by default), degree by degree in that order from one
-        draw: the same numbers and generator state as one draw per degree."""
-        degrees = range(ctx.max_degree + 1) if degrees is None else degrees
-        return cls._flat(ctx, rng.standard_normal(sum(ctx.dim**n for n in degrees)), degrees)
-
-    @classmethod
     def _flat(cls, ctx: QContext, flat: np.ndarray, degrees) -> "GradedVector":
-        """flat, a fresh 1-D float array, cut into `degrees` in that order.
-        One finiteness test covers it: when it passes, flat is marked
-        read-only and its slices inherit the flag; otherwise they stay
+        """flat cut along its last axis into `degrees`, in that order; leading
+        axes are a batch.  One finiteness test covers it.  A 1-D flat, which
+        must be a fresh array, is marked read-only when the test passes, and
+        its slices, the components, inherit the flag.  A batched flat gives
+        each degree one contiguous copy, since a strided slice could be
+        summed in another order than a row alone is; the copies are marked
+        read-only when the test passed.  Otherwise the components stay
         writeable, and `_seal` names the first degree with a bad entry."""
-        if np.isfinite(flat).all():
+        finite = bool(np.isfinite(flat).all())
+        if finite and flat.ndim == 1:
             flat.flags.writeable = False
         comps, start = {}, 0
         for n in degrees:
-            comps[n] = flat[start : start + ctx.dim**n]
+            part = flat[..., start : start + ctx.dim**n]
+            if flat.ndim > 1:
+                part = part.copy()
+                if finite:
+                    part.flags.writeable = False
+            comps[n] = part
             start += ctx.dim**n
         return cls._of(ctx, comps)
 

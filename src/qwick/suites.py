@@ -7,14 +7,17 @@ draws is checked, its tolerance and its truncation degree.  The runner does
 the rest for every suite: `suite_streams` keys its sampled streams, one per
 configured scale pair for a scale suite, and splits the trials over them;
 trial i draws its inputs from a generator seeded by (seed, stream key, i), so
-results do not depend on execution order.  A draw only draws: it calls the
-generator (one call per array, fixed layouts in one call cut in draw order)
-and builds no tensor.  The runner checks each nonempty stream's draws in one
-call, builds the shared params and records the violations.  A check gives one
-float per draw: it builds every array it needs once for the stream, stacks
-its draws into one batch and makes one kernel call where a trial made one,
-each row computed bit for bit as alone.  Adding a suite means adding one
-entry to the table.
+results do not depend on execution order.  A draw only draws: it returns
+what the generator gives (1-D float arrays, Python numbers and lists of
+them; one call per array, fixed layouts in one call cut in draw order) and
+builds no tensor, not even a GradedVector.  The runner checks each nonempty
+stream's draws in one call, builds the shared params and records the
+violations.  A check gives one float per draw: it stacks each column of its
+draws once into a (draws, width) block, row i being draw i, cuts a block
+into degrees once with the layout it knows (`GradedVector._flat`), builds
+every other array it needs once for the stream and makes one kernel call
+where a trial made one, each row computed bit for bit as alone.  Adding a
+suite means adding one entry to the table.
 """
 
 from __future__ import annotations
@@ -170,25 +173,21 @@ def _size(ctx: QContext, degrees) -> int:
     return sum(ctx.dim**n for n in degrees)
 
 
-def _graded_pair(ctx: QContext, flat: np.ndarray, degrees) -> tuple[GradedVector, GradedVector]:
-    """Two graded vectors on `degrees` cut from flat, a fresh 1-D array of
-    twice their size, in that order: as two draws of GradedVector.random."""
-    half = len(flat) // 2
-    return tuple(GradedVector._flat(ctx, part, degrees) for part in (flat[:half], flat[half:]))
+def _cut_pair(ctx: QContext, block: np.ndarray) -> tuple[GradedVector, GradedVector]:
+    """f and g on degrees 0..N, cut from a block whose rows each hold f's
+    entries, then g's, degree by degree."""
+    degrees = range(ctx.max_degree + 1)
+    return tuple(GradedVector._flat(ctx, half, degrees) for half in np.split(block, 2, axis=-1))
 
 
 def _stacked(check):
-    """check(ctx, draws) from check(ctx, *columns): the draws' inputs are
-    stacked position by position (graded vectors with GradedVector.stack,
-    arrays with np.stack)."""
+    """check(ctx, draws) from check(ctx, *columns): each column of the draws,
+    one 1-D array per draw, as one (draws, width) block by a single np.stack,
+    row i being draw i."""
 
     @functools.wraps(check)
     def on_draws(ctx: QContext, draws: list) -> list:
-        columns = [
-            GradedVector.stack(col) if isinstance(col[0], GradedVector) else np.stack(col)
-            for col in zip(*draws)
-        ]
-        return check(ctx, *columns)
+        return check(ctx, *map(np.stack, zip(*draws)))
 
     return on_draws
 
@@ -212,14 +211,16 @@ class Suite(
     alone; a side check is a (value, limit) pair, recorded as trial -1 when
     the value is not within its limit.  A draw-free suite gives only
     findings.  A sampling suite's findings give no values, and it adds
-    `draw(ctx, rng)`, the inputs of one trial, and either `check(ctx,
-    draws)`, the values of a nonempty list of draws, each the same as
-    `check(ctx, [draw])` gives, or `pair(ctx, r, s, alpha)`, called once per
-    configured scale pair, which returns the pair's `per_scale` record, its
-    bound and a check computing ratios; a trial's value is how far its ratio
-    exceeds the bound.  `shared` names the shared params the report keeps;
-    `degree` maps the configured truncation degree to the suite's and raises
-    ValueError where the suite's check is not sound.
+    `draw(ctx, rng)`, the inputs of one trial as the generator gives them
+    (1-D float arrays, Python numbers and lists of them, never a
+    GradedVector), and either `check(ctx, draws)`, the values of a nonempty
+    list of draws, each the same as `check(ctx, [draw])` gives, or `pair(ctx,
+    r, s, alpha)`, called once per configured scale pair, which returns the
+    pair's `per_scale` record, its bound and a check computing ratios; a
+    trial's value is how far its ratio exceeds the bound.  `shared` names
+    the shared params the report keeps; `degree` maps the configured
+    truncation degree to the suite's and raises ValueError where the suite's
+    check is not sound.
     """
 
     __slots__ = ()
@@ -310,14 +311,15 @@ POSITIVITY_TOLERANCE = 1e-10
 
 def _commutation_draw(ctx: QContext, rng: np.random.Generator) -> tuple:
     """A unit pair, then f standard normal on degrees < N: creation cuts nothing."""
-    d, degrees = ctx.dim, range(ctx.max_degree)
-    flat = rng.standard_normal(2 * d + _size(ctx, degrees))
-    return _unit(flat[:d]), _unit(flat[d : 2 * d]), GradedVector._flat(ctx, flat[2 * d :], degrees)
+    d = ctx.dim
+    flat = rng.standard_normal(2 * d + _size(ctx, range(ctx.max_degree)))
+    return _unit(flat[:d]), _unit(flat[d : 2 * d]), flat[2 * d :]
 
 
 @_stacked
-def _commutation(ctx: QContext, phi: np.ndarray, psi: np.ndarray, f: GradedVector) -> list[float]:
+def _commutation(ctx: QContext, phi: np.ndarray, psi: np.ndarray, f: np.ndarray) -> list[float]:
     """a^- a^+ = q a^+ a^- + pairing, on a vector below the truncation edge."""
+    f = GradedVector._flat(ctx, f, range(ctx.max_degree))
     return commutation_residual(phi, psi, f).tolist()
 
 
@@ -403,14 +405,16 @@ def _positivity(ctx: QContext) -> tuple[list[float], dict, tuple]:
 
 
 def _adjointness_draw(ctx: QContext, rng: np.random.Generator) -> tuple:
-    d, degrees = ctx.dim, range(ctx.max_degree + 1)
-    flat = rng.standard_normal(d + 2 * _size(ctx, degrees))
-    return _unit(flat[:d]), *_graded_pair(ctx, flat[d:], degrees)
+    """A unit phi, then f and g standard normal on degrees 0..N, as one array."""
+    d = ctx.dim
+    flat = rng.standard_normal(d + 2 * _size(ctx, range(ctx.max_degree + 1)))
+    return _unit(flat[:d]), flat[d:]
 
 
 @_stacked
-def _adjointness(ctx: QContext, phi: np.ndarray, f: GradedVector, g: GradedVector) -> list[float]:
+def _adjointness(ctx: QContext, phi: np.ndarray, fg: np.ndarray) -> list[float]:
     """Creation and annihilation are mutually adjoint in the twisted pairing."""
+    f, g = _cut_pair(ctx, fg)
     lhs = q_inner(create(phi, f), g)
     rhs = q_inner(f, annihilate(phi, g))
     scale = np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
@@ -465,8 +469,8 @@ def _wick_correspondence_draw(ctx: QContext, rng: np.random.Generator) -> tuple:
     vectors = rng.standard_normal((n, ctx.dim))
     fs = rng.standard_normal((int(rng.integers(1, 3)), ctx.dim))
     gs = rng.standard_normal((int(rng.integers(1, 3)), ctx.dim))
-    # degrees <= N - n, so that the monomial of vectors never leaves the truncation
-    return p1, p2, vectors, fs, gs, GradedVector.random(ctx, rng, range(ctx.max_degree - n + 1))
+    # f on degrees <= N - n, so that the monomial of vectors never leaves the truncation
+    return p1, p2, vectors, fs, gs, rng.standard_normal(_size(ctx, range(ctx.max_degree - n + 1)))
 
 
 def _creator_kernels(ctx: QContext, polys: tuple) -> dict:
@@ -528,7 +532,8 @@ def _wick_correspondence(ctx: QContext, draws: list) -> list[float]:
     orthogonal monomials land on their kernels, act on the Fock space as the
     recursion run through create and annihilate does, and multiply as their
     joint argument list.  The polynomials of all draws stack; the monomials
-    stack by argument count.  A^-(g) annihilates the vacuum, so only the
+    stack by argument count, and so does f, cut into degrees once per
+    group.  A^-(g) annihilates the vacuum, so only the
     creator-only words (k = 0) of each factor reach it through the product,
     and the vacuum identity multiplies those alone."""
     q = ctx.q
@@ -542,7 +547,8 @@ def _wick_correspondence(ctx: QContext, draws: list) -> list[float]:
         mono = wick_monomial(vs, q)
         target = GradedVector._of(ctx, {len(vs): elementary_tensor(vs)})
         gap = (vacuum_vector(mono, ctx) - target).euclidean_norm()
-        f_rows = GradedVector.stack([f[i] for i in rows])
+        degrees = range(ctx.max_degree - len(vs) + 1)
+        f_rows = GradedVector._flat(ctx, np.stack([f[i] for i in rows]), degrees)
         ops = _monomial_on(vs, f_rows, q)
         action = (apply_to_fock(mono, f_rows) - ops).euclidean_norm()
         worst[rows] = np.maximum.reduce([
@@ -629,21 +635,23 @@ def _hermite(ctx: QContext) -> tuple[list[float], dict, tuple]:
     return values, extra, ((classical_worst, classical_tolerance),)
 
 
-def _one_vector(ctx: QContext, rng: np.random.Generator) -> tuple[GradedVector]:
-    return (GradedVector.random(ctx, rng),)
+def _one_vector(ctx: QContext, rng: np.random.Generator) -> tuple[np.ndarray]:
+    """f standard normal on degrees 0..N, as one flat array."""
+    return (rng.standard_normal(_size(ctx, range(ctx.max_degree + 1))),)
 
 
-def _two_vectors(ctx: QContext, rng: np.random.Generator) -> tuple[GradedVector, GradedVector]:
-    degrees = range(ctx.max_degree + 1)
-    return _graded_pair(ctx, rng.standard_normal(2 * _size(ctx, degrees)), degrees)
+def _two_vectors(ctx: QContext, rng: np.random.Generator) -> tuple[np.ndarray]:
+    """f, then g, standard normal on degrees 0..N, as one flat array."""
+    return (rng.standard_normal(2 * _size(ctx, range(ctx.max_degree + 1))),)
 
 
 EMBEDDING_R, EMBEDDING_ALPHA, EMBEDDING_WEIGHT_BASE = 1.0, 2.0, "abs_q"
 
 
 @_stacked
-def _embedding(ctx: QContext, f: GradedVector) -> list[float]:
+def _embedding(ctx: QContext, f: np.ndarray) -> list[float]:
     """The |q|-weighted test scale dominates the center norm."""
+    f = GradedVector._flat(ctx, f, range(ctx.max_degree + 1))
     weights = default_hplus_weights(ctx.dim)
     residual = embedding_residual(f, EMBEDDING_R, EMBEDDING_ALPHA, weights, EMBEDDING_WEIGHT_BASE)
     return (residual / np.maximum(1.0, fock_norm(f))).tolist()
@@ -703,7 +711,8 @@ def _theorem43_pair(ctx: QContext, big: float, small: float, alpha: float):
     weights = default_hplus_weights(ctx.dim)
 
     @_stacked
-    def check(ctx: QContext, f: GradedVector, g: GradedVector) -> list[float]:
+    def check(ctx: QContext, fg: np.ndarray) -> list[float]:
+        f, g = _cut_pair(ctx, fg)
         denom = g_norm(f, s, alpha, weights) * g_norm(g, s, alpha, weights)
         return (g_norm(graded_tensor(f, g), r, alpha, weights) / denom).tolist()
 
@@ -716,8 +725,8 @@ def _vage_pair(ctx: QContext, r: float, s: float, alpha: float):
     bound = math.sqrt(r / (r - s))
 
     @_stacked
-    def check(ctx: QContext, f: GradedVector, g: GradedVector) -> list[float]:
-        return vage_ratio(f, g, r, s).tolist()
+    def check(ctx: QContext, fg: np.ndarray) -> list[float]:
+        return vage_ratio(*_cut_pair(ctx, fg), r, s).tolist()
 
     return {"r": r, "s": s, "alpha": VAGE_ALPHA, "bound": bound}, bound, check
 
@@ -735,9 +744,9 @@ def _pairing_and_product(f: GradedVector, g: GradedVector) -> tuple:
 
 
 @_stacked
-def _duality(ctx: QContext, f: GradedVector, g: GradedVector) -> list[float]:
+def _duality(ctx: QContext, fg: np.ndarray) -> list[float]:
     """The dual-scale norm is the exact operator dual of the test norm."""
-    pairing, product = _pairing_and_product(f, g)
+    pairing, product = _pairing_and_product(*_cut_pair(ctx, fg))
     return (np.maximum(0.0, pairing - product) / np.maximum(1.0, product)).tolist()
 
 
@@ -764,8 +773,14 @@ def _inverse_degree(n: int) -> int:
     return n
 
 
-def _random_exact_vector(ctx: QContext, rng: np.random.Generator) -> GradedVector:
-    """f = 2^e (+-Omega + h), with e in -2..2 and h's entries in {-1, 0, 1}.
+def _vacuum_last_degrees(ctx: QContext) -> tuple[int, ...]:
+    """The degrees of an inverse draw's vectors, in draw order: vacuum last."""
+    return (*range(1, ctx.max_degree + 1), 0)
+
+
+def _random_exact_vector(ctx: QContext, rng: np.random.Generator) -> np.ndarray:
+    """f = 2^e (+-Omega + h), with e in -2..2 and h's entries in {-1, 0, 1},
+    flat on `_vacuum_last_degrees`.
 
     Every g_n of its inverse is 2^-e times integers of size at most 2^(n-1),
     and every partial sum that wick_inverse and the check graded_tensor(f, g)
@@ -773,25 +788,25 @@ def _random_exact_vector(ctx: QContext, rng: np.random.Generator) -> GradedVecto
     point for max_degree <= EXACT_INVERSE_DEGREE = 53."""
     power = 2.0 ** float(rng.integers(-2, 3))
     sign = 1.0 if rng.integers(0, 2) == 0 else -1.0
-    degrees = (*range(1, ctx.max_degree + 1), 0)
     # one integers call: the same entries and generator state as one per degree
-    flat = np.empty(_size(ctx, degrees))
+    flat = np.empty(_size(ctx, _vacuum_last_degrees(ctx)))
     flat[:-1] = power * rng.integers(-1, 2, size=flat.size - 1).astype(float)
     flat[-1] = sign * power
-    return GradedVector._flat(ctx, flat, degrees)
+    return flat
 
 
-def _inverse_draw(ctx: QContext, rng: np.random.Generator) -> tuple[GradedVector, GradedVector]:
+def _inverse_draw(ctx: QContext, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The exact family's f, then a normal g, both flat on `_vacuum_last_degrees`."""
     f = _random_exact_vector(ctx, rng)
-    degrees = (*range(1, ctx.max_degree + 1), 0)
-    flat = rng.standard_normal(_size(ctx, degrees))
-    flat[-1] = math.copysign(1.0 + abs(flat[-1]), flat[-1])  # vacuum well away from zero
-    return f, GradedVector._flat(ctx, flat, degrees)
+    g = rng.standard_normal(f.size)
+    g[-1] = math.copysign(1.0 + abs(g[-1]), g[-1])  # vacuum well away from zero
+    return f, g
 
 
 @_stacked
-def _inverse(ctx: QContext, f: GradedVector, g: GradedVector) -> list[float]:
+def _inverse(ctx: QContext, f: np.ndarray, g: np.ndarray) -> list[float]:
     """The tensor inverse is exact on the truncation."""
+    f, g = (GradedVector._flat(ctx, block, _vacuum_last_degrees(ctx)) for block in (f, g))
     omega = GradedVector.vacuum(ctx)
     defects = (graded_tensor(f, wick_inverse(f)) - omega).max_abs().tolist()
     float_defects = (graded_tensor(g, wick_inverse(g)) - omega).max_abs().tolist()
@@ -809,8 +824,9 @@ GEOMETRIC_SERIES = SeriesSpec((1.0,) * 40, SERIES_RADIUS)
 
 
 @_stacked
-def _series(ctx: QContext, f: GradedVector) -> list[float]:
+def _series(ctx: QContext, f: np.ndarray) -> list[float]:
     """Radius certification and geometric decay of certified power series."""
+    f = GradedVector._flat(ctx, f, range(ctx.max_degree + 1))
     f = f.scale(SERIES_TARGET_NORM / f_dual_norm(f, 1.0, VAGE_ALPHA))
     cert = certify_radius(f, GEOMETRIC_SERIES)
     # each draw's powers are measured at its own r; draws share r in practice

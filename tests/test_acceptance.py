@@ -21,6 +21,8 @@ from qwick.series import SeriesSpec, certify_radius, wick_inverse
 from qwick.suites import RunConfig, run_suite
 from qwick.wick import moment, pairing_moments
 
+from oracles import random_vector
+
 Q_GRID = (-0.9, -0.5, 0.0, 0.3, 0.5, 0.9)
 DIMS = (1, 2, 3)
 
@@ -219,7 +221,7 @@ def test_criterion_8_wick_series():
     # certification at radius 1, target norm 0.5, and geometric decay
     ctx = QContext(0.5, 2, 6)
     rng = np.random.default_rng(88)
-    f = GradedVector.random(ctx, rng)
+    f = random_vector(ctx, rng)
     f = f.scale(0.5 / f_dual_norm(f, 1.0, 2.0))
     cert = certify_radius(f, SeriesSpec((1.0,) * 30, 1.0))
     cert_ok = (

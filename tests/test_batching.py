@@ -35,6 +35,8 @@ from qwick.suites import (
 )
 from qwick.wick import moments, pairing_moments
 
+from oracles import random_vector, stack_vectors
+
 SHAPES = ((1, 5), (2, 6), (3, 4))
 QS = (-0.7, 0.0, 0.5)
 ROWS = 4
@@ -47,26 +49,49 @@ def _same_row(batched: GradedVector, i: int, row: GradedVector) -> bool:
     )
 
 
+def _same_arrays(got: GradedVector, want: GradedVector) -> bool:
+    """Equal components in the same key order, with the same dtype,
+    C-contiguity and read-only flag."""
+    return (
+        got.ctx == want.ctx
+        and list(got.components) == list(want.components)
+        and all(
+            np.array_equal(a, b)
+            and a.dtype == b.dtype
+            and a.flags.c_contiguous == b.flags.c_contiguous
+            and a.flags.writeable == b.flags.writeable
+            for a, b in zip(got.components.values(), want.components.values())
+        )
+    )
+
+
 @pytest.fixture(params=[(d, n, q) for d, n in SHAPES for q in QS], ids=str)
 def batch(request):
     """Random rows of one context: graded vectors f and g, one-particle
-    vectors phi and psi, each unbatched and stacked."""
+    vectors phi and psi, each unbatched and batched.  The batched f and g are
+    blocks of rows cut once, as a check cuts a stream's draws; a (rows, size)
+    standard_normal call gives the numbers of one call per row."""
     dim, max_degree, q = request.param
     ctx = QContext(q, dim, max_degree)
     rng = np.random.default_rng([dim, max_degree, int(10 * q) + 10])
-    fs = [GradedVector.random(ctx, rng) for _ in range(ROWS)]
-    gs = [GradedVector.random(ctx, rng) for _ in range(ROWS)]
+    degrees = range(max_degree + 1)
+    blocks = [rng.standard_normal((ROWS, sum(dim**n for n in degrees))) for _ in "fg"]
+    fs, gs = ([GradedVector._flat(ctx, row.copy(), degrees) for row in block] for block in blocks)
+    f, g = (GradedVector._flat(ctx, block, degrees) for block in blocks)
     phis = rng.standard_normal((ROWS, dim))
     psis = rng.standard_normal((ROWS, dim))
-    return ctx, fs, gs, GradedVector.stack(fs), GradedVector.stack(gs), phis, psis
+    return ctx, fs, gs, f, g, phis, psis
 
 
 def test_stack_rows_are_the_vectors(batch):
-    _, fs, _, f, _, _, _ = batch
-    for i, row in enumerate(fs):
-        assert _same_row(f, i, row)
+    # a cut block is the rows' vectors stacked degree by degree
+    _, fs, gs, f, g, _, _ = batch
+    for rows, cut in ((fs, f), (gs, g)):
+        for i, row in enumerate(rows):
+            assert _same_row(cut, i, row)
+        assert _same_arrays(cut, stack_vectors(rows))
     with pytest.raises(ValueError):
-        GradedVector.stack([fs[0], GradedVector.vacuum(fs[0].ctx)])
+        stack_vectors([fs[0], GradedVector.vacuum(fs[0].ctx)])
 
 
 def test_apply_pq_and_contract_rows(batch):
@@ -122,7 +147,7 @@ def test_commutation_and_moment_rows(batch):
 
 def test_unbatched_norms_are_floats():
     ctx = QContext(0.5, 2, 3)
-    f = GradedVector.random(ctx, np.random.default_rng(0))
+    f = random_vector(ctx, np.random.default_rng(0))
     for weights in (None, default_hplus_weights(2)):
         assert type(g_norm(f, 2.0, 2.0, weights)) is float
         assert type(f_dual_norm(f, 2.0, 2.0, weights)) is float
@@ -143,29 +168,154 @@ def test_suite_check_rows_match_single_draws(name, cfg):
         assert check(ctx, draws) == [check(ctx, [x])[0] for x in draws]
 
 
-@pytest.mark.parametrize("name", SAMPLING)
-def test_draws_and_their_batches_are_sealed(name, monkeypatch):
-    # a draw path that built a vector without its seal would leave a
-    # writable component here, in the draw or in a batch stacked from it
-    stacked = []
-    stack = GradedVector.stack.__func__
+# the suites whose checks take no graded vector from their draws
+UNCUT = {"moments", "lemma53"}
 
-    def recorded(cls, rows):
-        stacked.append(stack(cls, rows))
-        return stacked[-1]
 
-    monkeypatch.setattr(GradedVector, "stack", classmethod(recorded))
-    cfg = RunConfig(trials=3, q=-0.7, dim=3, max_degree=4)
+def _record_cuts(monkeypatch) -> list:
+    """Record every vector GradedVector._flat cuts from a batched block."""
+    cuts = []
+    cut = GradedVector._flat.__func__
+
+    def recorded(cls, ctx, flat, degrees):
+        vec = cut(cls, ctx, flat, degrees)
+        if flat.ndim > 1:
+            cuts.append(vec)
+        return vec
+
+    monkeypatch.setattr(GradedVector, "_flat", classmethod(recorded))
+    return cuts
+
+
+def _stream_draws(name: str, cfg: RunConfig):
+    """(ctx, check, the draws' generators, draws) of each stream of suite
+    name at cfg; the generators are fresh ones for the same trials."""
     ctx, streams = suite_streams(name, cfg)
-    vectors = []
     for key, indices, _, _, check in streams:
         draws = [SUITES[name].draw(ctx, _trial_rng(cfg.seed, key, i)) for i in indices]
-        vectors += [x for draw in draws for x in draw if isinstance(x, GradedVector)]
+        yield ctx, check, [_trial_rng(cfg.seed, key, i) for i in indices], draws
+
+
+@pytest.mark.parametrize("name", SAMPLING)
+def test_draws_and_their_batches_are_sealed(name, monkeypatch):
+    # a check that cut a block without its seal would leave a writable
+    # component in a batch cut from it
+    cuts = _record_cuts(monkeypatch)
+    cfg = RunConfig(trials=3, q=-0.7, dim=3, max_degree=4)
+    for ctx, check, _, draws in _stream_draws(name, cfg):
         check(ctx, draws)
-    assert bool(stacked) == bool(vectors)
-    for vec in vectors + stacked:
+    assert bool(cuts) == (name not in UNCUT)
+    for vec in cuts:
         assert vec.components
         assert not any(arr.flags.writeable for arr in vec.components.values())
+
+
+def _generator_output(value) -> bool:
+    """Whether value is what a generator gives: a float array, a Python
+    number, or a list or tuple of them."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_generator_output, value))
+    if isinstance(value, np.ndarray):
+        return value.dtype == float
+    return type(value) in (int, float)
+
+
+@pytest.mark.parametrize("name", SAMPLING)
+def test_no_draw_returns_a_graded_vector(name):
+    # a stacked column is 1-D per draw; only wick-correspondence's word and
+    # argument lists hold (count, d) arrays, each one call's output
+    cfg = RunConfig(trials=6, q=-0.7, dim=3, max_degree=4)
+    for _, _, _, draws in _stream_draws(name, cfg):
+        for draw in draws:
+            assert _generator_output(draw)
+            if name != "wick-correspondence":
+                assert all(x.ndim == 1 for x in draw if isinstance(x, np.ndarray))
+
+
+def _exact_family(ctx: QContext, rng) -> GradedVector:
+    """An inverse trial's f alone: 2^e (+-Omega + h), on degrees 1..N then 0."""
+    power = 2.0 ** float(rng.integers(-2, 3))
+    sign = 1.0 if rng.integers(0, 2) == 0 else -1.0
+    degrees = (*range(1, ctx.max_degree + 1), 0)
+    flat = np.empty(sum(ctx.dim**n for n in degrees))
+    flat[:-1] = power * rng.integers(-1, 2, size=flat.size - 1).astype(float)
+    flat[-1] = sign * power
+    return GradedVector._flat(ctx, flat, degrees)
+
+
+def _pair_alone(ctx: QContext, flat: np.ndarray) -> list[GradedVector]:
+    half, degrees = len(flat) // 2, range(ctx.max_degree + 1)
+    return [GradedVector._flat(ctx, part, degrees) for part in (flat[:half], flat[half:])]
+
+
+def _per_trial_vectors(name: str, ctx: QContext, rng) -> list:
+    """The graded vectors one trial of suite name draws alone, each cut from
+    its own 1-D array, in the order its check takes them; for
+    wick-correspondence, (argument count, f)."""
+    d, top = ctx.dim, ctx.max_degree
+    size = sum(d**n for n in range(top + 1))
+    if name == "commutation":
+        flat = rng.standard_normal(2 * d + size - d**top)
+        return [GradedVector._flat(ctx, flat[2 * d :], range(top))]
+    if name == "adjointness":
+        return _pair_alone(ctx, rng.standard_normal(d + 2 * size)[d:])
+    if name in ("theorem43", "vage", "duality"):
+        return _pair_alone(ctx, rng.standard_normal(2 * size))
+    if name in ("embedding", "series"):
+        return [random_vector(ctx, rng)]
+    if name == "inverse":
+        f = _exact_family(ctx, rng)
+        flat = rng.standard_normal(size)
+        flat[-1] = math.copysign(1.0 + abs(flat[-1]), flat[-1])
+        return [f, GradedVector._flat(ctx, flat, (*range(1, top + 1), 0))]
+    if name == "wick-correspondence":
+        suites._random_words(rng, d)
+        suites._random_words(rng, d)
+        n = int(rng.integers(1, min(4, top) + 1))
+        rng.standard_normal((n, d))
+        for _ in "fg":
+            rng.standard_normal((int(rng.integers(1, 3)), d))
+        return [(n, random_vector(ctx, rng, range(top - n + 1)))]
+    return []
+
+
+def _old_route(name: str, ctx: QContext, rngs: list) -> list[GradedVector]:
+    """A stream's per-trial vectors stacked per degree, in the order its
+    check cuts them: position by position, or for wick-correspondence per
+    argument-count group, in the order the groups first occur."""
+    trials = [_per_trial_vectors(name, ctx, rng) for rng in rngs]
+    if name != "wick-correspondence":
+        return [stack_vectors(list(column)) for column in zip(*trials)]
+    groups: dict[int, list] = {}
+    for [(n, f)] in trials:
+        groups.setdefault(n, []).append(f)
+    return [stack_vectors(fs) for fs in groups.values()]
+
+
+@pytest.mark.parametrize("name", SAMPLING)
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        RunConfig(q=-0.7, dim=1, max_degree=8, trials=7, seed=2),
+        RunConfig(q=0.3, dim=3, max_degree=1, trials=7, seed=2),
+        RunConfig(q=-0.5, dim=3, max_degree=3, trials=7, seed=2),
+        RunConfig(q=0.5, dim=2, max_degree=8, trials=7, seed=2),
+    ],
+    ids=("negq-d1-n8", "d3-n1", "negq-d3-n3", "d2-n8"),
+)
+def test_checks_cut_what_the_per_trial_route_stacked(name, cfg, monkeypatch):
+    # a check's cut inputs equal the vectors its trials draw alone on the
+    # same generators, stacked per degree: values, dtype, C-contiguity, the
+    # read-only flag and the components' key order
+    cuts = _record_cuts(monkeypatch)
+    for ctx, check, rngs, draws in _stream_draws(name, cfg):
+        cuts.clear()
+        check(ctx, draws)
+        want = _old_route(name, ctx, rngs)
+        assert len(cuts) == len(want)
+        assert bool(want) == (name not in UNCUT)
+        for got, old in zip(cuts, want):
+            assert _same_arrays(got, old)
 
 
 def _series_draws(ctx: QContext) -> list:
@@ -250,6 +400,8 @@ BATCHED = [
     "commutation", "moments",
 ]
 KERNELS = (scales.graded_tensor, fock.apply_pq, fock.contract, fock.slot_sum)
+# the sampling suites whose every draw has one layout, set by the config
+FIXED_LAYOUT = [name for name in BATCHED if name != "moments"]
 
 
 def _count_calls(monkeypatch, fns) -> dict:
@@ -268,6 +420,21 @@ def _count_calls(monkeypatch, fns) -> dict:
                 if value is fn:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def test_fixed_layout_streams_test_finiteness_as_often_at_any_trial_count(monkeypatch):
+    # a stream's block is tested once per cut, not once per trial
+    calls = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda x: calls.append(1) or isfinite(x))
+    for name in FIXED_LAYOUT:
+        counts = []
+        for trials in (60, 240):
+            calls.clear()
+            run_suite(name, RunConfig(trials=trials))
+            counts.append(len(calls))
+        assert counts[0] == counts[1], name
+        assert counts[0], name
 
 
 def _suite_kernel_calls(calls: dict, name: str, trial_counts) -> list[dict]:
@@ -353,7 +520,7 @@ def test_monomial_on_evaluates_each_argument_sub_list_once(monkeypatch):
     calls = _count_calls(monkeypatch, (fock.create,))
     ctx = QContext(0.5, 2, 6)
     rng = np.random.default_rng(4)
-    f = GradedVector.random(ctx, rng, range(3))
+    f = random_vector(ctx, rng, range(3))
     suites._monomial_on(list(rng.standard_normal((4, 2))), f, ctx.q)
     assert calls == {"create": 7}
 

@@ -37,6 +37,8 @@ from qwick.series import wick_exp, wick_inverse
 from qwick.suites import SUITES, _basis_residuals
 from qwick.wick import apply_to_fock
 
+from oracles import random_vector, stack_vectors
+
 Q_GRID = (-0.9, -0.5, 0.0, 0.3, 0.5, 0.9)
 
 
@@ -60,7 +62,7 @@ def test_random_is_one_draw_per_degree(dim, top):
     ctx = QContext(0.5, dim, top)
     for seed in range(40):
         rng, per_degree = np.random.default_rng(seed), np.random.default_rng(seed)
-        vec = GradedVector.random(ctx, rng)
+        vec = random_vector(ctx, rng)
         assert sorted(vec.components) == list(range(top + 1))
         for n in range(top + 1):
             assert np.array_equal(vec.components[n], per_degree.standard_normal(dim**n))
@@ -258,8 +260,8 @@ def test_q_inner_symmetric_positive(q):
     ctx = QContext(q, 2, 3)
     rng = np.random.default_rng(7)
     for _ in range(10):
-        f = GradedVector.random(ctx, rng)
-        g = GradedVector.random(ctx, rng)
+        f = random_vector(ctx, rng)
+        g = random_vector(ctx, rng)
         assert q_inner(f, g) == pytest.approx(q_inner(g, f), rel=1e-12, abs=1e-12)
         assert q_inner(f, f) > 0.0
 
@@ -297,8 +299,8 @@ def test_creation_annihilation_adjoint(q):
     rng = np.random.default_rng(11)
     for _ in range(10):
         phi = rng.standard_normal(3)
-        f = GradedVector.random(ctx, rng)
-        g = GradedVector.random(ctx, rng)
+        f = random_vector(ctx, rng)
+        g = random_vector(ctx, rng)
         lhs = q_inner(create(phi, f), g)
         rhs = q_inner(f, annihilate(phi, g))
         scale = max(1.0, abs(lhs), abs(rhs))
@@ -381,7 +383,7 @@ def test_field_matrix_consistent_with_operators():
     ctx = QContext(-0.5, 2, 3)
     rng = np.random.default_rng(9)
     phi = rng.standard_normal(2)
-    f = GradedVector.random(ctx, rng)
+    f = random_vector(ctx, rng)
     by_ops = create(phi, f) + annihilate(phi, f)
     by_matrix = _field_matrix(phi, ctx) @ _flat(f)
     assert np.allclose(_flat(by_ops), by_matrix, atol=1e-13)
@@ -550,8 +552,8 @@ def test_apply_to_fock_annihilators_are_annihilate(dim, q):
     # which pins their layout: row (i, j) is a^-(e_i) a^-(e_j), bit for bit
     ctx = QContext(q, dim, 4)
     rng = np.random.default_rng([dim, 61])
-    fs = [GradedVector.random(ctx, rng) for _ in range(3)]
-    for f in (*fs, GradedVector.stack(fs)):
+    fs = [random_vector(ctx, rng) for _ in range(3)]
+    for f in (*fs, stack_vectors(fs)):
         for i in range(dim):
             e_i = basis_vector(dim, i)
             words = [({(0, 1): e_i[None, :]}, annihilate(e_i, f))]
@@ -606,7 +608,7 @@ def _swapped_finding(ctx):
 
 def _below_edge(ctx, rng):
     """A commutation trial's f: standard normal on degrees 0..N-1."""
-    return SUITES["commutation"].draw(ctx, rng)[2]
+    return GradedVector._flat(ctx, SUITES["commutation"].draw(ctx, rng)[2], range(ctx.max_degree))
 
 
 @pytest.mark.parametrize("q", Q_GRID)
@@ -663,7 +665,7 @@ def test_commutation_finding_is_the_swapped_supremum(dim, q):
 def test_kernel_results_skip_revalidation(monkeypatch):
     ctx = QContext(0.5, 2, 4)
     rng = np.random.default_rng(3)
-    f, g = GradedVector.random(ctx, rng), GradedVector.random(ctx, rng)
+    f, g = random_vector(ctx, rng), random_vector(ctx, rng)
     # 2 a^+((1, 0.5)) a^-((0.25, -1)) - 1 as kernels
     p = {(1, 1): 2.0 * np.outer([1.0, 0.5], [0.25, -1.0]), (0, 0): np.array([[-1.0]])}
     calls = []
@@ -678,19 +680,13 @@ def test_kernel_results_skip_revalidation(monkeypatch):
         assert not any(arr.flags.writeable for arr in result.components.values())
 
 
-class _Drawing:
-    """A generator stand-in whose one standard_normal call returns `entries`."""
-
-    def __init__(self, entries):
-        self.entries = entries
-
-    def standard_normal(self, size):
-        assert size == len(self.entries)
-        return np.array(self.entries, dtype=float)
-
-
 def _by_constructor(ctx, x):
     return GradedVector(ctx, {0: [1.0], 1: [x, x], 2: [x * x] * 4, 3: [x * x] * 8})
+
+
+def _entries(x):
+    """The entries of `_by_constructor(ctx, x)` at d = 2, as one flat row."""
+    return np.array([1.0, x, x] + [x * x] * 12)
 
 
 @pytest.mark.parametrize(
@@ -707,14 +703,15 @@ def _by_constructor(ctx, x):
         # one flat draw of 31 entries, degrees 0-3 taking the first 15: a
         # NaN only in the last, in degree 4
         pytest.param(
-            lambda ctx, x: GradedVector.random(ctx, _Drawing([1.0] * 30 + [x])),
+            lambda ctx, x: GradedVector._flat(ctx, np.array([1.0] * 30 + [x]), range(5)),
             math.nan,
             4,
             id="flat-draw-top-degree",
         ),
-        # stack tests nothing: its rows were sealed when they were made
+        # a stream's draws stacked into one block and cut once: one test
+        # covers the block, and its copies name the first bad degree
         pytest.param(
-            lambda ctx, x: GradedVector.stack([_by_constructor(ctx, 1.0), _by_constructor(ctx, x)]),
+            lambda ctx, x: GradedVector._flat(ctx, np.stack([_entries(1.0), _entries(x)]), range(4)),
             1e200,
             2,
             id="stack",
@@ -736,8 +733,8 @@ def test_seal_names_the_first_non_finite_degree(build, bad, first):
 # component is sealed exactly when it is read-only, so each site marks an
 # array only once its entries are known to be finite
 READ_ONLY_SITES = [
-    "fock.GradedVector._flat",
-    "fock.GradedVector.stack",
+    "fock.GradedVector._flat",  # a 1-D flat, whose slices inherit the flag
+    "fock.GradedVector._flat",  # a batched block's per-degree copies
     "fock._pq_cached",
     "fock._seal",
     "fock.pq_matrix",
@@ -779,7 +776,7 @@ def test_sealed_components_pass_through_untested(operation, monkeypatch):
     # read-only already, are taken over without another finiteness test
     ctx = QContext(0.5, 2, 4)
     rng = np.random.default_rng(21)
-    f, g = GradedVector.random(ctx, rng), GradedVector.random(ctx, rng, [1, 2])
+    f, g = random_vector(ctx, rng), random_vector(ctx, rng, [1, 2])
     inputs = [*f.components.values(), *g.components.values()]
     tested = []
     isfinite = np.isfinite
@@ -868,7 +865,7 @@ def test_pq_spectrum_cap():
 def test_graded_vector_json_roundtrip_bit_exact():
     ctx = QContext(-0.3, 2, 3)
     rng = np.random.default_rng(21)
-    f = GradedVector.random(ctx, rng)
+    f = random_vector(ctx, rng)
     text = json.dumps(f.to_json_dict())
     g = GradedVector.from_json_dict(json.loads(text))
     assert g.ctx.q == ctx.q and g.ctx.dim == ctx.dim and g.ctx.max_degree == ctx.max_degree
@@ -882,8 +879,8 @@ def test_graded_vector_json_roundtrip_bit_exact():
 def test_graded_vector_arithmetic():
     ctx = ctx_of()
     rng = np.random.default_rng(3)
-    f = GradedVector.random(ctx, rng)
-    g = GradedVector.random(ctx, rng)
+    f = random_vector(ctx, rng)
+    g = random_vector(ctx, rng)
     h = f + g.scale(-2.0)
     for n in range(ctx.max_degree + 1):
         assert np.allclose(h.component(n), f.component(n) - 2 * g.component(n))

@@ -20,8 +20,10 @@ import pytest
 
 import qwick
 import qwick.cli as cli
-from qwick.fock import GradedVector, QContext
+from qwick.fock import QContext
 from qwick.suites import SUITE_NAMES, RunConfig, run_suite
+
+from oracles import random_vector
 
 DEFAULT = RunConfig(trials=8, seed=0)
 NEGATIVE_Q = RunConfig(q=-0.7, dim=3, max_degree=4, trials=9, seed=0)
@@ -74,23 +76,68 @@ def test_report_bytes_are_pinned(cfg, name):
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[cfg][name]
 
 
-# wick-correspondence and inverse, the suites whose draws carry the most
-# structure (word lists, argument arrays, exact integer entries), at configs
-# the table above does not reach: a single mode near q = 1, q = 0 at d = 3,
-# and degree 8 at negative q, each with 30 trials
+# a single mode near q = 1, q = 0 at d = 3, and degree 8 at negative q, each
+# with 30 trials: configs the table above does not reach
+Q_NEAR_ONE = RunConfig(q=0.9, dim=1, max_degree=5, trials=30, seed=5)
+Q_ZERO = RunConfig(q=0.0, dim=3, max_degree=5, trials=30, seed=5)
+DEGREE_8 = RunConfig(q=-0.7, dim=2, max_degree=8, trials=30, seed=5)
+# every sampling suite whose draw is cut into graded vectors or carries more
+# structure (word lists, argument arrays, exact integer entries)
 DRAW_DIGESTS = {
-    (RunConfig(q=0.9, dim=1, max_degree=5, trials=30, seed=5), "wick-correspondence"):
+    (Q_NEAR_ONE, "commutation"):
+        "38ebd784f52d5199e469d2f081dadca0baa7c9a7b97822dc7f6ef690a4543058",
+    (Q_NEAR_ONE, "adjointness"):
+        "8f98349b2b225f424ee7ef03ef44bff1915b7b894f3371ca5f62f91f0a323c96",
+    (Q_NEAR_ONE, "wick-correspondence"):
         "14859deb72356fa89d4a97020165aecf47eed27263bbf963f427e00c23fdf501",
-    (RunConfig(q=0.9, dim=1, max_degree=5, trials=30, seed=5), "inverse"):
+    (Q_NEAR_ONE, "embedding"):
+        "5be71de31f2eeafe321fa08862f27bef8069ece20813ce6c7b4ac711b9778d5d",
+    (Q_NEAR_ONE, "theorem43"):
+        "ba42731c67d40e08433a6b479dae087e151313524afb4c45a2942dad7996005d",
+    (Q_NEAR_ONE, "vage"):
+        "d6443e083bc851107e1c863599f141cc30620af32e0d2e94890e3369129f5c87",
+    (Q_NEAR_ONE, "duality"):
+        "64e8a81e2bdb66adddeddcd76344325ea8a7ac2f7c3420a59e182ebba00a8fa0",
+    (Q_NEAR_ONE, "inverse"):
         "a4c5ead76dc6dcf1abb81ccc0ddc289fdca32dc8e4627b518592ef3429884976",
-    (RunConfig(q=0.0, dim=3, max_degree=5, trials=30, seed=5), "wick-correspondence"):
+    (Q_NEAR_ONE, "series"):
+        "2563e89f3aa0a2cb43c2b1f31bbdb6410bac6434ae1b075ba6169c5daff29de2",
+    (Q_ZERO, "commutation"):
+        "09be385fd80ad61ea38a9b832561c4315c8a03ccc1f1666b124e608a9cc41e13",
+    (Q_ZERO, "adjointness"):
+        "ae39b27a38dd4c370d556548ba6b734185ce38f7016a4127084a8325bd6ed170",
+    (Q_ZERO, "wick-correspondence"):
         "7d899860d12ec0f1fe53149a0d99383bfb21750b7cf8339ea67b0bbfa47dd5f9",
-    (RunConfig(q=0.0, dim=3, max_degree=5, trials=30, seed=5), "inverse"):
+    (Q_ZERO, "embedding"):
+        "64bcf837c1479740cf691c88fb747b91cf77786bccc3d423ce9b618cbe66f62a",
+    (Q_ZERO, "theorem43"):
+        "1b3036ff9e12a89d68b546bc8a700609a956f80788302355b807d8cb74289158",
+    (Q_ZERO, "vage"):
+        "dae90487a9f8c1e3d2363124b4b3a1fa4bba291e7f58845565135e8098f2de8a",
+    (Q_ZERO, "duality"):
+        "b3eb8f452721e58cb16a40811e477762ea66e9455d795061452356b58c756feb",
+    (Q_ZERO, "inverse"):
         "234ea99f7f3d3ba36c7be42dc207605e0186c10254fc0c7e016fbe69152e3e21",
-    (RunConfig(q=-0.7, dim=2, max_degree=8, trials=30, seed=5), "wick-correspondence"):
+    (Q_ZERO, "series"):
+        "f2b3130044ad517fa8bf3eed9670e5cb869717d2a31528caf179cdb1a89caf38",
+    (DEGREE_8, "commutation"):
+        "842bd87315d79442d84ed60379877fa74f5ecf1805702aa28ed71265053fc244",
+    (DEGREE_8, "adjointness"):
+        "e1e7668e7ae96bc27954f976b6c3775c99e1d0ce8cd2de6a3582e0348fbd4aa5",
+    (DEGREE_8, "wick-correspondence"):
         "ecda26ba9d99db2afd6381a3e52c67e1b7efc74ce8c59ce62fd97a4003650602",
-    (RunConfig(q=-0.7, dim=2, max_degree=8, trials=30, seed=5), "inverse"):
+    (DEGREE_8, "embedding"):
+        "6d48c15fdf7fff8a31ad3f002eca03f481239c7e5f48af689ec6f4a3475c9191",
+    (DEGREE_8, "theorem43"):
+        "20819a1314dcf89fc2cbc2c1b74e7307f4d7ee2d86c41450619aaa0ea047f40b",
+    (DEGREE_8, "vage"):
+        "ef46d3b5f83c21e7b36c39136aac98a899863c5ea71eb428b42e1ccc040b09c2",
+    (DEGREE_8, "duality"):
+        "8e51e5b37a55c591264eac86e46a08808d5087bd77c20a9dbdabac6d54056c19",
+    (DEGREE_8, "inverse"):
         "4f7670836be69d9b54f1449d7b7c12dfbf7513ee0fd2b51252cde99ac7ae9e14",
+    (DEGREE_8, "series"):
+        "c7e541f808893f3745e1b4903051a6882e0ffe858ae56f2db55205df065d3791",
 }
 
 
@@ -123,7 +170,7 @@ def _compute_inputs(folder) -> dict[str, str]:
     ctx = QContext(0.5, 2, 6)
     files = {name: str(folder / f"{name}.json") for name in ("left", "right", "phi")}
     for name in ("left", "right"):
-        vector = GradedVector.random(ctx, rng).to_json_dict()
+        vector = random_vector(ctx, rng).to_json_dict()
         (folder / f"{name}.json").write_text(json.dumps(vector))
     (folder / "phi.json").write_text(json.dumps(rng.standard_normal(2).tolist()))
     return files

@@ -26,6 +26,8 @@ from qwick.scales import (
     vage_ratio,
 )
 
+from oracles import random_vector, stack_vectors
+
 Q_GRID = (-0.9, -0.5, 0.0, 0.3, 0.5, 0.9)
 
 
@@ -49,7 +51,7 @@ def test_norm_scale_validation():
 
 
 def _graded(ctx):
-    return GradedVector.random(ctx, np.random.default_rng(4))
+    return random_vector(ctx, np.random.default_rng(4))
 
 
 @pytest.mark.parametrize(
@@ -97,7 +99,7 @@ def test_non_finite_scale_arguments_are_value_errors(call, message):
 def test_scale_overflow_is_a_value_error():
     # a weight past a double once raised OverflowError, and a weighted sum
     # past one warned and returned inf
-    f = GradedVector.random(QContext(0.5, 2, 3), np.random.default_rng(0))
+    f = random_vector(QContext(0.5, 2, 3), np.random.default_rng(0))
     with pytest.raises(ValueError, match="degree-2 scale weight at r = 1e"):
         g_norm(f, 1e200, 2.0)
     with pytest.raises(ValueError, match="degree-2 scale weight at r = 1.0, alpha = -1e"):
@@ -122,7 +124,7 @@ def test_g_norm_frozen_example():
 def test_g_norm_trivial_scale_is_plain_norm():
     ctx = QContext(0.7, 2, 3)
     rng = np.random.default_rng(0)
-    f = GradedVector.random(ctx, rng)
+    f = random_vector(ctx, rng)
     assert g_norm(f, 1.0, 0.0, None, "q") == pytest.approx(f.euclidean_norm(), rel=1e-14)
 
 
@@ -138,14 +140,14 @@ def test_f_dual_norm_frozen_example(q):
 def test_f_dual_norm_free_case():
     ctx = QContext(0.0, 2, 3)
     rng = np.random.default_rng(1)
-    f = GradedVector.random(ctx, rng)
+    f = random_vector(ctx, rng)
     assert f_dual_norm(f, 1.0, 0.0) == pytest.approx(f.euclidean_norm(), rel=1e-14)
 
 
 def test_graded_tensor_unital_exact():
     ctx = QContext(-0.4, 2, 5)
     rng = np.random.default_rng(2)
-    f = GradedVector.random(ctx, rng)
+    f = random_vector(ctx, rng)
     vac = GradedVector.vacuum(ctx)
     assert (graded_tensor(vac, f) - f).max_abs() == 0.0
     assert (graded_tensor(f, vac) - f).max_abs() == 0.0
@@ -198,12 +200,12 @@ def _graded_tensor_out_of_place(f, g):
 def test_graded_tensor_matches_out_of_place_sum_bit_for_bit(dim, top):
     ctx = QContext(0.5, dim, top)
     rng = np.random.default_rng([dim, top])
-    draws = [GradedVector.random(ctx, rng) for _ in range(4)]
+    draws = [random_vector(ctx, rng) for _ in range(4)]
     f, g = draws[0], draws[1]
-    batch = GradedVector.stack(draws[:3])
+    batch = stack_vectors(draws[:3])
     # an unbatched top degree ahead of a batched vacuum part: the first block
     # of degree top has no batch, a later one has
-    vacua = GradedVector.stack([GradedVector(ctx, {0: [c]}) for c in (0.5, -2.0, 3.0)])
+    vacua = stack_vectors([GradedVector(ctx, {0: [c]}) for c in (0.5, -2.0, 3.0)])
     mixed = GradedVector(ctx, {top: rng.standard_normal(dim**top)}) + vacua
     for left, right in ((f, g), (batch, g), (f, batch), (batch, batch), (mixed, g), (mixed, batch)):
         got = graded_tensor(left, right).components
@@ -226,14 +228,14 @@ def test_embedding_holds_with_absolute_weights(q):
     weights = default_hplus_weights(2)
     rng = np.random.default_rng(4)
     for _ in range(50):
-        f = GradedVector.random(ctx, rng)
+        f = random_vector(ctx, rng)
         assert embedding_residual(f, 1.0, 2.0, weights) <= 1e-12 * max(1.0, fock_norm(f))
 
 
 def test_embedding_free_case_zero():
     ctx = QContext(0.0, 2, 4)
     rng = np.random.default_rng(5)
-    f = GradedVector.random(ctx, rng)
+    f = random_vector(ctx, rng)
     assert embedding_residual(f, 1.0, 1.0) == 0.0
 
 
@@ -334,8 +336,8 @@ def test_product_bound_with_estimated_constant(q):
     c1 = estimate_c1(1.0, 2.0, 2.0, ctx)
     rng = np.random.default_rng(6)
     for _ in range(50):
-        f = GradedVector.random(ctx, rng)
-        g = GradedVector.random(ctx, rng)
+        f = random_vector(ctx, rng)
+        g = random_vector(ctx, rng)
         denom = g_norm(f, 2.0, 2.0, weights) * g_norm(g, 2.0, 2.0, weights)
         ratio = g_norm(graded_tensor(f, g), 1.0, 2.0, weights) / denom
         assert ratio <= c1 + 1e-9
@@ -392,7 +394,7 @@ def test_vage_bound_values():
     assert math.sqrt(2.0 / (2.0 - 1.0)) == pytest.approx(1.41421356, abs=1e-8)
     ctx = QContext(0.5, 2, 4)
     rng = np.random.default_rng(9)
-    f = GradedVector.random(ctx, rng)
+    f = random_vector(ctx, rng)
     ratio = vage_ratio(GradedVector.vacuum(ctx), f, 2.0, 1.0)
     assert ratio == pytest.approx(1.0, rel=1e-12)  # vacuum factor is neutral
 
@@ -405,8 +407,8 @@ def test_vage_inequality_random_trials(q, rs):
     ctx = QContext(q, 2, 5)
     rng = np.random.default_rng(10)
     for _ in range(100):
-        f = GradedVector.random(ctx, rng)
-        g = GradedVector.random(ctx, rng)
+        f = random_vector(ctx, rng)
+        g = random_vector(ctx, rng)
         assert vage_ratio(f, g, r, s) <= bound + 1e-9
 
 
@@ -427,8 +429,8 @@ def test_duality_residual_random_trials(q):
     rng = np.random.default_rng(11)
     weights = default_hplus_weights(3)
     for _ in range(50):
-        f = GradedVector.random(ctx, rng)
-        g = GradedVector.random(ctx, rng)
+        f = random_vector(ctx, rng)
+        g = random_vector(ctx, rng)
         product = g_norm(f, 2.0, 2.0, weights) * f_dual_norm(g, 2.0, 2.0, weights)
         residual = np.maximum(0.0, np.abs(q_inner(f, g)) - product)
         assert residual <= 1e-10 * max(1.0, product)
@@ -445,7 +447,7 @@ def test_duality_trivial_and_saturating():
     for dim in (1, 2, 3):
         for q in (-0.7, 0.9999):
             ctx = QContext(q, dim, 4)
-            g = GradedVector.random(ctx, np.random.default_rng([dim, 12]))
+            g = random_vector(ctx, np.random.default_rng([dim, 12]))
             for weights in (np.ones(dim), default_hplus_weights(dim)):
                 f = saturating_dual_partner(g, 2.0, 2.0, weights)
                 pairing = abs(q_inner(f, g))
@@ -454,7 +456,7 @@ def test_duality_trivial_and_saturating():
     # oracle: pulling f back through the dense symmetrizer recovers g
     ctx = QContext(0.5, 2, 4)
     weights = default_hplus_weights(2)
-    g = GradedVector.random(ctx, np.random.default_rng(13))
+    g = random_vector(ctx, np.random.default_rng(13))
     f = saturating_dual_partner(g, 2.0, 3.0, weights)
     for n, f_n in f.components.items():
         scale = 2.0**n * q_factorial(n, 0.5) ** 3.0 * elementary_tensor([weights] * n)

@@ -16,6 +16,8 @@ from qwick.series import (
     wick_series,
 )
 
+from oracles import random_vector
+
 Q_GRID = (-0.9, -0.5, 0.0, 0.3, 0.5, 0.9)
 
 
@@ -49,7 +51,7 @@ def test_certificate_invariants():
 def test_wick_power_basics():
     ctx = QContext(0.5, 2, 4)
     rng = np.random.default_rng(0)
-    f = GradedVector.random(ctx, rng)
+    f = random_vector(ctx, rng)
     assert (wick_power(f, 0) - GradedVector.vacuum(ctx)).max_abs() == 0.0
     assert (wick_power(f, 1) - f).max_abs() == 0.0
     assert (wick_power(f, 2) - graded_tensor(f, f)).max_abs() == 0.0
@@ -74,7 +76,7 @@ def test_power_norms_obey_iterated_bound(q):
     r, s = 2.0, 1.0
     kappa = math.sqrt(r / (r - s))
     for _ in range(10):
-        f = GradedVector.random(ctx, rng)
+        f = random_vector(ctx, rng)
         norm_s = f_dual_norm(f, s, 2.0)
         for n in range(1, 6):
             lhs = f_dual_norm(wick_power(f, n), r, 2.0)
@@ -85,7 +87,7 @@ def test_certify_radius_frozen_example():
     # radius 1, s-norm 0.5: the grid picks r = 1.5, contraction sqrt(3)/2
     ctx = QContext(0.5, 2, 5)
     rng = np.random.default_rng(2)
-    f = GradedVector.random(ctx, rng)
+    f = random_vector(ctx, rng)
     f = f.scale(0.5 / f_dual_norm(f, 1.0, 2.0))
     cert = certify_radius(f, SeriesSpec((1.0,) * 30, 1.0))
     assert cert.s == 1.0
@@ -114,7 +116,7 @@ def test_certify_radius_grows_s():
     # inside: growing s must eventually certify
     ctx = QContext(0.5, 2, 4)
     rng = np.random.default_rng(3)
-    f = GradedVector.random(ctx, rng)
+    f = random_vector(ctx, rng)
     f = f.scale(5.0 / f_dual_norm(f, 1.0, 2.0))
     comps = dict(f.components)
     comps[0] = np.array([0.1])
@@ -127,7 +129,7 @@ def test_certify_radius_grows_s():
 def test_wick_series_identity_function():
     ctx = QContext(-0.3, 2, 5)
     rng = np.random.default_rng(4)
-    f = GradedVector.random(ctx, rng)
+    f = random_vector(ctx, rng)
     f = f.scale(0.5 / f_dual_norm(f, 1.0, 2.0))
     cert = certify_radius(f, SeriesSpec((0.0, 1.0), 1.0))
     out = wick_series(f, SeriesSpec((0.0, 1.0), 1.0), cert)

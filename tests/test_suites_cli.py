@@ -26,10 +26,13 @@ from qwick.suites import (
     RunConfig,
     _random_exact_vector,
     _trial_rng,
+    _vacuum_last_degrees,
     hermite_coefficients,
     run_suite,
     suite_streams,
 )
+
+from oracles import random_vector
 
 SMALL = RunConfig(trials=25)
 
@@ -242,8 +245,8 @@ def test_scale_trial_indices_continue_across_pairs():
     ratios = []
     for i in (3, 4):
         rng = _trial_rng(4, "vage:4.0:1.0", i)
-        f = GradedVector.random(ctx, rng)
-        g = GradedVector.random(ctx, rng)
+        f = random_vector(ctx, rng)
+        g = random_vector(ctx, rng)
         ratios.append(vage_ratio(f, g, 4.0, 1.0))
     assert max(ratios) == report.params["per_scale"][1]["max_ratio"]
     bound = math.sqrt(4.0 / 3.0)
@@ -479,7 +482,8 @@ def test_inverse_exact_family_cancels_up_to_its_cap(dim, max_degree):
     ctx = fock.QContext(0.5, dim, max_degree)
     vacuum = GradedVector.vacuum(ctx)
     for i in range(4):
-        f = _random_exact_vector(ctx, np.random.default_rng([4, i]))
+        flat = _random_exact_vector(ctx, np.random.default_rng([4, i]))
+        f = GradedVector._flat(ctx, flat, _vacuum_last_degrees(ctx))
         assert (graded_tensor(f, wick_inverse(f)) - vacuum).max_abs() == 0.0
 
 
@@ -618,7 +622,6 @@ def test_cli_moments_dim_must_match_phi(out, tmp_path, capsys):
     assert cli.main(argv[:2] + argv[4:]) == 0  # without --dim, phi sets it
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 @pytest.mark.parametrize("out", (False, True))
 def test_cli_moments_not_finite_fails_before_output(out, tmp_path, capsys):
     phi = tmp_path / "phi.json"
@@ -633,7 +636,6 @@ def test_cli_moments_not_finite_fails_before_output(out, tmp_path, capsys):
     assert not (tmp_path / "moments.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_cli_moments_oracle_overflow_fails_before_output(tmp_path, capsys):
     # |phi|^2 = 1e200 is finite, but its square overflows in the order-4 oracle
     phi = tmp_path / "phi.json"
@@ -642,6 +644,33 @@ def test_cli_moments_oracle_overflow_fails_before_output(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not finite" in captured.err
+
+
+def _huge_vector(path) -> str:
+    """A d = 2, N = 2 vector file whose every entry is 1e308."""
+    comps = {str(n): [1e308] * 2**n for n in range(3)}
+    path.write_text(json.dumps({"q": 0.5, "dim": 2, "max_degree": 2, "components": comps}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["wick-mul", "BIG", "BIG"],  # the tensor product overflows
+        ["wick-exp", "BIG"],  # so does exp of the vacuum part
+        ["norm", "BIG", "--side", "dual", "--r", "1e308"],  # inf * 0.0 in the norm's sum
+    ),
+    ids=("wick-mul", "wick-exp", "norm"),
+)
+def test_cli_compute_overflow_prints_one_error_line(argv, tmp_path, capsys):
+    # the test run turns qwick's RuntimeWarnings into errors, so a warning
+    # numpy raised on the way would fail this test with a traceback
+    big = _huge_vector(tmp_path / "big.json")
+    assert cli.main(["compute"] + [big if arg == "BIG" else arg for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "RuntimeWarning" not in captured.err
 
 
 @pytest.mark.parametrize("vacuum_part", (13.0, 200.0))
@@ -740,7 +769,7 @@ def test_cli_scale_weight_overflow_is_a_usage_error(argv, tmp_path, capsys):
     from qwick.fock import GradedVector, QContext
 
     path = tmp_path / "f.json"
-    vector = GradedVector.random(QContext(0.5, 2, 4), np.random.default_rng(0))
+    vector = random_vector(QContext(0.5, 2, 4), np.random.default_rng(0))
     path.write_text(json.dumps(vector.to_json_dict()))
     assert cli.main([arg.format(vector=path) for arg in argv]) == 2
     captured = capsys.readouterr()

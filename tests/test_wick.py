@@ -28,6 +28,8 @@ from qwick.wick import (
     wick_mul_poly,
 )
 
+from oracles import random_vector, stack_vectors
+
 Q_GRID = (-0.9, -0.5, 0.0, 0.3, 0.5, 0.9)
 DYADIC_Q = (-0.5, 0.0, 0.25, 0.5)
 MONOMIAL_Q = (-0.9, -0.5, 0.0, 0.5, 0.9, 1 - 1e-6)
@@ -329,7 +331,7 @@ def test_apply_to_fock_matches_word_operators(dim, q):
     rng = np.random.default_rng(80 + dim)
     for _ in range(5):
         p = random_words(rng, dim, 4)
-        f = GradedVector.random(ctx, rng)
+        f = random_vector(ctx, rng)
         want = w_apply(p, f)
         got = apply_to_fock(kernels(p, dim), f)
         assert (got - want).max_abs() <= 1e-14 * max(1.0, want.max_abs())
@@ -468,10 +470,10 @@ def test_batched_kernels_give_each_row():
     rng = np.random.default_rng(95)
     ctx = QContext(-0.7, 2, 5)
     vectors = [rng.standard_normal((4, 2)) for _ in range(3)]
-    fs = [GradedVector.random(ctx, rng) for _ in range(4)]
+    fs = [random_vector(ctx, rng) for _ in range(4)]
     mono = wick_monomial(vectors, ctx.q)
     square = wick_mul_poly(mono, mono, ctx.q)
-    acted = apply_to_fock(mono, GradedVector.stack(fs))
+    acted = apply_to_fock(mono, stack_vectors(fs))
     for i in range(4):
         row = wick_monomial([v[i] for v in vectors], ctx.q)
         assert same_bits({k: a[i] for k, a in mono.items()}, row)
