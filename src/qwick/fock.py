@@ -224,24 +224,17 @@ class GradedVector:
     @classmethod
     def _flat(cls, ctx: QContext, flat: np.ndarray, degrees) -> "GradedVector":
         """flat cut along its last axis into `degrees`, in that order; leading
-        axes are a batch.  One finiteness test covers it.  A 1-D flat, which
-        must be a fresh array, is marked read-only when the test passes, and
-        its slices, the components, inherit the flag.  A batched flat gives
-        each degree one contiguous copy, since a strided slice could be
-        summed in another order than a row alone is; the copies are marked
-        read-only when the test passed.  Otherwise the components stay
-        writeable, and `_seal` names the first degree with a bad entry."""
+        axes are a batch.  One finiteness test covers it.  Each degree gets
+        one contiguous copy, since a strided slice of a batch could be summed
+        in another order than a row alone is; the copies are marked read-only
+        when the test passed.  Otherwise they stay writeable, and `_seal`
+        names the first degree with a bad entry."""
         finite = bool(np.isfinite(flat).all())
-        if finite and flat.ndim == 1:
-            flat.flags.writeable = False
         comps, start = {}, 0
         for n in degrees:
-            part = flat[..., start : start + ctx.dim**n]
-            if flat.ndim > 1:
-                part = part.copy()
-                if finite:
-                    part.flags.writeable = False
-            comps[n] = part
+            comps[n] = flat[..., start : start + ctx.dim**n].copy()
+            if finite:
+                comps[n].flags.writeable = False
             start += ctx.dim**n
         return cls._of(ctx, comps)
 
@@ -535,24 +528,6 @@ def creation_matrix(phi, ctx: QContext) -> np.ndarray:
 
 def annihilation_matrix(phi, ctx: QContext) -> np.ndarray:
     return _operator_matrix(ctx, lambda f: annihilate(phi, f))
-
-
-def swap_constant(n: int, dim: int, q: float, lowered: GradedVector | None = None) -> float:
-    """c_n: the 2-norm, on degree n, of e_2 (x) a^-(e_1) - e_1 (x) a^-(e_2),
-    the operators `create` and `annihilate` compose on the identity columns
-    of degree n; 0 when dim = 1 or n = 0.  `lowered`, when given, is
-    `annihilate` of those columns by a batch whose rows 0 and 1 are e_1 and
-    e_2 (later rows are not read), in any context of degree >= n; otherwise
-    e_1 and e_2 annihilate them here as one batch of two, so the columns'
-    slots move once.  Taken by one SVD."""
-    if dim == 1 or n == 0:
-        return 0.0
-    if lowered is None:
-        cols = GradedVector._of(QContext(q, dim, n), {n: np.eye(dim**n)})
-        lowered = annihilate(np.eye(dim)[:2, None, :], cols)
-    # row k is e_2 then e_1, against every column of a^-(e_1) then a^-(e_2)
-    terms = tensor_product(np.eye(dim)[1::-1, None, :], lowered.components[n - 1][:2])
-    return float(np.linalg.norm(terms[0] - terms[1], 2))
 
 
 def commutation_residual(phi, psi, f: GradedVector, lowered: GradedVector | None = None):

@@ -8,9 +8,10 @@ the rest for every suite: `suite_streams` keys its sampled streams, one per
 configured scale pair for a scale suite, and splits the trials over them;
 trial i draws its inputs from a generator seeded by (seed, stream key, i), so
 results do not depend on execution order.  A draw only draws: it returns
-what the generator gives (1-D float arrays, Python numbers and lists of
-them; one call per array, fixed layouts in one call cut in draw order) and
-builds no tensor, not even a GradedVector.  The runner checks each nonempty
+what the generator gives (1-D float arrays, (count, d) argument arrays,
+Python numbers and lists of them; one call per array, fixed layouts in one
+call cut in draw order, a polynomial as its kernels' entries) and builds no
+tensor, not even a GradedVector.  The runner checks each nonempty
 stream's draws in one call, builds the shared params and records the
 violations.  A check gives one float per draw: it stacks each column of its
 draws once into a (draws, width) block, row i being draw i, cuts a block
@@ -43,8 +44,8 @@ from .fock import (
     pq_matrix,
     pq_spectrum,
     q_inner,
-    swap_constant,
     symmetrizer_matrix,
+    tensor_product,
 )
 from .qcombinatorics import (
     PERMUTATION_CAP,
@@ -212,15 +213,15 @@ class Suite(
     the value is not within its limit.  A draw-free suite gives only
     findings.  A sampling suite's findings give no values, and it adds
     `draw(ctx, rng)`, the inputs of one trial as the generator gives them
-    (1-D float arrays, Python numbers and lists of them, never a
-    GradedVector), and either `check(ctx, draws)`, the values of a nonempty
-    list of draws, each the same as `check(ctx, [draw])` gives, or `pair(ctx,
-    r, s, alpha)`, called once per configured scale pair, which returns the
-    pair's `per_scale` record, its bound and a check computing ratios; a
-    trial's value is how far its ratio exceeds the bound.  `shared` names
-    the shared params the report keeps; `degree` maps the configured
-    truncation degree to the suite's and raises ValueError where the suite's
-    check is not sound.
+    (1-D float arrays, (count, d) argument arrays, Python numbers and lists
+    of them, never a GradedVector or a kernel dict), and either `check(ctx,
+    draws)`, the values of a nonempty list of draws, each the same as
+    `check(ctx, [draw])` gives, or `pair(ctx, r, s, alpha)`, called once per
+    configured scale pair, which returns the pair's `per_scale` record, its
+    bound and a check computing ratios; a trial's value is how far its ratio
+    exceeds the bound.  `shared` names the shared params the report keeps;
+    `degree` maps the configured truncation degree to the suite's and raises
+    ValueError where the suite's check is not sound.
     """
 
     __slots__ = ()
@@ -323,55 +324,38 @@ def _commutation(ctx: QContext, phi: np.ndarray, psi: np.ndarray, f: np.ndarray)
     return commutation_residual(phi, psi, f).tolist()
 
 
-def _lowered_columns(ctx: QContext) -> list[tuple[GradedVector, GradedVector]]:
-    """For each degree n < N: its identity columns, and a^-(e_i) of them as
-    batch row i.  The annihilation does not depend on psi, so one per degree
-    serves every psi = e_j and the swap constant."""
-    basis = np.eye(ctx.dim)[:, None, :]  # row i is e_i, against every column
-    columns = (GradedVector._of(ctx, {n: np.eye(ctx.dim**n)}) for n in range(ctx.max_degree))
-    return [(f, annihilate(basis, f)) for f in columns]
-
-
-def _basis_residuals(ctx: QContext, lowered_columns: list | None = None) -> np.ndarray:
-    """Entry (i, j): the largest Frobenius norm, over degrees n < N, of the
-    exchange residual's block at (e_i, e_j), from commutation_residual on the
-    identity columns of degree n and a^-(e_i) of them (`_lowered_columns`,
-    taken here when not given).  One call per psi = e_j takes every phi = e_i
-    as a batch, so the largest array is d blocks of (d^n)^2; phi and psi are
-    never batched together, which would hold d^2 of them."""
-    if lowered_columns is None:
-        lowered_columns = _lowered_columns(ctx)
-    basis = np.eye(ctx.dim)
-    out = np.zeros((ctx.dim, ctx.dim))
-    for f, lowered in lowered_columns:
-        for j, e_j in enumerate(basis):
-            blocks = commutation_residual(basis[:, None, :], e_j, f, lowered)
-            out[:, j] = np.maximum(out[:, j], [np.linalg.norm(block) for block in blocks])
-    return out
-
-
 def _commutation_findings(ctx: QContext) -> tuple[list, dict, tuple]:
     """The exchange residual is bilinear in (phi, psi), so its blocks at the
     d^2 basis pairs decide it for every pair; their largest Frobenius norm
     is a side check, exactly 0 at q = +-0.5.  Documented finding: trading
     the arguments instead leaves q (psi (x) M_phi - phi (x) M_psi) on degree
     n, linear in phi ^ psi, and the kernels are O(d)-equivariant, so its
-    2-norm is |q| |phi ^ psi| c_n (swap_constant); over unit pairs its
-    supremum is |q| max_n c_n, reached at every orthonormal pair.  Both read
-    one annihilation of each degree's identity columns."""
-    lowered_columns = _lowered_columns(ctx)
-    top = max(
-        swap_constant(n, ctx.dim, ctx.q, lowered)
-        for n, (_, lowered) in enumerate(lowered_columns)
-    )
-    basis = float(_basis_residuals(ctx, lowered_columns).max())
+    2-norm is |q| |phi ^ psi| c_n, c_n that of e_2 (x) M_(e_1) - e_1 (x)
+    M_(e_2) (0 when d = 1 or n = 0); over unit pairs its supremum is |q|
+    max_n c_n, reached at every orthonormal pair.  Each degree n < N is
+    taken in turn: a^-(e_i) of its identity columns, batch row i, is taken
+    once and read by c_n and by one commutation_residual call per psi = e_j,
+    which takes every phi = e_i as a batch, so the largest array is d blocks
+    of (d^n)^2."""
+    basis = np.eye(ctx.dim)
+    top = worst = 0.0
+    for n in range(ctx.max_degree):
+        cols = GradedVector._of(ctx, {n: np.eye(ctx.dim**n)})
+        lowered = annihilate(basis[:, None, :], cols)
+        if n and ctx.dim > 1:
+            # row k is e_2 then e_1, against every column of a^-(e_1) then a^-(e_2)
+            terms = tensor_product(basis[1::-1, None, :], lowered.components[n - 1][:2])
+            top = max(top, float(np.linalg.norm(terms[0] - terms[1], 2)))
+        for e_j in basis:
+            blocks = commutation_residual(basis[:, None, :], e_j, cols, lowered)
+            worst = max(worst, *(float(np.linalg.norm(block)) for block in blocks))
     params = {
         "normalization": "unit phi, psi; ||R f|| / max(1, ||f||), f normal below degree N",
         "rule": "exchange form: the weighted term swaps operators, keeps arguments",
         "argument_swapped_variant_max_residual": abs(ctx.q) * top,
-        "basis_max_residual": basis,
+        "basis_max_residual": worst,
     }
-    return [], params, ((basis, COMMUTATION_TOLERANCE),)
+    return [], params, ((worst, COMMUTATION_TOLERANCE),)
 
 
 def _positivity(ctx: QContext) -> tuple[list[float], dict, tuple]:
@@ -451,51 +435,18 @@ def _moments(ctx: QContext, phi: np.ndarray) -> list[float]:
     return worst.tolist()
 
 
-def _random_words(rng: np.random.Generator, dim: int) -> list[tuple]:
-    """Up to three random words, each (creators (m, d), annihilators (k, d),
-    coefficient) with m, k <= 2."""
-    words = []
-    for _ in range(int(rng.integers(1, 4))):
-        creators = rng.standard_normal((int(rng.integers(0, 3)), dim))
-        annihilators = rng.standard_normal((int(rng.integers(0, 3)), dim))
-        words.append((creators, annihilators, float(rng.standard_normal())))
-    return words
-
-
 def _wick_correspondence_draw(ctx: QContext, rng: np.random.Generator) -> tuple:
-    p1 = _random_words(rng, ctx.dim)
-    p2 = _random_words(rng, ctx.dim)
+    """Two creator-only polynomials as their kernels at bidegrees (0, 0),
+    (1, 0) and (2, 0), the first's then the second's, in one array; n
+    monomial arguments; one or two arguments for each factor of a monomial
+    product; and f on degrees <= N - n, so that the monomial of the n
+    arguments never leaves the truncation."""
+    polys = rng.standard_normal(2 * _size(ctx, range(3)))
     n = int(rng.integers(1, min(4, ctx.max_degree) + 1))
     vectors = rng.standard_normal((n, ctx.dim))
     fs = rng.standard_normal((int(rng.integers(1, 3)), ctx.dim))
     gs = rng.standard_normal((int(rng.integers(1, 3)), ctx.dim))
-    # f on degrees <= N - n, so that the monomial of vectors never leaves the truncation
-    return p1, p2, vectors, fs, gs, rng.standard_normal(_size(ctx, range(ctx.max_degree - n + 1)))
-
-
-def _creator_kernels(ctx: QContext, polys: tuple) -> dict:
-    """The creator-only words (no annihilators) of a stream's polynomials,
-    each a list of words as `_random_words` draws them, as kernels at every
-    bidegree (m, 0), m <= 2, batched over the draws (zero where a draw has no
-    such word).  A word's kernel is its coefficient times its creators'
-    elementary tensor (the outer product with the empty annihilator product
-    (1,) changes no bit), and a draw's words at one bidegree add up in draw
-    order from zero.  One elementary_tensor call serves each creator count."""
-    words: dict[int, list] = {m: [] for m in range(3)}
-    for i, poly in enumerate(polys):
-        for creators, annihilators, c in poly:
-            if not len(annihilators):
-                words[len(creators)].append((i, creators, c))
-    kernels = {}
-    for m, group in words.items():
-        kernels[m, 0] = np.zeros((len(polys), ctx.dim**m, 1))
-        if group:
-            rows, creators, coeffs = zip(*group)
-            # the m creators of every word, argument j of each as one (words, d) array
-            args = np.concatenate(creators).reshape(len(group), m, ctx.dim).swapaxes(0, 1)
-            word = elementary_tensor(args)[..., None]
-            np.add.at(kernels[m, 0], list(rows), np.array(coeffs)[:, None, None] * word)
-    return kernels
+    return polys, vectors, fs, gs, rng.standard_normal(_size(ctx, range(ctx.max_degree - n + 1)))
 
 
 def _monomial_on(vectors: list, f: GradedVector, q: float) -> GradedVector:
@@ -531,14 +482,18 @@ def _wick_correspondence(ctx: QContext, draws: list) -> list[float]:
     """The vacuum map turns the Wick product into the graded tensor product;
     orthogonal monomials land on their kernels, act on the Fock space as the
     recursion run through create and annihilate does, and multiply as their
-    joint argument list.  The polynomials of all draws stack; the monomials
+    joint argument list.  The polynomials of all draws stack and are cut
+    into two batched vectors on degrees 0..2 once, each read as the kernels
+    {(m, 0)} of a creator-only polynomial: A^-(g) annihilates the vacuum, so
+    a word with annihilators gives zero on both sides of the vacuum identity,
+    and the monomial products check the annihilator blocks.  The monomials
     stack by argument count, and so does f, cut into degrees once per
-    group.  A^-(g) annihilates the vacuum, so only the
-    creator-only words (k = 0) of each factor reach it through the product,
-    and the vacuum identity multiplies those alone."""
+    group."""
     q = ctx.q
-    p1, p2, vectors, fs, gs, f = zip(*draws)
-    p1, p2 = _creator_kernels(ctx, p1), _creator_kernels(ctx, p2)
+    polys, vectors, fs, gs, f = zip(*draws)
+    halves = np.split(np.stack(polys), 2, axis=-1)
+    cut = (GradedVector._flat(ctx, half, range(3)).components for half in halves)
+    p1, p2 = ({(m, 0): comp[..., None] for m, comp in comps.items()} for comps in cut)
     left = vacuum_vector(wick_mul_poly(p1, p2, q), ctx)
     right = graded_tensor(vacuum_vector(p1, ctx), vacuum_vector(p2, ctx))
     worst = (left - right).euclidean_norm() / np.maximum(1.0, right.euclidean_norm())

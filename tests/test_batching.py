@@ -222,8 +222,8 @@ def _generator_output(value) -> bool:
 
 @pytest.mark.parametrize("name", SAMPLING)
 def test_no_draw_returns_a_graded_vector(name):
-    # a stacked column is 1-D per draw; only wick-correspondence's word and
-    # argument lists hold (count, d) arrays, each one call's output
+    # a stacked column is 1-D per draw; only wick-correspondence's argument
+    # lists are (count, d) arrays, each one call's output
     cfg = RunConfig(trials=6, q=-0.7, dim=3, max_degree=4)
     for _, _, _, draws in _stream_draws(name, cfg):
         for draw in draws:
@@ -251,7 +251,8 @@ def _pair_alone(ctx: QContext, flat: np.ndarray) -> list[GradedVector]:
 def _per_trial_vectors(name: str, ctx: QContext, rng) -> list:
     """The graded vectors one trial of suite name draws alone, each cut from
     its own 1-D array, in the order its check takes them; for
-    wick-correspondence, (argument count, f)."""
+    wick-correspondence, its two polynomials' kernels as vectors on degrees
+    0..2, then (argument count, f)."""
     d, top = ctx.dim, ctx.max_degree
     size = sum(d**n for n in range(top + 1))
     if name == "commutation":
@@ -269,27 +270,28 @@ def _per_trial_vectors(name: str, ctx: QContext, rng) -> list:
         flat[-1] = math.copysign(1.0 + abs(flat[-1]), flat[-1])
         return [f, GradedVector._flat(ctx, flat, (*range(1, top + 1), 0))]
     if name == "wick-correspondence":
-        suites._random_words(rng, d)
-        suites._random_words(rng, d)
+        polys = rng.standard_normal(2 * (1 + d + d * d))
+        p1, p2 = (GradedVector._flat(ctx, part, range(3)) for part in np.split(polys, 2))
         n = int(rng.integers(1, min(4, top) + 1))
         rng.standard_normal((n, d))
         for _ in "fg":
             rng.standard_normal((int(rng.integers(1, 3)), d))
-        return [(n, random_vector(ctx, rng, range(top - n + 1)))]
+        return [p1, p2, (n, random_vector(ctx, rng, range(top - n + 1)))]
     return []
 
 
 def _old_route(name: str, ctx: QContext, rngs: list) -> list[GradedVector]:
     """A stream's per-trial vectors stacked per degree, in the order its
-    check cuts them: position by position, or for wick-correspondence per
-    argument-count group, in the order the groups first occur."""
+    check cuts them: position by position, and for wick-correspondence its
+    f per argument-count group, in the order the groups first occur."""
     trials = [_per_trial_vectors(name, ctx, rng) for rng in rngs]
     if name != "wick-correspondence":
         return [stack_vectors(list(column)) for column in zip(*trials)]
     groups: dict[int, list] = {}
-    for [(n, f)] in trials:
+    for *_, (n, f) in trials:
         groups.setdefault(n, []).append(f)
-    return [stack_vectors(fs) for fs in groups.values()]
+    polys = [stack_vectors([trial[k] for trial in trials]) for k in range(2)]
+    return polys + [stack_vectors(fs) for fs in groups.values()]
 
 
 @pytest.mark.parametrize("name", SAMPLING)
@@ -457,9 +459,8 @@ def test_batched_suites_make_as_many_kernel_calls_at_any_trial_count(monkeypatch
 
 
 def test_wick_correspondence_makes_as_many_kernel_calls_at_any_trial_count(monkeypatch):
-    # its checks group draws by argument counts and creator counts, so it
-    # needs enough trials for every group to be drawn: 60 draw them all at
-    # the default config
+    # its checks group draws by argument counts, so it needs enough trials
+    # for every group to be drawn: 60 draw them all at the default config
     builders = (fock.elementary_tensor, fock.tensor_product, fock.create, fock.annihilate)
     products = (wick.wick_mul_poly, wick.field_mul, wick.apply_to_fock, wick.vacuum_vector)
     calls = _count_calls(monkeypatch, KERNELS + builders + products)
@@ -468,22 +469,27 @@ def test_wick_correspondence_makes_as_many_kernel_calls_at_any_trial_count(monke
     assert counts[0].keys() >= {"elementary_tensor", "wick_mul_poly", "apply_to_fock", "create"}
 
 
-class _CountedUfunc:
-    """A ufunc whose `at` calls are counted under `name`; everything else
-    passes through."""
+@pytest.mark.parametrize(
+    "cfg", [RunConfig(trials=60), RunConfig(dim=1, trials=60)], ids=("default", "d1")
+)
+def test_every_wick_correspondence_trial_checks_the_vacuum_identity(cfg, monkeypatch):
+    # each factor's creator kernels are drawn at every bidegree (m, 0), m <= 2,
+    # so the graded tensor product of the vacuum vectors, the identity's
+    # right side, is nonzero at each degree 0..4 in every trial
+    products = []
 
-    def __init__(self, ufunc, name: str, calls: dict):
-        self._ufunc, self._name, self._calls = ufunc, name, calls
+    def recorded(f, g):
+        products.append(graded_tensor(f, g))
+        return products[-1]
 
-    def at(self, *args):
-        self._calls[self._name] = self._calls.get(self._name, 0) + 1
-        return self._ufunc.at(*args)
-
-    def __call__(self, *args, **kwargs):
-        return self._ufunc(*args, **kwargs)
-
-    def __getattr__(self, attr):
-        return getattr(self._ufunc, attr)
+    monkeypatch.setattr(suites, "graded_tensor", recorded)
+    report = run_suite("wick-correspondence", cfg)
+    assert report.passed
+    [product] = products
+    assert sorted(product.components) == list(range(5))
+    for comp in product.components.values():
+        assert comp.shape[0] == cfg.trials
+        assert np.any(comp != 0.0, axis=-1).all()
 
 
 @pytest.mark.parametrize("name", SAMPLING)
@@ -501,7 +507,6 @@ def test_draws_only_draw(name, monkeypatch):
             return outer(*args, **kwargs)
 
         patched.setattr(np, "outer", counted_outer)
-        patched.setattr(np, "add", _CountedUfunc(np.add, "add.at", calls))
         runs = []
         for key, _, _, _, check in streams:
             runs.append((check, [SUITES[name].draw(ctx, _trial_rng(1, key, i)) for i in range(20)]))
@@ -510,7 +515,7 @@ def test_draws_only_draw(name, monkeypatch):
         if name == "wick-correspondence":
             for check, draws in runs:
                 check(ctx, draws)
-            assert calls.keys() >= {"tensor_product", "elementary_tensor", "add.at"}
+            assert calls.keys() >= {"tensor_product", "elementary_tensor"}
 
 
 def test_monomial_on_evaluates_each_argument_sub_list_once(monkeypatch):

@@ -27,14 +27,13 @@ from qwick.fock import (
     pq_spectrum,
     q_inner,
     slot_sum,
-    swap_constant,
     symmetrize,
     tensor_product,
 )
 from qwick.qcombinatorics import inversions, q_factorial
 from qwick.scales import graded_tensor
 from qwick.series import wick_exp, wick_inverse
-from qwick.suites import SUITES, _basis_residuals
+from qwick.suites import SUITES
 from qwick.wick import apply_to_fock
 
 from oracles import random_vector, stack_vectors
@@ -434,24 +433,39 @@ def test_operator_matrices_build_one_degree_at_a_time():
         assert peak < 2 * mat.nbytes
 
 
+def _identity_columns(ctx):
+    """Each degree n < N's identity columns, as one vector of ctx."""
+    return [GradedVector._of(ctx, {n: np.eye(ctx.dim**n)}) for n in range(ctx.max_degree)]
+
+
+def _basis_blocks(ctx):
+    """Entry (i, j): the largest Frobenius norm, over degrees n < N, of the
+    exchange residual's block at (e_i, e_j), one commutation_residual call
+    per pair and degree."""
+    columns = _identity_columns(ctx)
+    out = np.zeros((ctx.dim, ctx.dim))
+    for i, j in np.ndindex(out.shape):
+        e_i, e_j = basis_vector(ctx.dim, i), basis_vector(ctx.dim, j)
+        out[i, j] = max(np.linalg.norm(commutation_residual(e_i, e_j, f)) for f in columns)
+    return out
+
+
 @pytest.mark.parametrize("q", (-0.7, 0.3, 0.5, 0.9))
-@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("dim", (1, 2, 3))
 def test_batched_basis_findings_equal_one_call_per_pair(dim, q):
-    # swap_constant annihilates by e_1 and e_2 as one batch, and
-    # _basis_residuals takes every phi = e_i as a batch: bit for bit as one
-    # call per vector or per pair
-    ctx = QContext(q, dim, 6 if dim == 2 else 4)
-    e1, e2 = basis_vector(dim, 0), basis_vector(dim, 1)
-    for n in range(1, ctx.max_degree):
-        cols = GradedVector._of(QContext(q, dim, n), {n: np.eye(dim**n)})
-        term = create(e2, annihilate(e1, cols)) - create(e1, annihilate(e2, cols))
-        assert swap_constant(n, dim, q) == float(np.linalg.norm(term.components[n], 2))
-    columns = [GradedVector._of(ctx, {n: np.eye(dim**n)}) for n in range(ctx.max_degree)]
-    want = np.zeros((dim, dim))
-    for i, j in np.ndindex(want.shape):
-        e_i, e_j = basis_vector(dim, i), basis_vector(dim, j)
-        want[i, j] = max(np.linalg.norm(commutation_residual(e_i, e_j, f)) for f in columns)
-    assert _basis_residuals(ctx).tobytes() == want.tobytes()
+    # the findings annihilate by every e_i as one batch, and take every
+    # phi = e_i as a batch: bit for bit as one call per vector or per pair
+    ctx = QContext(q, dim, 6 if dim < 3 else 4)
+    _, findings, _ = SUITES["commutation"].findings(ctx)
+    assert findings["basis_max_residual"] == float(_basis_blocks(ctx).max())
+    top = 0.0
+    if dim > 1:
+        e1, e2 = basis_vector(dim, 0), basis_vector(dim, 1)
+        for n, cols in enumerate(_identity_columns(ctx)):
+            if n:
+                term = create(e2, annihilate(e1, cols)) - create(e1, annihilate(e2, cols))
+                top = max(top, float(np.linalg.norm(term.components[n], 2)))
+    assert findings["argument_swapped_variant_max_residual"] == abs(q) * top
 
 
 def _contract_tensordot(phi, t, n, q):
@@ -620,7 +634,7 @@ def test_commutation_matches_dense_svd_oracle(dim, top, q):
     is |q| |phi ^ psi| max c_n, so at most |phi| |psi| times the finding,
     and only rounding when d = 1, q = 0 or psi = +-phi."""
     ctx = QContext(q, dim, top)
-    basis = _basis_residuals(ctx)
+    basis = _basis_blocks(ctx)
     for i, j in np.ndindex(basis.shape):
         want_exchange = _commutation_oracle(basis_vector(dim, i), basis_vector(dim, j), ctx)[0]
         assert want_exchange <= basis[i, j] <= 1e-12
@@ -733,8 +747,7 @@ def test_seal_names_the_first_non_finite_degree(build, bad, first):
 # component is sealed exactly when it is read-only, so each site marks an
 # array only once its entries are known to be finite
 READ_ONLY_SITES = [
-    "fock.GradedVector._flat",  # a 1-D flat, whose slices inherit the flag
-    "fock.GradedVector._flat",  # a batched block's per-degree copies
+    "fock.GradedVector._flat",  # a flat block's per-degree copies
     "fock._pq_cached",
     "fock._seal",
     "fock.pq_matrix",

@@ -6,19 +6,27 @@ suite.  The CLI digests are the sha256 of the files `qwick verify --out` and
 `qwick compute ... --out` write, so they pin the writer as well.  A change
 that moves report bytes on purpose declares the move and updates the digests
 it moves in the same diff.
+
+Run as a script, `PYTHONPATH=src python tests/test_report_digests.py` prints
+every pinned digest's key with its pinned and current values, marks the ones
+that moved, and exits 1 if any did.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+import qwick  # before numpy, which qwick then loads with one OpenBLAS thread, as the CLI does
 
 import numpy as np
 import pytest
 
-import qwick
 import qwick.cli as cli
 from qwick.fock import QContext
 from qwick.suites import SUITE_NAMES, RunConfig, run_suite
@@ -35,7 +43,7 @@ DIGESTS = {
         "adjointness": "bcbc9eee16e3488e319dcf8df9540e30f083c29acc58b735d992f358be8e988a",
         "macmahon": "4a0dc5a62f8fd1a16f0787cd5e0058a58f85e071d37240c24a758f1111f10ee6",
         "moments": "725bc541d3ae3b0c1870814a280d880391e7f324341bbecdee68895bdf0e5b90",
-        "wick-correspondence": "8bfe401e474f5ab4801edcaa73e7c63ece50588443c19cb6216353d37d75b29d",
+        "wick-correspondence": "5c07f272703b9fe0be7b77cd204a68cdde28616646fd572c09c5be2f0ab27f39",
         "hermite": "e90b3b10f39a443ec1ac9158022a399676b56317f77db6c61439931c8d09d8f1",
         "embedding": "2563dca79a61b1709ec2ea48658dba3c988e16579741f3be80a8568503c2f6e2",
         "lemma53": "83f6f8cc04b4448623a4e447980623d5de3134a50afee1d0b249d0ca2978928a",
@@ -51,7 +59,7 @@ DIGESTS = {
         "adjointness": "2224ab2d46e68e5198af2ef9642595312d08ff871ff813913821cc594530ff6d",
         "macmahon": "e54a321e08cbe255e122d9846381bc36edaaf5a0946e8e140675409a04ace56c",
         "moments": "a7c22ce046591152babb88a4def0aba5e5dcdceed8eb5b0b8b7d1e13624158ff",
-        "wick-correspondence": "1cbedbb25b84248f92469e7dbeddcece5bb02b98af9e3e40e4eeb33488050c36",
+        "wick-correspondence": "e126c3849ead1d90628b2373f07b7a8b140bc190526232cf7eca9ef70c4e5887",
         "hermite": "d0b5cd26d1a1de139fd4cb87fe2a114a9018dd831c3e46cdf0208d8135efbba3",
         "embedding": "1641fa527e71b19f7d71a2360243c36bce3256d13b87a39ca33f1b29538148a4",
         "lemma53": "214cea95c15fb74fc53cd95c0cb8d5b5a0beec924a38b606fa18c75272b0e0ab",
@@ -69,11 +77,15 @@ def test_every_suite_has_a_digest_at_each_config():
         assert tuple(digests) == SUITE_NAMES
 
 
+def _report_digest(cfg: RunConfig, name: str) -> str:
+    text = json.dumps(run_suite(name, cfg).to_json_dict(), indent=2, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("cfg", DIGESTS, ids=("default", "negative-q"))
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_report_bytes_are_pinned(cfg, name):
-    text = json.dumps(run_suite(name, cfg).to_json_dict(), indent=2, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[cfg][name]
+    assert _report_digest(cfg, name) == DIGESTS[cfg][name]
 
 
 # a single mode near q = 1, q = 0 at d = 3, and degree 8 at negative q, each
@@ -82,14 +94,14 @@ Q_NEAR_ONE = RunConfig(q=0.9, dim=1, max_degree=5, trials=30, seed=5)
 Q_ZERO = RunConfig(q=0.0, dim=3, max_degree=5, trials=30, seed=5)
 DEGREE_8 = RunConfig(q=-0.7, dim=2, max_degree=8, trials=30, seed=5)
 # every sampling suite whose draw is cut into graded vectors or carries more
-# structure (word lists, argument arrays, exact integer entries)
+# structure (argument arrays, exact integer entries)
 DRAW_DIGESTS = {
     (Q_NEAR_ONE, "commutation"):
         "38ebd784f52d5199e469d2f081dadca0baa7c9a7b97822dc7f6ef690a4543058",
     (Q_NEAR_ONE, "adjointness"):
         "8f98349b2b225f424ee7ef03ef44bff1915b7b894f3371ca5f62f91f0a323c96",
     (Q_NEAR_ONE, "wick-correspondence"):
-        "14859deb72356fa89d4a97020165aecf47eed27263bbf963f427e00c23fdf501",
+        "3bcc4f02b3d4baed98a0c6fad7f48a44758329050f088ac26e5d06a888122aee",
     (Q_NEAR_ONE, "embedding"):
         "5be71de31f2eeafe321fa08862f27bef8069ece20813ce6c7b4ac711b9778d5d",
     (Q_NEAR_ONE, "theorem43"):
@@ -107,7 +119,7 @@ DRAW_DIGESTS = {
     (Q_ZERO, "adjointness"):
         "ae39b27a38dd4c370d556548ba6b734185ce38f7016a4127084a8325bd6ed170",
     (Q_ZERO, "wick-correspondence"):
-        "7d899860d12ec0f1fe53149a0d99383bfb21750b7cf8339ea67b0bbfa47dd5f9",
+        "63fce7503d63bb282b6083bb5325573e8c5d75a7725e7862db9119b3333fc6dd",
     (Q_ZERO, "embedding"):
         "64bcf837c1479740cf691c88fb747b91cf77786bccc3d423ce9b618cbe66f62a",
     (Q_ZERO, "theorem43"):
@@ -125,7 +137,7 @@ DRAW_DIGESTS = {
     (DEGREE_8, "adjointness"):
         "e1e7668e7ae96bc27954f976b6c3775c99e1d0ce8cd2de6a3582e0348fbd4aa5",
     (DEGREE_8, "wick-correspondence"):
-        "ecda26ba9d99db2afd6381a3e52c67e1b7efc74ce8c59ce62fd97a4003650602",
+        "cd11e8500ba1e2985551d5b29140c98e0b47060727428cd8fef6a63c443cb3e2",
     (DEGREE_8, "embedding"):
         "6d48c15fdf7fff8a31ad3f002eca03f481239c7e5f48af689ec6f4a3475c9191",
     (DEGREE_8, "theorem43"):
@@ -147,14 +159,13 @@ DRAW_DIGESTS = {
     ids=lambda x: f"q{x.q}-d{x.dim}-n{x.max_degree}" if isinstance(x, RunConfig) else x,
 )
 def test_draw_heavy_report_bytes_are_pinned(cfg, name):
-    text = json.dumps(run_suite(name, cfg).to_json_dict(), indent=2, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == DRAW_DIGESTS[cfg, name]
+    assert _report_digest(cfg, name) == DRAW_DIGESTS[cfg, name]
 
 
 # each --out file, for `verify --suite all` at the default config and for
 # compute on seeded d=2, N=6 vectors (see _compute_inputs)
 CLI_DIGESTS = {
-    "verify": "20f85fb2dbe210c59232d4ec0cc149f2866cbf7b4084794fb340e8550a18c3bf",
+    "verify": "2d23fb43ff515ce2b2b7f1dcce66898fa87de25ecfc0f6021058f464e44ed655",
     "wick-mul": "c9e31af680d42805fe7ba3dd1b1f7275002e4eab3f624d60008232198a6339a0",
     "wick-inv": "336639073f7f21503aac0509397fa0de0a990d31dcf3beb3ed2d5e61d9856f5c",
     "wick-exp": "0b6529e494bb7ec549af73f74ea3b699ae7b81e26febaa6166c4d307dc88cd0a",
@@ -188,11 +199,16 @@ def _cli_argv(name: str, files: dict[str, str]) -> list[str]:
     }[name]
 
 
+def _cli_digest(name: str, folder: Path) -> str:
+    out = folder / "out.json"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(_cli_argv(name, _compute_inputs(folder)) + ["--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("name", CLI_DIGESTS)
-def test_cli_file_bytes_are_pinned(name, tmp_path, capsys):
-    out = tmp_path / "out.json"
-    assert cli.main(_cli_argv(name, _compute_inputs(tmp_path)) + ["--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == CLI_DIGESTS[name]
+def test_cli_file_bytes_are_pinned(name, tmp_path):
+    assert _cli_digest(name, tmp_path) == CLI_DIGESTS[name]
 
 
 # the --out file of `verify --suite all --seed 1` at each of the benchmark's
@@ -201,9 +217,9 @@ def test_cli_file_bytes_are_pinned(name, tmp_path, capsys):
 # with one OpenBLAS thread.  A threaded eigvalsh rounds positivity's degree-8
 # spectrum by the core count.
 BENCH_VERIFY_DIGESTS = {
-    ("--trials", "40"): "bb16da920e727ae826ea336d259731aa796b367f15dadbfe358b830321cb78b3",
+    ("--trials", "40"): "e0c2d8f3b77b412ecafe51584440aeb324ed1b9ad30b887f3cdb5f5fbb0b8b60",
     ("--max-degree", "8", "--trials", "12"):
-        "131773eb10ade332087b0a9b6709c82188fc7713184abec2f753e7e4ad78d6fc",
+        "a3a825c9bb5fb3d7af48f607099faec9ea7eca2571a6561e5f6e90a87fabefd4",
 }
 
 
@@ -216,11 +232,15 @@ def _fresh_cli(argv: list[str]) -> None:
     assert result.returncode == 0, result.stderr
 
 
+def _bench_verify_digest(config: tuple, folder: Path) -> str:
+    out = folder / "report.json"
+    _fresh_cli(["verify", "--suite", "all", "--seed", "1", *config, "--out", str(out)])
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("config", BENCH_VERIFY_DIGESTS, ids=("verify-default", "verify-deep"))
 def test_bench_verify_file_bytes_are_pinned(config, tmp_path):
-    out = tmp_path / "report.json"
-    _fresh_cli(["verify", "--suite", "all", "--seed", "1", *config, "--out", str(out)])
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCH_VERIFY_DIGESTS[config]
+    assert _bench_verify_digest(config, tmp_path) == BENCH_VERIFY_DIGESTS[config]
 
 
 def test_in_process_report_matches_the_cli_at_degree_8(tmp_path):
@@ -232,3 +252,41 @@ def test_in_process_report_matches_the_cli_at_degree_8(tmp_path):
     assert cli.main([*argv, "--out", str(here)]) == 0
     _fresh_cli([*argv, "--out", str(fresh)])
     assert here.read_bytes() == fresh.read_bytes()
+
+
+CONFIG_NAMES = {
+    DEFAULT: "DEFAULT",
+    NEGATIVE_Q: "NEGATIVE_Q",
+    Q_NEAR_ONE: "Q_NEAR_ONE",
+    Q_ZERO: "Q_ZERO",
+    DEGREE_8: "DEGREE_8",
+}
+
+
+def _pinned_and_current(folder: Path):
+    """(key, pinned digest, current digest) for every digest pinned here."""
+    for cfg, digests in DIGESTS.items():
+        for name, pinned in digests.items():
+            yield f"DIGESTS[{CONFIG_NAMES[cfg]}][{name}]", pinned, _report_digest(cfg, name)
+    for (cfg, name), pinned in DRAW_DIGESTS.items():
+        yield f"DRAW_DIGESTS[{CONFIG_NAMES[cfg]}, {name}]", pinned, _report_digest(cfg, name)
+    for name, pinned in CLI_DIGESTS.items():
+        yield f"CLI_DIGESTS[{name}]", pinned, _cli_digest(name, folder)
+    for config, pinned in BENCH_VERIFY_DIGESTS.items():
+        key = f"BENCH_VERIFY_DIGESTS[{' '.join(config)}]"
+        yield key, pinned, _bench_verify_digest(config, folder)
+
+
+def main() -> int:
+    moved = 0
+    with tempfile.TemporaryDirectory() as folder:
+        for key, pinned, current in _pinned_and_current(Path(folder)):
+            moved += pinned != current
+            print(f"{'MOVED' if pinned != current else 'same':5}  {key}")
+            print(f"       pinned  {pinned}\n       current {current}")
+    print(f"{moved} moved")
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
